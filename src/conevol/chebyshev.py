@@ -18,6 +18,13 @@ and a family-dependent companion g_n(y):
 Evaluation runs the recurrence directly (never the closed form in
 s = (y +/- sqrt(y^2-4))/2, which needs a branch choice); it is exact for
 integer arguments and stable for the moderate |k| <= ~50 used here.
+
+One kernel, eval_S_pair, walks the recurrence once per point from (S_0, S_1)
+and returns S_{n-1} and S_n, with S'_{n-1} and S'_n carried along when asked.
+f_n, g_n and their derivatives are all assembled from those four values, so
+eval_fg hands the integrand and Newton polish everything they need from one
+walk; eval_S, eval_f, eval_g and their derivatives are views over the same
+kernel, with identical floating-point results.
 """
 
 from __future__ import annotations
@@ -31,49 +38,43 @@ from .families import KnotFamily
 POLE_TOL = 1e-14
 
 
-def eval_S(k: int, y):
-    """S_k(y) by the three-term recurrence, any integer k, any complex y.
+def eval_S_pair(n: int, y, prime: bool = False):
+    """(S_{n-1}, S_n, S'_{n-1}, S'_n) at y from one walk of the recurrence.
 
-    Runs forward from (S_0, S_1) for k >= 0 and backward for k < 0
-    (S_{k-2} = y*S_{k-1} - S_k).  Python scalar arithmetic throughout, so
-    integer input stays exact.
+    Starts at (S_0, S_1) and runs forward for n >= 1, backward for n <= 0
+    (S_{k-2} = y*S_{k-1} - S_k).  With prime the derivatives ride along
+    (S'_k = S_{k-1} + y*S'_{k-1} - S'_{k-2}); without it they are None.
+    Python scalar arithmetic throughout, so integer input stays exact.
     """
-    if k == 0:
-        return _one_like(y)
-    if k == 1:
-        return y
-    if k >= 2:
-        prev, cur = _one_like(y), y  # S_0, S_1
-        for _ in range(k - 1):
-            prev, cur = cur, y * cur - prev
-        return cur
-    # k <= -1: step down from (S_0, S_1)
-    cur, above = _one_like(y), y  # S_0, S_1
-    for _ in range(-k):
-        cur, above = y * cur - above, cur
-    return cur
+    lo, hi = _one_like(y), y  # S_0, S_1
+    if not prime:
+        if n >= 1:
+            for _ in range(n - 1):
+                lo, hi = hi, y * hi - lo
+        else:
+            for _ in range(1 - n):
+                lo, hi = y * lo - hi, lo
+        return lo, hi, None, None
+    d_lo, d_hi = _zero_like(y), _one_like(y)  # S'_0, S'_1
+    if n >= 1:
+        for _ in range(n - 1):
+            d_lo, d_hi = d_hi, hi + y * d_hi - d_lo
+            lo, hi = hi, y * hi - lo
+    else:
+        for _ in range(1 - n):
+            d_lo, d_hi = lo + y * d_lo - d_hi, d_lo
+            lo, hi = y * lo - hi, lo
+    return lo, hi, d_lo, d_hi
+
+
+def eval_S(k: int, y):
+    """S_k(y), any integer k, any complex y."""
+    return eval_S_pair(k, y)[1]
 
 
 def eval_S_prime(k: int, y):
-    """d/dy S_k(y) via the differentiated recurrence S'_k = S_{k-1} + y*S'_{k-1} - S'_{k-2}."""
-    if k == 0:
-        return _zero_like(y)
-    if k == 1:
-        return _one_like(y)
-    if k >= 2:
-        s_prev, s_cur = _one_like(y), y
-        d_prev, d_cur = _zero_like(y), _one_like(y)
-        for _ in range(k - 1):
-            d_prev, d_cur = d_cur, s_cur + y * d_cur - d_prev
-            s_prev, s_cur = s_cur, y * s_cur - s_prev
-        return d_cur
-    # backward: S'_{k-2} = S_{k-1} + y*S'_{k-1} - S'_k
-    s_cur, s_above = _one_like(y), y
-    d_cur, d_above = _zero_like(y), _one_like(y)
-    for _ in range(-k):
-        d_cur, d_above = s_cur + y * d_cur - d_above, d_cur
-        s_cur, s_above = y * s_cur - s_above, s_cur
-    return d_cur
+    """d/dy S_k(y)."""
+    return eval_S_pair(k, y, True)[3]
 
 
 def _one_like(y):
@@ -139,61 +140,32 @@ def _guard(num, den, tol):
         raise PoleError(f"denominator {den!r} vanishes relative to numerator {num!r}")
 
 
-def eval_f(n: int, y, pole_tol: float = POLE_TOL):
-    """f_n(y); raises PoleError at y = 2 and at zeros of S_{n-1}.
-
-    pole_tol is the relative denominator guard; contour evaluation passes a
-    tiny value because its paths are kept off the poles geometrically (a
-    fourth-power denominator is legitimately ~1e-15 at distance 1e-4).
-    """
-    s_nm1 = eval_S(n - 1, y)
-    s_n = eval_S(n, y)
+def _f_from(y, walk, pole_tol):
+    """(f_n, f'_n) from an eval_S_pair walk; f'_n is None unless the walk has S'."""
+    s_nm1, s_n, d_nm1, d_n = walk
     num = 2 * s_n - y * s_nm1
     den = (y - 2) * s_nm1
     _guard(num, den, pole_tol)
-    return num / den
-
-
-def eval_f_prime(n: int, y, pole_tol: float = POLE_TOL):
-    """d/dy f_n(y), assembled by the quotient rule from S and S'."""
-    s_nm1 = eval_S(n - 1, y)
-    s_n = eval_S(n, y)
-    d_nm1 = eval_S_prime(n - 1, y)
-    d_n = eval_S_prime(n, y)
-    num = 2 * s_n - y * s_nm1
-    den = (y - 2) * s_nm1
-    _guard(num, den, pole_tol)
+    if d_n is None:
+        return num / den, None
     num_p = 2 * d_n - s_nm1 - y * d_nm1
     den_p = s_nm1 + (y - 2) * d_nm1
-    return (num_p * den - num * den_p) / (den * den)
+    return num / den, (num_p * den - num * den_p) / (den * den)
 
 
-def _g_parts(family: KnotFamily, n: int, y):
-    """(numerator, denominator) of g_n for the family, unreduced."""
-    s_nm1 = eval_S(n - 1, y)
-    s_n = eval_S(n, y)
+def _g_from(family: KnotFamily, y, walk, pole_tol):
+    """(g_n, g'_n) from an eval_S_pair walk, both by the quotient rule on the
+    unreduced numerator and denominator; g'_n is None unless the walk has S'."""
+    s_nm1, s_n, d_nm1, d_n = walk
     if family is KnotFamily.C2N3:
-        return -((s_n - s_nm1) ** 2), (y - 2) ** 3 * s_nm1**4
-    if family is KnotFamily.C2N2:
-        return -(s_n - s_nm1), (y - 2) ** 2 * s_nm1**3
-    return _one_like(y), (y - 2) ** 2 * s_nm1**4
-
-
-def eval_g(family: KnotFamily, n: int, y, pole_tol: float = POLE_TOL):
-    """Family-specific g_n(y); raises PoleError on the shared denominator zeros."""
-    num, den = _g_parts(family, n, y)
+        num, den = -((s_n - s_nm1) ** 2), (y - 2) ** 3 * s_nm1**4
+    elif family is KnotFamily.C2N2:
+        num, den = -(s_n - s_nm1), (y - 2) ** 2 * s_nm1**3
+    else:
+        num, den = _one_like(y), (y - 2) ** 2 * s_nm1**4
     _guard(num, den, pole_tol)
-    return num / den
-
-
-def eval_g_prime(family: KnotFamily, n: int, y, pole_tol: float = POLE_TOL):
-    """d/dy g_n(y) by the quotient rule (needed by Newton polish, not an integrand)."""
-    s_nm1 = eval_S(n - 1, y)
-    s_n = eval_S(n, y)
-    d_nm1 = eval_S_prime(n - 1, y)
-    d_n = eval_S_prime(n, y)
-    num, den = _g_parts(family, n, y)
-    _guard(num, den, pole_tol)
+    if d_n is None:
+        return num / den, None
     if family is KnotFamily.C2N3:
         num_p = -2 * (s_n - s_nm1) * (d_n - d_nm1)
         den_p = 3 * (y - 2) ** 2 * s_nm1**4 + 4 * (y - 2) ** 3 * s_nm1**3 * d_nm1
@@ -203,7 +175,45 @@ def eval_g_prime(family: KnotFamily, n: int, y, pole_tol: float = POLE_TOL):
     else:
         num_p = _zero_like(y)
         den_p = 2 * (y - 2) * s_nm1**4 + 4 * (y - 2) ** 2 * s_nm1**3 * d_nm1
-    return (num_p * den - num * den_p) / (den * den)
+    return num / den, (num_p * den - num * den_p) / (den * den)
+
+
+def eval_fg(family: KnotFamily, n: int, y, pole_tol: float = POLE_TOL,
+            prime: bool = False):
+    """(f_n, g_n, f'_n, g'_n) at y from a single recurrence walk.
+
+    The derivatives are None unless prime.  Raises PoleError where f_n or g_n
+    has a pole (f_n is checked first).
+    """
+    walk = eval_S_pair(n, y, prime)
+    fv, fp = _f_from(y, walk, pole_tol)
+    gv, gp = _g_from(family, y, walk, pole_tol)
+    return fv, gv, fp, gp
+
+
+def eval_f(n: int, y, pole_tol: float = POLE_TOL):
+    """f_n(y); raises PoleError at y = 2 and at zeros of S_{n-1}.
+
+    pole_tol is the relative denominator guard; contour evaluation passes a
+    tiny value because its paths are kept off the poles geometrically (a
+    fourth-power denominator is legitimately ~1e-15 at distance 1e-4).
+    """
+    return _f_from(y, eval_S_pair(n, y), pole_tol)[0]
+
+
+def eval_f_prime(n: int, y, pole_tol: float = POLE_TOL):
+    """d/dy f_n(y), assembled by the quotient rule from S and S'."""
+    return _f_from(y, eval_S_pair(n, y, True), pole_tol)[1]
+
+
+def eval_g(family: KnotFamily, n: int, y, pole_tol: float = POLE_TOL):
+    """Family-specific g_n(y); raises PoleError on the shared denominator zeros."""
+    return _g_from(family, y, eval_S_pair(n, y), pole_tol)[0]
+
+
+def eval_g_prime(family: KnotFamily, n: int, y, pole_tol: float = POLE_TOL):
+    """d/dy g_n(y) by the quotient rule (needed by Newton polish, not an integrand)."""
+    return _g_from(family, y, eval_S_pair(n, y, True), pole_tol)[1]
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from .families import ConeManifoldSpec, parse_family
 from .geometry import Regime, classify, collision_root, critical_angle
 from .riley import build_cone_equation, solve_cone_equation
 from .verify import ALL_SUITES, run_suites
-from .volume import compute_volume
+from .volume import _volume_for
 
 CSV_HEADER = "alpha,regime,volume,error_estimate,l_alpha,alpha_K,status"
 
@@ -116,15 +116,14 @@ def cmd_volume(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        regime = classify(spec).regime
-        if regime is Regime.OUT_OF_RANGE:
+        classified = classify(spec)
+        if classified.regime is Regime.OUT_OF_RANGE:
             print(
                 f"error: alpha={_fmt(spec.alpha)} is beyond the spherical band",
                 file=sys.stderr,
             )
             return 2
-        result = compute_volume(spec, cross_check=args.cross_check,
-                                quad_tol=args.tol_quad)
+        result = _volume_for(spec, classified, args.cross_check, args.tol_quad)
     except ConevolError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
@@ -145,27 +144,25 @@ def cmd_volume(args) -> int:
     return 0
 
 
-def _sweep_row(spec: ConeManifoldSpec, a_k: float, quad_tol: float):
+def _sweep_row(spec: ConeManifoldSpec, a_k: float, quad_tol: float,
+               cross_check: bool):
+    row = {
+        "alpha": spec.alpha, "regime": None, "volume": None,
+        "error_estimate": None, "l_alpha": None, "alpha_K": a_k,
+        "schlafli_volume": None,
+    }
     try:
-        regime = classify(spec).regime
-        if regime is Regime.OUT_OF_RANGE:
-            return {
-                "alpha": spec.alpha, "regime": regime.value, "volume": None,
-                "error_estimate": None, "l_alpha": None, "alpha_K": a_k,
-                "status": "out_of_range",
-            }
-        r = compute_volume(spec, quad_tol=quad_tol)
-        return {
-            "alpha": spec.alpha, "regime": r.regime.value, "volume": r.volume,
-            "error_estimate": r.error_estimate, "l_alpha": r.l_alpha,
-            "alpha_K": a_k, "status": "ok",
-        }
+        classified = classify(spec)
+        if classified.regime is Regime.OUT_OF_RANGE:
+            return {**row, "regime": classified.regime.value, "status": "out_of_range"}
+        r = _volume_for(spec, classified, cross_check, quad_tol)
     except (ConevolError, ValueError) as exc:
-        return {
-            "alpha": spec.alpha, "regime": None, "volume": None,
-            "error_estimate": None, "l_alpha": None, "alpha_K": a_k,
-            "status": f"error:{type(exc).__name__}",
-        }
+        return {**row, "status": f"error:{type(exc).__name__}"}
+    return {
+        **row, "regime": r.regime.value, "volume": r.volume,
+        "error_estimate": r.error_estimate, "l_alpha": r.l_alpha,
+        "schlafli_volume": r.schlafli_volume, "status": "ok",
+    }
 
 
 def cmd_sweep(args) -> int:
@@ -192,14 +189,18 @@ def cmd_sweep(args) -> int:
         alphas = [start + i * step for i in range(args.count)]
     specs = [ConeManifoldSpec(family, args.n, a) for a in alphas]
     jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
+    def row_of(s):
+        return _sweep_row(s, a_k, args.tol_quad, args.cross_check)
+
     if jobs == 1:
-        rows = [_sweep_row(s, a_k, args.tol_quad) for s in specs]
+        rows = [row_of(s) for s in specs]
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(lambda s: _sweep_row(s, a_k, args.tol_quad), specs))
+            rows = list(pool.map(row_of, specs))
 
+    extra = ["schlafli_volume"] if args.cross_check else []
     if args.format == "csv":
-        lines = [CSV_HEADER]
+        lines = [",".join([CSV_HEADER, *extra])]
         for row in rows:
             lines.append(
                 ",".join(
@@ -211,6 +212,7 @@ def cmd_sweep(args) -> int:
                         _fmt(row["l_alpha"]),
                         _fmt(row["alpha_K"]),
                         row["status"],
+                        *(_fmt(row[k]) for k in extra),
                     ]
                 )
             )
@@ -239,6 +241,7 @@ def cmd_sweep(args) -> int:
                     "l_alpha": None if row["l_alpha"] is None else float(_fmt(row["l_alpha"])),
                     "alpha_K": float(_fmt(row["alpha_K"])),
                     "status": row["status"],
+                    **{k: None if row[k] is None else float(_fmt(row[k])) for k in extra},
                 }
             )
         payload = json.dumps({"metadata": meta, "rows": out_rows}, indent=2) + "\n"
@@ -279,9 +282,10 @@ def cmd_roots(args) -> int:
         eq = build_cone_equation(spec.family, spec.n, spec.cot_half)
         records = solve_cone_equation(eq, keep_spurious=True)
         selected = []
-        regime = classify(spec).regime
+        classified = classify(spec)
+        regime = classified.regime
         if regime in (Regime.HYPERBOLIC, Regime.SPHERICAL):
-            selected = [complex(y) for y in classify(spec).roots]
+            selected = [complex(y) for y in classified.roots]
             if regime is Regime.HYPERBOLIC:
                 selected.append(selected[0].conjugate())
     except ConevolError as exc:

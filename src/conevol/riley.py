@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import exactpoly as xp
-from .chebyshev import eval_S, eval_f, eval_f_prime, eval_g, eval_g_prime
+from .chebyshev import eval_S, eval_f, eval_fg
 from .errors import NonConvergenceError, PoleError
 from .families import KnotFamily, validate_twist
 
@@ -206,14 +206,11 @@ class ConeEquation:
 
     def residual(self, y):
         """The rational residual f^2 + A^2 - (1+A^2) g at y."""
-        fv = eval_f(self.n, y)
-        gv = eval_g(self.family, self.n, y)
+        fv, gv, _, _ = eval_fg(self.family, self.n, y)
         return fv * fv + self.A * self.A - (1.0 + self.A * self.A) * gv
 
     def residual_prime(self, y):
-        fv = eval_f(self.n, y)
-        fp = eval_f_prime(self.n, y)
-        gp = eval_g_prime(self.family, self.n, y)
+        fv, _, fp, gp = eval_fg(self.family, self.n, y, prime=True)
         return 2.0 * fv * fp - (1.0 + self.A * self.A) * gp
 
 

