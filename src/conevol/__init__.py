@@ -8,7 +8,6 @@ independent SL(2, C) holonomy oracle and a Schlaefli-formula cross-check.
 
 from .chebyshev import (
     ChebyshevPoly,
-    RationalPair,
     eval_S,
     eval_S_prime,
     eval_f,
@@ -64,7 +63,6 @@ from .riley import (
     check_lemma_cd,
     solve_cone_equation,
     trace_u,
-    trace_v,
 )
 from .volume import (
     VolumeResult,

@@ -24,7 +24,8 @@ and returns S_{n-1} and S_n, with S'_{n-1} and S'_n carried along when asked.
 f_n, g_n and their derivatives are all assembled from those four values, so
 eval_fg hands the integrand and Newton polish everything they need from one
 walk; eval_S, eval_f, eval_g and their derivatives are views over the same
-kernel, with identical floating-point results.
+kernel, with identical floating-point results.  The exact coefficient view
+(poly_S) and its Horner evaluation come from the polynomial module exactpoly.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PoleError
+from .exactpoly import _zero_like, p_eval, s_poly
 from .families import KnotFamily
 
 # Denominator guard: |den| below this times the numerator scale is a pole.
@@ -81,10 +83,6 @@ def _one_like(y):
     return 1 if isinstance(y, int) else 1.0 if isinstance(y, float) else complex(1.0)
 
 
-def _zero_like(y):
-    return 0 if isinstance(y, int) else 0.0 if isinstance(y, float) else complex(0.0)
-
-
 @dataclass(frozen=True)
 class ChebyshevPoly:
     """S_k as an exact integer-coefficient polynomial.
@@ -101,38 +99,12 @@ class ChebyshevPoly:
         return len(self.coeffs) - 1
 
     def __call__(self, y):
-        acc = _zero_like(y)
-        for c in reversed(self.coeffs):
-            acc = acc * y + c
-        return acc
+        return p_eval(self.coeffs, y)
 
 
 def poly_S(k: int) -> ChebyshevPoly:
-    """Exact integer coefficients of S_k; uses S_k = -S_{-k-2} for k < 0."""
-    if k == -1:
-        return ChebyshevPoly(k, ())
-    if k < -1:
-        base = _poly_coeffs_nonneg(-k - 2)
-        return ChebyshevPoly(k, tuple(-c for c in base))
-    return ChebyshevPoly(k, tuple(_poly_coeffs_nonneg(k)))
-
-
-def _poly_coeffs_nonneg(k: int) -> list:
-    prev, cur = [1], [0, 1]  # S_0, S_1
-    if k == 0:
-        return prev
-    for _ in range(k - 1):
-        shifted = [0] + cur  # y * S_{j}
-        nxt = [a - b for a, b in _zip_pad(shifted, prev)]
-        prev, cur = cur, nxt
-    return cur
-
-
-def _zip_pad(a, b):
-    m = max(len(a), len(b))
-    a = a + [0] * (m - len(a))
-    b = b + [0] * (m - len(b))
-    return zip(a, b)
+    """Exact integer coefficients of S_k; S_k = -S_{-k-2} for k < 0."""
+    return ChebyshevPoly(k, tuple(s_poly(k)))
 
 
 def _guard(num, den, tol):
@@ -214,23 +186,3 @@ def eval_g(family: KnotFamily, n: int, y, pole_tol: float = POLE_TOL):
 def eval_g_prime(family: KnotFamily, n: int, y, pole_tol: float = POLE_TOL):
     """d/dy g_n(y) by the quotient rule (needed by Newton polish, not an integrand)."""
     return _g_from(family, y, eval_S_pair(n, y, True), pole_tol)[1]
-
-
-@dataclass(frozen=True)
-class RationalPair:
-    """The pair (f_n, g_n) for one family member, as evaluable callables."""
-
-    family: KnotFamily
-    n: int
-
-    def f(self, y):
-        return eval_f(self.n, y)
-
-    def f_prime(self, y):
-        return eval_f_prime(self.n, y)
-
-    def g(self, y):
-        return eval_g(self.family, self.n, y)
-
-    def g_prime(self, y):
-        return eval_g_prime(self.family, self.n, y)

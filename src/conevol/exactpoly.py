@@ -1,10 +1,11 @@
-"""Minimal exact-integer polynomial arithmetic.
+"""The one polynomial module: exact-integer arithmetic and Horner evaluation.
 
-Dense univariate polynomials are plain lists of Python ints (coefficient of
-y^j at index j), so coefficient growth is unbounded and exact.  Bivariate
-polynomials in (X, y) with X standing for x^2 are dicts mapping (i, j) ->
-int for the monomial X^i * y^j.  Only what the cone-equation and Riley
-assembly need lives here.
+Every exact polynomial of the package is built here: the S_k coefficient
+lists, the numerator and denominator of f_n, the Riley and cone-equation
+pieces; p_eval is the only Horner loop.  Dense univariate polynomials are
+plain lists of Python ints (coefficient of y^j at index j), so coefficient
+growth is unbounded and exact.  Bivariate polynomials in (X, y) with X
+standing for x^2 are dicts mapping (i, j) -> int for the monomial X^i * y^j.
 """
 
 from __future__ import annotations
@@ -58,8 +59,13 @@ def p_trim(a):
     return a
 
 
+def _zero_like(y):
+    return 0 if isinstance(y, int) else 0.0 if isinstance(y, float) else 0j
+
+
 def p_eval(a, y):
-    acc = 0.0 if not isinstance(y, complex) else complex(0.0)
+    """a(y) by Horner's rule from the zero of y's type (an int y stays exact)."""
+    acc = _zero_like(y)
     for c in reversed(a):
         acc = acc * y + c
     return acc
@@ -80,13 +86,7 @@ def p_gcd(a, b):
 
     fa = [Fraction(c) for c in a]
     fb = [Fraction(c) for c in b]
-
-    def trim(p):
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    fa, fb = trim(fa), trim(fb)
+    fa, fb = p_trim(fa), p_trim(fb)
     while fb:
         da, db = len(fa) - 1, len(fb) - 1
         if da < db:
@@ -95,7 +95,7 @@ def p_gcd(a, b):
         r = fa[-1] / fb[-1]
         for i in range(db + 1):
             fa[da - db + i] -= r * fb[i]
-        trim(fa)
+        p_trim(fa)
         if len(fa) - 1 < db:
             fa, fb = fb, fa
     if not fa:
@@ -149,6 +149,23 @@ def s_poly(k: int):
     return cur
 
 
+def f_parts(n: int):
+    """(2*S_n - y*S_{n-1}, (y-2)*S_{n-1}): exact numerator and denominator of f_n."""
+    s_nm1 = s_poly(n - 1)
+    num = p_sub(p_scale(s_poly(n), 2), p_mul([0, 1], s_nm1))
+    return num, p_mul([-2, 1], s_nm1)
+
+
+def p_float_sum(p0, p1, a2: float) -> tuple:
+    """Float coefficients of p0 + a2*p1, trailing zeros trimmed."""
+    out = [0.0] * max(len(p0), len(p1))
+    for i, c in enumerate(p0):
+        out[i] += float(c)
+    for i, c in enumerate(p1):
+        out[i] += a2 * float(c)
+    return tuple(p_trim(out))
+
+
 # ----------------------------------------------------------------- bivariate
 
 def b_from_uni(a, var: str):
@@ -194,7 +211,7 @@ def b_eval(a, x_sq, y):
     return acc
 
 
-def b_compose_S(p: int, u, *_):
+def b_compose_S(p: int, u):
     """S_p(u) for a bivariate argument u, by running the recurrence on polys."""
     if p == -1:
         return {}
@@ -219,6 +236,4 @@ def b_uni_in_y(a, x_sq):
     out = [0j] * (b_degree_y(a) + 1)
     for (i, j), c in a.items():
         out[j] += c * x_sq**i
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+    return p_trim(out)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .chebyshev import eval_f
-from .errors import NotBracketedError, SelectionAmbiguityError
+from .errors import DegenerateLongitudeError, NotBracketedError, SelectionAmbiguityError
 from .exactpoly import p_eval
 from .families import ConeManifoldSpec, KnotFamily, validate_twist
 from .representation import longitude_eigenvalue, relation_residual
@@ -105,8 +105,9 @@ def _certify(family: KnotFamily, n: int, alpha: float, y: complex) -> bool:
     if relation_residual(family, n, p, m, y) > CERT_RELATION_TOL:
         return False
     try:
+        # the residual check above rules out longitude_eigenvalue's ValueError
         ell = longitude_eigenvalue(family, n, p, m, y)
-    except Exception:
+    except DegenerateLongitudeError:
         return False
     return abs(ell) > 1.0
 
@@ -196,7 +197,7 @@ def _polish_collision(family: KnotFamily, n: int, alpha_est: float, y_est: float
     A double root of C0r + A^2*C1r satisfies the single real equation
     C0r'*C1r - C0r*C1r' = 0; the angle then follows from A^2 = -C0r/C1r.
     """
-    _, _, _, c0r, c1r, _ = _cone_parts(family, n)
+    _, _, _, c0r, c1r = _cone_parts(family, n)
     d0 = [i * c for i, c in enumerate(c0r)][1:]
     d1 = [i * c for i, c in enumerate(c1r)][1:]
 

@@ -29,7 +29,7 @@ import numpy as np
 from .chebyshev import eval_S, eval_f
 from .errors import BranchError, DegenerateLongitudeError
 from .families import KnotFamily
-from .riley import trace_u, trace_v
+from .riley import trace_u
 
 RELATION_TOL = 1e-9
 _IMAG_WINDOW = 2.0 * math.pi  # lifted holonomy angle lives in [-2*pi, 2*pi)
@@ -118,9 +118,7 @@ def longitude_matrix(family: KnotFamily, n: int, p: int, m: complex, t: complex)
 
 def relation_residual(family: KnotFamily, n: int, p: int, m: complex, t: complex) -> float:
     """Frobenius norm of rho(w a) - rho(b w); zero exactly at Riley roots."""
-    A, B = build_matrices(family, m, t)
-    W = word_value(family, n, p, A, B)
-    return float(np.linalg.norm(W @ A - B @ W))
+    return float(np.linalg.norm(relation_residual_matrix(family, n, p, m, t)))
 
 
 def relation_residual_matrix(family: KnotFamily, n: int, p: int, m: complex, t: complex):
@@ -152,7 +150,7 @@ def w12_closed_form_even(n: int, p: int, m: complex, z: complex) -> complex:
     (m (S_n - S_{n-1}) - m^-1 (S_{n-1} - S_{n-2})) * S_{n-1}(z) * S_{p-1}(v).
     """
     x = m + 1.0 / m
-    v = trace_v(n, x, z)
+    v = trace_u(n, x, z)
     lead = m * (eval_S(n, z) - eval_S(n - 1, z)) - (1.0 / m) * (
         eval_S(n - 1, z) - eval_S(n - 2, z)
     )

@@ -23,7 +23,7 @@ equivalence with Phi = 0 breaks down; they are common zeros of C0 and C1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -46,12 +46,6 @@ def trace_u(n: int, x, y):
     return 2 + (y - 2) * (y + 2 - x * x) * s * s
 
 
-def trace_v(n: int, x, z):
-    """Even-family inner block trace; same expression in the variable z."""
-    s = eval_S(n - 1, z)
-    return 2 + (z - 2) * (z + 2 - x * x) * s * s
-
-
 @dataclass(frozen=True)
 class BivariatePoly:
     """Integer polynomial in (x^2, y); coeffs maps (i, j) -> coefficient of (x^2)^i y^j."""
@@ -60,9 +54,6 @@ class BivariatePoly:
 
     def eval(self, x, y):
         return xp.b_eval(self.coeffs, x * x, y)
-
-    def eval_xsq(self, x_sq, y):
-        return xp.b_eval(self.coeffs, x_sq, y)
 
     def univariate_in_y(self, x):
         """Coefficient list in y at fixed numeric x (ascending)."""
@@ -73,12 +64,15 @@ class BivariatePoly:
         return xp.b_degree_y(self.coeffs)
 
 
+# y + 2 - x^2, shared by the inner block and both even-family builders
+_Y_PLUS_2_MINUS_X2 = xp.b_sub(xp.b_from_uni([2, 1], "y"), xp.b_from_uni([0, 1], "X"))
+
+
 def _u_block(n: int) -> dict:
     """u = 2 + (y-2)(y+2-x^2) S_{n-1}^2(y) as an exact bivariate polynomial."""
     s = xp.b_from_uni(xp.s_poly(n - 1), "y")
     y_minus_2 = xp.b_from_uni([-2, 1], "y")
-    y_plus_2_minus_x2 = xp.b_sub(xp.b_from_uni([2, 1], "y"), xp.b_from_uni([0, 1], "X"))
-    out = xp.b_mul(xp.b_mul(y_minus_2, y_plus_2_minus_x2), xp.b_mul(s, s))
+    out = xp.b_mul(xp.b_mul(y_minus_2, _Y_PLUS_2_MINUS_X2), xp.b_mul(s, s))
     return xp.b_add(xp.b_const(2), out)
 
 
@@ -99,10 +93,9 @@ def build_phi_even(n: int, p: int) -> BivariatePoly:
     """Riley polynomial of C(2n, 2p):  [1 + (z+2-x^2) S_{n-1}(S_n - S_{n-1})] S_{p-1}(v) - S_{p-2}(v)."""
     validate_twist(n)
     v = _u_block(n)  # same shape in the variable z
-    z_plus_2_minus_x2 = xp.b_sub(xp.b_from_uni([2, 1], "y"), xp.b_from_uni([0, 1], "X"))
     s_nm1 = xp.b_from_uni(xp.s_poly(n - 1), "y")
     diff = xp.b_from_uni(xp.p_sub(xp.s_poly(n), xp.s_poly(n - 1)), "y")
-    bracket = xp.b_add(xp.b_const(1), xp.b_mul(z_plus_2_minus_x2, xp.b_mul(s_nm1, diff)))
+    bracket = xp.b_add(xp.b_const(1), xp.b_mul(_Y_PLUS_2_MINUS_X2, xp.b_mul(s_nm1, diff)))
     return BivariatePoly(
         xp.b_sub(xp.b_mul(bracket, xp.b_compose_S(p - 1, v)), xp.b_compose_S(p - 2, v))
     )
@@ -117,10 +110,9 @@ def build_phi_hol_minus2n(n: int) -> BivariatePoly:
     representations.
     """
     validate_twist(n)
-    z_plus_2_minus_x2 = xp.b_sub(xp.b_from_uni([2, 1], "y"), xp.b_from_uni([0, 1], "X"))
     s = xp.b_from_uni(xp.s_poly(n - 1), "y")
     return BivariatePoly(
-        xp.b_add(xp.b_const(-1), xp.b_mul(z_plus_2_minus_x2, xp.b_mul(s, s)))
+        xp.b_add(xp.b_const(-1), xp.b_mul(_Y_PLUS_2_MINUS_X2, xp.b_mul(s, s)))
     )
 
 
@@ -139,37 +131,26 @@ def build_phi(family: KnotFamily, n: int) -> BivariatePoly:
 def _cone_parts(family: KnotFamily, n: int):
     """Exact integer parts of the cleared equation C0(y) + A^2 * C1(y) = 0.
 
+    With f = N/D (exactpoly.f_parts) every family's g is -r / (D^2 w), so
+    multiplying through by D^2 w gives C0 = N^2 w + r and C1 = D^2 w + r.
     The common factor d = gcd(C0, C1) holds exactly the angle-independent
     f^2 = 1 parasite roots; the deflated pair (C0/d, C1/d) carries the moving
-    roots.  Returns (c0, c1, parasite, c0_red, c1_red, cleared).
+    roots.  Returns (c0, c1, parasite, c0_red, c1_red).
     """
+    num, den = xp.f_parts(n)
     s_nm1 = xp.s_poly(n - 1)
-    s_n = xp.s_poly(n)
-    n_f = xp.p_sub(xp.p_scale(s_n, 2), xp.p_mul([0, 1], s_nm1))
-    y_minus_2 = [-2, 1]
-    diff = xp.p_sub(s_n, s_nm1)
+    diff = xp.p_sub(xp.s_poly(n), s_nm1)
     if family is KnotFamily.C2N3:
         # common denominator (y-2)^3 S^4
-        c0 = xp.p_add(
-            xp.p_mul(xp.p_mul(xp.p_pow(n_f, 2), y_minus_2), xp.p_pow(s_nm1, 2)),
-            xp.p_pow(diff, 2),
-        )
-        c1 = xp.p_add(
-            xp.p_mul(xp.p_pow(y_minus_2, 3), xp.p_pow(s_nm1, 4)), xp.p_pow(diff, 2)
-        )
-        cleared = {"y_minus_2": 3, "s_nm1": 4}
+        w, r = xp.p_mul([-2, 1], xp.p_pow(s_nm1, 2)), xp.p_pow(diff, 2)
     elif family is KnotFamily.C2N2:
         # common denominator (y-2)^2 S^3
-        c0 = xp.p_add(xp.p_mul(xp.p_pow(n_f, 2), s_nm1), diff)
-        c1 = xp.p_add(
-            xp.p_mul(xp.p_pow(y_minus_2, 2), xp.p_pow(s_nm1, 3)), diff
-        )
-        cleared = {"y_minus_2": 2, "s_nm1": 3}
+        w, r = s_nm1, diff
     else:
         # common denominator (y-2)^2 S^4
-        c0 = xp.p_sub(xp.p_mul(xp.p_pow(n_f, 2), xp.p_pow(s_nm1, 2)), [1])
-        c1 = xp.p_sub(xp.p_mul(xp.p_pow(y_minus_2, 2), xp.p_pow(s_nm1, 4)), [1])
-        cleared = {"y_minus_2": 2, "s_nm1": 4}
+        w, r = xp.p_pow(s_nm1, 2), [-1]
+    c0 = xp.p_add(xp.p_mul(xp.p_pow(num, 2), w), r)
+    c1 = xp.p_add(xp.p_mul(xp.p_pow(den, 2), w), r)
     parasite = xp.p_gcd(c0, c1)
     if len(parasite) > 1:
         c0_red = xp.p_divexact(c0, parasite)
@@ -177,7 +158,7 @@ def _cone_parts(family: KnotFamily, n: int):
     else:
         parasite = [1]
         c0_red, c1_red = c0, c1
-    return c0, c1, parasite, c0_red, c1_red, cleared
+    return c0, c1, parasite, c0_red, c1_red
 
 
 @dataclass(frozen=True)
@@ -192,17 +173,10 @@ class ConeEquation:
     c1: tuple  # exact integer part multiplying A^2
     parasite: tuple  # gcd(C0, C1): exact minimal polynomial of the f^2 = 1 roots
     moving_coeffs: tuple  # deflated (C0 + A^2*C1)/parasite, float ascending
-    spurious_factors: dict = field(hash=False)
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def poly_eval(self, y):
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * y + c
-        return acc
 
     def residual(self, y):
         """The rational residual f^2 + A^2 - (1+A^2) g at y."""
@@ -223,30 +197,17 @@ def build_cone_equation(family: KnotFamily, n: int, A: float) -> ConeEquation:
     validate_twist(n)
     if not math.isfinite(A):
         raise ValueError("A = cot(alpha/2) must be finite")
-    c0, c1, parasite, c0_red, c1_red, cleared = _cone_parts(family, n)
+    c0, c1, parasite, c0_red, c1_red = _cone_parts(family, n)
     a2 = A * A
-
-    def combine(p0, p1):
-        m = max(len(p0), len(p1))
-        out = [0.0] * m
-        for i, c in enumerate(p0):
-            out[i] += float(c)
-        for i, c in enumerate(p1):
-            out[i] += a2 * float(c)
-        while out and out[-1] == 0.0:
-            out.pop()
-        return tuple(out)
-
     return ConeEquation(
         family,
         n,
         float(A),
-        combine(c0, c1),
+        xp.p_float_sum(c0, c1, a2),
         tuple(c0),
         tuple(c1),
         tuple(parasite),
-        combine(c0_red, c1_red),
-        cleared,
+        xp.p_float_sum(c0_red, c1_red, a2),
     )
 
 
@@ -350,16 +311,9 @@ def solve_cone_equation(eq: ConeEquation, keep_spurious: bool = False):
 
 def _newton_on_poly(coeffs, y: complex, steps: int = 50) -> complex:
     deriv = [i * c for i, c in enumerate(coeffs)][1:]
-
-    def ev(p, v):
-        acc = 0j
-        for c in reversed(p):
-            acc = acc * v + c
-        return acc
-
     for _ in range(steps):
-        pv = ev(coeffs, y)
-        dv = ev(deriv, y)
+        pv = xp.p_eval(coeffs, y)
+        dv = xp.p_eval(deriv, y)
         if dv == 0:
             break
         step = pv / dv

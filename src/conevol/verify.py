@@ -29,9 +29,12 @@ from .volume import compute_volume
 
 @dataclass
 class SuiteResult:
+    """passed grades metric, the worst value measured, against the suite tolerance."""
+
     name: str
     passed: bool
     detail: str
+    metric: float
 
 
 def _default_members(n_values):
@@ -57,7 +60,9 @@ def suite_pell(tol: float = 1e-10, samples: int = 200, seed: int = 7) -> SuiteRe
             res = abs(a * a - y * a * b + b * b - 1.0)
             scale = max(1.0, abs(a * a), abs(y * a * b), abs(b * b))
             worst = max(worst, res / scale)
-    return SuiteResult("pell-identity", worst <= tol, f"max scaled residual {worst:.2e}")
+    return SuiteResult(
+        "pell-identity", worst <= tol, f"max scaled residual {worst:.2e}", worst
+    )
 
 
 def suite_lemma_cd(n_values=(-2, -1, 1, 2), angles: int = 20, tol: float = 1e-7,
@@ -88,6 +93,7 @@ def suite_lemma_cd(n_values=(-2, -1, 1, 2), angles: int = 20, tol: float = 1e-7,
                         False,
                         f"{family.value} n={n} alpha={alpha:.4f}: "
                         f"{len(cone_roots)} cone roots vs {len(phi_roots)} Phi roots",
+                        math.inf,
                     )
                 for z in phi_roots:
                     worst = max(worst, min(abs(z - w) for w in cone_roots))
@@ -95,7 +101,8 @@ def suite_lemma_cd(n_values=(-2, -1, 1, 2), angles: int = 20, tol: float = 1e-7,
                     worst = max(worst, min(abs(w - z) for z in phi_roots))
                 checked += 1
     return SuiteResult(
-        "lemma-cd", worst <= tol, f"{checked} angle sets, max matching gap {worst:.2e}"
+        "lemma-cd", worst <= tol, f"{checked} angle sets, max matching gap {worst:.2e}",
+        worst,
     )
 
 
@@ -122,6 +129,7 @@ def suite_representation(n_values=(-2, -1, 1, 2), angles: int = 6,
         "representation-oracle",
         worst <= tol,
         f"{checked} selected roots, max relation residual {worst:.2e}",
+        worst,
     )
 
 
@@ -148,7 +156,7 @@ def suite_w12(n_values=(-2, -1, 1, 2), tol: float = 1e-9, seed: int = 13) -> Sui
                     worst = max(worst, abs(lit - closed))
                     checked += 1
     return SuiteResult(
-        "w12-closed-form", worst <= tol, f"{checked} roots, max gap {worst:.2e}"
+        "w12-closed-form", worst <= tol, f"{checked} roots, max gap {worst:.2e}", worst
     )
 
 
@@ -168,6 +176,7 @@ def suite_schlafli(n_values=(-2, -1, 1, 2), tol: float = 1e-6) -> SuiteResult:
         "schlafli-consistency",
         worst <= tol,
         f"{checked} volumes, max |contour - schlafli| {worst:.2e}",
+        worst,
     )
 
 
@@ -186,7 +195,8 @@ def suite_symmetry(n_values=(-2, -1, 1, 2), tol: float = 1e-8) -> SuiteResult:
             worst = max(worst, abs(v1 - v2))
             checked += 1
     return SuiteResult(
-        "symmetry", worst <= tol, f"{checked} pairs, max |Vol(a) - Vol(2pi-a)| {worst:.2e}"
+        "symmetry", worst <= tol, f"{checked} pairs, max |Vol(a) - Vol(2pi-a)| {worst:.2e}",
+        worst,
     )
 
 

@@ -46,12 +46,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import exactpoly as xp
 # eval_f_prime is not called here, but perfbench's tracer test reads this name
-from .chebyshev import eval_f_prime, eval_fg  # noqa: F401
+from .chebyshev import _f_from, _g_from, eval_f_prime, eval_S_pair  # noqa: F401
 from .errors import PathBlockedError, QuadratureError
 from .families import ConeManifoldSpec, KnotFamily
 from .geometry import (
     Regime,
+    _fold,
     classify,
     collision_root,
     critical_angle,
@@ -180,20 +182,8 @@ def _log_zero_points(n: int, A: float):
     These are the points where the log argument of the integrand vanishes;
     they come in conjugate pairs hugging the real f-poles for large A.
     """
-    from .exactpoly import p_mul, p_scale, p_sub, s_poly
-
-    s_nm1 = s_poly(n - 1)
-    s_n = s_poly(n)
-    n_f = p_sub(p_scale(s_n, 2), p_mul([0, 1], s_nm1))
-    d_f = p_mul([-2, 1], s_nm1)
-    m = max(2 * len(n_f) - 1, 2 * len(d_f) - 1)
-    coeffs = [0.0] * m
-    for i, c in enumerate(p_mul(n_f, n_f)):
-        coeffs[i] += float(c)
-    for i, c in enumerate(p_mul(d_f, d_f)):
-        coeffs[i] += A * A * float(c)
-    while coeffs and coeffs[-1] == 0.0:
-        coeffs.pop()
+    num, den = xp.f_parts(n)
+    coeffs = xp.p_float_sum(xp.p_mul(num, num), xp.p_mul(den, den), A * A)
     return [complex(z) for z in np.roots(list(reversed(coeffs)))]
 
 
@@ -397,7 +387,10 @@ class _Integrand:
         """(segment, local parameter, f, f' or None, R) at path parameter t."""
         seg, u = self._locate(t)
         y = seg.point(u)
-        fv, gv, fp, _ = eval_fg(self.family, self.n, y, self.POLE_TOL, prime)
+        walk = eval_S_pair(self.n, y, prime)
+        fv, fp = _f_from(y, walk, self.POLE_TOL)
+        # g from the values alone: the integrand never uses g'
+        gv, _ = _g_from(self.family, y, walk[:2] + (None, None), self.POLE_TOL)
         a2 = self.A * self.A
         val = (fv * fv + a2) / ((1.0 + a2) * gv)
         if abs(val) < 1e-100:
@@ -574,7 +567,7 @@ def volume_schlafli(spec: ConeManifoldSpec, quad_tol: float = 1e-8) -> float:
     """
     family, n, alpha = spec.family, spec.n, spec.alpha
     a_k = critical_angle(family, n)
-    folded = alpha if alpha <= math.pi else 2.0 * math.pi - alpha
+    folded = _fold(alpha)
     if folded == a_k:
         return 0.0
     if folded < a_k:
@@ -615,7 +608,7 @@ def _volume_for(spec: ConeManifoldSpec, result, cross_check: bool,
             spec, Regime.EUCLIDEAN, 0.0, 0.0, diagnostics={"transition": True}
         )
     a_k = result.critical_angle
-    folded = spec.alpha if spec.alpha <= math.pi else 2.0 * math.pi - spec.alpha
+    folded = _fold(spec.alpha)
     if abs(folded - a_k) < TRANSITION_WINDOW:
         vol = volume_schlafli(spec)
         out = VolumeResult(

@@ -7,6 +7,7 @@ import pytest
 import sympy as sp
 
 from conevol import chebyshev as ch
+from conevol import exactpoly as xp
 from conevol.errors import PoleError
 from conevol.families import KnotFamily
 
@@ -87,6 +88,14 @@ def test_poly_invariants():
         assert np.all(a == 0)
 
 
+def _ref_horner(coeffs, y):
+    """Horner's loop from a float (or complex) zero, as a float or complex y takes it."""
+    acc = complex(0.0) if isinstance(y, complex) else 0.0
+    for c in reversed(coeffs):
+        acc = acc * y + c
+    return acc
+
+
 def test_poly_horner_matches_eval():
     rng = np.random.default_rng(11)
     for k in range(0, 11):
@@ -95,6 +104,17 @@ def test_poly_horner_matches_eval():
             y = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
             ref = ch.eval_S(k, y)
             assert poly(y) == pytest.approx(ref, rel=1e-10, abs=1e-12)
+    # an int y stays an exact int; float and complex y are bit for bit the loop
+    for k in range(-6, 11):
+        poly = ch.poly_S(k)
+        for y in (-3, 0, 2, 5):
+            value = xp.p_eval(list(poly.coeffs), y)
+            assert type(value) is int and value == ch.eval_S(k, y)
+            assert type(poly(y)) is int and poly(y) == value
+        for y in (-1.7, 0.25, 2.0, 3.9, 1.3 + 0.4j, -0.7 - 1.1j, 0.5j):
+            ref = repr(_ref_horner(poly.coeffs, y))
+            assert repr(xp.p_eval(list(poly.coeffs), y)) == ref
+            assert repr(poly(y)) == ref
 
 
 def test_derivative_base_cases():
@@ -156,15 +176,6 @@ def test_g_prime_finite_difference():
                 assert ch.eval_g_prime(family, n, y) == pytest.approx(
                     fd, rel=1e-5, abs=1e-8
                 )
-
-
-def test_rational_pair_wrapper():
-    pair = ch.RationalPair(KnotFamily.C2N3, 2)
-    y = 1.3 + 0.4j
-    assert pair.f(y) == ch.eval_f(2, y)
-    assert pair.g(y) == ch.eval_g(KnotFamily.C2N3, 2, y)
-    assert pair.f_prime(y) == ch.eval_f_prime(2, y)
-    assert pair.g_prime(y) == ch.eval_g_prime(KnotFamily.C2N3, 2, y)
 
 
 def test_pure_functions_thread_safe_shape():

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from conevol import verify
 from conevol.cli import main
 
 
@@ -199,6 +200,19 @@ def test_verify_subset_and_failure_injection(capsys):
     )
     assert code == 3
     assert "FAIL" in out
+
+
+def test_verify_tol_regrades_the_suite_metric(capsys):
+    metric = verify.suite_pell().metric
+    code, out, _ = run_cli(
+        "verify", "--suite", "pell-identity", "--tol", repr(metric), capsys=capsys
+    )
+    assert code == 0 and "PASS" in out
+    code, out, _ = run_cli(
+        "verify", "--suite", "pell-identity", "--tol", repr(metric * 0.999),
+        capsys=capsys,
+    )
+    assert code == 3 and "FAIL" in out
 
 
 def test_entry_point_exists():

@@ -8,7 +8,7 @@ import pytest
 
 from conevol import geometry as ge
 from conevol.chebyshev import eval_f
-from conevol.errors import NotBracketedError
+from conevol.errors import DegenerateLongitudeError, NotBracketedError
 from conevol.families import ConeManifoldSpec, KnotFamily, is_torus_member
 from conevol.representation import relation_residual
 from conevol.riley import build_cone_equation
@@ -169,3 +169,20 @@ def test_continuation_trace_exposed():
     assert res.continuation_trace
     assert res.continuation_trace[0][0] == pytest.approx(ge.ALPHA_SEED)
     assert all(a <= 1.5 + 1e-9 for a, _ in res.continuation_trace)
+
+
+def test_certify_rejects_only_a_degenerate_longitude(monkeypatch):
+    monkeypatch.setattr(ge, "relation_residual", lambda *args: 0.0)
+
+    def degenerate(*args):
+        raise DegenerateLongitudeError("word (1,2)-entry is 0")
+
+    monkeypatch.setattr(ge, "longitude_eigenvalue", degenerate)
+    assert ge._certify(KnotFamily.C2N2, 1, 0.5, 1.0 + 1.0j) is False
+
+    def broken(*args):
+        raise RuntimeError("not a certification outcome")
+
+    monkeypatch.setattr(ge, "longitude_eigenvalue", broken)
+    with pytest.raises(RuntimeError):
+        ge._certify(KnotFamily.C2N2, 1, 0.5, 1.0 + 1.0j)

@@ -71,7 +71,7 @@ def test_inner_block_traces_match_formulas():
             assert np.trace(U) == pytest.approx(ry.trace_u(n, x, t), rel=1e-9, abs=1e-9)
             A, B = rp.build_matrices(KnotFamily.C2N2, m, t)
             V = rp.mat_pow(rp.mat_inv(A) @ B, n) @ rp.mat_pow(A @ rp.mat_inv(B), n)
-            assert np.trace(V) == pytest.approx(ry.trace_v(n, x, t), rel=1e-9, abs=1e-9)
+            assert np.trace(V) == pytest.approx(ry.trace_u(n, x, t), rel=1e-9, abs=1e-9)
 
 
 def test_determinant_preserved_through_words():
