@@ -19,7 +19,10 @@ def test_trace_u_examples():
     assert ry.trace_u(3, 1.7, 2.0) == pytest.approx(2.0, abs=1e-14)
     assert ry.trace_u(1, 2.0, 3.0) == pytest.approx(3.0, abs=1e-14)
     assert ry.trace_u(2, 1.0, 2.5) == pytest.approx(12.9375, abs=1e-12)
-    # the even-family block v has the same trace, in the variable z
+
+
+def test_trace_v_examples():
+    # the even-family block v has the same trace as u, in the variable z
     assert ry.trace_u(4, 0.3, 2.0) == pytest.approx(2.0, abs=1e-14)
     assert ry.trace_u(1, 0.0, 3.0) == pytest.approx(7.0, abs=1e-14)
 
