@@ -71,8 +71,9 @@ def p_eval(a, y):
     return acc
 
 
-def p_degree(a) -> int:
-    return len(a) - 1
+def p_deriv(a):
+    """Coefficients of a'(y); integer coefficients stay integers."""
+    return [i * c for i, c in enumerate(a)][1:]
 
 
 def p_gcd(a, b):

@@ -19,10 +19,15 @@ The winner is additionally certified against the matrix oracle (relation
 residual <= 1e-9 and |ell| > 1, i.e. positive real length).
 
 The spherical pair is seeded just above a_K at the two real roots splitting
-off the collision and tracked the same way; the (+, -) labels come from the
-sign of the continuously tracked longitude phase difference, which is zero
-at the transition.  Angles above pi reuse the pair at 2*pi - alpha, since
-the cone equation depends on the angle only through A^2 = cot^2(alpha/2).
+off the collision and tracked the same way.  One tracker serves both: a
+_Track keeps ascending node angles and one state each (y on the branch,
+(pair, phase) on the spherical pair), and one rule, _match_unambiguous,
+takes every root from a solve.  Marches halve the step on an ambiguous
+match; lookups match from the nearest node and raise SelectionAmbiguityError
+instead of guessing.  The (+, -) labels come from the sign of the tracked
+longitude phase difference, which is zero at the transition.  Angles above
+pi reuse the pair at 2*pi - alpha, since the cone equation depends on the
+angle only through A^2 = cot^2(alpha/2).
 
 Torus-knot members (families.is_torus_member) have no complex roots at any
 angle, so critical_angle raises NotBracketedError for them.
@@ -30,6 +35,7 @@ angle, so critical_angle raises NotBracketedError for them.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 import threading
@@ -38,7 +44,7 @@ from enum import Enum
 
 from .chebyshev import eval_f
 from .errors import DegenerateLongitudeError, NotBracketedError, SelectionAmbiguityError
-from .exactpoly import p_eval
+from .exactpoly import p_deriv, p_eval
 from .families import ConeManifoldSpec, KnotFamily, validate_twist
 from .representation import longitude_eigenvalue, relation_residual
 from .riley import _cone_parts, build_cone_equation, solve_cone_equation
@@ -73,14 +79,14 @@ _LOCK = threading.RLock()
 _MEMBERS: dict = {}
 
 
-def _moving_roots(family: KnotFamily, n: int, alpha: float):
+def _moving_roots(family: KnotFamily, n: int, alpha: float) -> list:
     A = 1.0 / math.tan(0.5 * alpha)
     eq = build_cone_equation(family, n, A)
-    return [r for r in solve_cone_equation(eq) if not r.unit_f]
+    return [r.y for r in solve_cone_equation(eq) if not r.unit_f]
 
 
-def _nearest_y(records, target: complex) -> complex:
-    return min(records, key=lambda r: abs(r.y - target)).y
+def _real_roots(ys) -> list:
+    return [y for y in ys if abs(y.imag) <= 1e-7]
 
 
 def _match_unambiguous(ys, target: complex):
@@ -88,25 +94,63 @@ def _match_unambiguous(ys, target: complex):
 
     A match is trusted when the tracked point moved less than half the
     distance to the second-nearest root, so continuation steps shrink rather
-    than silently hopping branches.
+    than silently hopping branches.  A near-tie of a non-real root with its
+    own conjugate is the collision funnel, not branch tangling, and is
+    trusted too; real roots get no such excuse.
     """
     ranked = sorted(ys, key=lambda y: abs(y - target))
     if len(ranked) == 1:
         return ranked[0], True
     move = abs(ranked[0] - target)
     runner = abs(ranked[1] - target)
-    return ranked[0], move <= 0.5 * runner
+    funnel = (
+        abs(ranked[0].imag) > COLLISION_IM_TOL
+        and abs(ranked[1] - ranked[0].conjugate()) < 1e-9
+    )
+    return ranked[0], move <= 0.5 * runner or funnel
+
+
+def _ell(family: KnotFamily, n: int, alpha: float, y: complex) -> complex:
+    """Longitude eigenvalue of the representation at (alpha, y)."""
+    m = cmath.exp(0.5j * alpha)
+    return longitude_eigenvalue(family, n, family.word_exponent(n), m, y)
+
+
+class _Track:
+    """Continuation nodes: ascending angles and the tracked state at each."""
+
+    def __init__(self, alpha: float, state):
+        self.alphas = [alpha]
+        self.states = [state]
+
+    def add(self, alpha: float, state):
+        self.alphas.append(alpha)
+        self.states.append(state)
+
+    def nearest(self, alpha: float):
+        """(angle, state) of the node nearest alpha; a tie goes to the lower node."""
+        a = self.alphas
+        i = bisect.bisect_left(a, alpha)
+        if i == len(a) or (i > 0 and alpha - a[i - 1] <= a[i] - alpha):
+            i -= 1
+            while i > 0 and alpha - a[i - 1] == alpha - a[i]:  # equal once rounded
+                i -= 1
+        return a[i], self.states[i]
+
+    def upto(self, alpha: float) -> tuple:
+        """Every (angle, state) with angle <= alpha, ascending."""
+        i = bisect.bisect_right(self.alphas, alpha + 1e-12)
+        return tuple(zip(self.alphas[:i], self.states[:i]))
 
 
 def _certify(family: KnotFamily, n: int, alpha: float, y: complex) -> bool:
     """Relation residual and positive real length at the candidate root."""
     m = cmath.exp(0.5j * alpha)
-    p = family.word_exponent(n)
-    if relation_residual(family, n, p, m, y) > CERT_RELATION_TOL:
+    if relation_residual(family, n, family.word_exponent(n), m, y) > CERT_RELATION_TOL:
         return False
     try:
         # the residual check above rules out longitude_eigenvalue's ValueError
-        ell = longitude_eigenvalue(family, n, p, m, y)
+        ell = _ell(family, n, alpha, y)
     except DegenerateLongitudeError:
         return False
     return abs(ell) > 1.0
@@ -118,8 +162,7 @@ class _Branch:
     def __init__(self, family: KnotFamily, n: int, y_seed: complex):
         self.family = family
         self.n = n
-        self.alphas = [ALPHA_SEED]
-        self.ys = [y_seed]
+        self.track = _Track(ALPHA_SEED, y_seed)
         self.collision: float | None = None
         self.collision_root: float | None = None
 
@@ -131,13 +174,10 @@ class _Branch:
         (volume rigidity of the discrete faithful representation at the
         zero-angle limit).
         """
-        p = self.family.word_exponent(self.n)
         total = 0.0
         prev_a = prev_l = None
-        for a, y in zip(self.alphas, self.ys):
-            m = cmath.exp(0.5j * a)
-            ell = longitude_eigenvalue(self.family, self.n, p, m, y)
-            l = 2.0 * math.log(abs(ell))
+        for a, y in zip(self.track.alphas, self.track.states):
+            l = 2.0 * math.log(abs(_ell(self.family, self.n, a, y)))
             if prev_a is not None:
                 total += 0.25 * (l + prev_l) * (a - prev_a)
             prev_a, prev_l = a, l
@@ -146,26 +186,17 @@ class _Branch:
     def march_to_collision(self):
         """Advance until the tracked root lands on the real axis; bisect the angle."""
         family, n = self.family, self.n
-        a, y = self.alphas[-1], self.ys[-1]
+        a, y = self.track.alphas[-1], self.track.states[-1]
         step = MARCH_STEP
         ceiling = math.pi - 0.02
-        bracket = None
         while True:
             if a >= ceiling - 1e-12:
                 return  # survived past the window: not a transition in (0, pi)
             cand = min(a + step, ceiling)
-            live = [r.y for r in _moving_roots(family, n, cand)]
-            matched, ok = _match_unambiguous(live, y)
-            if not ok:
-                # a near-tie with the root's own conjugate is the collision
-                # funnel, not branch tangling; Im-based detection handles it
-                ranked = sorted(live, key=lambda z: abs(z - y))
-                if len(ranked) > 1 and abs(ranked[1] - ranked[0].conjugate()) < 1e-9:
-                    ok = True
+            matched, ok = _match_unambiguous(_moving_roots(family, n, cand), y)
             if ok and abs(matched.imag) > COLLISION_IM_TOL:
                 a, y = cand, matched
-                self.alphas.append(a)
-                self.ys.append(y)
+                self.track.add(a, y)
                 step = min(MARCH_STEP, step * 1.6)
                 continue
             if step > 1e-4:
@@ -177,12 +208,11 @@ class _Branch:
                     f"alpha={cand:.6f}",
                     [y, matched],
                 )
-            bracket = (a, cand)
+            lo, hi = a, cand
             break
-        lo, hi = bracket
         while hi - lo > BISECT_TOL:
             mid = 0.5 * (lo + hi)
-            matched = _nearest_y(_moving_roots(family, n, mid), y)
+            matched = _match_unambiguous(_moving_roots(family, n, mid), y)[0]
             if abs(matched.imag) > COLLISION_IM_TOL:
                 lo, y = mid, matched
             else:
@@ -198,8 +228,7 @@ def _polish_collision(family: KnotFamily, n: int, alpha_est: float, y_est: float
     C0r'*C1r - C0r*C1r' = 0; the angle then follows from A^2 = -C0r/C1r.
     """
     _, _, _, c0r, c1r = _cone_parts(family, n)
-    d0 = [i * c for i, c in enumerate(c0r)][1:]
-    d1 = [i * c for i, c in enumerate(c1r)][1:]
+    d0, d1 = p_deriv(c0r), p_deriv(c1r)
 
     def g(y):
         return p_eval(d0, y) * p_eval(c1r, y) - p_eval(c0r, y) * p_eval(d1, y)
@@ -235,22 +264,19 @@ class _MemberGeometry:
         self.family = family
         self.n = n
         self._resolve()
-        self._sph_alphas: list = []
-        self._sph_pairs: list = []
-        self._sph_phases: list = []
-        # the spherical trace grows lazily; concurrent classify() calls on the
-        # same member must not interleave appends
+        # (pair, phase) nodes above a_K, seeded on first use; the track grows
+        # lazily and concurrent classify() calls must not interleave appends
+        self.sph: _Track | None = None
         self._sph_lock = threading.RLock()
 
     # ---------------------------------------------------------- hyperbolic
 
     def _resolve(self):
         family, n = self.family, self.n
-        records = _moving_roots(family, n, ALPHA_SEED)
         seeds = [
-            r.y
-            for r in records
-            if abs(r.y.imag) > COLLISION_IM_TOL and eval_f(n, r.y).imag > 0.0
+            y
+            for y in _moving_roots(family, n, ALPHA_SEED)
+            if abs(y.imag) > COLLISION_IM_TOL and eval_f(n, y).imag > 0.0
         ]
         if not seeds:
             raise NotBracketedError(
@@ -281,14 +307,15 @@ class _MemberGeometry:
                     f"{family.value} n={n}: {len(winners)} branches collide inside "
                     f"the Kojima-Porti window with comparable volumes "
                     f"({v0:.6f} vs {v1:.6f})",
-                    [b.ys[0] for b in winners],
+                    [b.track.states[0] for b in winners],
                 )
         win = winners[0]
-        if not _certify(family, n, ALPHA_SEED, win.ys[0]):
+        y_seed = win.track.states[0]
+        if not _certify(family, n, ALPHA_SEED, y_seed):
             raise SelectionAmbiguityError(
                 f"{family.value} n={n}: surviving branch failed holonomy "
                 f"certification at the seed angle",
-                [win.ys[0]],
+                [y_seed],
             )
         alpha_k, y_star = win.collision, win.collision_root
         polished = _polish_collision(family, n, alpha_k, y_star)
@@ -304,42 +331,33 @@ class _MemberGeometry:
         self.y_star = y_star
 
     def hyperbolic_root(self, alpha: float) -> complex:
-        """Tracked geometric root at a hyperbolic angle, polished at alpha."""
-        br = self.branch
-        if alpha < br.alphas[0]:
-            ref = br.ys[0]
-        else:
-            idx = min(
-                range(len(br.alphas)), key=lambda i: abs(br.alphas[i] - alpha)
+        """Tracked geometric root at a hyperbolic angle, polished at alpha.
+
+        Matched from the nearest branch node by the march's rule; an ambiguous
+        match raises instead of taking the nearest root.
+        """
+        _, ref = self.branch.track.nearest(alpha)
+        y, ok = _match_unambiguous(_moving_roots(self.family, self.n, alpha), ref)
+        if not ok:
+            raise SelectionAmbiguityError(
+                f"{self.family.value} n={self.n}: ambiguous root at alpha={alpha:.8f}",
+                [ref, y],
             )
-            ref = br.ys[idx]
-        y = _nearest_y(_moving_roots(self.family, self.n, alpha), ref)
         if eval_f(self.n, y).imag < 0.0:
             y = y.conjugate()
         return y
-
-    def hyperbolic_trace(self, alpha: float) -> tuple:
-        return tuple(
-            (a, y)
-            for a, y in zip(self.branch.alphas, self.branch.ys)
-            if a <= alpha + 1e-12
-        )
 
     # ------------------------------------------------------------ spherical
 
     SEED_OFFSET = 1e-4
 
     def _ell_ratio(self, alpha: float, pair) -> complex:
-        m = cmath.exp(0.5j * alpha)
-        p = self.family.word_exponent(self.n)
-        e1 = longitude_eigenvalue(self.family, self.n, p, m, complex(pair[0]))
-        e2 = longitude_eigenvalue(self.family, self.n, p, m, complex(pair[1]))
-        return e1 / e2
+        e1 = _ell(self.family, self.n, alpha, complex(pair[0]))
+        return e1 / _ell(self.family, self.n, alpha, complex(pair[1]))
 
-    def _split_pair(self, alpha: float):
-        """The two real roots that split off the collision, nearest to y*."""
-        records = _moving_roots(self.family, self.n, alpha)
-        real = [r.y for r in records if abs(r.y.imag) <= 1e-7]
+    def _split_state(self, alpha: float):
+        """The two real roots split off the collision nearest y*, and their phase."""
+        real = _real_roots(_moving_roots(self.family, self.n, alpha))
         real.sort(key=lambda y: abs(y - self.y_star))
         if len(real) < 2 or abs(real[1] - self.y_star) > 0.2:
             raise SelectionAmbiguityError(
@@ -347,76 +365,61 @@ class _MemberGeometry:
                 f"pair at alpha={alpha:.8f}",
                 real[:4],
             )
-        pair = sorted((real[0].real, real[1].real))
-        return tuple(pair)
+        pair = tuple(sorted((real[0].real, real[1].real)))
+        return pair, cmath.phase(self._ell_ratio(alpha, pair))
 
-    def _sph_seed(self):
-        a0 = self.alpha_k + self.SEED_OFFSET
-        pair = self._split_pair(a0)
-        q = self._ell_ratio(a0, pair)
-        self._sph_alphas = [a0]
-        self._sph_pairs = [pair]
-        self._sph_phases = [cmath.phase(q)]
+    def _sph_step(self, a: float, state, step: float):
+        """(angle, state) after following the pair from node (a, state) by step.
 
-    def _sph_advance(self, alpha: float):
-        cur = self._sph_alphas[-1]
-        while cur < alpha - 1e-15:
-            step = min(MARCH_STEP / 2.0, alpha - cur)
-            while True:
-                nxt = cur + step
-                records = _moving_roots(self.family, self.n, nxt)
-                live = [r.y for r in records if abs(r.y.imag) <= 1e-7]
-                prev = self._sph_pairs[-1]
-                r1, ok1 = _match_unambiguous(live, prev[0])
-                r2, ok2 = _match_unambiguous(live, prev[1])
-                if (not ok1 or not ok2 or r1 == r2) and step > 1e-7:
-                    step *= 0.5
-                    continue
-                if r1 == r2:
-                    raise SelectionAmbiguityError(
-                        f"spherical pair merged at alpha={nxt:.8f}", [r1]
-                    )
-                q = self._ell_ratio(nxt, (r1.real, r2.real))
-                jump = cmath.phase(q * cmath.exp(-1j * self._sph_phases[-1]))
-                if abs(jump) <= 1.5 or step <= 1e-7:
-                    break
+        The step halves until each root matches unambiguously, the two stay
+        distinct and the phase jumps by at most 1.5 (or the step is <= 1e-7).
+        """
+        (p0, p1), phase = state
+        while True:
+            nxt = a + step
+            live = _real_roots(_moving_roots(self.family, self.n, nxt))
+            r1, ok1 = _match_unambiguous(live, p0)
+            r2, ok2 = _match_unambiguous(live, p1)
+            if (not ok1 or not ok2 or r1 == r2) and abs(step) > 1e-7:
                 step *= 0.5
-            self._sph_alphas.append(nxt)
-            self._sph_pairs.append((r1.real, r2.real))
-            self._sph_phases.append(self._sph_phases[-1] + jump)
-            cur = nxt
+                continue
+            if r1 == r2:
+                raise SelectionAmbiguityError(
+                    f"spherical pair merged at alpha={nxt:.8f}", [r1]
+                )
+            pair = (r1.real, r2.real)
+            jump = cmath.phase(self._ell_ratio(nxt, pair) * cmath.exp(-1j * phase))
+            if abs(jump) <= 1.5 or abs(step) <= 1e-7:
+                return nxt, (pair, phase + jump)
+            step *= 0.5
 
     def spherical_state(self, alpha: float):
-        """((r1, r2), unwrapped phase difference) at a folded angle in (a_K, pi]."""
+        """((r1, r2), unwrapped phase difference) at a folded angle in (a_K, pi].
+
+        The track advances to alpha and stores nodes; the lookup then steps
+        from the nearest node and stores nothing.  Both angles lie in
+        (2*pi/3, pi], so alpha - a is exact and the last step lands on alpha.
+        """
         with self._sph_lock:
-            if not self._sph_alphas:
-                self._sph_seed()
-            if alpha < self._sph_alphas[0]:
-                pair = self._split_pair(alpha)
-                return pair, cmath.phase(self._ell_ratio(alpha, pair))
-            if alpha > self._sph_alphas[-1]:
-                self._sph_advance(alpha)
-            idx = min(
-                range(len(self._sph_alphas)),
-                key=lambda i: abs(self._sph_alphas[i] - alpha),
-            )
-            prev = self._sph_pairs[idx]
-            anchor_phase = self._sph_phases[idx]
-        records = _moving_roots(self.family, self.n, alpha)
-        live = [r.y for r in records if abs(r.y.imag) <= 1e-7]
-        r1 = min(live, key=lambda y: abs(y - prev[0])).real
-        r2 = min(live, key=lambda y: abs(y - prev[1])).real
-        q = self._ell_ratio(alpha, (r1, r2))
-        jump = cmath.phase(q * cmath.exp(-1j * anchor_phase))
-        return (r1, r2), anchor_phase + jump
+            if self.sph is None:
+                a0 = self.alpha_k + self.SEED_OFFSET
+                self.sph = _Track(a0, self._split_state(a0))
+            track = self.sph
+            if alpha < track.alphas[0]:
+                return self._split_state(alpha)
+            while track.alphas[-1] < alpha - 1e-15:
+                cur = track.alphas[-1]
+                step = min(MARCH_STEP / 2.0, alpha - cur)
+                track.add(*self._sph_step(cur, track.states[-1], step))
+            a, state = track.nearest(alpha)
+        while True:
+            a, state = self._sph_step(a, state, alpha - a)
+            if a == alpha:
+                return state
 
     def spherical_trace(self, alpha: float) -> tuple:
         with self._sph_lock:
-            return tuple(
-                (a, pr)
-                for a, pr in zip(self._sph_alphas, self._sph_pairs)
-                if a <= alpha + 1e-12
-            )
+            return tuple((a, pair) for a, (pair, _) in self.sph.upto(alpha))
 
 
 def _member(family: KnotFamily, n: int) -> _MemberGeometry:
@@ -502,7 +505,7 @@ def classify(spec: ConeManifoldSpec) -> RegimeResult:
             a_k,
             (y0,),
             (eval_f(spec.n, y0),),
-            member.hyperbolic_trace(alpha),
+            member.branch.track.upto(alpha),
         )
     y_plus, y_minus = select_spherical_roots(spec)
     return RegimeResult(

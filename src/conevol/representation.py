@@ -31,7 +31,6 @@ from .errors import BranchError, DegenerateLongitudeError
 from .families import KnotFamily
 from .riley import trace_u
 
-RELATION_TOL = 1e-9
 _IMAG_WINDOW = 2.0 * math.pi  # lifted holonomy angle lives in [-2*pi, 2*pi)
 
 

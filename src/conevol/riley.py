@@ -33,7 +33,7 @@ from .chebyshev import eval_S, eval_f, eval_fg
 from .errors import NonConvergenceError, PoleError
 from .families import KnotFamily, validate_twist
 
-# Proximity threshold to cleared denominators; 10x it flags for review.
+# Proximity threshold to cleared denominators.
 SPURIOUS_EPS = 1e-8
 RESIDUAL_TOL = 1e-8
 UNIT_F_TOL = 1e-8
@@ -58,10 +58,6 @@ class BivariatePoly:
     def univariate_in_y(self, x):
         """Coefficient list in y at fixed numeric x (ascending)."""
         return xp.b_uni_in_y(self.coeffs, complex(x) * complex(x))
-
-    @property
-    def degree_y(self) -> int:
-        return xp.b_degree_y(self.coeffs)
 
 
 # y + 2 - x^2, shared by the inner block and both even-family builders
@@ -219,17 +215,10 @@ class RootRecord:
     residual: float
     spurious: bool = False
     flags: frozenset = frozenset()
-    selected: bool = False
 
     @property
     def unit_f(self) -> bool:
         return "unit_f" in self.flags
-
-
-def _near_denominator(family: KnotFamily, n: int, y: complex, eps: float) -> bool:
-    if abs(y - 2.0) <= eps:
-        return True
-    return abs(eval_S(n - 1, y)) <= eps
 
 
 def _polish(eq: ConeEquation, y: complex):
@@ -270,18 +259,16 @@ def solve_cone_equation(eq: ConeEquation, keep_spurious: bool = False):
     for y0 in np.roots(list(reversed(eq.moving_coeffs))):
         y0 = complex(y0)
         flags = set()
-        if _near_denominator(eq.family, eq.n, y0, SPURIOUS_EPS):
+        if abs(y0 - 2.0) <= SPURIOUS_EPS or abs(eval_S(eq.n - 1, y0)) <= SPURIOUS_EPS:
             records.append(
                 RootRecord(y0, float("inf"), True, frozenset({"near_denominator"}))
             )
             continue
-        if _near_denominator(eq.family, eq.n, y0, 10.0 * SPURIOUS_EPS):
-            flags.add("review")
         try:
             y_pol, res = _polish(eq, y0)
         except PoleError:
             records.append(
-                RootRecord(y0, float("inf"), True, frozenset(flags | {"near_denominator"}))
+                RootRecord(y0, float("inf"), True, frozenset({"near_denominator"}))
             )
             continue
         if res > RESIDUAL_TOL and not _double_root_excused(eq, y_pol, res):
@@ -295,22 +282,27 @@ def solve_cone_equation(eq: ConeEquation, keep_spurious: bool = False):
         except PoleError:
             pass
         records.append(RootRecord(y_pol, res, False, frozenset(flags)))
-    if len(eq.parasite) > 1:
-        for y0 in np.roots(list(reversed(eq.parasite))):
-            y0 = _newton_on_poly(eq.parasite, complex(y0))
-            try:
-                res = abs(eq.residual(y0))
-            except PoleError:
-                res = float("inf")
-            records.append(RootRecord(y0, res, False, frozenset({"unit_f"})))
+    for y0 in _parasite_roots(eq.parasite):
+        try:
+            res = abs(eq.residual(y0))
+        except PoleError:
+            res = float("inf")
+        records.append(RootRecord(y0, res, False, frozenset({"unit_f"})))
     records.sort(key=lambda r: (r.y.real, r.y.imag))
     if keep_spurious:
         return records
     return [r for r in records if not r.spurious]
 
 
+@lru_cache(maxsize=None)
+def _parasite_roots(parasite: tuple) -> tuple:
+    """Polished roots of gcd(C0, C1): angle-independent, so solved once per member."""
+    roots = np.roots(list(reversed(parasite)))  # none for the constant gcd (1,)
+    return tuple(_newton_on_poly(parasite, complex(y0)) for y0 in roots)
+
+
 def _newton_on_poly(coeffs, y: complex, steps: int = 50) -> complex:
-    deriv = [i * c for i, c in enumerate(coeffs)][1:]
+    deriv = xp.p_deriv(coeffs)
     for _ in range(steps):
         pv = xp.p_eval(coeffs, y)
         dv = xp.p_eval(deriv, y)

@@ -151,8 +151,6 @@ class IntegrationPath:
     """Connected chain of segments from the lower to the upper endpoint."""
 
     segments: tuple
-    start: complex
-    end: complex
     deformations: int = 0
 
 
@@ -189,7 +187,7 @@ def _log_zero_points(n: int, A: float):
 
 def _v_path(x_c: complex, y0: complex) -> IntegrationPath:
     lower, upper = y0.conjugate(), y0
-    return IntegrationPath((_Line(lower, x_c), _Line(x_c, upper)), lower, upper)
+    return IntegrationPath((_Line(lower, x_c), _Line(x_c, upper)))
 
 
 def _staple_path(x_c: float, height: float, y0: complex,
@@ -205,9 +203,7 @@ def _staple_path(x_c: float, height: float, y0: complex,
     first = complex(x_c, math.copysign(height, lower.imag)) + shift
     second = complex(x_c, math.copysign(height, upper.imag)) + shift
     return IntegrationPath(
-        (_Line(lower, first), _Line(first, second), _Line(second, upper)),
-        lower,
-        upper,
+        (_Line(lower, first), _Line(first, second), _Line(second, upper))
     )
 
 
@@ -290,7 +286,7 @@ def spherical_path(family: KnotFamily, n: int, y_from: float, y_to: float):
         cur = far
     if abs(complex(y_to) - cur) > 1e-15 or not segments:
         segments.append(_Line(cur, complex(y_to)))
-    return IntegrationPath(tuple(segments), complex(y_from), complex(y_to), len(pts))
+    return IntegrationPath(tuple(segments), len(pts))
 
 
 # ------------------------------------------------- branch-tracked integrand

@@ -18,6 +18,9 @@ def test_basic_arithmetic():
     assert _to_sympy(xp.p_add(a, b), y) == _to_sympy(a, y) + _to_sympy(b, y)
     assert _to_sympy(xp.p_sub(a, b), y) == _to_sympy(a, y) - _to_sympy(b, y)
     assert _to_sympy(xp.p_pow(b, 3), y) == sp.expand(_to_sympy(b, y) ** 3)
+    deriv = xp.p_deriv(xp.p_mul(a, b))
+    assert _to_sympy(deriv, y) == sp.diff(_to_sympy(xp.p_mul(a, b), y), y)
+    assert all(type(c) is int for c in deriv)
 
 
 def test_gcd_with_common_factor():

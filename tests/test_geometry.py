@@ -8,7 +8,11 @@ import pytest
 
 from conevol import geometry as ge
 from conevol.chebyshev import eval_f
-from conevol.errors import DegenerateLongitudeError, NotBracketedError
+from conevol.errors import (
+    DegenerateLongitudeError,
+    NotBracketedError,
+    SelectionAmbiguityError,
+)
 from conevol.families import ConeManifoldSpec, KnotFamily, is_torus_member
 from conevol.representation import relation_residual
 from conevol.riley import build_cone_equation
@@ -186,3 +190,53 @@ def test_certify_rejects_only_a_degenerate_longitude(monkeypatch):
     monkeypatch.setattr(ge, "longitude_eigenvalue", broken)
     with pytest.raises(RuntimeError):
         ge._certify(KnotFamily.C2N2, 1, 0.5, 1.0 + 1.0j)
+
+
+def test_hyperbolic_root_raises_on_an_ambiguous_match(monkeypatch):
+    family, n, alpha = KnotFamily.C2N2, 1, 1.0
+    member = ge._member(family, n)
+    y = member.hyperbolic_root(alpha)
+    # two roots tie around the tracked one: neither is a trustworthy match
+    monkeypatch.setattr(ge, "_moving_roots", lambda *args: [y + 0.5, y - 0.5])
+    with pytest.raises(SelectionAmbiguityError):
+        member.hyperbolic_root(alpha)
+
+
+def test_match_unambiguous_excuses_only_a_non_real_conjugate_tie():
+    # a non-real root with its conjugate as runner-up: the collision funnel
+    root = 1.0 + 1e-6j
+    y, ok = ge._match_unambiguous([root.conjugate(), root], 1.0 + 1e-8j)
+    assert (y, ok) == (root, True)
+    # a near-tie between two real roots stays ambiguous
+    y, ok = ge._match_unambiguous([1.0, 1.0 + 2e-6], 1.0 + 0.9e-6)
+    assert (y, ok) == (1.0, False)
+    # so does a "conjugate" tie of a root that is real within COLLISION_IM_TOL
+    root = 1.0 + 1e-10j
+    assert ge._match_unambiguous([root, root.conjugate()], 1.0 + 1e-11j) == (root, False)
+    # a clear winner needs no excuse
+    assert ge._match_unambiguous([0.0, 1.0], 0.1) == (0.0, True)
+
+
+NODES = (0.5, 1.0, 1.5, 2.5, 2.5000000000000004)
+
+
+@pytest.mark.parametrize(
+    "alpha",
+    [-1.0, 0.5, 0.75, 0.9, 1.0, 1.25, 1.3, 2.0, 2.4, 2.5, 2.5000000000000004, 9.0],
+)
+def test_track_nearest_matches_the_linear_scan(alpha):
+    track = ge._Track(NODES[0], "s0")
+    for i, a in enumerate(NODES[1:], start=1):
+        track.add(a, f"s{i}")
+    # 0.75, 1.25 and 2.0 are exact ties: the lower node wins
+    i = min(range(len(NODES)), key=lambda k: abs(NODES[k] - alpha))
+    assert track.nearest(alpha) == (NODES[i], f"s{i}")
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP Open item 1: march ceiling at pi - 0.02")
+def test_critical_angle_of_c16_minus16():
+    # 3.1222269291861986 is the collision with the march ceiling at pi - 1e-3;
+    # the geometric branch has not collided by pi - 0.02, so today a
+    # non-geometric branch wins at 2.9715
+    a_k = ge.critical_angle(KnotFamily.C2NMINUS2N, 8)
+    assert a_k == pytest.approx(3.1222269291861986, abs=1e-9)

@@ -194,7 +194,7 @@ def test_lemma_cd_at_roots_and_off_roots():
                 assert abs(rep_off.phi_value) > 1e-4 or abs(rep_off.cone_residual) > 1e-4
 
 
-def test_unit_f_parasites_are_alpha_independent():
+def test_unit_f_parasites_are_alpha_independent(monkeypatch):
     # parasite roots of C(4,3): zeros of S_1 - S_0 = y - 1
     eqs = [
         ry.build_cone_equation(KnotFamily.C2N3, 2, A) for A in (0.0, 0.5, 2.0)
@@ -205,6 +205,15 @@ def test_unit_f_parasites_are_alpha_independent():
         assert paras[0] == pytest.approx(1.0, abs=1e-12)
         fv = eval_f(2, paras[0])
         assert abs(fv * fv - 1.0) < 1e-12
+    # the parasites are solved once per member: another angle polishes none
+    calls = []
+    newton = ry._newton_on_poly
+    monkeypatch.setattr(
+        ry, "_newton_on_poly", lambda *args: calls.append(args) or newton(*args)
+    )
+    recs = ry.solve_cone_equation(ry.build_cone_equation(KnotFamily.C2N3, 2, 1.3))
+    assert [r.y for r in recs if r.unit_f] == paras
+    assert calls == []
 
 
 def test_zero_sets_coincide_small_grid():
