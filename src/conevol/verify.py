@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebyshev import eval_S
-from .families import KnotFamily, is_torus_member
-from .geometry import critical_angle
-from .families import ConeManifoldSpec
+from .families import ConeManifoldSpec, KnotFamily, is_torus_member
+from .geometry import classify, critical_angle
 from .representation import (
     relation_residual,
     w12_closed_form_even,
@@ -118,8 +117,6 @@ def suite_representation(n_values=(-2, -1, 1, 2), angles: int = 6,
             np.linspace(a_k + 0.05, math.pi, angles)
         )
         for alpha in grid:
-            from .geometry import classify
-
             res = classify(ConeManifoldSpec(family, n, float(alpha)))
             m = cmath.exp(0.5j * alpha)
             for y in res.roots:

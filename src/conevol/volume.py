@@ -19,13 +19,22 @@ class independent of the cone angle (a straight chord would sweep across
 fixed singular points as the endpoints move, changing the value by a
 monodromy jump).  The spherical contour runs along the real segment from y+
 to y- with small semicircular detours into the upper half-plane around any
-singular point in between.
+singular point in between.  A path is a tuple of line and arc segments.
 
-Quadrature is adaptive Gauss 15/7 per segment (the embedded 7-point rule
-supplies the error estimate), absolute tolerance 1e-9, at most 2000
-subdivisions.  Within 1e-3 of the transition angle the endpoints nearly
-coincide and the contour loses relative accuracy, so the Schlaefli integral
-is used there instead.
+Both regimes go through one driver, which takes the first candidate path
+whose tracked log closes (returns to 0 at the far endpoint, where R = 1
+again) and integrates it.  The hyperbolic candidates are the anchored V,
+then Vs through other real anchors and staples threading the pinch
+corridors beside higher-order zeros of the log argument; the spherical
+contour is its only candidate.
+
+Quadrature is adaptive Gauss 15/7 per segment, absolute tolerance 1e-9, at
+most 2000 subdivisions.  The 7-point Gauss-Legendre rule is a separate rule,
+not an embedded one: it shares only the midpoint node with the 15-point
+rule, and its difference from the 15-point value is the error estimate.
+Within 1e-3 of the transition angle the endpoints nearly coincide and the
+contour loses relative accuracy, so the Schlaefli integral is used there
+instead.
 
 The Schlaefli oracle integrates the real length of the singular geodesic:
 kappa * dVol = (1/2) l_alpha d(alpha) with Vol -> 0 at the transition, i.e.
@@ -146,14 +155,6 @@ class _Arc:
         return 1j * (self.theta1 - self.theta0) * self.radius * cmath.exp(1j * th)
 
 
-@dataclass(frozen=True)
-class IntegrationPath:
-    """Connected chain of segments from the lower to the upper endpoint."""
-
-    segments: tuple
-    deformations: int = 0
-
-
 def _dist_point_segment(p: complex, z0: complex, z1: complex) -> float:
     d = z1 - z0
     L2 = abs(d) ** 2
@@ -185,26 +186,10 @@ def _log_zero_points(n: int, A: float):
     return [complex(z) for z in np.roots(list(reversed(coeffs)))]
 
 
-def _v_path(x_c: complex, y0: complex) -> IntegrationPath:
-    lower, upper = y0.conjugate(), y0
-    return IntegrationPath((_Line(lower, x_c), _Line(x_c, upper)))
-
-
-def _staple_path(x_c: float, height: float, y0: complex,
-                 shift: complex = 0.0) -> IntegrationPath:
-    """conj(y0) -> top -> bottom -> y0 with a vertical mid-leg through x_c.
-
-    The vertical descent threads the corridor between a conjugate pair of
-    log-argument zeros and the adjacent real singular point; the outer legs
-    fly over the pair.  (Endpoint order follows the lower/upper convention
-    of the endpoints themselves.)
-    """
-    lower, upper = y0.conjugate(), y0
-    first = complex(x_c, math.copysign(height, lower.imag)) + shift
-    second = complex(x_c, math.copysign(height, upper.imag)) + shift
-    return IntegrationPath(
-        (_Line(lower, first), _Line(first, second), _Line(second, upper))
-    )
+def _via(y0: complex, *waypoints: complex) -> tuple:
+    """Straight legs conj(y0) -> waypoints -> y0, as a tuple of segments."""
+    pts = (y0.conjugate(), *waypoints, y0)
+    return tuple(_Line(z0, z1) for z0, z1 in zip(pts, pts[1:]))
 
 
 def _candidate_paths(family: KnotFamily, n: int, A: float, y0: complex,
@@ -216,7 +201,8 @@ def _candidate_paths(family: KnotFamily, n: int, A: float, y0: complex,
     two-leg Vs handle simple real zeros of the log argument (side selection
     by anchor interval); staple paths thread the pinch corridors next to
     higher-order zeros, whose conjugate companion pair squeezes onto the
-    axis as the angle shrinks.
+    axis as the angle shrinks.  Only paths clear of the real singular set
+    are yielded.
     """
     reals = real_singular_points(family, n, include_f_zeros=True)
     y_star = collision_root(family, n)
@@ -238,17 +224,23 @@ def _candidate_paths(family: KnotFamily, n: int, A: float, y0: complex,
         if key in seen:
             continue
         seen.add(key)
-        yield _v_path(complex(x) + shift, y0)
+        paths = [_via(y0, complex(x) + shift)]
         h_local = max(
             (z.imag for z in zeros if abs(z.real - x) < 0.6), default=0.0
         )
         if h_local > 0.0:
-            yield _staple_path(x, 1.4 * h_local + 0.05, y0, shift)
+            # the staple's vertical mid-leg through x threads the corridor
+            # between a conjugate pair of log-argument zeros and the adjacent
+            # real singular point; its outer legs fly over the pair
+            h = 1.4 * h_local + 0.05
+            paths.append(_via(y0, complex(x, math.copysign(h, -y0.imag)) + shift,
+                              complex(x, math.copysign(h, y0.imag)) + shift))
+        yield from (path for path in paths if _path_clear(path, reals))
 
 
-def _path_clear(path: IntegrationPath, obstacles, margin: float = 1e-7) -> bool:
+def _path_clear(path: tuple, obstacles, margin: float = 1e-7) -> bool:
     for s in obstacles:
-        for leg in path.segments:
+        for leg in path:
             if abs(complex(s) - leg.z0) < 1e-15 or abs(complex(s) - leg.z1) < 1e-15:
                 continue
             if _dist_point_segment(complex(s), leg.z0, leg.z1) < margin:
@@ -286,7 +278,7 @@ def spherical_path(family: KnotFamily, n: int, y_from: float, y_to: float):
         cur = far
     if abs(complex(y_to) - cur) > 1e-15 or not segments:
         segments.append(_Line(cur, complex(y_to)))
-    return IntegrationPath(tuple(segments), len(pts))
+    return tuple(segments)
 
 
 # ------------------------------------------------- branch-tracked integrand
@@ -304,37 +296,30 @@ class BranchTracker:
 
     def __init__(self, ratio, n_segments: int, init_per_segment: int = 33):
         self.ratio = ratio
-        ts: list = []
+        grid: list = []
         for k in range(n_segments):
-            ts.extend(k + i / (init_per_segment - 1) for i in range(init_per_segment - 1))
-        ts.append(float(n_segments))
-        vals = [ratio(t) for t in ts]
-        args = [cmath.phase(v) for v in vals]
-        # refine intervals until the principal-argument step is small
-        work = list(range(len(ts) - 1))
-        while work:
+            grid.extend(k + i / (init_per_segment - 1) for i in range(init_per_segment - 1))
+        grid.append(float(n_segments))
+        args = [cmath.phase(ratio(t)) for t in grid]
+        ts = [grid[0]]
+        unwrapped = [args[0]]
+
+        def refine(t0, a0, t1, a1):
+            """Append the samples of (t0, t1], bisecting while the step is large."""
+            d = _wrap(a1 - a0)
+            if abs(d) > 0.5 and t1 - t0 > 1e-13:
+                tm = 0.5 * (t0 + t1)
+                am = cmath.phase(ratio(tm))
+                refine(t0, a0, tm, am)
+                refine(tm, am, t1, a1)
+                return
+            ts.append(t1)
+            unwrapped.append(unwrapped[-1] + d)
             if len(ts) > self.MAX_SAMPLES:
                 raise QuadratureError("branch tracking exceeded the sample budget")
-            nxt = []
-            insertions = []
-            for i in work:
-                d = _wrap(args[i + 1] - args[i])
-                if abs(d) > 0.5 and ts[i + 1] - ts[i] > 1e-13:
-                    tm = 0.5 * (ts[i] + ts[i + 1])
-                    insertions.append((i, tm))
-            if not insertions:
-                break
-            offset = 0
-            for i, tm in insertions:
-                v = ratio(tm)
-                ts.insert(i + 1 + offset, tm)
-                args.insert(i + 1 + offset, cmath.phase(v))
-                nxt.extend((i + offset, i + offset + 1))
-                offset += 1
-            work = nxt
-        unwrapped = [args[0]]
-        for i in range(1, len(ts)):
-            unwrapped.append(unwrapped[-1] + _wrap(args[i] - args[i - 1]))
+
+        for i in range(len(grid) - 1):
+            refine(grid[i], args[i], grid[i + 1], args[i + 1])
         self.ts = ts
         self.unwrapped = unwrapped
         if abs(unwrapped[0]) > 1e-5:
@@ -366,16 +351,16 @@ def _wrap(d: float) -> float:
 class _Integrand:
     """log(R(y)) * f'(y) / (f(y)^2 - 1) evaluated along a path parameter."""
 
-    def __init__(self, family: KnotFamily, n: int, A: float, path: IntegrationPath):
+    def __init__(self, family: KnotFamily, n: int, A: float, path: tuple):
         self.family = family
         self.n = n
         self.A = A
         self.path = path
-        self.tracker = BranchTracker(self._ratio, len(path.segments))
+        self.tracker = BranchTracker(self._ratio, len(path))
 
     def _locate(self, t: float):
-        k = min(int(t), len(self.path.segments) - 1)
-        return self.path.segments[k], t - k
+        k = min(int(t), len(self.path) - 1)
+        return self.path[k], t - k
 
     POLE_TOL = 1e-60  # clearance is enforced geometrically on the path
 
@@ -459,15 +444,43 @@ class VolumeResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _contour_value(integrand: _Integrand, quad_tol: float):
-    """(integral, error estimate, windings) of the integrand over its whole path."""
+def _contour(spec: ConeManifoldSpec, paths, rotation: complex, quad_tol: float):
+    """rotation * INT over the first path whose tracked log closes.
+
+    R = 1 at both endpoints, so a path on which the tracked log does not
+    return to 0 is in the wrong homotopy class and is skipped, as is one on
+    which branch tracking fails.  Returns (value, error estimate, windings,
+    path).
+    """
+    family, n = spec.family, spec.n
+    last_err = None
+    for path in paths:
+        try:
+            integrand = _Integrand(family, n, spec.cot_half, path)
+        except QuadratureError as exc:
+            last_err = exc
+            continue
+        if abs(integrand.tracker.unwrapped[-1]) <= 1e-5:
+            break
+    else:
+        raise PathBlockedError(
+            f"no anchored contour with endpoint-closed branch found for "
+            f"{family.value} n={n} at alpha={spec.alpha:.6f}"
+            + (f" (last tracker error: {last_err})" if last_err else "")
+        )
     total = 0j
     err = 0.0
-    for k in range(len(integrand.path.segments)):
+    for k in range(len(path)):
         v, e = adaptive_quad(integrand, float(k), float(k + 1), quad_tol)
         total += v
         err += e
-    return total, err, integrand.tracker.windings
+    value = rotation * total
+    if abs(value.imag) > IMAG_RESIDUAL_TOL:
+        raise QuadratureError(
+            f"volume has imaginary residual {value.imag:.3e} (branch tracking "
+            f"inconsistent)"
+        )
+    return value, err, integrand.tracker.windings, path
 
 
 def volume_hyperbolic(spec: ConeManifoldSpec, y0: complex,
@@ -479,36 +492,10 @@ def volume_hyperbolic(spec: ConeManifoldSpec, y0: complex,
     path-independence certificate); any shift keeping the path clear of the
     singular set leaves the value unchanged.
     """
-    family, n, alpha = spec.family, spec.n, spec.alpha
-    A = spec.cot_half
-    obstacles = real_singular_points(family, n, include_f_zeros=True)
-    integrand = None
-    last_err = None
-    for path in _candidate_paths(family, n, A, y0, anchor_shift):
-        if not _path_clear(path, obstacles):
-            continue
-        try:
-            cand = _Integrand(family, n, A, path)
-        except QuadratureError as exc:
-            last_err = exc
-            continue
-        if abs(cand.tracker.unwrapped[-1]) <= 1e-5:
-            integrand = cand
-            break
-    if integrand is None:
-        raise PathBlockedError(
-            f"no anchored contour with endpoint-closed branch found for "
-            f"{family.value} n={n} at alpha={alpha:.6f}"
-            + (f" (last tracker error: {last_err})" if last_err else "")
-        )
-    total, err, windings = _contour_value(integrand, quad_tol)
-    value = 1j * total
-    if abs(value.imag) > IMAG_RESIDUAL_TOL:
-        raise QuadratureError(
-            f"volume has imaginary residual {value.imag:.3e} (branch tracking "
-            f"inconsistent)"
-        )
-    data = holonomy_data(family, n, alpha, y0)
+    family, n = spec.family, spec.n
+    paths = _candidate_paths(family, n, spec.cot_half, y0, anchor_shift)
+    value, err, windings, path = _contour(spec, paths, 1j, quad_tol)
+    data = holonomy_data(family, n, spec.alpha, y0)
     return VolumeResult(
         spec,
         Regime.HYPERBOLIC,
@@ -517,7 +504,7 @@ def volume_hyperbolic(spec: ConeManifoldSpec, y0: complex,
         abs(value.imag),
         windings,
         l_alpha=data.real_length,
-        diagnostics={"y0": y0, "anchor": integrand.path.segments[0].z1},
+        diagnostics={"y0": y0, "anchor": path[0].z1},
     )
 
 
@@ -525,31 +512,25 @@ def volume_spherical(spec: ConeManifoldSpec, y_plus: float, y_minus: float,
                      quad_tol: float = QUAD_ABS_TOL) -> VolumeResult:
     """Contour volume at a spherical angle from the selected real pair."""
     family, n = spec.family, spec.n
-    A = spec.cot_half
-    path = spherical_path(family, n, y_plus, y_minus)
-    total, err, windings = _contour_value(_Integrand(family, n, A, path), quad_tol)
+    paths = (spherical_path(family, n, y_plus, y_minus),)
+    value, err, windings, path = _contour(spec, paths, 1, quad_tol)
     flipped = False
-    if total.real < 0.0:
-        total = -total
+    if value.real < 0.0:
+        value = -value
         flipped = True
-    if abs(total.imag) > IMAG_RESIDUAL_TOL:
-        raise QuadratureError(
-            f"volume has imaginary residual {total.imag:.3e} (branch tracking "
-            f"inconsistent)"
-        )
     return VolumeResult(
         spec,
         Regime.SPHERICAL,
-        total.real,
+        value.real,
         err,
-        abs(total.imag),
+        abs(value.imag),
         windings,
         l_alpha=spherical_length(family, n, spec.alpha),
         diagnostics={
             "y_plus": y_plus,
             "y_minus": y_minus,
             "orientation_flipped": flipped,
-            "deformations": path.deformations,
+            "deformations": sum(isinstance(seg, _Arc) for seg in path),
         },
     )
 
@@ -607,15 +588,16 @@ def _volume_for(spec: ConeManifoldSpec, result, cross_check: bool,
     folded = _fold(spec.alpha)
     if abs(folded - a_k) < TRANSITION_WINDOW:
         vol = volume_schlafli(spec)
-        out = VolumeResult(
+        return VolumeResult(
             spec,
             result.regime,
             vol,
             1e-7,
             l_alpha=_length_at(spec, result),
+            schlafli_volume=vol if cross_check else None,
             diagnostics={"regularized": True},
         )
-    elif result.regime is Regime.HYPERBOLIC:
+    if result.regime is Regime.HYPERBOLIC:
         out = volume_hyperbolic(spec, result.roots[0], quad_tol)
     else:
         out = volume_spherical(spec, result.roots[0], result.roots[1], quad_tol)

@@ -1,5 +1,6 @@
 """Contour volumes, branch tracking, quadrature, and the Schlaefli oracle."""
 
+import cmath
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from conevol import geometry
 from conevol import volume as vo
 from conevol.cli import main
-from conevol.errors import NonConvergenceError, QuadratureError
+from conevol.errors import NonConvergenceError, PathBlockedError, QuadratureError
 from conevol.families import ConeManifoldSpec, KnotFamily
 from conevol.geometry import Regime, classify, critical_angle
 
@@ -108,17 +109,103 @@ def test_path_independence():
         assert abs(v - v0) <= 1e-8
 
 
+def test_candidate_paths_are_clear_of_the_singular_set():
+    # one V of C(16,2) at 0.95 a_K runs through the singular point x = 1.96158
+    spec = ConeManifoldSpec(FIG8, 8, 0.95 * critical_angle(FIG8, 8))
+    y0 = classify(spec).roots[0]
+    reals = vo.real_singular_points(FIG8, 8, include_f_zeros=True)
+    paths = list(vo._candidate_paths(FIG8, 8, spec.cot_half, y0))
+    assert len(paths) > 1
+    assert all(vo._path_clear(path, reals) for path in paths)
+
+
 def test_integrand_vanishes_at_endpoints():
     spec = spec8(1.0)
     res = classify(spec)
     y0 = res.roots[0]
-    path = vo._v_path(complex(vo.collision_root(FIG8, 1)), y0)
+    path = vo._via(y0, complex(vo.collision_root(FIG8, 1)))
     integrand = vo._Integrand(FIG8, 1, spec.cot_half, path)
     # the log factor is anchored to zero where the endpoints solve the equation
     for t in (1e-9, 2.0 - 1e-9):
         seg, u = integrand._locate(t)
         log_term = integrand.tracker.log_at(t, integrand._ratio(t))
         assert abs(log_term) < 1e-6
+
+
+# ----------------------------------------------------------- branch tracker
+
+def _breadth_first_tracker(ratio, n_segments, init_per_segment=33):
+    """Reference: refine every level of the sample grid before the next."""
+    ts = []
+    for k in range(n_segments):
+        ts.extend(k + i / (init_per_segment - 1) for i in range(init_per_segment - 1))
+    ts.append(float(n_segments))
+    args = [cmath.phase(ratio(t)) for t in ts]
+    work = list(range(len(ts) - 1))
+    while work:
+        if len(ts) > vo.BranchTracker.MAX_SAMPLES:
+            raise QuadratureError("branch tracking exceeded the sample budget")
+        nxt = []
+        insertions = []
+        for i in work:
+            d = vo._wrap(args[i + 1] - args[i])
+            if abs(d) > 0.5 and ts[i + 1] - ts[i] > 1e-13:
+                insertions.append((i, 0.5 * (ts[i] + ts[i + 1])))
+        if not insertions:
+            break
+        offset = 0
+        for i, tm in insertions:
+            ts.insert(i + 1 + offset, tm)
+            args.insert(i + 1 + offset, cmath.phase(ratio(tm)))
+            nxt.extend((i + offset, i + offset + 1))
+            offset += 1
+        work = nxt
+    unwrapped = [args[0]]
+    for i in range(1, len(ts)):
+        unwrapped.append(unwrapped[-1] + vo._wrap(args[i] - args[i - 1]))
+    windings = round((unwrapped[-1] - unwrapped[0]) / (2.0 * math.pi))
+    return ts, unwrapped, windings
+
+
+# a fast-turning phase, and a zero 1e-9 off the path at t = 0.5 (both are 1 at t = 0)
+DEEP_RATIOS = {
+    "fast-phase": lambda t: cmath.exp(100j * t),
+    "near-zero": lambda t: (t - 0.5 - 1e-9j) / (-0.5 - 1e-9j),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_RATIOS))
+def test_tracker_matches_breadth_first_refinement(name, monkeypatch):
+    ratio = DEEP_RATIOS[name]
+    ts, unwrapped, windings = _breadth_first_tracker(ratio, 2)
+    assert len(ts) > 100 or min(b - a for a, b in zip(ts, ts[1:])) < 1e-9
+    tracker = vo.BranchTracker(ratio, 2)
+    assert repr(tracker.ts) == repr(ts)
+    assert repr(tracker.unwrapped) == repr(unwrapped)
+    assert repr(tracker.windings) == repr(windings)
+    # the budget binds exactly when the fully refined set exceeds it
+    monkeypatch.setattr(vo.BranchTracker, "MAX_SAMPLES", len(ts))
+    assert vo.BranchTracker(ratio, 2).ts == ts
+    monkeypatch.setattr(vo.BranchTracker, "MAX_SAMPLES", len(ts) - 1)
+    with pytest.raises(QuadratureError, match="sample budget"):
+        _breadth_first_tracker(ratio, 2)
+    with pytest.raises(QuadratureError, match="sample budget"):
+        vo.BranchTracker(ratio, 2)
+
+
+def test_tracker_raises_at_the_first_failing_grid_point():
+    # the phases of the whole grid come first: t = 1.5 fails before the
+    # refinement reaches the failing midpoints between grid points 0.5 and 0.53125
+    def ratio(t):
+        if t == 1.5 or 0.5 < t < 0.52:
+            raise QuadratureError(f"log argument vanishes at t = {t!r}")
+        return DEEP_RATIOS["fast-phase"](t)
+
+    with pytest.raises(QuadratureError) as reference:
+        _breadth_first_tracker(ratio, 2)
+    with pytest.raises(QuadratureError) as tracked:
+        vo.BranchTracker(ratio, 2)
+    assert str(tracked.value) == str(reference.value) == "log argument vanishes at t = 1.5"
 
 
 # -------------------------------------------------------------- spherical
@@ -159,6 +246,21 @@ def test_schlafli_derivative_both_regimes():
         assert fd == pytest.approx(sign * r.l_alpha / 2.0, rel=1e-4)
 
 
+def test_spherical_contour_must_close(monkeypatch):
+    init = vo.BranchTracker.__init__
+
+    def unclosed(self, *args, **kwargs):
+        # a repeated last sample whose log ends at 2*pi*i; log_at never reads it,
+        # so only the closure test can see that the path is in the wrong class
+        init(self, *args, **kwargs)
+        self.ts.append(self.ts[-1])
+        self.unwrapped.append(self.unwrapped[-1] + 2.0 * math.pi)
+
+    monkeypatch.setattr(vo.BranchTracker, "__init__", unclosed)
+    with pytest.raises(PathBlockedError):
+        vo.compute_volume(spec8(2.6))
+
+
 # ------------------------------------------------------------- dispatch
 
 def test_out_of_range_raises():
@@ -179,6 +281,21 @@ def test_near_transition_regularization_flag():
     r = vo.compute_volume(spec8(a_k + 5e-4))
     assert r.diagnostics.get("regularized")
     assert 0 < r.volume < 1e-3
+
+
+def test_cross_check_in_the_transition_window_runs_schlafli_once(monkeypatch):
+    calls = []
+    schlafli = vo.volume_schlafli
+
+    def counted(spec, *args, **kwargs):
+        calls.append(spec.alpha)
+        return schlafli(spec, *args, **kwargs)
+
+    monkeypatch.setattr(vo, "volume_schlafli", counted)
+    r = vo.compute_volume(spec8(critical_angle(FIG8, 1) - 5e-4), cross_check=True)
+    assert r.diagnostics.get("regularized")
+    assert len(calls) == 1
+    assert r.schlafli_volume == r.volume
 
 
 def test_cross_check_all_families():
