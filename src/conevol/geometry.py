@@ -66,12 +66,15 @@ class Regime(Enum):
 
 @dataclass(frozen=True)
 class RegimeResult:
-    """Outcome of classify(): regime, transition angle, selected roots."""
+    """Outcome of classify(): regime, a_K, selected roots and l_alpha.
+
+    l_alpha is None at the Euclidean point and beyond the spherical band.
+    """
 
     regime: Regime
     critical_angle: float
     roots: tuple
-    f_values: tuple
+    l_alpha: float | None
     continuation_trace: tuple
 
 
@@ -114,6 +117,11 @@ def _ell(family: KnotFamily, n: int, alpha: float, y: complex) -> complex:
     """Longitude eigenvalue of the representation at (alpha, y)."""
     m = cmath.exp(0.5j * alpha)
     return longitude_eigenvalue(family, n, family.word_exponent(n), m, y)
+
+
+def _length(family: KnotFamily, n: int, alpha: float, y: complex) -> float:
+    """Real length 2*log|ell| of the singular geodesic at a hyperbolic root."""
+    return 2.0 * math.log(abs(_ell(family, n, alpha, y)))
 
 
 class _Track:
@@ -177,7 +185,7 @@ class _Branch:
         total = 0.0
         prev_a = prev_l = None
         for a, y in zip(self.track.alphas, self.track.states):
-            l = 2.0 * math.log(abs(_ell(self.family, self.n, a, y)))
+            l = _length(self.family, self.n, a, y)
             if prev_a is not None:
                 total += 0.25 * (l + prev_l) * (a - prev_a)
             prev_a, prev_l = a, l
@@ -299,9 +307,9 @@ class _MemberGeometry:
         if len(winners) > 1:
             # several candidate transitions: the geometric branch carries the
             # maximal volume (rigidity); demand a clear margin before choosing
-            winners.sort(key=lambda b: b.volume_estimate(), reverse=True)
-            v0 = winners[0].volume_estimate()
-            v1 = winners[1].volume_estimate()
+            volumes = {b: b.volume_estimate() for b in winners}
+            winners.sort(key=volumes.get, reverse=True)
+            v0, v1 = volumes[winners[0]], volumes[winners[1]]
             if not v0 > v1 * 1.02:
                 raise SelectionAmbiguityError(
                     f"{family.value} n={n}: {len(winners)} branches collide inside "
@@ -452,9 +460,9 @@ def select_hyperbolic_root(spec: ConeManifoldSpec) -> complex:
     return member.hyperbolic_root(spec.alpha)
 
 
-def hyperbolic_root_at(family: KnotFamily, n: int, alpha: float) -> complex:
-    """Tracked y0 at any hyperbolic angle (fast path for the Schlaefli sweep)."""
-    return _member(family, n).hyperbolic_root(alpha)
+def hyperbolic_length(family: KnotFamily, n: int, alpha: float) -> float:
+    """Singular length at any hyperbolic angle (the Schlaefli integrand)."""
+    return _length(family, n, alpha, _member(family, n).hyperbolic_root(alpha))
 
 
 def _fold(alpha: float) -> float:
@@ -470,10 +478,14 @@ def select_spherical_roots(spec: ConeManifoldSpec):
             f"alpha={spec.alpha} is not in the spherical band "
             f"({a_k}, {2.0 * math.pi - a_k})"
         )
-    pair, phase = member.spherical_state(_fold(spec.alpha))
-    if phase >= 0.0:
-        return pair[0], pair[1]
-    return pair[1], pair[0]
+    return _spherical_roots(member, spec.alpha)[:2]
+
+
+def _spherical_roots(member: _MemberGeometry, alpha: float):
+    """(y_plus, y_minus, l_alpha) from one spherical-state lookup."""
+    pair, phase = member.spherical_state(_fold(alpha))
+    y_plus, y_minus = pair if phase >= 0.0 else pair[::-1]
+    return y_plus, y_minus, abs(phase)
 
 
 def spherical_length(family: KnotFamily, n: int, alpha: float) -> float:
@@ -482,8 +494,7 @@ def spherical_length(family: KnotFamily, n: int, alpha: float) -> float:
     Unwrapped longitude phase difference of the selected pair, anchored to
     zero at a_K; symmetric under alpha -> 2*pi - alpha.
     """
-    _, phase = _member(family, n).spherical_state(_fold(alpha))
-    return abs(phase)
+    return _spherical_roots(_member(family, n), alpha)[2]
 
 
 def classify(spec: ConeManifoldSpec) -> RegimeResult:
@@ -492,27 +503,24 @@ def classify(spec: ConeManifoldSpec) -> RegimeResult:
     a_k = member.alpha_k
     alpha = spec.alpha
     if alpha >= 2.0 * math.pi - a_k:
-        return RegimeResult(Regime.OUT_OF_RANGE, a_k, (), (), ())
+        return RegimeResult(Regime.OUT_OF_RANGE, a_k, (), None, ())
     if alpha == a_k:
-        y_star = member.y_star
-        return RegimeResult(
-            Regime.EUCLIDEAN, a_k, (y_star,), (eval_f(spec.n, y_star),), ()
-        )
+        return RegimeResult(Regime.EUCLIDEAN, a_k, (member.y_star,), None, ())
     if alpha < a_k:
         y0 = member.hyperbolic_root(alpha)
         return RegimeResult(
             Regime.HYPERBOLIC,
             a_k,
             (y0,),
-            (eval_f(spec.n, y0),),
+            _length(spec.family, spec.n, alpha, y0),
             member.branch.track.upto(alpha),
         )
-    y_plus, y_minus = select_spherical_roots(spec)
+    y_plus, y_minus, l_alpha = _spherical_roots(member, alpha)
     return RegimeResult(
         Regime.SPHERICAL,
         a_k,
         (y_plus, y_minus),
-        (eval_f(spec.n, y_plus), eval_f(spec.n, y_minus)),
+        l_alpha,
         member.spherical_trace(_fold(alpha)),
     )
 

@@ -223,24 +223,27 @@ class RootRecord:
 
 def _polish(eq: ConeEquation, y: complex):
     """Newton iteration on the rational residual; returns (y, |residual|)."""
-    best_y, best_r = y, abs(eq.residual(y))
-    cur = y
-    for _ in range(NEWTON_MAX_STEPS):
-        r = eq.residual(cur)
-        if abs(r) < best_r:
-            best_y, best_r = cur, abs(r)
-        if abs(r) <= 1e-14:
-            break
-        rp = eq.residual_prime(cur)
-        if rp == 0:
-            break
-        step = r / rp
-        cur = cur - step
-        if abs(step) <= 1e-16 * max(1.0, abs(cur)):
+    best_y, best_r, cur = y, math.inf, y
+    try:
+        best_r = abs(eq.residual(y))
+        for _ in range(NEWTON_MAX_STEPS):
             r = eq.residual(cur)
             if abs(r) < best_r:
                 best_y, best_r = cur, abs(r)
-            break
+            if abs(r) <= 1e-14:
+                break
+            rp = eq.residual_prime(cur)
+            if rp == 0:
+                break
+            step = r / rp
+            cur = cur - step
+            if abs(step) <= 1e-16 * max(1.0, abs(cur)):
+                r = eq.residual(cur)
+                if abs(r) < best_r:
+                    best_y, best_r = cur, abs(r)
+                break
+    except OverflowError:
+        pass  # Newton diverged: keep the best point found so far
     return best_y, best_r
 
 

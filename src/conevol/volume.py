@@ -40,9 +40,9 @@ The Schlaefli oracle integrates the real length of the singular geodesic:
 kappa * dVol = (1/2) l_alpha d(alpha) with Vol -> 0 at the transition, i.e.
 Vol = INT_alpha^{a_K} l/2 (hyperbolic) and INT_{a_K}^alpha l/2 (spherical,
 folded about pi by the A^2 symmetry).  The substitution beta = a_K -/+ t^2
-absorbs the square-root behaviour of l at the transition.  The hyperbolic
-length is 2*log|ell| (branch-free); the spherical length is the unwrapped
-longitude phase difference tracked by the geometry module.
+absorbs the square-root behaviour of l at the transition.  Both lengths come
+from the geometry module, as does the l_alpha of every volume result:
+2*log|ell| at the tracked root, or the tracked pair's longitude phase gap.
 """
 
 from __future__ import annotations
@@ -66,10 +66,9 @@ from .geometry import (
     classify,
     collision_root,
     critical_angle,
-    hyperbolic_root_at,
+    hyperbolic_length,
     spherical_length,
 )
-from .representation import holonomy_data
 
 R_EXCL = 1e-4
 QUAD_ABS_TOL = 1e-9
@@ -490,12 +489,11 @@ def volume_hyperbolic(spec: ConeManifoldSpec, y0: complex,
 
     anchor_shift displaces the mid-path control point (used by the
     path-independence certificate); any shift keeping the path clear of the
-    singular set leaves the value unchanged.
+    singular set leaves the value unchanged.  l_alpha is left to classify.
     """
     family, n = spec.family, spec.n
     paths = _candidate_paths(family, n, spec.cot_half, y0, anchor_shift)
     value, err, windings, path = _contour(spec, paths, 1j, quad_tol)
-    data = holonomy_data(family, n, spec.alpha, y0)
     return VolumeResult(
         spec,
         Regime.HYPERBOLIC,
@@ -503,14 +501,13 @@ def volume_hyperbolic(spec: ConeManifoldSpec, y0: complex,
         err,
         abs(value.imag),
         windings,
-        l_alpha=data.real_length,
         diagnostics={"y0": y0, "anchor": path[0].z1},
     )
 
 
 def volume_spherical(spec: ConeManifoldSpec, y_plus: float, y_minus: float,
                      quad_tol: float = QUAD_ABS_TOL) -> VolumeResult:
-    """Contour volume at a spherical angle from the selected real pair."""
+    """Contour volume from the selected real pair; l_alpha is left to classify."""
     family, n = spec.family, spec.n
     paths = (spherical_path(family, n, y_plus, y_minus),)
     value, err, windings, path = _contour(spec, paths, 1, quad_tol)
@@ -525,7 +522,6 @@ def volume_spherical(spec: ConeManifoldSpec, y_plus: float, y_minus: float,
         err,
         abs(value.imag),
         windings,
-        l_alpha=spherical_length(family, n, spec.alpha),
         diagnostics={
             "y_plus": y_plus,
             "y_minus": y_minus,
@@ -552,9 +548,7 @@ def volume_schlafli(spec: ConeManifoldSpec, quad_tol: float = 1e-8) -> float:
 
         def integrand(t):
             beta = a_k - t * t
-            y = hyperbolic_root_at(family, n, beta)
-            data = holonomy_data(family, n, beta, y)
-            return data.real_length * t
+            return hyperbolic_length(family, n, beta) * t
     else:
         span = math.sqrt(folded - a_k)
 
@@ -593,7 +587,7 @@ def _volume_for(spec: ConeManifoldSpec, result, cross_check: bool,
             result.regime,
             vol,
             1e-7,
-            l_alpha=_length_at(spec, result),
+            l_alpha=result.l_alpha,
             schlafli_volume=vol if cross_check else None,
             diagnostics={"regularized": True},
         )
@@ -601,13 +595,7 @@ def _volume_for(spec: ConeManifoldSpec, result, cross_check: bool,
         out = volume_hyperbolic(spec, result.roots[0], quad_tol)
     else:
         out = volume_spherical(spec, result.roots[0], result.roots[1], quad_tol)
+    out.l_alpha = result.l_alpha
     if cross_check:
         out.schlafli_volume = volume_schlafli(spec)
     return out
-
-
-def _length_at(spec: ConeManifoldSpec, result) -> float:
-    if result.regime is Regime.HYPERBOLIC:
-        data = holonomy_data(spec.family, spec.n, spec.alpha, result.roots[0])
-        return data.real_length
-    return spherical_length(spec.family, spec.n, spec.alpha)

@@ -217,6 +217,29 @@ def test_match_unambiguous_excuses_only_a_non_real_conjugate_tie():
     assert ge._match_unambiguous([0.0, 1.0], 0.1) == (0.0, True)
 
 
+def test_classify_length_is_none_off_both_regimes():
+    family, n = KnotFamily.C2N2, 1
+    a_k = ge.critical_angle(family, n)
+    assert ge.classify(ConeManifoldSpec(family, n, a_k)).l_alpha is None
+    assert ge.classify(ConeManifoldSpec(family, n, 2 * math.pi - a_k + 0.1)).l_alpha is None
+
+
+def test_tie_break_scores_each_winner_once(monkeypatch):
+    # three branches of C(8,3) collide inside the Kojima-Porti window
+    scored = []
+    estimate = ge._Branch.volume_estimate
+
+    def counted(self):
+        scored.append(self)
+        return estimate(self)
+
+    monkeypatch.setattr(ge._Branch, "volume_estimate", counted)
+    member = ge._MemberGeometry(KnotFamily.C2N3, 4)
+    assert len(scored) == len(set(map(id, scored))) == 3
+    assert member.branch is max(scored, key=estimate)
+    assert member.alpha_k == ge.critical_angle(KnotFamily.C2N3, 4)
+
+
 NODES = (0.5, 1.0, 1.5, 2.5, 2.5000000000000004)
 
 

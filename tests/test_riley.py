@@ -8,7 +8,9 @@ import sympy as sp
 
 from conevol import riley as ry
 from conevol.chebyshev import eval_f
+from conevol.errors import NonConvergenceError
 from conevol.families import KnotFamily
+from conevol.geometry import critical_angle
 
 from oracles import sympy_cone_polynomial, sympy_phi_even, sympy_phi_odd
 
@@ -175,6 +177,14 @@ def test_newton_polish_on_constructed_polynomial():
     expected = [(-1 + 0j), (1 - 1j), (1 + 1j)]
     for got, want in zip(polished, expected):
         assert got == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", (13, 14))
+def test_diverging_newton_polish_raises_a_typed_error(n):
+    # Newton in _polish diverges on these members until S_{n-1}^4 overflows in
+    # the residual; the best point so far fails the residual tolerance
+    with pytest.raises(NonConvergenceError, match="failed to polish"):
+        critical_angle(KnotFamily.C2N3, n)
 
 
 def test_lemma_cd_at_roots_and_off_roots():

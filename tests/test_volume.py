@@ -1,7 +1,9 @@
 """Contour volumes, branch tracking, quadrature, and the Schlaefli oracle."""
 
+import ast
 import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +12,9 @@ from conevol import geometry
 from conevol import volume as vo
 from conevol.cli import main
 from conevol.errors import NonConvergenceError, PathBlockedError, QuadratureError
-from conevol.families import ConeManifoldSpec, KnotFamily
+from conevol.families import ConeManifoldSpec, KnotFamily, is_torus_member
 from conevol.geometry import Regime, classify, critical_angle
+from conevol.representation import holonomy_data
 
 from oracles import figure_eight_volume
 
@@ -107,6 +110,27 @@ def test_path_independence():
     for shift in (0.1j, -0.1j):
         v = vo.volume_hyperbolic(spec8(1.2), res.roots[0], anchor_shift=shift).volume
         assert abs(v - v0) <= 1e-8
+
+
+_CLASS_DEFECT = "ROADMAP Open item 5: shifted contours leave the homotopy class"
+
+
+@pytest.mark.parametrize("family,n,fraction", [
+    # the first closing shifted path differs from the unshifted class by an
+    # imaginary period: QuadratureError with residual -/+1.761
+    pytest.param(KnotFamily.C2N2, -4, 0.2, id="C(-8,2)", marks=pytest.mark.xfail(
+        raises=QuadratureError, strict=True, reason=_CLASS_DEFECT)),
+    # no shifted candidate closes
+    pytest.param(KnotFamily.C2NMINUS2N, 2, 0.05, id="C(4,-4)", marks=pytest.mark.xfail(
+        raises=PathBlockedError, strict=True, reason=_CLASS_DEFECT)),
+])
+def test_path_independence_at_small_angles(family, n, fraction):
+    spec = ConeManifoldSpec(family, n, fraction * critical_angle(family, n))
+    y0 = classify(spec).roots[0]
+    v0 = vo.volume_hyperbolic(spec, y0).volume
+    for shift in (0.1j, -0.1j):
+        v = vo.volume_hyperbolic(spec, y0, anchor_shift=shift).volume
+        assert abs(v - v0) <= 1e-9
 
 
 def test_candidate_paths_are_clear_of_the_singular_set():
@@ -259,6 +283,62 @@ def test_spherical_contour_must_close(monkeypatch):
     monkeypatch.setattr(vo.BranchTracker, "__init__", unclosed)
     with pytest.raises(PathBlockedError):
         vo.compute_volume(spec8(2.6))
+
+
+# ------------------------------------------------------- singular length
+
+LENGTH_MEMBERS = [
+    (family, n)
+    for family in KnotFamily
+    for n in (-4, -3, -2, -1, 1, 2, 3, 4)
+    if not is_torus_member(family, n)
+] + [(FIG8, 8)]
+
+
+@pytest.mark.parametrize("family,n", LENGTH_MEMBERS, ids=lambda v: str(v))
+def test_classify_owns_the_singular_length(family, n):
+    a_k = critical_angle(family, n)
+    hyperbolic = [f * a_k for f in (0.2, 0.5, 0.8)]
+    spherical = [a_k + 0.3 * (math.pi - a_k), math.pi + 0.4 * (math.pi - a_k)]
+    for alpha in hyperbolic + spherical:
+        spec = ConeManifoldSpec(family, n, alpha)
+        res = classify(spec)
+        if alpha < a_k:
+            expected = holonomy_data(family, n, alpha, res.roots[0]).real_length
+        else:
+            expected = geometry.spherical_length(family, n, alpha)
+        assert repr(res.l_alpha) == repr(expected)
+        assert repr(vo.compute_volume(spec).l_alpha) == repr(res.l_alpha)
+
+
+def test_spherical_volume_looks_up_the_pair_once(monkeypatch):
+    critical_angle(FIG8, 1)
+    calls = []
+    state = geometry._MemberGeometry.spherical_state
+
+    def counted(self, alpha):
+        calls.append(alpha)
+        return state(self, alpha)
+
+    monkeypatch.setattr(geometry._MemberGeometry, "spherical_state", counted)
+    r = vo.compute_volume(spec8(2.6))
+    assert r.regime is Regime.SPHERICAL
+    assert len(calls) == 1
+
+
+def test_contour_layer_imports_nothing_from_representation():
+    # the singular length comes from geometry; volume never builds a holonomy
+    tree = ast.parse(Path(vo.__file__).read_text())
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            modules.append(node.module or "")
+            if node.module in (None, "conevol"):
+                modules.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            modules.extend(alias.name for alias in node.names)
+    assert "geometry" in modules
+    assert not [m for m in modules if "representation" in m.split(".")]
 
 
 # ------------------------------------------------------------- dispatch
