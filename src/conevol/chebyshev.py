@@ -150,39 +150,33 @@ def _g_from(family: KnotFamily, y, walk, pole_tol):
     return num / den, (num_p * den - num * den_p) / (den * den)
 
 
-def eval_fg(family: KnotFamily, n: int, y, pole_tol: float = POLE_TOL,
-            prime: bool = False):
+def eval_fg(family: KnotFamily, n: int, y, prime: bool = False):
     """(f_n, g_n, f'_n, g'_n) at y from a single recurrence walk.
 
     The derivatives are None unless prime.  Raises PoleError where f_n or g_n
     has a pole (f_n is checked first).
     """
     walk = eval_S_pair(n, y, prime)
-    fv, fp = _f_from(y, walk, pole_tol)
-    gv, gp = _g_from(family, y, walk, pole_tol)
+    fv, fp = _f_from(y, walk, POLE_TOL)
+    gv, gp = _g_from(family, y, walk, POLE_TOL)
     return fv, gv, fp, gp
 
 
-def eval_f(n: int, y, pole_tol: float = POLE_TOL):
-    """f_n(y); raises PoleError at y = 2 and at zeros of S_{n-1}.
-
-    pole_tol is the relative denominator guard; contour evaluation passes a
-    tiny value because its paths are kept off the poles geometrically (a
-    fourth-power denominator is legitimately ~1e-15 at distance 1e-4).
-    """
-    return _f_from(y, eval_S_pair(n, y), pole_tol)[0]
+def eval_f(n: int, y):
+    """f_n(y); raises PoleError at y = 2 and at zeros of S_{n-1}."""
+    return _f_from(y, eval_S_pair(n, y), POLE_TOL)[0]
 
 
-def eval_f_prime(n: int, y, pole_tol: float = POLE_TOL):
+def eval_f_prime(n: int, y):
     """d/dy f_n(y), assembled by the quotient rule from S and S'."""
-    return _f_from(y, eval_S_pair(n, y, True), pole_tol)[1]
+    return _f_from(y, eval_S_pair(n, y, True), POLE_TOL)[1]
 
 
-def eval_g(family: KnotFamily, n: int, y, pole_tol: float = POLE_TOL):
+def eval_g(family: KnotFamily, n: int, y):
     """Family-specific g_n(y); raises PoleError on the shared denominator zeros."""
-    return _g_from(family, y, eval_S_pair(n, y), pole_tol)[0]
+    return _g_from(family, y, eval_S_pair(n, y), POLE_TOL)[0]
 
 
-def eval_g_prime(family: KnotFamily, n: int, y, pole_tol: float = POLE_TOL):
+def eval_g_prime(family: KnotFamily, n: int, y):
     """d/dy g_n(y) by the quotient rule (needed by Newton polish, not an integrand)."""
-    return _g_from(family, y, eval_S_pair(n, y, True), pole_tol)[1]
+    return _g_from(family, y, eval_S_pair(n, y, True), POLE_TOL)[1]

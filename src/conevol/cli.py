@@ -26,15 +26,24 @@ from .families import ConeManifoldSpec, parse_family
 from .geometry import Regime, classify, collision_root, critical_angle
 from .riley import build_cone_equation, solve_cone_equation
 from .verify import ALL_SUITES, run_suites
-from .volume import _volume_for
+from .volume import QUAD_ABS_TOL, _volume_for
 
 CSV_HEADER = "alpha,regime,volume,error_estimate,l_alpha,alpha_K,status"
+_TEXT_COLUMNS = ("regime", "status")
 
 
 def _fmt(x) -> str:
     if x is None:
         return ""
     return format(float(x), ".12g")
+
+
+def _csv_cell(column: str, value) -> str:
+    return (value or "") if column in _TEXT_COLUMNS else _fmt(value)
+
+
+def _json_cell(column: str, value):
+    return value if column in _TEXT_COLUMNS or value is None else float(_fmt(value))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,7 +71,6 @@ def build_parser() -> _Parser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--cross-check", action="store_true",
                    help="also compute the Schlaefli volume")
-    p.add_argument("--tol-quad", type=float, default=1e-9)
     p.set_defaults(func=cmd_volume)
 
     p = sub.add_parser("sweep", help="volumes over an angle grid, to CSV or JSON")
@@ -73,7 +81,6 @@ def build_parser() -> _Parser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument("--cross-check", action="store_true")
-    p.add_argument("--tol-quad", type=float, default=1e-9)
     p.add_argument("--jobs", type=int, default=0,
                    help="worker threads (default: logical CPUs)")
     p.set_defaults(func=cmd_sweep)
@@ -85,8 +92,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("roots", help="cone-equation roots at a single angle")
     _add_common(p)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--tol-root", type=float, default=1e-8,
-                   help="rational-residual threshold shown in the listing")
     p.set_defaults(func=cmd_roots)
 
     p = sub.add_parser("verify", help="run the built-in verification suites")
@@ -102,11 +107,7 @@ def build_parser() -> _Parser:
 
 def _validated_spec(args) -> ConeManifoldSpec:
     family = parse_family(args.family)
-    if args.n == 0:
-        raise ValueError("n must be nonzero")
     alpha = math.radians(args.alpha) if args.degrees else args.alpha
-    if not 0.0 < alpha < 2.0 * math.pi:
-        raise ValueError(f"alpha must lie in (0, 2*pi) radians, got {alpha}")
     return ConeManifoldSpec(family, args.n, alpha)
 
 
@@ -124,7 +125,7 @@ def cmd_volume(args) -> int:
                 file=sys.stderr,
             )
             return 2
-        result = _volume_for(spec, classified, args.cross_check, args.tol_quad)
+        result = _volume_for(spec, classified, args.cross_check)
     except ConevolError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
@@ -145,8 +146,7 @@ def cmd_volume(args) -> int:
     return 0
 
 
-def _sweep_row(spec: ConeManifoldSpec, a_k: float, quad_tol: float,
-               cross_check: bool):
+def _sweep_row(spec: ConeManifoldSpec, a_k: float, cross_check: bool):
     row = {
         "alpha": spec.alpha, "regime": None, "volume": None,
         "error_estimate": None, "l_alpha": None, "alpha_K": a_k,
@@ -156,7 +156,7 @@ def _sweep_row(spec: ConeManifoldSpec, a_k: float, quad_tol: float,
         classified = classify(spec)
         if classified.regime is Regime.OUT_OF_RANGE:
             return {**row, "regime": classified.regime.value, "status": "out_of_range"}
-        r = _volume_for(spec, classified, cross_check, quad_tol)
+        r = _volume_for(spec, classified, cross_check)
     except (ConevolError, ValueError) as exc:
         return {**row, "status": f"error:{type(exc).__name__}"}
     return {
@@ -169,54 +169,29 @@ def _sweep_row(spec: ConeManifoldSpec, a_k: float, quad_tol: float,
 def cmd_sweep(args) -> int:
     try:
         family = parse_family(args.family)
-        if args.n == 0:
-            raise ValueError("n must be nonzero")
         if args.count < 1:
             raise ValueError("count must be >= 1")
         start, stop = args.alpha_start, args.alpha_stop
         if args.degrees:
             start, stop = math.radians(start), math.radians(stop)
-        if not (0.0 < start <= stop < 2.0 * math.pi):
-            raise ValueError("need 0 < start <= stop < 2*pi (radians)")
+        if start > stop:
+            raise ValueError("need start <= stop")
+        step = (stop - start) / (args.count - 1) if args.count > 1 else 0.0
+        specs = [ConeManifoldSpec(family, args.n, start + i * step)
+                 for i in range(args.count)]
         a_k = critical_angle(family, args.n)
     except (ValueError, ConevolError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    if args.count == 1:
-        alphas = [start]
-    else:
-        step = (stop - start) / (args.count - 1)
-        alphas = [start + i * step for i in range(args.count)]
-    specs = [ConeManifoldSpec(family, args.n, a) for a in alphas]
     jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
-    def row_of(s):
-        return _sweep_row(s, a_k, args.tol_quad, args.cross_check)
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        rows = list(pool.map(lambda s: _sweep_row(s, a_k, args.cross_check), specs))
 
-    if jobs == 1:
-        rows = [row_of(s) for s in specs]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(row_of, specs))
-
-    extra = ["schlafli_volume"] if args.cross_check else []
+    columns = CSV_HEADER.split(",") + (["schlafli_volume"] if args.cross_check else [])
     if args.format == "csv":
-        lines = [",".join([CSV_HEADER, *extra])]
-        for row in rows:
-            lines.append(
-                ",".join(
-                    [
-                        _fmt(row["alpha"]),
-                        row["regime"] or "",
-                        _fmt(row["volume"]),
-                        _fmt(row["error_estimate"]),
-                        _fmt(row["l_alpha"]),
-                        _fmt(row["alpha_K"]),
-                        row["status"],
-                        *(_fmt(row[k]) for k in extra),
-                    ]
-                )
-            )
+        lines = [",".join(columns)]
+        lines.extend(",".join(_csv_cell(c, row[c]) for c in columns) for row in rows)
         payload = "\n".join(lines) + "\n"
     else:
         meta = {
@@ -227,24 +202,9 @@ def cmd_sweep(args) -> int:
             "alpha_stop": float(_fmt(stop)),
             "count": args.count,
             "input_degrees": bool(args.degrees),
-            "tol_quad": args.tol_quad,
+            "tol_quad": QUAD_ABS_TOL,
         }
-        out_rows = []
-        for row in rows:
-            out_rows.append(
-                {
-                    "alpha": float(_fmt(row["alpha"])),
-                    "regime": row["regime"],
-                    "volume": None if row["volume"] is None else float(_fmt(row["volume"])),
-                    "error_estimate": None
-                    if row["error_estimate"] is None
-                    else float(_fmt(row["error_estimate"])),
-                    "l_alpha": None if row["l_alpha"] is None else float(_fmt(row["l_alpha"])),
-                    "alpha_K": float(_fmt(row["alpha_K"])),
-                    "status": row["status"],
-                    **{k: None if row[k] is None else float(_fmt(row[k])) for k in extra},
-                }
-            )
+        out_rows = [{c: _json_cell(c, row[c]) for c in columns} for row in rows]
         payload = json.dumps({"metadata": meta, "rows": out_rows}, indent=2) + "\n"
 
     try:
@@ -262,8 +222,6 @@ def cmd_sweep(args) -> int:
 def cmd_critical_angle(args) -> int:
     try:
         family = parse_family(args.family)
-        if args.n == 0:
-            raise ValueError("n must be nonzero")
         a_k = critical_angle(family, args.n)
         y_star = collision_root(family, args.n)
     except (ValueError, ConevolError) as exc:

@@ -196,11 +196,10 @@ class _Branch:
         family, n = self.family, self.n
         a, y = self.track.alphas[-1], self.track.states[-1]
         step = MARCH_STEP
-        ceiling = math.pi - 0.02
         while True:
-            if a >= ceiling - 1e-12:
+            if a >= math.pi - 1e-12:
                 return  # survived past the window: not a transition in (0, pi)
-            cand = min(a + step, ceiling)
+            cand = min(a + step, math.pi)
             matched, ok = _match_unambiguous(_moving_roots(family, n, cand), y)
             if ok and abs(matched.imag) > COLLISION_IM_TOL:
                 a, y = cand, matched
@@ -404,9 +403,12 @@ class _MemberGeometry:
     def spherical_state(self, alpha: float):
         """((r1, r2), unwrapped phase difference) at a folded angle in (a_K, pi].
 
-        The track advances to alpha and stores nodes; the lookup then steps
-        from the nearest node and stores nothing.  Both angles lie in
-        (2*pi/3, pi], so alpha - a is exact and the last step lands on alpha.
+        The track advances past alpha and stores nodes; the lookup then steps
+        from the nearest node and stores nothing.  Each advance aims at pi,
+        not at alpha, so the nodes are a prefix of one fixed sequence and the
+        result does not depend on which angles were asked before.  Both
+        angles lie in (2*pi/3, pi], so alpha - a is exact and the last step
+        lands on alpha.
         """
         with self._sph_lock:
             if self.sph is None:
@@ -417,7 +419,7 @@ class _MemberGeometry:
                 return self._split_state(alpha)
             while track.alphas[-1] < alpha - 1e-15:
                 cur = track.alphas[-1]
-                step = min(MARCH_STEP / 2.0, alpha - cur)
+                step = min(MARCH_STEP / 2.0, math.pi - cur)
                 track.add(*self._sph_step(cur, track.states[-1], step))
             a, state = track.nearest(alpha)
         while True:

@@ -38,6 +38,7 @@ SPURIOUS_EPS = 1e-8
 RESIDUAL_TOL = 1e-8
 UNIT_F_TOL = 1e-8
 NEWTON_MAX_STEPS = 100
+NEWTON_POLY_STEPS = 50  # Newton steps polishing a root of the parasite gcd
 
 
 def trace_u(n: int, x, y):
@@ -304,9 +305,9 @@ def _parasite_roots(parasite: tuple) -> tuple:
     return tuple(_newton_on_poly(parasite, complex(y0)) for y0 in roots)
 
 
-def _newton_on_poly(coeffs, y: complex, steps: int = 50) -> complex:
+def _newton_on_poly(coeffs, y: complex) -> complex:
     deriv = xp.p_deriv(coeffs)
-    for _ in range(steps):
+    for _ in range(NEWTON_POLY_STEPS):
         pv = xp.p_eval(coeffs, y)
         dv = xp.p_eval(deriv, y)
         if dv == 0:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .chebyshev import eval_S
 from .families import ConeManifoldSpec, KnotFamily, is_torus_member
-from .geometry import classify, critical_angle
+from .geometry import critical_angle, select_hyperbolic_root, select_spherical_roots
 from .representation import (
     relation_residual,
     w12_closed_form_even,
@@ -107,19 +107,27 @@ def suite_lemma_cd(n_values=(-2, -1, 1, 2), angles: int = 20, tol: float = 1e-7,
 
 def suite_representation(n_values=(-2, -1, 1, 2), angles: int = 6,
                          tol: float = 1e-9) -> SuiteResult:
-    """Selected geometric roots satisfy the defining matrix relation."""
+    """Selected geometric roots satisfy the defining matrix relation.
+
+    The grid knows each angle's regime, so the roots come from the selectors
+    alone: no singular length is computed.
+    """
     worst = 0.0
     checked = 0
     for family, n in _default_members(n_values):
         a_k = critical_angle(family, n)
         p = family.word_exponent(n)
-        grid = list(np.linspace(0.1, a_k - 0.05, angles)) + list(
-            np.linspace(a_k + 0.05, math.pi, angles)
-        )
-        for alpha in grid:
-            res = classify(ConeManifoldSpec(family, n, float(alpha)))
+
+        def spec(alpha):
+            return ConeManifoldSpec(family, n, float(alpha))
+
+        selected = [(a, (select_hyperbolic_root(spec(a)),))
+                    for a in np.linspace(0.1, a_k - 0.05, angles)]
+        selected += [(a, select_spherical_roots(spec(a)))
+                     for a in np.linspace(a_k + 0.05, math.pi, angles)]
+        for alpha, roots in selected:
             m = cmath.exp(0.5j * alpha)
-            for y in res.roots:
+            for y in roots:
                 worst = max(worst, relation_residual(family, n, p, m, complex(y)))
                 checked += 1
     return SuiteResult(

@@ -73,6 +73,9 @@ from .geometry import (
 R_EXCL = 1e-4
 QUAD_ABS_TOL = 1e-9
 QUAD_MAX_SUBDIV = 2000
+SCHLAFLI_QUAD_TOL = 1e-8
+TRACKER_INIT_STEPS = 32  # initial branch-tracker grid steps per path segment
+PATH_CLEARANCE = 1e-7  # least distance from a candidate path to a singular point
 IMAG_RESIDUAL_TOL = 1e-7
 TRANSITION_WINDOW = 1e-3
 
@@ -100,7 +103,7 @@ def _s_diff_zeros(j: int):
     return [2.0 * math.cos((2 * k + 1) * math.pi / (2 * j + 1)) for k in range(j)]
 
 
-def real_singular_points(family: KnotFamily, n: int, include_f_zeros: bool = False):
+def real_singular_points(n: int, include_f_zeros: bool = False):
     """Real singularities of the integrand: poles of f and g, f = +/-1, g = 0.
 
     All are exact cosines: y = 2 and the zeros of S_{n-1} (poles), the zeros
@@ -203,7 +206,7 @@ def _candidate_paths(family: KnotFamily, n: int, A: float, y0: complex,
     axis as the angle shrinks.  Only paths clear of the real singular set
     are yielded.
     """
-    reals = real_singular_points(family, n, include_f_zeros=True)
+    reals = real_singular_points(n, include_f_zeros=True)
     y_star = collision_root(family, n)
     zeros = [z for z in _log_zero_points(n, A) if z.imag > 1e-9]
     verticals = sorted(
@@ -237,19 +240,19 @@ def _candidate_paths(family: KnotFamily, n: int, A: float, y0: complex,
         yield from (path for path in paths if _path_clear(path, reals))
 
 
-def _path_clear(path: tuple, obstacles, margin: float = 1e-7) -> bool:
+def _path_clear(path: tuple, obstacles) -> bool:
     for s in obstacles:
         for leg in path:
             if abs(complex(s) - leg.z0) < 1e-15 or abs(complex(s) - leg.z1) < 1e-15:
                 continue
-            if _dist_point_segment(complex(s), leg.z0, leg.z1) < margin:
+            if _dist_point_segment(complex(s), leg.z0, leg.z1) < PATH_CLEARANCE:
                 return False
     return True
 
 
-def spherical_path(family: KnotFamily, n: int, y_from: float, y_to: float):
+def spherical_path(n: int, y_from: float, y_to: float):
     """Real segment y_from -> y_to with upper-half-plane arcs over singularities."""
-    obstacles = real_singular_points(family, n)
+    obstacles = real_singular_points(n)
     lo, hi = min(y_from, y_to), max(y_from, y_to)
     inside = [s for s in obstacles if lo + 1e-12 < s < hi - 1e-12]
     for s in obstacles:
@@ -293,11 +296,11 @@ class BranchTracker:
 
     MAX_SAMPLES = 200_000
 
-    def __init__(self, ratio, n_segments: int, init_per_segment: int = 33):
+    def __init__(self, ratio, n_segments: int):
         self.ratio = ratio
         grid: list = []
         for k in range(n_segments):
-            grid.extend(k + i / (init_per_segment - 1) for i in range(init_per_segment - 1))
+            grid.extend(k + i / TRACKER_INIT_STEPS for i in range(TRACKER_INIT_STEPS))
         grid.append(float(n_segments))
         args = [cmath.phase(ratio(t)) for t in grid]
         ts = [grid[0]]
@@ -443,7 +446,7 @@ class VolumeResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _contour(spec: ConeManifoldSpec, paths, rotation: complex, quad_tol: float):
+def _contour(spec: ConeManifoldSpec, paths, rotation: complex):
     """rotation * INT over the first path whose tracked log closes.
 
     R = 1 at both endpoints, so a path on which the tracked log does not
@@ -470,7 +473,7 @@ def _contour(spec: ConeManifoldSpec, paths, rotation: complex, quad_tol: float):
     total = 0j
     err = 0.0
     for k in range(len(path)):
-        v, e = adaptive_quad(integrand, float(k), float(k + 1), quad_tol)
+        v, e = adaptive_quad(integrand, float(k), float(k + 1))
         total += v
         err += e
     value = rotation * total
@@ -483,7 +486,6 @@ def _contour(spec: ConeManifoldSpec, paths, rotation: complex, quad_tol: float):
 
 
 def volume_hyperbolic(spec: ConeManifoldSpec, y0: complex,
-                      quad_tol: float = QUAD_ABS_TOL,
                       anchor_shift: complex = 0.0) -> VolumeResult:
     """Contour volume at a hyperbolic angle from the selected root y0.
 
@@ -493,7 +495,7 @@ def volume_hyperbolic(spec: ConeManifoldSpec, y0: complex,
     """
     family, n = spec.family, spec.n
     paths = _candidate_paths(family, n, spec.cot_half, y0, anchor_shift)
-    value, err, windings, path = _contour(spec, paths, 1j, quad_tol)
+    value, err, windings, path = _contour(spec, paths, 1j)
     return VolumeResult(
         spec,
         Regime.HYPERBOLIC,
@@ -505,12 +507,12 @@ def volume_hyperbolic(spec: ConeManifoldSpec, y0: complex,
     )
 
 
-def volume_spherical(spec: ConeManifoldSpec, y_plus: float, y_minus: float,
-                     quad_tol: float = QUAD_ABS_TOL) -> VolumeResult:
+def volume_spherical(spec: ConeManifoldSpec, y_plus: float,
+                     y_minus: float) -> VolumeResult:
     """Contour volume from the selected real pair; l_alpha is left to classify."""
     family, n = spec.family, spec.n
-    paths = (spherical_path(family, n, y_plus, y_minus),)
-    value, err, windings, path = _contour(spec, paths, 1, quad_tol)
+    paths = (spherical_path(n, y_plus, y_minus),)
+    value, err, windings, path = _contour(spec, paths, 1)
     flipped = False
     if value.real < 0.0:
         value = -value
@@ -531,7 +533,7 @@ def volume_spherical(spec: ConeManifoldSpec, y_plus: float, y_minus: float,
     )
 
 
-def volume_schlafli(spec: ConeManifoldSpec, quad_tol: float = 1e-8) -> float:
+def volume_schlafli(spec: ConeManifoldSpec) -> float:
     """Volume by integrating the singular geodesic length from the transition.
 
     Independent of the contour machinery: only root continuation and the
@@ -556,18 +558,16 @@ def volume_schlafli(spec: ConeManifoldSpec, quad_tol: float = 1e-8) -> float:
             beta = a_k + t * t
             return spherical_length(family, n, beta) * t
 
-    val, _ = adaptive_quad(integrand, 0.0, span, quad_tol)
+    val, _ = adaptive_quad(integrand, 0.0, span, SCHLAFLI_QUAD_TOL)
     return float(val)
 
 
-def compute_volume(spec: ConeManifoldSpec, cross_check: bool = False,
-                   quad_tol: float = QUAD_ABS_TOL) -> VolumeResult:
+def compute_volume(spec: ConeManifoldSpec, cross_check: bool = False) -> VolumeResult:
     """Classify the angle and evaluate the volume (Schlaefli near transitions)."""
-    return _volume_for(spec, classify(spec), cross_check, quad_tol)
+    return _volume_for(spec, classify(spec), cross_check)
 
 
-def _volume_for(spec: ConeManifoldSpec, result, cross_check: bool,
-                quad_tol: float) -> VolumeResult:
+def _volume_for(spec: ConeManifoldSpec, result, cross_check: bool) -> VolumeResult:
     """compute_volume for an angle already classified as result."""
     if result.regime is Regime.OUT_OF_RANGE:
         raise ValueError(
@@ -592,9 +592,9 @@ def _volume_for(spec: ConeManifoldSpec, result, cross_check: bool,
             diagnostics={"regularized": True},
         )
     if result.regime is Regime.HYPERBOLIC:
-        out = volume_hyperbolic(spec, result.roots[0], quad_tol)
+        out = volume_hyperbolic(spec, result.roots[0])
     else:
-        out = volume_spherical(spec, result.roots[0], result.roots[1], quad_tol)
+        out = volume_spherical(spec, result.roots[0], result.roots[1])
     out.l_alpha = result.l_alpha
     if cross_check:
         out.schlafli_volume = volume_schlafli(spec)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import sympy as sp
 
@@ -142,3 +143,57 @@ def sympy_cone_polynomial(family_token: str, n: int):
         c0 = sp.expand(n_f**2 * s_nm1**2 - 1)
         c1 = sp.expand((y - 2) ** 2 * s_nm1**4 - 1)
     return c0, c1, y
+
+
+# ------------------------------------------------------ 60-digit longitude
+
+def _mp_S(k: int, y):
+    """S_k(y) by the recurrence in mpmath arithmetic, any integer k."""
+    lo, hi = mpmath.mpf(1), y  # S_0, S_1
+    if k >= 1:
+        for _ in range(k - 1):
+            lo, hi = hi, y * hi - lo
+        return hi
+    for _ in range(-k):
+        lo, hi = y * lo - hi, lo
+    return lo
+
+
+def singular_length_60(family_token: str, n: int, alpha: float, y_guess: complex):
+    """(2*log|ell|, root) at 60 digits, from the double-precision root y_guess.
+
+    The root is polished by mpmath.findroot on f^2 + A^2 = (1 + A^2) g, and
+    ell is the (2,2)-entry of rho(w*) rho(w), the reversed word times the
+    word, multiplied letter by letter from the generator images.
+    """
+    with mpmath.workdps(60):
+        a2 = mpmath.cot(mpmath.mpf(alpha) / 2) ** 2
+
+        def cone(y):
+            s_nm1, s_n = _mp_S(n - 1, y), _mp_S(n, y)
+            f = (2 * s_n - y * s_nm1) / ((y - 2) * s_nm1)
+            if family_token == "c2n3":
+                g = -((s_n - s_nm1) ** 2) / ((y - 2) ** 3 * s_nm1**4)
+            elif family_token == "c2n2":
+                g = -(s_n - s_nm1) / ((y - 2) ** 2 * s_nm1**3)
+            else:
+                g = 1 / ((y - 2) ** 2 * s_nm1**4)
+            return f * f + a2 - (1 + a2) * g
+
+        y = mpmath.findroot(cone, mpmath.mpc(y_guess))
+        m = mpmath.expj(mpmath.mpf(alpha) / 2)
+        if family_token == "c2n3":
+            word = letters_odd(n, 1)
+            low = y - m * m - 1 / (m * m)
+        else:
+            word = letters_even(n, 1 if family_token == "c2n2" else -n)
+            low = 2 - y
+        gens = {"a": mpmath.matrix([[m, 1], [0, 1 / m]]),
+                "b": mpmath.matrix([[m, 0], [low, 1 / m]])}
+        for c in "ab":  # determinant-1 inverses
+            g = gens[c]
+            gens[c.upper()] = mpmath.matrix([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]])
+        longitude = mpmath.eye(2)
+        for c in list(reversed(word)) + word:
+            longitude = longitude * gens[c]
+        return float(2 * mpmath.log(abs(longitude[1, 1]))), complex(y)

@@ -261,24 +261,32 @@ def test_kernel_and_views_match_the_plain_recurrence_exactly(y):
         walk = (s[n - 1], s[n], d[n - 1], d[n])
         assert repr(ch.eval_S_pair(n, y, True)) == repr(walk)
         assert repr(ch.eval_S_pair(n, y)) == repr(walk[:2] + (None, None))
-        for tol in (ch.POLE_TOL, 1e-60):
-            ref_f = _outcome(_ref_f, n, y, s, d, tol)
-            assert _outcome(lambda: ch.eval_f(n, y, tol)) == _outcome(
-                lambda: _ref_f(n, y, s, d, tol)[0])
-            assert _outcome(lambda: ch.eval_f_prime(n, y, tol)) == _outcome(
-                lambda: _ref_f(n, y, s, d, tol)[1])
-            for family in KnotFamily:
-                ref_g = _outcome(_ref_g, family, n, y, s, d, tol)
-                assert _outcome(lambda: ch.eval_g(family, n, y, tol)) == _outcome(
-                    lambda: _ref_g(family, n, y, s, d, tol)[0])
-                assert _outcome(lambda: ch.eval_g_prime(family, n, y, tol)) == _outcome(
-                    lambda: _ref_g(family, n, y, s, d, tol)[1])
-                if "PoleError" in (ref_f, ref_g):
-                    with pytest.raises(PoleError):
-                        ch.eval_fg(family, n, y, tol, prime=True)
-                    continue
-                fv, fp = _ref_f(n, y, s, d, tol)
-                gv, gp = _ref_g(family, n, y, s, d, tol)
-                assert repr(ch.eval_fg(family, n, y, tol, prime=True)) == repr(
-                    (fv, gv, fp, gp))
-                assert repr(ch.eval_fg(family, n, y, tol)) == repr((fv, gv, None, None))
+        tol = ch.POLE_TOL
+        ref_f = _outcome(_ref_f, n, y, s, d, tol)
+        assert _outcome(lambda: ch.eval_f(n, y)) == _outcome(
+            lambda: _ref_f(n, y, s, d, tol)[0])
+        assert _outcome(lambda: ch.eval_f_prime(n, y)) == _outcome(
+            lambda: _ref_f(n, y, s, d, tol)[1])
+        for family in KnotFamily:
+            ref_g = _outcome(_ref_g, family, n, y, s, d, tol)
+            assert _outcome(lambda: ch.eval_g(family, n, y)) == _outcome(
+                lambda: _ref_g(family, n, y, s, d, tol)[0])
+            assert _outcome(lambda: ch.eval_g_prime(family, n, y)) == _outcome(
+                lambda: _ref_g(family, n, y, s, d, tol)[1])
+            if "PoleError" in (ref_f, ref_g):
+                with pytest.raises(PoleError):
+                    ch.eval_fg(family, n, y, prime=True)
+                continue
+            fv, fp = _ref_f(n, y, s, d, tol)
+            gv, gp = _ref_g(family, n, y, s, d, tol)
+            assert repr(ch.eval_fg(family, n, y, prime=True)) == repr((fv, gv, fp, gp))
+            assert repr(ch.eval_fg(family, n, y)) == repr((fv, gv, None, None))
+        # the contour integrand calls the assemblers with its own guard, 1e-60
+        tiny = 1e-60
+        assert _outcome(ch._f_from, y, walk, tiny) == _outcome(_ref_f, n, y, s, d, tiny)
+        for family in KnotFamily:
+            ref_g = _outcome(lambda: _ref_g(family, n, y, s, d, tiny)[0])
+            assert _outcome(ch._g_from, family, y, walk, tiny) == _outcome(
+                _ref_g, family, n, y, s, d, tiny)
+            assert _outcome(lambda: ch._g_from(family, y, walk[:2] + (None, None),
+                                               tiny)[0]) == ref_g

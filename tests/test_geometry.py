@@ -17,6 +17,8 @@ from conevol.families import ConeManifoldSpec, KnotFamily, is_torus_member
 from conevol.representation import relation_residual
 from conevol.riley import build_cone_equation
 
+from oracles import singular_length_60
+
 MEMBERS = [
     (family, n)
     for family in KnotFamily
@@ -256,10 +258,58 @@ def test_track_nearest_matches_the_linear_scan(alpha):
     assert track.nearest(alpha) == (NODES[i], f"s{i}")
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP Open item 1: march ceiling at pi - 0.02")
 def test_critical_angle_of_c16_minus16():
-    # 3.1222269291861986 is the collision with the march ceiling at pi - 1e-3;
-    # the geometric branch has not collided by pi - 0.02, so today a
-    # non-geometric branch wins at 2.9715
+    # the geometric branch collides above pi - 0.02: a march that stops there
+    # lets a non-geometric branch win at 2.9715
     a_k = ge.critical_angle(KnotFamily.C2NMINUS2N, 8)
     assert a_k == pytest.approx(3.1222269291861986, abs=1e-9)
+
+
+@pytest.mark.parametrize("n,a_k", [(9, 3.1263061886817187), (10, 3.1292192030523864)])
+def test_critical_angle_of_c18_minus18_and_c20_minus20(n, a_k):
+    assert ge.critical_angle(KnotFamily.C2NMINUS2N, n) == pytest.approx(a_k, abs=1e-9)
+
+
+def test_critical_angle_of_c2n_minus2n_increases_with_n():
+    angles = [ge.critical_angle(KnotFamily.C2NMINUS2N, n) for n in range(2, 11)]
+    assert all(a < b for a, b in zip(angles, angles[1:]))
+
+
+def _cold_spherical_lengths(family, n, descending):
+    ge.clear_caches()
+    a_k = ge.critical_angle(family, n)
+    grid = [float(a) for a in np.linspace(a_k, math.pi, 14)[1:-1]]
+    order = grid[::-1] if descending else grid
+    return {a: repr(ge.spherical_length(family, n, a)) for a in order}
+
+
+@pytest.mark.parametrize("family,n", [(KnotFamily.C2N2, 1), (KnotFamily.C2N3, 2),
+                                      (KnotFamily.C2NMINUS2N, 4), (KnotFamily.C2N2, 8)])
+def test_spherical_length_does_not_depend_on_query_order(family, n):
+    # advances must not aim at the queried angle: doing so made C(2,2) at
+    # 2.738824364668025 read ...911 ascending and ...912 descending
+    ascending = _cold_spherical_lengths(family, n, False)
+    assert _cold_spherical_lengths(family, n, True) == ascending
+
+
+# C(2,2), C(4,3) and C(16,2), where the matrix longitude is accurate
+ORACLE_POINTS = [(KnotFamily.C2N2, 1, 1.0), (KnotFamily.C2N3, 2, 1.0),
+                 (KnotFamily.C2N2, 8, 0.5)]
+
+
+@pytest.mark.parametrize("family,n,alpha", ORACLE_POINTS)
+def test_singular_length_matches_the_60_digit_oracle(family, n, alpha):
+    res = ge.classify(ConeManifoldSpec(family, n, alpha))
+    length, y = singular_length_60(family.value, n, alpha, res.roots[0])
+    assert abs(y - res.roots[0]) <= 1e-14
+    assert abs(res.l_alpha - length) <= 2e-14
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP Open item 4: matrix longitude off by 3.4e-13")
+def test_singular_length_of_c8_minus8_at_a_small_angle():
+    # the 60-digit length is 0.14228245401260867; the rational longitude
+    # (c+1)/(c-1) gets within 1.4e-16 of it, the word matrices 3.4e-13 away
+    alpha = 0.06173060880012988
+    res = ge.classify(ConeManifoldSpec(KnotFamily.C2NMINUS2N, 4, alpha))
+    length, _ = singular_length_60("c2nm2n", 4, alpha, res.roots[0])
+    assert abs(res.l_alpha - length) <= 2e-14

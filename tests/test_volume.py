@@ -56,7 +56,7 @@ def test_singular_points_are_actual_zeros():
     from conevol.chebyshev import eval_S, eval_f
 
     for n in (-3, -2, 2, 3):
-        pts = vo.real_singular_points(KnotFamily.C2N3, n)
+        pts = vo.real_singular_points(n)
         assert 2.0 in pts
         for s in pts:
             if s == 2.0:
@@ -67,7 +67,7 @@ def test_singular_points_are_actual_zeros():
                 abs(eval_S(n - 1, s) - eval_S(n - 2, s)),
             ]
             assert min(vals) < 1e-12
-        with_f = vo.real_singular_points(KnotFamily.C2N3, n, include_f_zeros=True)
+        with_f = vo.real_singular_points(n, include_f_zeros=True)
         for s in set(with_f) - set(pts):
             assert abs(eval_f(n, s)) < 1e-12
 
@@ -137,7 +137,7 @@ def test_candidate_paths_are_clear_of_the_singular_set():
     # one V of C(16,2) at 0.95 a_K runs through the singular point x = 1.96158
     spec = ConeManifoldSpec(FIG8, 8, 0.95 * critical_angle(FIG8, 8))
     y0 = classify(spec).roots[0]
-    reals = vo.real_singular_points(FIG8, 8, include_f_zeros=True)
+    reals = vo.real_singular_points(8, include_f_zeros=True)
     paths = list(vo._candidate_paths(FIG8, 8, spec.cot_half, y0))
     assert len(paths) > 1
     assert all(vo._path_clear(path, reals) for path in paths)
@@ -435,8 +435,8 @@ alpha,regime,volume,error_estimate,l_alpha,alpha_K,status
 @pytest.mark.parametrize("key", sorted(GOLDEN_SWEEPS), ids=lambda k: f"{k[0]}-n{k[1]}")
 def test_two_regime_sweep_matches_golden_csv(key, capsys):
     family, n, start, stop, count = key
-    # the spherical lengths read a trace grown lazily in query order: start
-    # from empty caches so the node set does not depend on earlier tests
+    # cold caches, as in a fresh process; the spherical track's nodes are a
+    # prefix of one fixed sequence, so earlier queries would not change a byte
     geometry.clear_caches()
     assert main([
         "sweep", "--family", family, "--n", n, "--alpha-start", start,
@@ -445,6 +445,15 @@ def test_two_regime_sweep_matches_golden_csv(key, capsys):
     out = capsys.readouterr().out
     assert {"hyperbolic", "spherical"} <= {r.split(",")[1] for r in out.splitlines()[1:]}
     assert out == GOLDEN_SWEEPS[key]
+
+
+def test_cross_checked_volume_of_c16_minus16():
+    # the non-geometric branch that collides at 2.9715 gives 5.33649 here
+    spec = ConeManifoldSpec(KnotFamily.C2NMINUS2N, 8,
+                            0.5 * critical_angle(KnotFamily.C2NMINUS2N, 8))
+    r = vo.compute_volume(spec, cross_check=True)
+    assert r.volume == pytest.approx(5.82464414394, abs=1e-10)
+    assert abs(r.volume - r.schlafli_volume) <= 1e-10
 
 
 @pytest.mark.xfail(raises=NonConvergenceError, strict=True,
