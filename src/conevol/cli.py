@@ -5,6 +5,10 @@ in radians unless --degrees is given (converted at parse time and recorded in
 the output metadata).  Floats print with 12 significant digits; identical
 configurations produce bitwise-identical output.
 
+Sweep rows are computed in order on the calling thread; --jobs is accepted
+and ignored.  A failure ends in one stderr line: "error: <Type>: <message>"
+for a library error, "error: <message>" for bad input or I/O.
+
 Exit codes: 0 success, 1 validation/numerical/I-O failure, 2 out-of-range
 angle, 3 verification failure.
 """
@@ -14,9 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from . import __version__
@@ -82,7 +84,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument("--cross-check", action="store_true")
     p.add_argument("--jobs", type=int, default=0,
-                   help="worker threads (default: logical CPUs)")
+                   help="accepted and ignored: rows run in order")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("critical-angle", help="transition angle of a family member")
@@ -111,82 +113,68 @@ def _validated_spec(args) -> ConeManifoldSpec:
     return ConeManifoldSpec(family, args.n, alpha)
 
 
-def cmd_volume(args) -> int:
-    try:
-        spec = _validated_spec(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        classified = classify(spec)
-        if classified.regime is Regime.OUT_OF_RANGE:
-            print(
-                f"error: alpha={_fmt(spec.alpha)} is beyond the spherical band",
-                file=sys.stderr,
-            )
-            return 2
-        result = _volume_for(spec, classified, args.cross_check)
-    except ConevolError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    record = {
-        "family": spec.family.value,
-        "n": spec.n,
-        "alpha": float(_fmt(spec.alpha)),
-        "regime": result.regime.value,
-        "volume": float(_fmt(result.volume)),
-        "error_estimate": float(_fmt(result.error_estimate)),
-        "alpha_K": float(_fmt(critical_angle(spec.family, spec.n))),
+def _blank_row(alpha: float, a_k: float, status: str) -> dict:
+    return {"alpha": alpha, "regime": None, "volume": None, "error_estimate": None,
+            "l_alpha": None, "alpha_K": a_k, "schlafli_volume": None, "status": status}
+
+
+def _volume_row(spec: ConeManifoldSpec, cross_check: bool) -> dict:
+    """Classify, then integrate: one angle's sweep columns plus schlafli_volume."""
+    classified = classify(spec)
+    if classified.regime is Regime.OUT_OF_RANGE:
+        row = _blank_row(spec.alpha, classified.critical_angle, "out_of_range")
+        return {**row, "regime": classified.regime.value}
+    r = _volume_for(spec, classified, cross_check)
+    return {
+        "alpha": spec.alpha, "regime": r.regime.value, "volume": r.volume,
+        "error_estimate": r.error_estimate, "l_alpha": r.l_alpha,
+        "alpha_K": classified.critical_angle, "schlafli_volume": r.schlafli_volume,
+        "status": "ok",
     }
-    if result.schlafli_volume is not None:
-        record["schlafli_volume"] = float(_fmt(result.schlafli_volume))
+
+
+def cmd_volume(args) -> int:
+    spec = _validated_spec(args)
+    row = _volume_row(spec, args.cross_check)
+    if row["status"] == "out_of_range":
+        print(
+            f"error: alpha={_fmt(spec.alpha)} is beyond the spherical band",
+            file=sys.stderr,
+        )
+        return 2
+    record = {"family": spec.family.value, "n": spec.n}
+    for c in ("alpha", "regime", "volume", "error_estimate", "alpha_K",
+              "schlafli_volume"):
+        if row[c] is not None:  # schlafli_volume is None without --cross-check
+            record[c] = _json_cell(c, row[c])
     if args.degrees:
         record["input_degrees"] = True
     print(json.dumps(record))
     return 0
 
 
-def _sweep_row(spec: ConeManifoldSpec, a_k: float, cross_check: bool):
-    row = {
-        "alpha": spec.alpha, "regime": None, "volume": None,
-        "error_estimate": None, "l_alpha": None, "alpha_K": a_k,
-        "schlafli_volume": None,
-    }
+def _sweep_row(spec: ConeManifoldSpec, a_k: float, cross_check: bool) -> dict:
+    """_volume_row; a failed angle keeps its place, with the error as its status."""
     try:
-        classified = classify(spec)
-        if classified.regime is Regime.OUT_OF_RANGE:
-            return {**row, "regime": classified.regime.value, "status": "out_of_range"}
-        r = _volume_for(spec, classified, cross_check)
+        return _volume_row(spec, cross_check)
     except (ConevolError, ValueError) as exc:
-        return {**row, "status": f"error:{type(exc).__name__}"}
-    return {
-        **row, "regime": r.regime.value, "volume": r.volume,
-        "error_estimate": r.error_estimate, "l_alpha": r.l_alpha,
-        "schlafli_volume": r.schlafli_volume, "status": "ok",
-    }
+        return _blank_row(spec.alpha, a_k, f"error:{type(exc).__name__}")
 
 
 def cmd_sweep(args) -> int:
-    try:
-        family = parse_family(args.family)
-        if args.count < 1:
-            raise ValueError("count must be >= 1")
-        start, stop = args.alpha_start, args.alpha_stop
-        if args.degrees:
-            start, stop = math.radians(start), math.radians(stop)
-        if start > stop:
-            raise ValueError("need start <= stop")
-        step = (stop - start) / (args.count - 1) if args.count > 1 else 0.0
-        specs = [ConeManifoldSpec(family, args.n, start + i * step)
-                 for i in range(args.count)]
-        a_k = critical_angle(family, args.n)
-    except (ValueError, ConevolError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        rows = list(pool.map(lambda s: _sweep_row(s, a_k, args.cross_check), specs))
+    family = parse_family(args.family)
+    if args.count < 1:
+        raise ValueError("count must be >= 1")
+    start, stop = args.alpha_start, args.alpha_stop
+    if args.degrees:
+        start, stop = math.radians(start), math.radians(stop)
+    if start > stop:
+        raise ValueError("need start <= stop")
+    step = (stop - start) / (args.count - 1) if args.count > 1 else 0.0
+    specs = [ConeManifoldSpec(family, args.n, start + i * step)
+             for i in range(args.count)]
+    a_k = critical_angle(family, args.n)
+    rows = [_sweep_row(spec, a_k, args.cross_check) for spec in specs]
 
     columns = CSV_HEADER.split(",") + (["schlafli_volume"] if args.cross_check else [])
     if args.format == "csv":
@@ -207,49 +195,33 @@ def cmd_sweep(args) -> int:
         out_rows = [{c: _json_cell(c, row[c]) for c in columns} for row in rows]
         payload = json.dumps({"metadata": meta, "rows": out_rows}, indent=2) + "\n"
 
-    try:
-        if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(payload)
-        else:
-            sys.stdout.write(payload)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(payload)
+    else:
+        sys.stdout.write(payload)
     return 0
 
 
 def cmd_critical_angle(args) -> int:
-    try:
-        family = parse_family(args.family)
-        a_k = critical_angle(family, args.n)
-        y_star = collision_root(family, args.n)
-    except (ValueError, ConevolError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    family = parse_family(args.family)
+    a_k = critical_angle(family, args.n)
+    y_star = collision_root(family, args.n)
     print(f"alpha_K={a_k:.10f} collided_root={_fmt(y_star)}")
     return 0
 
 
 def cmd_roots(args) -> int:
-    try:
-        spec = _validated_spec(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        eq = build_cone_equation(spec.family, spec.n, spec.cot_half)
-        records = solve_cone_equation(eq, keep_spurious=True)
-        selected = []
-        classified = classify(spec)
-        regime = classified.regime
-        if regime in (Regime.HYPERBOLIC, Regime.SPHERICAL):
-            selected = [complex(y) for y in classified.roots]
-            if regime is Regime.HYPERBOLIC:
-                selected.append(selected[0].conjugate())
-    except ConevolError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+    spec = _validated_spec(args)
+    eq = build_cone_equation(spec.family, spec.n, spec.cot_half)
+    records = solve_cone_equation(eq, keep_spurious=True)
+    selected = []
+    classified = classify(spec)
+    regime = classified.regime
+    if regime in (Regime.HYPERBOLIC, Regime.SPHERICAL):
+        selected = [complex(y) for y in classified.roots]
+        if regime is Regime.HYPERBOLIC:
+            selected.append(selected[0].conjugate())
     print("re,im,f_re,f_im,residual,spurious_flag,selected_flag")
     for r in records:
         try:
@@ -274,8 +246,7 @@ def cmd_roots(args) -> int:
 def cmd_verify(args) -> int:
     n_values = tuple(args.n) if args.n else (-2, -1, 1, 2)
     if any(v == 0 for v in n_values):
-        print("error: n must be nonzero", file=sys.stderr)
-        return 1
+        raise ValueError("n must be nonzero")
     results = run_suites(args.suite, n_values=n_values)
     if args.tol is not None:
         # failure-injection override: re-grade every suite at the given tolerance
@@ -290,9 +261,15 @@ def cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    """Run one subcommand; a ConevolError, ValueError or OSError becomes exit 1."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except ConevolError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

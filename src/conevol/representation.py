@@ -165,12 +165,14 @@ def longitude_eigenvalue(
     proper; for even families it is l itself.  Requires representation
     parameters (relation residual <= 1e-8).
     """
-    res = relation_residual(family, n, p, m, t)
+    A, B = build_matrices(family, m, t)
+    W = word_value(family, n, p, A, B)
+    res = float(np.linalg.norm(W @ A - B @ W))  # relation_residual, from this W
     if res > 1e-8:
         raise ValueError(
             f"longitude eigenvalue needs a representation point (residual {res:.3e})"
         )
-    w12 = word_12(family, n, p, m, t)
+    w12 = complex(W[0, 1])
     if abs(w12) <= 1e-12:
         raise DegenerateLongitudeError(f"word (1,2)-entry is {w12!r}")
     w12_tilde = word_12(family, n, p, 1.0 / m, t)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebyshev import eval_S
+from .errors import ConevolError
 from .families import ConeManifoldSpec, KnotFamily, is_torus_member
 from .geometry import critical_angle, select_hyperbolic_root, select_spherical_roots
 from .representation import (
@@ -24,6 +25,15 @@ from .representation import (
 )
 from .riley import build_cone_equation, build_phi, solve_cone_equation
 from .volume import compute_volume
+
+# Each suite's tolerance, sample counts and seed; `conevol verify --tol`
+# re-grades the measured metric instead of changing these.
+PELL_TOL, PELL_SAMPLES, PELL_SEED = 1e-10, 200, 7
+LEMMA_CD_ANGLES, LEMMA_CD_TOL, LEMMA_CD_SEED = 20, 1e-7, 11
+REPRESENTATION_ANGLES, REPRESENTATION_TOL = 6, 1e-9
+W12_TOL, W12_SEED = 1e-9, 13
+SCHLAFLI_TOL = 1e-6
+SYMMETRY_TOL = 1e-8
 
 
 @dataclass
@@ -45,11 +55,11 @@ def _default_members(n_values):
     ]
 
 
-def suite_pell(tol: float = 1e-10, samples: int = 200, seed: int = 7) -> SuiteResult:
+def suite_pell() -> SuiteResult:
     """S_k^2 - y S_k S_{k-1} + S_{k-1}^2 = 1, scaled residual, k in [-6, 8]."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(PELL_SEED)
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(PELL_SAMPLES):
         while True:
             y = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
             if abs(y) <= 4.0:
@@ -60,20 +70,19 @@ def suite_pell(tol: float = 1e-10, samples: int = 200, seed: int = 7) -> SuiteRe
             scale = max(1.0, abs(a * a), abs(y * a * b), abs(b * b))
             worst = max(worst, res / scale)
     return SuiteResult(
-        "pell-identity", worst <= tol, f"max scaled residual {worst:.2e}", worst
+        "pell-identity", worst <= PELL_TOL, f"max scaled residual {worst:.2e}", worst
     )
 
 
-def suite_lemma_cd(n_values=(-2, -1, 1, 2), angles: int = 20, tol: float = 1e-7,
-                   seed: int = 11) -> SuiteResult:
+def suite_lemma_cd(n_values=(-2, -1, 1, 2)) -> SuiteResult:
     """Zero sets of Phi(2cos(alpha/2), .) and of the cone equation coincide."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(LEMMA_CD_SEED)
     worst = 0.0
     checked = 0
     for family in KnotFamily:
         for n in n_values:
             phi = build_phi(family, n)
-            for _ in range(angles):
+            for _ in range(LEMMA_CD_ANGLES):
                 alpha = rng.uniform(0.2, math.pi - 0.2)
                 A = 1.0 / math.tan(0.5 * alpha)
                 x = 2.0 * math.cos(0.5 * alpha)
@@ -100,13 +109,12 @@ def suite_lemma_cd(n_values=(-2, -1, 1, 2), angles: int = 20, tol: float = 1e-7,
                     worst = max(worst, min(abs(w - z) for z in phi_roots))
                 checked += 1
     return SuiteResult(
-        "lemma-cd", worst <= tol, f"{checked} angle sets, max matching gap {worst:.2e}",
-        worst,
+        "lemma-cd", worst <= LEMMA_CD_TOL,
+        f"{checked} angle sets, max matching gap {worst:.2e}", worst,
     )
 
 
-def suite_representation(n_values=(-2, -1, 1, 2), angles: int = 6,
-                         tol: float = 1e-9) -> SuiteResult:
+def suite_representation(n_values=(-2, -1, 1, 2)) -> SuiteResult:
     """Selected geometric roots satisfy the defining matrix relation.
 
     The grid knows each angle's regime, so the roots come from the selectors
@@ -122,9 +130,9 @@ def suite_representation(n_values=(-2, -1, 1, 2), angles: int = 6,
             return ConeManifoldSpec(family, n, float(alpha))
 
         selected = [(a, (select_hyperbolic_root(spec(a)),))
-                    for a in np.linspace(0.1, a_k - 0.05, angles)]
+                    for a in np.linspace(0.1, a_k - 0.05, REPRESENTATION_ANGLES)]
         selected += [(a, select_spherical_roots(spec(a)))
-                     for a in np.linspace(a_k + 0.05, math.pi, angles)]
+                     for a in np.linspace(a_k + 0.05, math.pi, REPRESENTATION_ANGLES)]
         for alpha, roots in selected:
             m = cmath.exp(0.5j * alpha)
             for y in roots:
@@ -132,15 +140,15 @@ def suite_representation(n_values=(-2, -1, 1, 2), angles: int = 6,
                 checked += 1
     return SuiteResult(
         "representation-oracle",
-        worst <= tol,
+        worst <= REPRESENTATION_TOL,
         f"{checked} selected roots, max relation residual {worst:.2e}",
         worst,
     )
 
 
-def suite_w12(n_values=(-2, -1, 1, 2), tol: float = 1e-9, seed: int = 13) -> SuiteResult:
+def suite_w12(n_values=(-2, -1, 1, 2)) -> SuiteResult:
     """Closed-form word (1,2)-entries match literal products at Riley roots."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(W12_SEED)
     worst = 0.0
     checked = 0
     for family in KnotFamily:
@@ -161,11 +169,12 @@ def suite_w12(n_values=(-2, -1, 1, 2), tol: float = 1e-9, seed: int = 13) -> Sui
                     worst = max(worst, abs(lit - closed))
                     checked += 1
     return SuiteResult(
-        "w12-closed-form", worst <= tol, f"{checked} roots, max gap {worst:.2e}", worst
+        "w12-closed-form", worst <= W12_TOL, f"{checked} roots, max gap {worst:.2e}",
+        worst,
     )
 
 
-def suite_schlafli(n_values=(-2, -1, 1, 2), tol: float = 1e-6) -> SuiteResult:
+def suite_schlafli(n_values=(-2, -1, 1, 2)) -> SuiteResult:
     """Contour volumes match the Schlaefli length integral."""
     worst = 0.0
     checked = 0
@@ -179,13 +188,13 @@ def suite_schlafli(n_values=(-2, -1, 1, 2), tol: float = 1e-6) -> SuiteResult:
             checked += 1
     return SuiteResult(
         "schlafli-consistency",
-        worst <= tol,
+        worst <= SCHLAFLI_TOL,
         f"{checked} volumes, max |contour - schlafli| {worst:.2e}",
         worst,
     )
 
 
-def suite_symmetry(n_values=(-2, -1, 1, 2), tol: float = 1e-8) -> SuiteResult:
+def suite_symmetry(n_values=(-2, -1, 1, 2)) -> SuiteResult:
     """Vol(alpha) = Vol(2*pi - alpha) across the spherical band."""
     worst = 0.0
     checked = 0
@@ -200,8 +209,8 @@ def suite_symmetry(n_values=(-2, -1, 1, 2), tol: float = 1e-8) -> SuiteResult:
             worst = max(worst, abs(v1 - v2))
             checked += 1
     return SuiteResult(
-        "symmetry", worst <= tol, f"{checked} pairs, max |Vol(a) - Vol(2pi-a)| {worst:.2e}",
-        worst,
+        "symmetry", worst <= SYMMETRY_TOL,
+        f"{checked} pairs, max |Vol(a) - Vol(2pi-a)| {worst:.2e}", worst,
     )
 
 
@@ -216,13 +225,19 @@ ALL_SUITES = {
 
 
 def run_suites(names=None, n_values=(-2, -1, 1, 2)):
-    """Run the requested suites (all by default); returns list of SuiteResult."""
+    """Run the requested suites (all by default); returns list of SuiteResult.
+
+    A suite that raises a ConevolError fails with metric inf, and the rest
+    of the battery still runs.
+    """
     results = []
     for name, fn in ALL_SUITES.items():
         if names and name not in names:
             continue
-        if name == "pell-identity":
-            results.append(fn())
-        else:
-            results.append(fn(n_values=n_values))
+        try:
+            results.append(fn() if name == "pell-identity" else fn(n_values=n_values))
+        except ConevolError as exc:
+            results.append(
+                SuiteResult(name, False, f"{type(exc).__name__}: {exc}", math.inf)
+            )
     return results

@@ -4,11 +4,16 @@ import json
 import math
 import subprocess
 import sys
+import threading
+from pathlib import Path
 
 import pytest
 
-from conevol import verify
+from conevol import cli, verify
 from conevol.cli import main
+from conevol.errors import NonConvergenceError
+
+GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text("utf-8"))
 
 
 def run_cli(*argv, capsys=None):
@@ -92,7 +97,7 @@ def test_sweep_csv_contract(tmp_path, capsys):
     assert lines[0] == "alpha,regime,volume,error_estimate,l_alpha,alpha_K,status"
     assert len(lines) == 7
     assert all(line.endswith("ok") for line in lines[1:])
-    # determinism: a second run is bitwise identical, threads or not
+    # determinism: a second run is bitwise identical; --jobs is accepted and ignored
     out2 = tmp_path / "sweep2.csv"
     assert main(argv[:-1] + [str(out2), "--jobs", "3"]) == 0
     assert out2.read_text(encoding="utf-8") == text
@@ -221,3 +226,79 @@ def test_entry_point_exists():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
+def test_golden_stdout_and_exit_code(case, capsys):
+    # cli_golden.json pins the stdout bytes and exit code of each form; a
+    # change meant to alter them re-records the file and says so
+    try:
+        code = main(list(case["argv"]))
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    out, _ = capsys.readouterr()
+    assert code == case["exit"]
+    assert out == case["stdout"]
+
+
+def test_sweep_rows_run_in_order_on_the_calling_thread(monkeypatch, capsys):
+    seen = []
+    row = cli._sweep_row
+
+    def recorded(spec, *args):
+        seen.append((threading.get_ident(), spec.alpha))
+        return row(spec, *args)
+
+    monkeypatch.setattr(cli, "_sweep_row", recorded)
+    assert main([
+        "sweep", "--family", "c2n2", "--n", "1", "--alpha-start", "0.5",
+        "--alpha-stop", "3.5", "--count", "4", "--jobs", "2",
+    ]) == 0
+    assert [ident for ident, _ in seen] == [threading.get_ident()] * 4
+    assert [alpha for _, alpha in seen] == [0.5, 1.5, 2.5, 3.5]
+
+
+@pytest.mark.parametrize("argv,kind", [
+    (["critical-angle", "--family", "c2nm2n", "--n", "1"], "NotBracketedError"),
+    (["critical-angle", "--family", "c2n2", "--n", "-6"], "NonConvergenceError"),
+    (["volume", "--family", "c2n2", "--n", "-6", "--alpha", "1.0"],
+     "NonConvergenceError"),
+    (["roots", "--family", "c2nm2n", "--n", "1", "--alpha", "1.0"],
+     "NotBracketedError"),
+    (["sweep", "--family", "c2nm2n", "--n", "1", "--alpha-start", "1.0",
+      "--alpha-stop", "2.0", "--count", "3"], "NotBracketedError"),
+], ids=lambda v: v[0] if isinstance(v, list) else v)
+def test_library_errors_become_one_typed_stderr_line(argv, kind, capsys):
+    code, out, err = run_cli(*argv, capsys=capsys)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {kind}: ")
+
+
+def test_verify_turns_a_raised_error_into_one_typed_stderr_line(monkeypatch, capsys):
+    def broken(names, n_values):
+        raise NonConvergenceError("no root")
+
+    monkeypatch.setattr(cli, "run_suites", broken)
+    code, out, err = run_cli("verify", capsys=capsys)
+    assert (code, out, err) == (1, "", "error: NonConvergenceError: no root\n")
+
+
+def test_verify_reports_a_raising_suite_as_failed_and_goes_on(capsys):
+    # C(-12,2) does not solve to RESIDUAL_TOL (ROADMAP item 2); the battery
+    # grades that suite as failed instead of ending in a traceback
+    code, out, err = run_cli(
+        "verify", "--n", "-6", "--suite", "pell-identity",
+        "--suite", "representation-oracle", capsys=capsys,
+    )
+    assert code == 3
+    lines = out.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("pell-identity") and "PASS" in lines[0]
+    assert lines[1].startswith("representation-oracle  FAIL  NonConvergenceError: ")
+    assert err == ""
+    failed = verify.run_suites(["representation-oracle"], n_values=(-6,))
+    assert [(r.name, r.passed, r.metric) for r in failed] == [
+        ("representation-oracle", False, math.inf)
+    ]

@@ -14,7 +14,7 @@ from conevol.cli import main
 from conevol.errors import NonConvergenceError, PathBlockedError, QuadratureError
 from conevol.families import ConeManifoldSpec, KnotFamily, is_torus_member
 from conevol.geometry import Regime, classify, critical_angle
-from conevol.representation import holonomy_data
+from conevol.representation import holonomy_data, longitude_eigenvalue, word_12
 
 from oracles import figure_eight_volume
 
@@ -309,6 +309,18 @@ def test_classify_owns_the_singular_length(family, n):
             expected = geometry.spherical_length(family, n, alpha)
         assert repr(res.l_alpha) == repr(expected)
         assert repr(vo.compute_volume(spec).l_alpha) == repr(res.l_alpha)
+
+
+@pytest.mark.parametrize("family,n", LENGTH_MEMBERS, ids=lambda v: str(v))
+def test_longitude_eigenvalue_is_the_word_entry_ratio(family, n):
+    # one word evaluation at m serves the residual check and W_12
+    a_k = critical_angle(family, n)
+    p = family.word_exponent(n)
+    for alpha in (0.5 * a_k, a_k + 0.3 * (math.pi - a_k)):
+        m = cmath.exp(0.5j * alpha)
+        for y in classify(ConeManifoldSpec(family, n, alpha)).roots:
+            ratio = -word_12(family, n, p, 1.0 / m, y) / word_12(family, n, p, m, y)
+            assert repr(longitude_eigenvalue(family, n, p, m, y)) == repr(ratio)
 
 
 def test_spherical_volume_looks_up_the_pair_once(monkeypatch):
