@@ -10,12 +10,13 @@ import math
 
 import numpy as np
 
-from conevol import eval_S, eval_S_prime, eval_f, eval_g, poly_S
+from conevol import eval_S, eval_S_prime, eval_f, eval_g
+from conevol.exactpoly import s_poly
 from conevol.families import KnotFamily
 
 print("Exact coefficient lists (index, coefficients of y^0, y^1, ...):")
 for k in (-2, -1, 0, 1, 2, 3, 4, 5):
-    print(f"  S_{k:+d}: {list(poly_S(k).coeffs)}")
+    print(f"  S_{k:+d}: {s_poly(k)}")
 
 print("\nAt y = 2 the recurrence degenerates to S_k(2) = k + 1 (exact integers):")
 print(" ", [eval_S(k, 2) for k in range(8)])

@@ -26,7 +26,6 @@ spec = ConeManifoldSpec(family, n, alpha)
 res = classify(spec)
 y0 = res.roots[0]
 m = cmath.exp(0.5j * alpha)
-p = family.word_exponent(n)
 
 print(f"figure-eight at cone angle {alpha}:")
 print(f"  selected root y0 = {y0:.8f} (regime {res.regime.value})")
@@ -37,13 +36,13 @@ print("  second generator B =\n", np.round(B, 6))
 print(f"  det A = {np.linalg.det(A):.12f}, det B = {np.linalg.det(B):.12f}")
 
 print(f"\n  defining relation residual |rho(w a) - rho(b w)| = "
-      f"{relation_residual(family, n, p, m, y0):.2e}")
+      f"{relation_residual(family, n, m, y0):.2e}")
 print(f"  at a random non-root it is O(1): "
-      f"{relation_residual(family, n, p, m, 1.7 + 0.3j):.3f}")
+      f"{relation_residual(family, n, m, 1.7 + 0.3j):.3f}")
 
-ell = longitude_eigenvalue(family, n, p, m, y0)
+ell = longitude_eigenvalue(family, n, m, y0)
 print(f"\n  longitude eigenvalue ell = {ell:.8f}, |ell| = {abs(ell):.8f}")
-L = longitude_matrix(family, n, p, m, y0)
+L = longitude_matrix(family, n, m, y0)
 print(f"  literal reversed-word product: lower-left {abs(L[1,0]):.1e}, "
       f"corner matches ell to {abs(L[1,1] - ell):.1e}")
 
@@ -58,5 +57,5 @@ spec_s = ConeManifoldSpec(family, n, 2.8)
 res_s = classify(spec_s)
 m_s = cmath.exp(0.5j * 2.8)
 for y in res_s.roots:
-    e = longitude_eigenvalue(family, n, p, m_s, complex(y))
+    e = longitude_eigenvalue(family, n, m_s, complex(y))
     print(f"  root {y:+.6f}: |ell| - 1 = {abs(e) - 1:+.2e}")

@@ -7,14 +7,12 @@ independent SL(2, C) holonomy oracle and a Schlaefli-formula cross-check.
 """
 
 from .chebyshev import (
-    ChebyshevPoly,
     eval_S,
     eval_S_prime,
     eval_f,
     eval_f_prime,
     eval_g,
     eval_g_prime,
-    poly_S,
 )
 from .errors import (
     BranchError,

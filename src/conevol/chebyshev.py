@@ -24,16 +24,15 @@ and returns S_{n-1} and S_n, with S'_{n-1} and S'_n carried along when asked.
 f_n, g_n and their derivatives are all assembled from those four values, so
 eval_fg hands the integrand and Newton polish everything they need from one
 walk; eval_S, eval_f, eval_g and their derivatives are views over the same
-kernel, with identical floating-point results.  The exact coefficient view
-(poly_S) and its Horner evaluation come from the polynomial module exactpoly.
+kernel, with identical floating-point results.  The exact coefficients of S_k
+(s_poly) and their Horner evaluation (p_eval) live in the polynomial module
+exactpoly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import PoleError
-from .exactpoly import _zero_like, p_eval, s_poly
+from .exactpoly import _zero_like
 from .families import KnotFamily
 
 # Denominator guard: |den| below this times the numerator scale is a pole.
@@ -81,30 +80,6 @@ def eval_S_prime(k: int, y):
 
 def _one_like(y):
     return 1 if isinstance(y, int) else 1.0 if isinstance(y, float) else complex(1.0)
-
-
-@dataclass(frozen=True)
-class ChebyshevPoly:
-    """S_k as an exact integer-coefficient polynomial.
-
-    ``coeffs[j]`` is the coefficient of y^j; the zero polynomial (k = -1) has
-    an empty coefficient list.  Leading coefficient is 1 for k >= 0.
-    """
-
-    index: int
-    coeffs: tuple
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, y):
-        return p_eval(self.coeffs, y)
-
-
-def poly_S(k: int) -> ChebyshevPoly:
-    """Exact integer coefficients of S_k; S_k = -S_{-k-2} for k < 0."""
-    return ChebyshevPoly(k, tuple(s_poly(k)))
 
 
 def _guard(num, den, tol):

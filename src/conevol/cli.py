@@ -9,8 +9,10 @@ Sweep rows are computed in order on the calling thread; --jobs is accepted
 and ignored.  A failure ends in one stderr line: "error: <Type>: <message>"
 for a library error, "error: <message>" for bad input or I/O.
 
-Exit codes: 0 success, 1 validation/numerical/I-O failure, 2 out-of-range
-angle, 3 verification failure.
+Exit codes: 0 success, 1 validation/numerical/I-O failure, 2 a volume angle
+beyond the spherical band, 3 verification failure.  Only volume exits 2:
+sweep gives such an angle the row status out_of_range, and roots lists the
+roots with none selected (as it also does at exactly a_K).
 """
 
 from __future__ import annotations

@@ -75,7 +75,6 @@ class RegimeResult:
     critical_angle: float
     roots: tuple
     l_alpha: float | None
-    continuation_trace: tuple
 
 
 _LOCK = threading.RLock()
@@ -116,7 +115,7 @@ def _match_unambiguous(ys, target: complex):
 def _ell(family: KnotFamily, n: int, alpha: float, y: complex) -> complex:
     """Longitude eigenvalue of the representation at (alpha, y)."""
     m = cmath.exp(0.5j * alpha)
-    return longitude_eigenvalue(family, n, family.word_exponent(n), m, y)
+    return longitude_eigenvalue(family, n, m, y)
 
 
 def _length(family: KnotFamily, n: int, alpha: float, y: complex) -> float:
@@ -145,16 +144,11 @@ class _Track:
                 i -= 1
         return a[i], self.states[i]
 
-    def upto(self, alpha: float) -> tuple:
-        """Every (angle, state) with angle <= alpha, ascending."""
-        i = bisect.bisect_right(self.alphas, alpha + 1e-12)
-        return tuple(zip(self.alphas[:i], self.states[:i]))
-
 
 def _certify(family: KnotFamily, n: int, alpha: float, y: complex) -> bool:
     """Relation residual and positive real length at the candidate root."""
     m = cmath.exp(0.5j * alpha)
-    if relation_residual(family, n, family.word_exponent(n), m, y) > CERT_RELATION_TOL:
+    if relation_residual(family, n, m, y) > CERT_RELATION_TOL:
         return False
     try:
         # the residual check above rules out longitude_eigenvalue's ValueError
@@ -264,7 +258,7 @@ def _polish_collision(family: KnotFamily, n: int, alpha_est: float, y_est: float
 
 
 class _MemberGeometry:
-    """Per-(family, n) cache: winning branch, critical angle, spherical trace."""
+    """Per-(family, n) cache: winning branch, critical angle, spherical track."""
 
     def __init__(self, family: KnotFamily, n: int):
         validate_twist(n)
@@ -427,10 +421,6 @@ class _MemberGeometry:
             if a == alpha:
                 return state
 
-    def spherical_trace(self, alpha: float) -> tuple:
-        with self._sph_lock:
-            return tuple((a, pair) for a, (pair, _) in self.sph.upto(alpha))
-
 
 def _member(family: KnotFamily, n: int) -> _MemberGeometry:
     with _LOCK:
@@ -505,26 +495,16 @@ def classify(spec: ConeManifoldSpec) -> RegimeResult:
     a_k = member.alpha_k
     alpha = spec.alpha
     if alpha >= 2.0 * math.pi - a_k:
-        return RegimeResult(Regime.OUT_OF_RANGE, a_k, (), None, ())
+        return RegimeResult(Regime.OUT_OF_RANGE, a_k, (), None)
     if alpha == a_k:
-        return RegimeResult(Regime.EUCLIDEAN, a_k, (member.y_star,), None, ())
+        return RegimeResult(Regime.EUCLIDEAN, a_k, (member.y_star,), None)
     if alpha < a_k:
         y0 = member.hyperbolic_root(alpha)
         return RegimeResult(
-            Regime.HYPERBOLIC,
-            a_k,
-            (y0,),
-            _length(spec.family, spec.n, alpha, y0),
-            member.branch.track.upto(alpha),
+            Regime.HYPERBOLIC, a_k, (y0,), _length(spec.family, spec.n, alpha, y0)
         )
     y_plus, y_minus, l_alpha = _spherical_roots(member, alpha)
-    return RegimeResult(
-        Regime.SPHERICAL,
-        a_k,
-        (y_plus, y_minus),
-        l_alpha,
-        member.spherical_trace(_fold(alpha)),
-    )
+    return RegimeResult(Regime.SPHERICAL, a_k, (y_plus, y_minus), l_alpha)
 
 
 def clear_caches():

@@ -82,14 +82,16 @@ def word_omega_even(n: int, p: int, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return mat_pow(inner, p)
 
 
-def word_value(family: KnotFamily, n: int, p: int, A: np.ndarray, B: np.ndarray):
+def word_value(family: KnotFamily, n: int, A: np.ndarray, B: np.ndarray):
+    p = family.word_exponent(n)
     if family.is_odd_presentation:
         return word_omega_odd(n, p, A, B)
     return word_omega_even(n, p, A, B)
 
 
-def _word_reversed(family: KnotFamily, n: int, p: int, A: np.ndarray, B: np.ndarray):
+def _word_reversed(family: KnotFamily, n: int, A: np.ndarray, B: np.ndarray):
     """The word with its letters written in reversed order."""
+    p = family.word_exponent(n)
     if family.is_odd_presentation:
         # w = P Q^p, P = (ab)^n, Q = (a^-1 b^-1)^n (ab)^n
         # w* = (Q*)^p P*, Q* = (ba)^n (b^-1 a^-1)^n, P* = (ba)^n
@@ -101,7 +103,7 @@ def _word_reversed(family: KnotFamily, n: int, p: int, A: np.ndarray, B: np.ndar
     return mat_pow(r_star, p)
 
 
-def longitude_matrix(family: KnotFamily, n: int, p: int, m: complex, t: complex):
+def longitude_matrix(family: KnotFamily, n: int, m: complex, t: complex):
     """Literal product rho(w*) rho(w), the reversed word times the word.
 
     At representation parameters this commutes with the meridian image, so it
@@ -110,55 +112,44 @@ def longitude_matrix(family: KnotFamily, n: int, p: int, m: complex, t: complex)
     longitude times a^{4n}, which is where the m^{4n} factor in ell lives).
     """
     A, B = build_matrices(family, m, t)
-    W = word_value(family, n, p, A, B)
-    W_star = _word_reversed(family, n, p, A, B)
-    return W_star @ W
+    return _word_reversed(family, n, A, B) @ word_value(family, n, A, B)
 
 
-def relation_residual(family: KnotFamily, n: int, p: int, m: complex, t: complex) -> float:
+def relation_residual(family: KnotFamily, n: int, m: complex, t: complex) -> float:
     """Frobenius norm of rho(w a) - rho(b w); zero exactly at Riley roots."""
-    return float(np.linalg.norm(relation_residual_matrix(family, n, p, m, t)))
+    return float(np.linalg.norm(relation_residual_matrix(family, n, m, t)))
 
 
-def relation_residual_matrix(family: KnotFamily, n: int, p: int, m: complex, t: complex):
+def relation_residual_matrix(family: KnotFamily, n: int, m: complex, t: complex):
     A, B = build_matrices(family, m, t)
-    W = word_value(family, n, p, A, B)
+    W = word_value(family, n, A, B)
     return W @ A - B @ W
 
 
-def word_12(family: KnotFamily, n: int, p: int, m: complex, t: complex) -> complex:
+def word_12(family: KnotFamily, n: int, m: complex, t: complex) -> complex:
     """(1,2)-entry of the word image, from the literal product."""
     A, B = build_matrices(family, m, t)
-    return complex(word_value(family, n, p, A, B)[0, 1])
+    return complex(word_value(family, n, A, B)[0, 1])
 
 
-def w12_closed_form_odd(n: int, p: int, m: complex, y: complex) -> complex:
-    """Closed form of the odd-family word (1,2)-entry, valid at Riley roots:
+def w12_closed_form(family: KnotFamily, n: int, m: complex, y: complex) -> complex:
+    """Closed form of the word (1,2)-entry, valid at Riley roots:
 
-    (m^-1 - m (S_n - S_{n-1}) / (S_{n-1} - S_{n-2})) * S_p(u) * S_{n-1}(y).
+    odd:   (m^-1 - m (S_n - S_{n-1}) / (S_{n-1} - S_{n-2})) * S_p(u) * S_{n-1}(y)
+    even:  (m (S_n - S_{n-1}) - m^-1 (S_{n-1} - S_{n-2})) * S_{n-1}(y) * S_{p-1}(u)
     """
-    x = m + 1.0 / m
-    u = trace_u(n, x, y)
-    ratio = (eval_S(n, y) - eval_S(n - 1, y)) / (eval_S(n - 1, y) - eval_S(n - 2, y))
-    return (1.0 / m - m * ratio) * eval_S(p, u) * eval_S(n - 1, y)
-
-
-def w12_closed_form_even(n: int, p: int, m: complex, z: complex) -> complex:
-    """Closed form of the even-family word (1,2)-entry, valid at Riley roots:
-
-    (m (S_n - S_{n-1}) - m^-1 (S_{n-1} - S_{n-2})) * S_{n-1}(z) * S_{p-1}(v).
-    """
-    x = m + 1.0 / m
-    v = trace_u(n, x, z)
-    lead = m * (eval_S(n, z) - eval_S(n - 1, z)) - (1.0 / m) * (
-        eval_S(n - 1, z) - eval_S(n - 2, z)
+    p = family.word_exponent(n)
+    u = trace_u(n, m + 1.0 / m, y)
+    if family.is_odd_presentation:
+        ratio = (eval_S(n, y) - eval_S(n - 1, y)) / (eval_S(n - 1, y) - eval_S(n - 2, y))
+        return (1.0 / m - m * ratio) * eval_S(p, u) * eval_S(n - 1, y)
+    lead = m * (eval_S(n, y) - eval_S(n - 1, y)) - (1.0 / m) * (
+        eval_S(n - 1, y) - eval_S(n - 2, y)
     )
-    return lead * eval_S(n - 1, z) * eval_S(p - 1, v)
+    return lead * eval_S(n - 1, y) * eval_S(p - 1, u)
 
 
-def longitude_eigenvalue(
-    family: KnotFamily, n: int, p: int, m: complex, t: complex
-) -> complex:
+def longitude_eigenvalue(family: KnotFamily, n: int, m: complex, t: complex) -> complex:
     """ell = -W~_12 / W_12 with W~ the word re-evaluated at m -> 1/m.
 
     For odd families this equals l * m^{4n} with l the longitude eigenvalue
@@ -166,7 +157,7 @@ def longitude_eigenvalue(
     parameters (relation residual <= 1e-8).
     """
     A, B = build_matrices(family, m, t)
-    W = word_value(family, n, p, A, B)
+    W = word_value(family, n, A, B)
     res = float(np.linalg.norm(W @ A - B @ W))  # relation_residual, from this W
     if res > 1e-8:
         raise ValueError(
@@ -175,7 +166,7 @@ def longitude_eigenvalue(
     w12 = complex(W[0, 1])
     if abs(w12) <= 1e-12:
         raise DegenerateLongitudeError(f"word (1,2)-entry is {w12!r}")
-    w12_tilde = word_12(family, n, p, 1.0 / m, t)
+    w12_tilde = word_12(family, n, 1.0 / m, t)
     return -w12_tilde / w12
 
 
@@ -238,11 +229,6 @@ def complex_length(
 class HolonomyData:
     """Holonomy snapshot at one representation point."""
 
-    family: KnotFamily
-    n: int
-    p: int
-    m: complex
-    y_or_z: complex
     longitude_eigenvalue: complex
     complex_length: complex | None = None
 
@@ -260,10 +246,8 @@ def holonomy_data(
     with_length: bool = False,
 ) -> HolonomyData:
     """Build and certify the holonomy data at cone angle alpha and root y."""
-    m = cmath.exp(0.5j * alpha)
-    p = family.word_exponent(n)
-    ell = longitude_eigenvalue(family, n, p, m, y)
+    ell = longitude_eigenvalue(family, n, cmath.exp(0.5j * alpha), y)
     gamma = None
     if with_length:
         gamma = complex_length(family, n, alpha, y, ell)
-    return HolonomyData(family, n, p, m, complex(y), ell, gamma)
+    return HolonomyData(ell, gamma)

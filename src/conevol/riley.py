@@ -14,10 +14,10 @@ Two exact objects are assembled here with integer arithmetic:
 
 Roots of the cleared polynomial come from the companion matrix and are
 polished by Newton iteration on the rational residual itself, which avoids
-error amplification from the cleared factors.  Three kinds of parasite are
-flagged: roots sitting on the cleared denominators, roots that fail to
-polish, and the angle-independent roots with f_n(y)^2 = 1 (where the
-equivalence with Phi = 0 breaks down; they are common zeros of C0 and C1).
+error amplification from the cleared factors.  Roots sitting on the cleared
+denominators are marked spurious, roots that fail to polish raise, and the
+angle-independent roots with f_n(y)^2 = 1 (where the equivalence with
+Phi = 0 breaks down; they are common zeros of C0 and C1) are marked unit_f.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .families import KnotFamily, validate_twist
 SPURIOUS_EPS = 1e-8
 RESIDUAL_TOL = 1e-8
 UNIT_F_TOL = 1e-8
+LEMMA_CD_TOL = 1e-8  # |Phi| and |cone residual| below this count as zero
 NEWTON_MAX_STEPS = 100
 NEWTON_POLY_STEPS = 50  # Newton steps polishing a root of the parasite gcd
 
@@ -166,8 +167,6 @@ class ConeEquation:
     n: int
     A: float
     coeffs: tuple  # ascending float coefficients of C0 + A^2*C1
-    c0: tuple  # exact integer part independent of the angle
-    c1: tuple  # exact integer part multiplying A^2
     parasite: tuple  # gcd(C0, C1): exact minimal polynomial of the f^2 = 1 roots
     moving_coeffs: tuple  # deflated (C0 + A^2*C1)/parasite, float ascending
 
@@ -201,8 +200,6 @@ def build_cone_equation(family: KnotFamily, n: int, A: float) -> ConeEquation:
         n,
         float(A),
         xp.p_float_sum(c0, c1, a2),
-        tuple(c0),
-        tuple(c1),
         tuple(parasite),
         xp.p_float_sum(c0_red, c1_red, a2),
     )
@@ -210,16 +207,12 @@ def build_cone_equation(family: KnotFamily, n: int, A: float) -> ConeEquation:
 
 @dataclass
 class RootRecord:
-    """One root of a cone equation with its provenance flags."""
+    """One root of a cone equation; unit_f marks an f^2 = 1 parasite."""
 
     y: complex
     residual: float
     spurious: bool = False
-    flags: frozenset = frozenset()
-
-    @property
-    def unit_f(self) -> bool:
-        return "unit_f" in self.flags
+    unit_f: bool = False
 
 
 def _polish(eq: ConeEquation, y: complex):
@@ -252,28 +245,24 @@ def solve_cone_equation(eq: ConeEquation, keep_spurious: bool = False):
     """All roots of the cleared polynomial, polished and flagged.
 
     Returns RootRecords sorted by (real, imag).  Roots within SPURIOUS_EPS of
-    y = 2 or a zero of S_{n-1}, and roots whose polished rational residual
-    exceeds RESIDUAL_TOL, are spurious and dropped unless keep_spurious.
+    y = 2 or a zero of S_{n-1} are spurious and dropped unless keep_spurious;
+    a root whose polished rational residual exceeds RESIDUAL_TOL raises
+    NonConvergenceError.
     Roots with f^2 = 1 (angle-independent parasites, common zeros of C0 and
-    C1) are kept but flagged 'unit_f'.
+    C1) are kept with unit_f set.
     """
     if eq.degree < 1:
         raise ValueError("cone equation degree must be >= 1")
     records = []
     for y0 in np.roots(list(reversed(eq.moving_coeffs))):
         y0 = complex(y0)
-        flags = set()
         if abs(y0 - 2.0) <= SPURIOUS_EPS or abs(eval_S(eq.n - 1, y0)) <= SPURIOUS_EPS:
-            records.append(
-                RootRecord(y0, float("inf"), True, frozenset({"near_denominator"}))
-            )
+            records.append(RootRecord(y0, float("inf"), True))
             continue
         try:
             y_pol, res = _polish(eq, y0)
         except PoleError:
-            records.append(
-                RootRecord(y0, float("inf"), True, frozenset({"near_denominator"}))
-            )
+            records.append(RootRecord(y0, float("inf"), True))
             continue
         if res > RESIDUAL_TOL and not _double_root_excused(eq, y_pol, res):
             raise NonConvergenceError(
@@ -281,17 +270,16 @@ def solve_cone_equation(eq: ConeEquation, keep_spurious: bool = False):
             )
         try:
             fv = eval_f(eq.n, y_pol)
-            if abs(fv * fv - 1.0) <= UNIT_F_TOL:
-                flags.add("unit_f")
+            unit = abs(fv * fv - 1.0) <= UNIT_F_TOL
         except PoleError:
-            pass
-        records.append(RootRecord(y_pol, res, False, frozenset(flags)))
+            unit = False
+        records.append(RootRecord(y_pol, res, False, unit))
     for y0 in _parasite_roots(eq.parasite):
         try:
             res = abs(eq.residual(y0))
         except PoleError:
             res = float("inf")
-        records.append(RootRecord(y0, res, False, frozenset({"unit_f"})))
+        records.append(RootRecord(y0, res, False, True))
     records.sort(key=lambda r: (r.y.real, r.y.imag))
     if keep_spurious:
         return records
@@ -344,12 +332,12 @@ class LemmaCdReport:
 
 
 def check_lemma_cd(
-    family: KnotFamily, n: int, alpha: float, y: complex, tol: float = 1e-8
+    family: KnotFamily, n: int, alpha: float, y: complex
 ) -> LemmaCdReport:
     """Evaluate Phi and the rational cone residual at the same point.
 
     Away from f^2 = 1 the two vanish simultaneously; the report says whether
-    each is below tol.
+    each is below LEMMA_CD_TOL.
     """
     x = 2.0 * math.cos(0.5 * alpha)
     A = 1.0 / math.tan(0.5 * alpha)
@@ -361,4 +349,6 @@ def check_lemma_cd(
         unit = abs(fv * fv - 1.0) <= UNIT_F_TOL
     except PoleError:
         unit = False
-    return LemmaCdReport(phi, res, abs(phi) <= tol, abs(res) <= tol, unit)
+    return LemmaCdReport(
+        phi, res, abs(phi) <= LEMMA_CD_TOL, abs(res) <= LEMMA_CD_TOL, unit
+    )

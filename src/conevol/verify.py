@@ -17,12 +17,7 @@ from .chebyshev import eval_S
 from .errors import ConevolError
 from .families import ConeManifoldSpec, KnotFamily, is_torus_member
 from .geometry import critical_angle, select_hyperbolic_root, select_spherical_roots
-from .representation import (
-    relation_residual,
-    w12_closed_form_even,
-    w12_closed_form_odd,
-    word_12,
-)
+from .representation import relation_residual, w12_closed_form, word_12
 from .riley import build_cone_equation, build_phi, solve_cone_equation
 from .volume import compute_volume
 
@@ -124,7 +119,6 @@ def suite_representation(n_values=(-2, -1, 1, 2)) -> SuiteResult:
     checked = 0
     for family, n in _default_members(n_values):
         a_k = critical_angle(family, n)
-        p = family.word_exponent(n)
 
         def spec(alpha):
             return ConeManifoldSpec(family, n, float(alpha))
@@ -136,7 +130,7 @@ def suite_representation(n_values=(-2, -1, 1, 2)) -> SuiteResult:
         for alpha, roots in selected:
             m = cmath.exp(0.5j * alpha)
             for y in roots:
-                worst = max(worst, relation_residual(family, n, p, m, complex(y)))
+                worst = max(worst, relation_residual(family, n, m, complex(y)))
                 checked += 1
     return SuiteResult(
         "representation-oracle",
@@ -154,19 +148,14 @@ def suite_w12(n_values=(-2, -1, 1, 2)) -> SuiteResult:
     for family in KnotFamily:
         for n in n_values:
             phi = build_phi(family, n)
-            p = family.word_exponent(n)
             for _ in range(6):
                 alpha = rng.uniform(0.3, math.pi - 0.3)
                 m = cmath.exp(0.5j * alpha)
                 x = 2.0 * math.cos(0.5 * alpha)
                 for z in np.roots(list(reversed(phi.univariate_in_y(x)))):
                     z = complex(z)
-                    lit = word_12(family, n, p, m, z)
-                    if family.is_odd_presentation:
-                        closed = w12_closed_form_odd(n, p, m, z)
-                    else:
-                        closed = w12_closed_form_even(n, p, m, z)
-                    worst = max(worst, abs(lit - closed))
+                    lit = word_12(family, n, m, z)
+                    worst = max(worst, abs(lit - w12_closed_form(family, n, m, z)))
                     checked += 1
     return SuiteResult(
         "w12-closed-form", worst <= W12_TOL, f"{checked} roots, max gap {worst:.2e}",

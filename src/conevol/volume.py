@@ -402,18 +402,20 @@ def _gauss_pair(f, a: float, b: float):
     return i15, abs(i15 - i7)
 
 
-def adaptive_quad(f, a: float, b: float, abs_tol: float = QUAD_ABS_TOL,
-                  max_subdiv: int = QUAD_MAX_SUBDIV):
-    """Adaptive Gauss 15/7 on [a, b]; returns (integral, error estimate)."""
+def adaptive_quad(f, a: float, b: float, abs_tol: float = QUAD_ABS_TOL):
+    """Adaptive Gauss 15/7 on [a, b]; returns (integral, error estimate).
+
+    Raises QuadratureError after QUAD_MAX_SUBDIV subdivisions.
+    """
     val, err = _gauss_pair(f, a, b)
     heap = [(-err, 0, a, b, val, err)]
     total_val, total_err = val, err
     count = 0
     serial = 1
     while total_err > abs_tol and heap:
-        if count >= max_subdiv:
+        if count >= QUAD_MAX_SUBDIV:
             raise QuadratureError(
-                f"tolerance {abs_tol:.1e} not reached after {max_subdiv} "
+                f"tolerance {abs_tol:.1e} not reached after {QUAD_MAX_SUBDIV} "
                 f"subdivisions (error {total_err:.1e})"
             )
         _, _, lo, hi, v_old, e_old = heapq.heappop(heap)

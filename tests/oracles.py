@@ -126,6 +126,29 @@ def sympy_S_of(k: int, arg) -> sp.Expr:
     return cur
 
 
+def phi_roots_60(family_token: str, n: int, alpha: float):
+    """Roots in y of Phi(2cos(alpha/2), y) from mpmath.polyroots at 60 digits.
+
+    Phi is expanded in sympy (the holonomy factor for C(2n,-2n)), so neither
+    its coefficients nor its roots come from the library.
+    """
+    if family_token == "c2n3":
+        phi, x, y = sympy_phi_odd(n, 1)
+    elif family_token == "c2n2":
+        phi, x, y = sympy_phi_even(n, 1)
+    else:
+        x, y = sp.symbols("x y")
+        phi = sp.expand(-1 + (y + 2 - x**2) * sympy_S(n - 1, y) ** 2)
+    with mpmath.workdps(60):
+        xv = 2 * mpmath.cos(mpmath.mpf(alpha) / 2)
+        coeffs = [
+            mpmath.polyval([int(c) for c in sp.Poly(cy, x).all_coeffs()], xv)
+            for cy in sp.Poly(phi, y).all_coeffs()
+        ]
+        roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=120)
+        return [complex(r) for r in roots]
+
+
 def sympy_cone_polynomial(family_token: str, n: int):
     """Cleared cone equation as exact sympy polys (c0, c1) in y, minimal clearing."""
     y, a = sp.symbols("y A")

@@ -66,7 +66,6 @@ def test_criterion_02_representation_oracle_equivalence():
                 degenerate += 1
                 continue
             a_k = ge.critical_angle(family, n)
-            p = family.word_exponent(n)
             hyp = np.linspace(0.08, a_k - 0.02, 20)
             sph = np.linspace(a_k + 0.02, 2 * math.pi - a_k - 0.02, 20)
             for alpha in list(hyp) + list(sph):
@@ -75,13 +74,10 @@ def test_criterion_02_representation_oracle_equivalence():
                 for y in res.roots:
                     y = complex(y)
                     worst_rel = max(
-                        worst_rel, rp.relation_residual(family, n, p, m, y)
+                        worst_rel, rp.relation_residual(family, n, m, y)
                     )
-                    lit = rp.word_12(family, n, p, m, y)
-                    if family.is_odd_presentation:
-                        closed = rp.w12_closed_form_odd(n, p, m, y)
-                    else:
-                        closed = rp.w12_closed_form_even(n, p, m, y)
+                    lit = rp.word_12(family, n, m, y)
+                    closed = rp.w12_closed_form(family, n, m, y)
                     worst_w12 = max(worst_w12, abs(lit - closed))
                     roots_checked += 1
     elapsed = time.monotonic() - start
@@ -138,13 +134,12 @@ def test_criterion_04_trigonometric_identity():
     for family, n in [(f, n) for f in FAMILIES for n in (1, 2, -2)
                       if not is_torus_member(f, n)]:
         a_k = ge.critical_angle(family, n)
-        p = family.word_exponent(n)
         for alpha in np.linspace(0.3, a_k - 0.05, 5):
             alpha = float(alpha)
             y0 = ge.select_hyperbolic_root(ConeManifoldSpec(family, n, alpha))
             assert eval_f(n, y0).imag > 0
             m = cmath.exp(0.5j * alpha)
-            ell = rp.longitude_eigenvalue(family, n, p, m, y0)
+            ell = rp.longitude_eigenvalue(family, n, m, y0)
             worst_gap = max(worst_gap, rp.f_identity_gap(family, n, m, y0, ell))
         for alpha in np.linspace(a_k + 0.05, math.pi, 5):
             alpha = float(alpha)
@@ -154,7 +149,7 @@ def test_criterion_04_trigonometric_identity():
             m = cmath.exp(0.5j * alpha)
             for y in (y_plus, y_minus):
                 worst_imf = max(worst_imf, abs(eval_f(n, complex(y)).imag))
-                ell = rp.longitude_eigenvalue(family, n, p, m, complex(y))
+                ell = rp.longitude_eigenvalue(family, n, m, complex(y))
                 worst_unit = max(worst_unit, abs(abs(ell) - 1.0))
                 worst_gap = max(
                     worst_gap, rp.f_identity_gap(family, n, m, complex(y), ell)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 import threading
@@ -13,6 +14,7 @@ from conevol import cli, verify
 from conevol.cli import main
 from conevol.errors import NonConvergenceError
 
+SRC = Path(cli.__file__).resolve().parents[1]
 GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text("utf-8"))
 
 
@@ -221,11 +223,15 @@ def test_verify_tol_regrades_the_suite_metric(capsys):
 
 
 def test_entry_point_exists():
+    # the subprocess gets the package's own source root, so the test does not
+    # depend on PYTHONPATH being set for the test run
+    path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     proc = subprocess.run(
         [sys.executable, "-m", "conevol.cli", "--version"],
-        capture_output=True, text=True,
+        env=env, capture_output=True, text=True,
     )
-    assert proc.returncode == 0
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
@@ -256,6 +262,32 @@ def test_sweep_rows_run_in_order_on_the_calling_thread(monkeypatch, capsys):
     ]) == 0
     assert [ident for ident, _ in seen] == [threading.get_ident()] * 4
     assert [alpha for _, alpha in seen] == [0.5, 1.5, 2.5, 3.5]
+
+
+def test_a_failed_sweep_row_keeps_its_place(monkeypatch, capsys):
+    volume_for = cli._volume_for
+
+    def failing_middle(spec, classified, cross_check):
+        if spec.alpha == 1.0:
+            raise NonConvergenceError("no root")
+        return volume_for(spec, classified, cross_check)
+
+    monkeypatch.setattr(cli, "_volume_for", failing_middle)
+    code, out, err = run_cli(
+        "sweep", "--family", "c2n2", "--n", "1", "--alpha-start", "0.5",
+        "--alpha-stop", "1.5", "--count", "3", capsys=capsys,
+    )
+    assert (code, err) == (0, "")
+    header, *rows = out.splitlines()
+    assert header == cli.CSV_HEADER
+    assert [row.split(",")[-1] for row in rows] == [
+        "ok", "error:NonConvergenceError", "ok"
+    ]
+    alpha, regime, volume, error, l_alpha, alpha_k, _ = rows[1].split(",")
+    assert alpha == "1"
+    assert (regime, volume, error, l_alpha) == ("", "", "", "")
+    assert float(alpha_k) == pytest.approx(2 * math.pi / 3, abs=1e-6)
+    assert alpha_k == rows[0].split(",")[5]
 
 
 @pytest.mark.parametrize("argv,kind", [

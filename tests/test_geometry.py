@@ -79,7 +79,7 @@ def test_selected_hyperbolic_root_invariants(family, n):
         assert abs(eq.residual(y0)) <= 1e-8
         assert abs(eq.residual(y0.conjugate())) <= 1e-8  # conjugate also a root
         m = cmath.exp(0.5j * alpha)
-        assert relation_residual(family, n, family.word_exponent(n), m, y0) <= 1e-9
+        assert relation_residual(family, n, m, y0) <= 1e-9
 
 
 def test_fig8_spherical_roots_at_pi():
@@ -167,14 +167,6 @@ def test_euclidean_point_classification():
     a_k = ge.critical_angle(family, n)
     res = ge.classify(ConeManifoldSpec(family, n, a_k))
     assert res.regime is ge.Regime.EUCLIDEAN
-
-
-def test_continuation_trace_exposed():
-    spec = ConeManifoldSpec(KnotFamily.C2N2, 1, 1.5)
-    res = ge.classify(spec)
-    assert res.continuation_trace
-    assert res.continuation_trace[0][0] == pytest.approx(ge.ALPHA_SEED)
-    assert all(a <= 1.5 + 1e-9 for a, _ in res.continuation_trace)
 
 
 def test_certify_rejects_only_a_degenerate_longitude(monkeypatch):

@@ -81,9 +81,8 @@ def test_determinant_preserved_through_words():
         m = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
         t = complex(rng.uniform(-2.5, 2.5), rng.uniform(-1.5, 1.5))
         for family, n in ((KnotFamily.C2N3, 3), (KnotFamily.C2N2, -3)):
-            p = family.word_exponent(n)
             A, B = rp.build_matrices(family, m, t)
-            W = rp.word_value(family, n, p, A, B)
+            W = rp.word_value(family, n, A, B)
             assert np.linalg.det(W) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -92,14 +91,13 @@ def test_residual_matrix_structure():
     rng = np.random.default_rng(21)
     for family in KnotFamily:
         for n in (-2, 1, 2, 3):
-            p = family.word_exponent(n)
             m, t = _random_params(rng)
-            R = rp.relation_residual_matrix(family, n, p, m, t)
+            R = rp.relation_residual_matrix(family, n, m, t)
             scale = max(1.0, float(np.linalg.norm(R)))
             assert abs(R[0, 0]) < 1e-10 * scale and abs(R[1, 1]) < 1e-10 * scale
             x = m + 1 / m
             if family is KnotFamily.C2NMINUS2N:
-                phi = ry.build_phi_even(n, p).eval(x, t)
+                phi = ry.build_phi_even(n, family.word_exponent(n)).eval(x, t)
             else:
                 phi = ry.build_phi(family, n).eval(x, t)
             kappa = (x * x - 2 - t) if family.is_odd_presentation else (t - 2)
@@ -111,16 +109,15 @@ def test_residual_iff_riley_root():
     rng = np.random.default_rng(31)
     for family in KnotFamily:
         for n in (-2, 2):
-            p = family.word_exponent(n)
             phi = ry.build_phi(family, n)
             alpha = 1.3
             m = cmath.exp(0.5j * alpha)
             x = 2 * math.cos(alpha / 2)
             for z in np.roots(list(reversed(phi.univariate_in_y(x)))):
-                assert rp.relation_residual(family, n, p, m, complex(z)) < 1e-9
+                assert rp.relation_residual(family, n, m, complex(z)) < 1e-9
             for _ in range(5):
                 t = complex(rng.uniform(-3, 3), rng.uniform(0.2, 2))
-                res = rp.relation_residual(family, n, p, m, t)
+                res = rp.relation_residual(family, n, m, t)
                 if abs(phi.eval(x, t)) > 1e-3:
                     assert res > 1e-6
 
@@ -128,24 +125,20 @@ def test_residual_iff_riley_root():
 def test_w12_closed_forms_at_riley_roots():
     for family in KnotFamily:
         for n in (-3, -2, -1, 1, 2, 3):
-            p = family.word_exponent(n)
             phi = ry.build_phi(family, n)
             alpha = 0.9
             m = cmath.exp(0.5j * alpha)
             x = 2 * math.cos(alpha / 2)
             for z in np.roots(list(reversed(phi.univariate_in_y(x)))):
                 z = complex(z)
-                lit = rp.word_12(family, n, p, m, z)
-                if family.is_odd_presentation:
-                    closed = rp.w12_closed_form_odd(n, p, m, z)
-                else:
-                    closed = rp.w12_closed_form_even(n, p, m, z)
+                lit = rp.word_12(family, n, m, z)
+                closed = rp.w12_closed_form(family, n, m, z)
                 assert lit == pytest.approx(closed, rel=1e-9, abs=1e-9)
 
 
 def test_longitude_requires_representation_point():
     with pytest.raises(ValueError):
-        rp.longitude_eigenvalue(KnotFamily.C2N2, 1, 1, cmath.exp(0.3j), 2.5 + 1.0j)
+        rp.longitude_eigenvalue(KnotFamily.C2N2, 1, cmath.exp(0.3j), 2.5 + 1.0j)
 
 
 def _selected(family, n, alpha):
@@ -159,12 +152,11 @@ def test_f_identity_and_lengths_hyperbolic():
         res = _selected(family, n, alpha)
         y0 = res.roots[0]
         m = cmath.exp(0.5j * alpha)
-        p = family.word_exponent(n)
-        ell = rp.longitude_eigenvalue(family, n, p, m, y0)
+        ell = rp.longitude_eigenvalue(family, n, m, y0)
         assert rp.f_identity_gap(family, n, m, y0, ell) < 1e-8
         assert abs(ell) > 1.0  # positive real length
         # conjugate root carries the inverse magnitude
-        ell_bar = rp.longitude_eigenvalue(family, n, p, m, y0.conjugate())
+        ell_bar = rp.longitude_eigenvalue(family, n, m, y0.conjugate())
         assert abs(ell_bar * ell.conjugate()) == pytest.approx(1.0, abs=1e-8)
 
 
@@ -175,10 +167,9 @@ def test_f_identity_and_unit_ell_spherical():
         alpha = a_k + 0.3
         res = _selected(family, n, alpha)
         m = cmath.exp(0.5j * alpha)
-        p = family.word_exponent(n)
         for y in res.roots:
             assert abs(eval_f(n, complex(y)).imag) <= 1e-8
-            ell = rp.longitude_eigenvalue(family, n, p, m, complex(y))
+            ell = rp.longitude_eigenvalue(family, n, m, complex(y))
             assert abs(abs(ell) - 1.0) <= 1e-8
             assert rp.f_identity_gap(family, n, m, complex(y), ell) < 1e-8
 
@@ -191,9 +182,8 @@ def test_literal_longitude_matrix():
         res = _selected(family, n, alpha)
         y0 = res.roots[0]
         m = cmath.exp(0.5j * alpha)
-        p = family.word_exponent(n)
-        L = rp.longitude_matrix(family, n, p, m, y0)
-        ell = rp.longitude_eigenvalue(family, n, p, m, y0)
+        L = rp.longitude_matrix(family, n, m, y0)
+        ell = rp.longitude_eigenvalue(family, n, m, y0)
         assert abs(L[1, 0]) < 1e-9
         assert L[1, 1] == pytest.approx(ell, rel=1e-9)
 
@@ -212,8 +202,7 @@ def test_complex_length_branch_and_crosscheck():
         # the conjugate root has negative real length: branch failure
         with pytest.raises(BranchError):
             ell_bar = rp.longitude_eigenvalue(
-                family, n, family.word_exponent(n), cmath.exp(0.5j * alpha),
-                y0.conjugate(),
+                family, n, cmath.exp(0.5j * alpha), y0.conjugate()
             )
             rp.complex_length(family, n, alpha, y0.conjugate(), ell_bar)
 

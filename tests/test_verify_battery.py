@@ -1,8 +1,24 @@
 """The built-in verification battery: the default run passes end to end."""
 
+import cmath
+import math
+
+import numpy as np
+import pytest
+
 from conevol import geometry
 from conevol.families import KnotFamily, is_torus_member
-from conevol.verify import ALL_SUITES, run_suites, suite_representation
+from conevol.representation import w12_closed_form, word_12
+from conevol.verify import (
+    ALL_SUITES,
+    W12_SEED,
+    W12_TOL,
+    run_suites,
+    suite_representation,
+    suite_w12,
+)
+
+from oracles import phi_roots_60
 
 
 def test_default_battery_all_pass():
@@ -43,3 +59,29 @@ def test_representation_suite_computes_no_singular_length(monkeypatch):
     )
     assert suite_representation().passed
     assert calls == []
+
+
+def test_w12_closed_form_of_c12_minus3_at_60_digit_roots():
+    # at exact roots of Phi the literal word and the closed form agree (gap
+    # about 4e-13); the suite's gap comes from the np.roots roots.
+    # suite_w12(n_values=(-6,)) draws six angles per family in KnotFamily
+    # order, so C(-12,3) gets the second six
+    rng = np.random.default_rng(W12_SEED)
+    angles = [rng.uniform(0.3, math.pi - 0.3) for _ in range(12)][6:]
+    family, n = KnotFamily.C2N3, -6
+    worst = 0.0
+    for alpha in angles:
+        m = cmath.exp(0.5j * alpha)
+        for y in phi_roots_60(family.value, n, alpha):
+            gap = abs(word_12(family, n, m, y) - w12_closed_form(family, n, m, y))
+            worst = max(worst, gap)
+    assert worst <= W12_TOL
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: the np.roots roots of Phi for C(-12,3) are off "
+    "enough that the word and its closed form differ by 1.33e-8",
+)
+def test_w12_suite_passes_at_n_minus_6():
+    assert suite_w12(n_values=(-6,)).passed
