@@ -20,11 +20,13 @@ s = (y +/- sqrt(y^2-4))/2, which needs a branch choice); it is exact for
 integer arguments and stable for the moderate |k| <= ~50 used here.
 
 One kernel, eval_S_pair, walks the recurrence once per point from (S_0, S_1)
-and returns S_{n-1} and S_n, with S'_{n-1} and S'_n carried along when asked.
-f_n, g_n and their derivatives are all assembled from those four values, so
-eval_fg hands the integrand and Newton polish everything they need from one
-walk; eval_S, eval_f, eval_g and their derivatives are views over the same
-kernel, with identical floating-point results.  The exact coefficients of S_k
+and returns S_{n-1} and S_n, with S'_{n-1} and S'_n carried along when asked;
+a Python complex y, the contour's and Newton polish's case, is seeded without
+type dispatch.  f_n, g_n and their derivatives are all assembled from those
+four values, so eval_fg hands Newton polish (and _f_from/_g_from the contour
+integrand) everything they need from one walk; eval_S, eval_f, eval_g and
+their derivatives are views over the same kernel, with identical
+floating-point results.  The exact coefficients of S_k
 (s_poly) and their Horner evaluation (p_eval) live in the polynomial module
 exactpoly.
 """
@@ -45,9 +47,12 @@ def eval_S_pair(n: int, y, prime: bool = False):
     Starts at (S_0, S_1) and runs forward for n >= 1, backward for n <= 0
     (S_{k-2} = y*S_{k-1} - S_k).  With prime the derivatives ride along
     (S'_k = S_{k-1} + y*S'_{k-1} - S'_{k-2}); without it they are None.
-    Python scalar arithmetic throughout, so integer input stays exact.
+    Python scalar arithmetic throughout, so integer input stays exact.  A
+    Python complex y, the contour's and Newton's case, is seeded with 1+0j and
+    0j directly; other types take the _one_like/_zero_like isinstance chains.
     """
-    lo, hi = _one_like(y), y  # S_0, S_1
+    one, zero = (1 + 0j, 0j) if type(y) is complex else (_one_like(y), _zero_like(y))
+    lo, hi = one, y  # S_0, S_1
     if not prime:
         if n >= 1:
             for _ in range(n - 1):
@@ -56,7 +61,7 @@ def eval_S_pair(n: int, y, prime: bool = False):
             for _ in range(1 - n):
                 lo, hi = y * lo - hi, lo
         return lo, hi, None, None
-    d_lo, d_hi = _zero_like(y), _one_like(y)  # S'_0, S'_1
+    d_lo, d_hi = zero, one  # S'_0, S'_1
     if n >= 1:
         for _ in range(n - 1):
             d_lo, d_hi = d_hi, hi + y * d_hi - d_lo
@@ -83,7 +88,8 @@ def _one_like(y):
 
 
 def _guard(num, den, tol):
-    if abs(den) <= tol * max(1.0, abs(num)):
+    d = abs(den)
+    if d <= tol or d <= tol * abs(num):  # i.e. d <= tol * max(1, |num|)
         raise PoleError(f"denominator {den!r} vanishes relative to numerator {num!r}")
 
 

@@ -219,7 +219,6 @@ def _polish(eq: ConeEquation, y: complex):
     """Newton iteration on the rational residual; returns (y, |residual|)."""
     best_y, best_r, cur = y, math.inf, y
     try:
-        best_r = abs(eq.residual(y))
         for _ in range(NEWTON_MAX_STEPS):
             r = eq.residual(cur)
             if abs(r) < best_r:

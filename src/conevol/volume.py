@@ -32,6 +32,10 @@ Quadrature is adaptive Gauss 15/7 per segment, absolute tolerance 1e-9, at
 most 2000 subdivisions.  The 7-point Gauss-Legendre rule is a separate rule,
 not an embedded one: it shares only the midpoint node with the 15-point
 rule, and its difference from the 15-point value is the error estimate.
+Nodes and weights are Python floats, not the numpy arrays leggauss returns:
+a numpy node would make every path parameter, tracker lookup and panel sum
+of the hot loop a numpy scalar operation, which pays for type dispatch and
+rounds exactly as the Python float operation does.
 Within 1e-3 of the transition angle the endpoints nearly coincide and the
 contour loses relative accuracy, so the Schlaefli integral is used there
 instead.
@@ -52,6 +56,8 @@ import cmath
 import heapq
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 
@@ -79,8 +85,8 @@ PATH_CLEARANCE = 1e-7  # least distance from a candidate path to a singular poin
 IMAG_RESIDUAL_TOL = 1e-7
 TRANSITION_WINDOW = 1e-3
 
-_GL15 = np.polynomial.legendre.leggauss(15)
-_GL7 = np.polynomial.legendre.leggauss(7)
+_GL15 = tuple(a.tolist() for a in np.polynomial.legendre.leggauss(15))
+_GL7 = tuple(a.tolist() for a in np.polynomial.legendre.leggauss(7))
 
 
 # ------------------------------------------------------------- singular set
@@ -356,26 +362,24 @@ class _Integrand:
     def __init__(self, family: KnotFamily, n: int, A: float, path: tuple):
         self.family = family
         self.n = n
-        self.A = A
         self.path = path
+        self._a2 = A * A
+        self._scale = 1.0 + self._a2  # the 1 + A^2 of R's denominator
+        self._last = len(path) - 1
         self.tracker = BranchTracker(self._ratio, len(path))
-
-    def _locate(self, t: float):
-        k = min(int(t), len(self.path) - 1)
-        return self.path[k], t - k
 
     POLE_TOL = 1e-60  # clearance is enforced geometrically on the path
 
     def _at(self, t: float, prime: bool):
         """(segment, local parameter, f, f' or None, R) at path parameter t."""
-        seg, u = self._locate(t)
+        k = min(int(t), self._last)
+        seg, u = self.path[k], t - k
         y = seg.point(u)
         walk = eval_S_pair(self.n, y, prime)
         fv, fp = _f_from(y, walk, self.POLE_TOL)
         # g from the values alone: the integrand never uses g'
-        gv, _ = _g_from(self.family, y, walk[:2] + (None, None), self.POLE_TOL)
-        a2 = self.A * self.A
-        val = (fv * fv + a2) / ((1.0 + a2) * gv)
+        gv, _ = _g_from(self.family, y, (walk[0], walk[1], None, None), self.POLE_TOL)
+        val = (fv * fv + self._a2) / (self._scale * gv)
         if abs(val) < 1e-100:
             raise QuadratureError(
                 f"log argument vanishes on the path at y = {y:.8f}"
@@ -395,10 +399,12 @@ class _Integrand:
 def _gauss_pair(f, a: float, b: float):
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     v15 = [f(mid + half * x) for x in _GL15[0]]
-    i15 = half * sum(w * v for w, v in zip(_GL15[1], v15))
+    # 0 + w0*v0 + w1*v1 + ... left to right, as sum() of numpy scalars added;
+    # sum() of Python floats compensates its rounding from Python 3.12 on
+    i15 = half * reduce(add, map(mul, _GL15[1], v15), 0)
     # GL15 node 7 and GL7 node 3 are both exactly 0.0: evaluate the midpoint once
     v7 = [f(mid + half * x) if x else v15[7] for x in _GL7[0]]
-    i7 = half * sum(w * v for w, v in zip(_GL7[1], v7))
+    i7 = half * reduce(add, map(mul, _GL7[1], v7), 0)
     return i15, abs(i15 - i7)
 
 

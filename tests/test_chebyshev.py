@@ -244,8 +244,11 @@ def _outcome(fn, *args):
         return "PoleError"
 
 
+# numpy scalars take the kernel's isinstance fallback, Python complex its fast path
 KERNEL_POINTS = [-3, 0, 1, 2, 3, 5, -1.7, 0.25, 2.0, 2.5, 3.9,
-                 1.3 + 0.4j, -0.7 - 1.1j, complex(2.0), 0.5j, 3.2 - 0.01j]
+                 1.3 + 0.4j, -0.7 - 1.1j, complex(2.0), 0.5j, 3.2 - 0.01j,
+                 np.float64(-1.7), np.float64(2.0), np.complex128(1.3 + 0.4j),
+                 np.complex128(2.0)]
 
 
 @pytest.mark.parametrize("y", KERNEL_POINTS, ids=repr)

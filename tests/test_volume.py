@@ -151,7 +151,6 @@ def test_integrand_vanishes_at_endpoints():
     integrand = vo._Integrand(FIG8, 1, spec.cot_half, path)
     # the log factor is anchored to zero where the endpoints solve the equation
     for t in (1e-9, 2.0 - 1e-9):
-        seg, u = integrand._locate(t)
         log_term = integrand.tracker.log_at(t, integrand._ratio(t))
         assert abs(log_term) < 1e-6
 
@@ -408,6 +407,72 @@ def test_staple_contour_member():
     r = vo.compute_volume(spec, cross_check=True)
     assert r.volume == pytest.approx(r.schlafli_volume, abs=1e-6)
     assert r.imaginary_residual <= 1e-7
+
+
+# ------------------------------------------- hot-loop scalars and work counts
+
+@pytest.mark.parametrize("offset, regime", [
+    (-0.5, Regime.HYPERBOLIC),
+    (0.25, Regime.SPHERICAL),
+    (-5e-4, Regime.HYPERBOLIC),  # inside the transition window: Schlaefli
+    (5e-4, Regime.SPHERICAL),
+    (0.0, Regime.EUCLIDEAN),
+], ids=["hyperbolic", "spherical", "window-hyperbolic", "window-spherical",
+        "euclidean"])
+def test_result_numbers_are_python_floats(offset, regime):
+    r = vo.compute_volume(spec8(critical_angle(FIG8, 1) + offset), cross_check=True)
+    assert r.regime is regime
+    numbers = [r.volume, r.error_estimate, r.imaginary_residual]
+    if regime is not Regime.EUCLIDEAN:
+        numbers.append(r.schlafli_volume)
+    assert [type(x) for x in numbers] == [float] * len(numbers)
+
+
+C43 = ConeManifoldSpec(KnotFamily.C2N3, 2, math.pi)  # spherical
+
+
+def test_hot_loop_runs_on_python_scalars(monkeypatch):
+    t_types, y_types = set(), set()
+    at = vo._Integrand._at
+
+    def typed_at(self, t, prime):
+        seg, u, fv, fp, val = at(self, t, prime)
+        t_types.add(type(t))
+        y_types.add(type(seg.point(u)))
+        return seg, u, fv, fp, val
+
+    monkeypatch.setattr(vo._Integrand, "_at", typed_at)
+    hyperbolic = ConeManifoldSpec(FIG8, 8, 0.6 * critical_angle(FIG8, 8))
+    for spec, regime in ((hyperbolic, Regime.HYPERBOLIC), (C43, Regime.SPHERICAL)):
+        assert vo.compute_volume(spec).regime is regime
+    assert t_types == {float}
+    assert y_types == {complex}
+
+
+@pytest.mark.parametrize("spec, evals, trackers, samples", [
+    (ConeManifoldSpec(FIG8, 8, 0.6 * critical_angle(FIG8, 8)), 294, 1, 65),
+    (ConeManifoldSpec(KnotFamily.C2NMINUS2N, 4,
+                      0.6 * critical_angle(KnotFamily.C2NMINUS2N, 4)), 651, 8, 680),
+    (C43, 1407, 1, 33),
+], ids=["C(16,2)", "C(8,-8)", "C(4,3)"])
+def test_contour_work_counts_are_pinned(spec, evals, trackers, samples, monkeypatch):
+    # a faster contour must come from cheaper evaluations, not from fewer
+    counts = {"evals": 0, "trackers": 0, "samples": 0}
+    call, init = vo._Integrand.__call__, vo.BranchTracker.__init__
+
+    def counted_call(self, t):
+        counts["evals"] += 1
+        return call(self, t)
+
+    def counted_init(self, ratio, n_segments):
+        counts["trackers"] += 1
+        init(self, ratio, n_segments)
+        counts["samples"] += len(self.ts)
+
+    monkeypatch.setattr(vo._Integrand, "__call__", counted_call)
+    monkeypatch.setattr(vo.BranchTracker, "__init__", counted_init)
+    vo.compute_volume(spec)
+    assert counts == {"evals": evals, "trackers": trackers, "samples": samples}
 
 
 # ----------------------------------------------------- golden CLI output
