@@ -399,8 +399,8 @@ class _Integrand:
 def _gauss_pair(f, a: float, b: float):
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     v15 = [f(mid + half * x) for x in _GL15[0]]
-    # 0 + w0*v0 + w1*v1 + ... left to right, as sum() of numpy scalars added;
-    # sum() of Python floats compensates its rounding from Python 3.12 on
+    # 0 + w0*v0 + w1*v1 + ... left to right on every Python version: sum() of
+    # Python floats compensates its rounding from 3.12 on, changing the bits
     i15 = half * reduce(add, map(mul, _GL15[1], v15), 0)
     # GL15 node 7 and GL7 node 3 are both exactly 0.0: evaluate the midpoint once
     v7 = [f(mid + half * x) if x else v15[7] for x in _GL7[0]]
