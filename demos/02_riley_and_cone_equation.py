@@ -34,7 +34,7 @@ print("\nThe C(2n,-2n) family carries angle-independent parasite roots with")
 print("f^2 = 1; they are split off exactly as gcd(C0, C1):")
 eq2 = build_cone_equation(KnotFamily.C2NMINUS2N, 2, 1.0)
 print("  parasite factor coefficients:", list(eq2.parasite))
-recs = solve_cone_equation(eq2)
+recs = solve_cone_equation(eq2, keep_spurious=True)
 for r in recs:
     tag = "parasite" if r.unit_f else "moving"
     print(f"  root {r.y:+.6f}  [{tag}]  residual {r.residual:.1e}")
@@ -42,14 +42,14 @@ for r in recs:
 print("\nSimultaneous-vanishing check (the two zero loci agree pointwise):")
 alpha = 1.3
 eq3 = build_cone_equation(KnotFamily.C2N3, 2, 1.0 / math.tan(alpha / 2))
-for r in solve_cone_equation(eq3)[:3]:
+for r in solve_cone_equation(eq3, keep_spurious=True)[:3]:
     rep = check_lemma_cd(KnotFamily.C2N3, 2, alpha, r.y)
     print(
         f"  y = {r.y:+.6f}: |Phi| = {abs(rep.phi_value):.1e}, "
         f"|cone residual| = {abs(rep.cone_residual):.1e}, "
         f"consistent = {rep.consistent}"
     )
-off = solve_cone_equation(eq3)[0].y + 0.1
+off = solve_cone_equation(eq3, keep_spurious=True)[0].y + 0.1
 rep = check_lemma_cd(KnotFamily.C2N3, 2, alpha, off)
 print(f"  0.1 off a root: |Phi| = {abs(rep.phi_value):.2e}, "
       f"|cone residual| = {abs(rep.cone_residual):.2e} (both far from zero)")

@@ -49,9 +49,10 @@ def eval_S_pair(n: int, y, prime: bool = False):
     (S'_k = S_{k-1} + y*S'_{k-1} - S'_{k-2}); without it they are None.
     Python scalar arithmetic throughout, so integer input stays exact.  A
     Python complex y, the contour's and Newton's case, is seeded with 1+0j and
-    0j directly; other types take the _one_like/_zero_like isinstance chains.
+    0j directly; other types take _zero_like's isinstance chain (one is its
+    zero plus 1).
     """
-    one, zero = (1 + 0j, 0j) if type(y) is complex else (_one_like(y), _zero_like(y))
+    one, zero = (1 + 0j, 0j) if type(y) is complex else (_zero_like(y) + 1, _zero_like(y))
     lo, hi = one, y  # S_0, S_1
     if not prime:
         if n >= 1:
@@ -83,10 +84,6 @@ def eval_S_prime(k: int, y):
     return eval_S_pair(k, y, True)[3]
 
 
-def _one_like(y):
-    return 1 if isinstance(y, int) else 1.0 if isinstance(y, float) else complex(1.0)
-
-
 def _guard(num, den, tol):
     d = abs(den)
     if d <= tol or d <= tol * abs(num):  # i.e. d <= tol * max(1, |num|)
@@ -115,7 +112,7 @@ def _g_from(family: KnotFamily, y, walk, pole_tol):
     elif family is KnotFamily.C2N2:
         num, den = -(s_n - s_nm1), (y - 2) ** 2 * s_nm1**3
     else:
-        num, den = _one_like(y), (y - 2) ** 2 * s_nm1**4
+        num, den = 1, (y - 2) ** 2 * s_nm1**4
     _guard(num, den, pole_tol)
     if d_n is None:
         return num / den, None
@@ -126,7 +123,7 @@ def _g_from(family: KnotFamily, y, walk, pole_tol):
         num_p = -(d_n - d_nm1)
         den_p = 2 * (y - 2) * s_nm1**3 + 3 * (y - 2) ** 2 * s_nm1**2 * d_nm1
     else:
-        num_p = _zero_like(y)
+        num_p = 0
         den_p = 2 * (y - 2) * s_nm1**4 + 4 * (y - 2) ** 2 * s_nm1**3 * d_nm1
     return num / den, (num_p * den - num * den_p) / (den * den)
 

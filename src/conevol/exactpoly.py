@@ -2,13 +2,16 @@
 
 Every exact polynomial of the package is built here: the S_k coefficient
 lists, the numerator and denominator of f_n, the Riley and cone-equation
-pieces; p_eval is the only Horner loop.  Dense univariate polynomials are
-plain lists of Python ints (coefficient of y^j at index j), so coefficient
-growth is unbounded and exact.  Bivariate polynomials in (X, y) with X
-standing for x^2 are dicts mapping (i, j) -> int for the monomial X^i * y^j.
+pieces; p_eval is the only Horner loop and p_roots the only root finder.
+Dense univariate polynomials are plain lists of Python ints (coefficient of
+y^j at index j), so coefficient growth is unbounded and exact.  Bivariate
+polynomials in (X, y) with X standing for x^2 are dicts mapping
+(i, j) -> int for the monomial X^i * y^j.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 # ---------------------------------------------------------------- univariate
@@ -38,10 +41,6 @@ def p_mul(a, b):
     return p_trim(out)
 
 
-def p_scale(a, s):
-    return p_trim([s * c for c in a])
-
-
 def p_pow(a, k: int):
     out = [1]
     base = list(a)
@@ -69,6 +68,11 @@ def p_eval(a, y):
     for c in reversed(a):
         acc = acc * y + c
     return acc
+
+
+def p_roots(a):
+    """All complex roots of a (ascending coefficients), from the companion matrix."""
+    return [complex(z) for z in np.roots(list(reversed(a)))]
 
 
 def p_deriv(a):
@@ -153,7 +157,7 @@ def s_poly(k: int):
 def f_parts(n: int):
     """(2*S_n - y*S_{n-1}, (y-2)*S_{n-1}): exact numerator and denominator of f_n."""
     s_nm1 = s_poly(n - 1)
-    num = p_sub(p_scale(s_poly(n), 2), p_mul([0, 1], s_nm1))
+    num = p_sub([2 * c for c in s_poly(n)], p_mul([0, 1], s_nm1))
     return num, p_mul([-2, 1], s_nm1)
 
 
@@ -226,15 +230,11 @@ def b_compose_S(p: int, u):
     return cur
 
 
-def b_degree_y(a) -> int:
-    return max((j for (_, j) in a), default=-1)
-
-
 def b_uni_in_y(a, x_sq):
     """Collapse to a univariate float-coefficient list in y at fixed numeric x^2."""
     if not a:
         return []
-    out = [0j] * (b_degree_y(a) + 1)
+    out = [0j] * (max(j for (_, j) in a) + 1)
     for (i, j), c in a.items():
         out[j] += c * x_sq**i
     return p_trim(out)

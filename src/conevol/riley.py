@@ -12,12 +12,19 @@ Two exact objects are assembled here with integer arithmetic:
   cleared polynomial splits as C0(y) + A^2*C1(y) with exact integer C0, C1,
   so one symbolic assembly per (family, n) serves every angle.
 
-Roots of the cleared polynomial come from the companion matrix and are
-polished by Newton iteration on the rational residual itself, which avoids
-error amplification from the cleared factors.  Roots sitting on the cleared
-denominators are marked spurious, roots that fail to polish raise, and the
-angle-independent roots with f_n(y)^2 = 1 (where the equivalence with
-Phi = 0 breaks down; they are common zeros of C0 and C1) are marked unit_f.
+Roots of the cleared polynomial come from the companion matrix
+(exactpoly.p_roots) and are polished by Newton iteration on the rational
+residual itself, which avoids error amplification from the cleared factors;
+roots that fail to polish raise.  Each Newton point costs one recurrence
+walk: ConeEquation.residual_prime returns (residual, slope), and keeps its
+name because perfbench's tracer counts riley.newton.steps by it.  Of the
+cleared denominators only y = 2 can be a root, exactly where
+cot^2(alpha/2) = det K (C(2n,2) with n <= -1, every C(2n,-2n)); it is
+marked spurious.  (S_{n-1}
+divides w and D, so at its zeros C0 = C1 = r != 0 by the Pell identity.)
+Roots with f_n(y)^2 = 1, where the equivalence with Phi = 0 breaks down, are
+marked unit_f; the angle-independent ones, roots of gcd(C0, C1), and the
+spurious roots appear only in the full flagged listing (keep_spurious).
 """
 
 from __future__ import annotations
@@ -26,14 +33,12 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from . import exactpoly as xp
 from .chebyshev import eval_S, eval_f, eval_fg
 from .errors import NonConvergenceError, PoleError
 from .families import KnotFamily, validate_twist
 
-# Proximity threshold to cleared denominators.
+# Proximity threshold to the cleared denominator y = 2.
 SPURIOUS_EPS = 1e-8
 RESIDUAL_TOL = 1e-8
 UNIT_F_TOL = 1e-8
@@ -177,11 +182,15 @@ class ConeEquation:
     def residual(self, y):
         """The rational residual f^2 + A^2 - (1+A^2) g at y."""
         fv, gv, _, _ = eval_fg(self.family, self.n, y)
-        return fv * fv + self.A * self.A - (1.0 + self.A * self.A) * gv
+        a2 = self.A * self.A
+        return fv * fv + a2 - (1.0 + a2) * gv
 
     def residual_prime(self, y):
-        fv, _, fp, gp = eval_fg(self.family, self.n, y, prime=True)
-        return 2.0 * fv * fp - (1.0 + self.A * self.A) * gp
+        """(residual(y), its derivative in y) from one recurrence walk."""
+        fv, gv, fp, gp = eval_fg(self.family, self.n, y, prime=True)
+        a2 = self.A * self.A
+        one_a2 = 1.0 + a2
+        return fv * fv + a2 - one_a2 * gv, 2.0 * fv * fp - one_a2 * gp
 
 
 def build_cone_equation(family: KnotFamily, n: int, A: float) -> ConeEquation:
@@ -220,13 +229,10 @@ def _polish(eq: ConeEquation, y: complex):
     best_y, best_r, cur = y, math.inf, y
     try:
         for _ in range(NEWTON_MAX_STEPS):
-            r = eq.residual(cur)
+            r, rp = eq.residual_prime(cur)
             if abs(r) < best_r:
                 best_y, best_r = cur, abs(r)
-            if abs(r) <= 1e-14:
-                break
-            rp = eq.residual_prime(cur)
-            if rp == 0:
+            if abs(r) <= 1e-14 or rp == 0:
                 break
             step = r / rp
             cur = cur - step
@@ -243,19 +249,17 @@ def _polish(eq: ConeEquation, y: complex):
 def solve_cone_equation(eq: ConeEquation, keep_spurious: bool = False):
     """All roots of the cleared polynomial, polished and flagged.
 
-    Returns RootRecords sorted by (real, imag).  Roots within SPURIOUS_EPS of
-    y = 2 or a zero of S_{n-1} are spurious and dropped unless keep_spurious;
-    a root whose polished rational residual exceeds RESIDUAL_TOL raises
-    NonConvergenceError.
-    Roots with f^2 = 1 (angle-independent parasites, common zeros of C0 and
-    C1) are kept with unit_f set.
+    Returns RootRecords sorted by (real, imag); unit_f marks f^2 = 1.  A root
+    within SPURIOUS_EPS of y = 2, or whose polish meets a pole, is spurious;
+    one whose polished residual exceeds RESIDUAL_TOL raises
+    NonConvergenceError.  keep_spurious gives the full flagged listing, with
+    the spurious roots and the angle-independent f^2 = 1 parasites.
     """
     if eq.degree < 1:
         raise ValueError("cone equation degree must be >= 1")
     records = []
-    for y0 in np.roots(list(reversed(eq.moving_coeffs))):
-        y0 = complex(y0)
-        if abs(y0 - 2.0) <= SPURIOUS_EPS or abs(eval_S(eq.n - 1, y0)) <= SPURIOUS_EPS:
+    for y0 in xp.p_roots(eq.moving_coeffs):
+        if abs(y0 - 2.0) <= SPURIOUS_EPS:
             records.append(RootRecord(y0, float("inf"), True))
             continue
         try:
@@ -273,23 +277,24 @@ def solve_cone_equation(eq: ConeEquation, keep_spurious: bool = False):
         except PoleError:
             unit = False
         records.append(RootRecord(y_pol, res, False, unit))
-    for y0 in _parasite_roots(eq.parasite):
-        try:
-            res = abs(eq.residual(y0))
-        except PoleError:
-            res = float("inf")
-        records.append(RootRecord(y0, res, False, True))
-    records.sort(key=lambda r: (r.y.real, r.y.imag))
     if keep_spurious:
-        return records
-    return [r for r in records if not r.spurious]
+        for y0 in _parasite_roots(eq.parasite):
+            try:
+                res = abs(eq.residual(y0))
+            except PoleError:
+                res = float("inf")
+            records.append(RootRecord(y0, res, False, True))
+    else:
+        records = [r for r in records if not r.spurious]
+    records.sort(key=lambda r: (r.y.real, r.y.imag))
+    return records
 
 
 @lru_cache(maxsize=None)
 def _parasite_roots(parasite: tuple) -> tuple:
     """Polished roots of gcd(C0, C1): angle-independent, so solved once per member."""
-    roots = np.roots(list(reversed(parasite)))  # none for the constant gcd (1,)
-    return tuple(_newton_on_poly(parasite, complex(y0)) for y0 in roots)
+    roots = xp.p_roots(parasite)  # none for the constant gcd (1,)
+    return tuple(_newton_on_poly(parasite, y0) for y0 in roots)
 
 
 def _newton_on_poly(coeffs, y: complex) -> complex:
@@ -308,7 +313,7 @@ def _newton_on_poly(coeffs, y: complex) -> complex:
 
 def _double_root_excused(eq: ConeEquation, y: complex, res: float) -> bool:
     """Near a root collision the polynomial is fine but Newton stalls; accept then."""
-    return res <= 1e-6 and abs(eq.residual_prime(y)) <= 1e-3
+    return res <= 1e-6 and abs(eq.residual_prime(y)[1]) <= 1e-3
 
 
 @dataclass(frozen=True)

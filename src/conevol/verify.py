@@ -15,6 +15,7 @@ import numpy as np
 
 from .chebyshev import eval_S
 from .errors import ConevolError
+from .exactpoly import p_roots
 from .families import ConeManifoldSpec, KnotFamily, is_torus_member
 from .geometry import critical_angle, select_hyperbolic_root, select_spherical_roots
 from .representation import relation_residual, w12_closed_form, word_12
@@ -85,11 +86,7 @@ def suite_lemma_cd(n_values=(-2, -1, 1, 2)) -> SuiteResult:
                 cone_roots = [
                     r.y for r in solve_cone_equation(eq) if not r.unit_f
                 ]
-                phi_roots = [
-                    complex(z) for z in np.roots(
-                        list(reversed(phi.univariate_in_y(x)))
-                    )
-                ]
+                phi_roots = p_roots(phi.univariate_in_y(x))
                 if len(cone_roots) != len(phi_roots):
                     return SuiteResult(
                         "lemma-cd",
@@ -152,8 +149,7 @@ def suite_w12(n_values=(-2, -1, 1, 2)) -> SuiteResult:
                 alpha = rng.uniform(0.3, math.pi - 0.3)
                 m = cmath.exp(0.5j * alpha)
                 x = 2.0 * math.cos(0.5 * alpha)
-                for z in np.roots(list(reversed(phi.univariate_in_y(x)))):
-                    z = complex(z)
+                for z in p_roots(phi.univariate_in_y(x)):
                     lit = word_12(family, n, m, z)
                     worst = max(worst, abs(lit - w12_closed_form(family, n, m, z)))
                     checked += 1

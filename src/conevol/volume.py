@@ -191,7 +191,7 @@ def _log_zero_points(n: int, A: float):
     """
     num, den = xp.f_parts(n)
     coeffs = xp.p_float_sum(xp.p_mul(num, num), xp.p_mul(den, den), A * A)
-    return [complex(z) for z in np.roots(list(reversed(coeffs)))]
+    return xp.p_roots(coeffs)
 
 
 def _via(y0: complex, *waypoints: complex) -> tuple:

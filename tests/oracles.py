@@ -220,3 +220,39 @@ def singular_length_60(family_token: str, n: int, alpha: float, y_guess: complex
         for c in list(reversed(word)) + word:
             longitude = longitude * gens[c]
         return float(2 * mpmath.log(abs(longitude[1, 1]))), complex(y)
+
+
+# ------------------------------------------------------ exact volume anchors
+
+def det_k(family_token: str, n: int) -> int:
+    """Knot determinant: |4n+1| for C(2n,2), |6n+1| for C(2n,3), 4n^2-1 for C(2n,-2n).
+
+    At alpha = pi the cone-manifold is the pi-orbifold, a quotient of the lens
+    space L(det K, q) by an involution, so Vol(pi) = pi^2 / det K (Dunbar,
+    "Geometric orbifolds" (1988); Porti, Kobe J. Math. 21 (2004)).
+    """
+    if family_token == "c2n2":
+        return abs(4 * n + 1)
+    if family_token == "c2n3":
+        return abs(6 * n + 1)
+    return 4 * n * n - 1
+
+
+def mednykh_rasskazov_volume(alpha: float) -> float:
+    """Figure-eight cone-manifold volume in closed form, at 30 digits.
+
+    Mednykh and Rasskazov, Tokyo J. Math. 29 (2006): below 2*pi/3 it is
+    INT_alpha^{2pi/3} arccosh(1 + cos t - cos 2t) dt, above it
+    INT_{2pi/3}^alpha arccos(1 + cos t - cos 2t) dt with alpha folded about pi.
+    The real part keeps the endpoint t = 2pi/3, where the argument is 1, on
+    the real branch despite rounding.
+    """
+    with mpmath.workdps(30):
+        a, third = mpmath.mpf(alpha), 2 * mpmath.pi / 3
+        if a < third:
+            inv, lo, hi = mpmath.acosh, a, third
+        else:
+            inv, lo, hi = mpmath.acos, third, min(a, 2 * mpmath.pi - a)
+        return float(mpmath.quad(
+            lambda t: mpmath.re(inv(1 + mpmath.cos(t) - mpmath.cos(2 * t))), [lo, hi]
+        ))

@@ -184,6 +184,18 @@ def test_roots_listing(capsys):
     assert all(line.split(",")[6] == "true" for line in lines[1:])
 
 
+@pytest.mark.parametrize("family, n, det_k", [("c2n2", -2, 7), ("c2nm2n", 2, 15)])
+def test_roots_flags_the_root_at_y_equal_2(family, n, det_k, capsys):
+    # cot^2(alpha/2) = det K puts a root of the cleared equation on the pole
+    alpha = 2.0 * math.atan(1.0 / math.sqrt(det_k))
+    code, out, _ = run_cli(
+        "roots", "--family", family, "--n", str(n), "--alpha", repr(alpha),
+        capsys=capsys,
+    )
+    assert code == 0
+    assert "2,0,nan,nan,inf,true,false" in out.splitlines()
+
+
 def test_roots_conjugate_pairing_visible(capsys):
     code, out, _ = run_cli(
         "roots", "--family", "c2n3", "--n", "2", "--alpha", "1.0", capsys=capsys

@@ -1,5 +1,8 @@
 """Exact integer polynomial helpers against sympy."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -90,3 +93,32 @@ def test_s_poly_negative_index():
     assert xp.s_poly(-1) == []
     assert xp.s_poly(-2) == [-1]
     assert xp.s_poly(-5) == [-c for c in xp.s_poly(3)]
+
+
+def test_p_roots_takes_ascending_coefficients():
+    roots = sorted(xp.p_roots([2, -3, 1]), key=lambda z: z.real)  # (y-1)(y-2)
+    assert all(type(z) is complex for z in roots)
+    assert roots == [pytest.approx(1.0, abs=1e-14), pytest.approx(2.0, abs=1e-14)]
+    assert xp.p_roots([7]) == []
+
+
+def test_p_roots_is_the_only_numpy_root_finder_in_src():
+    # a change of root finder then touches one function
+    callers = []
+    for path in sorted(Path(xp.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        numpy_names = {"numpy"} | {
+            alias.asname or alias.name
+            for node in ast.walk(tree) if isinstance(node, ast.Import)
+            for alias in node.names if alias.name.split(".")[0] == "numpy"
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+                callers += [path.name for a in node.names if a.name.endswith("roots")]
+            elif isinstance(node, ast.Attribute) and node.attr.endswith("roots"):
+                base = node.value
+                while isinstance(base, ast.Attribute):
+                    base = base.value
+                if isinstance(base, ast.Name) and base.id in numpy_names:
+                    callers.append(path.name)
+    assert callers == ["exactpoly.py"]

@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from conevol import chebyshev, geometry
+from conevol import exactpoly as xp
 from conevol import riley as ry
-from conevol.chebyshev import eval_f
+from conevol.chebyshev import eval_f, eval_fg
 from conevol.errors import NonConvergenceError
 from conevol.families import KnotFamily
 from conevol.geometry import critical_angle
 
-from oracles import sympy_cone_polynomial, sympy_phi_even, sympy_phi_odd
+from oracles import det_k, sympy_cone_polynomial, sympy_phi_even, sympy_phi_odd
 
 ALL_N = (-3, -2, -1, 1, 2, 3)
 
@@ -119,7 +121,7 @@ def test_cone_equation_minus2n_trefoil_at_pi():
     c = np.array(eq.coeffs)
     assert np.allclose(c / c[-1], [-1.0, 0.0, 1.0])
     assert list(eq.parasite) == [-1, 1]
-    recs = ry.solve_cone_equation(eq)
+    recs = ry.solve_cone_equation(eq, keep_spurious=True)
     moving = [r for r in recs if not r.unit_f]
     parasites = [r for r in recs if r.unit_f]
     assert len(moving) == 1 and moving[0].y == pytest.approx(-1.0, abs=1e-12)
@@ -169,6 +171,78 @@ def test_residuals_at_roots():
         assert abs(eq.residual(r.y)) <= 1e-8
 
 
+@pytest.mark.parametrize("family", list(KnotFamily))
+def test_residual_prime_is_the_residual_and_its_slope_bit_for_bit(family):
+    # one walk gives residual(y) and the slope the two-walk formula gave
+    for n in (-3, -1, 2, 4):
+        for A in (0.0, 0.37, 2.5):
+            eq = ry.build_cone_equation(family, n, A)
+            for y in (0.3 + 0.8j, -1.7 + 0.05j, 2.6 - 0.4j, 1.1 + 0j):
+                fv, _, fp, gp = eval_fg(family, n, y, prime=True)
+                slope = 2.0 * fv * fp - (1.0 + A * A) * gp
+                assert repr(eq.residual_prime(y)) == repr((eq.residual(y), slope))
+
+
+@pytest.mark.parametrize("family", list(KnotFamily))
+def test_zeros_of_s_nm1_are_never_roots_of_the_moving_polynomial(family):
+    # S_{n-1} divides D and w, so at its zeros C0 = C1 = r with S_n = +/-1:
+    # the deflated C0 + A^2 C1 is (1 + A^2) r / d there, never zero
+    for n in [m for m in range(-12, 13) if m]:
+        _, _, _, c0_red, c1_red = ry._cone_parts(family, n)
+        s_nm1 = xp.s_poly(n - 1)
+        assert xp.p_gcd(c0_red, s_nm1) == [1]
+        xp.p_divexact(xp.p_sub(c0_red, c1_red), s_nm1)  # raises unless it divides
+
+
+@pytest.mark.parametrize("family", list(KnotFamily))
+def test_y_equal_2_is_a_cleared_root_exactly_where_a_squared_is_det_k(family):
+    # C0(2) + A^2 C1(2) = 0 needs A^2 = -C0(2)/C1(2): det K for C(2n,2) with
+    # n <= -1 and for every C(2n,-2n), negative otherwise
+    for n in [m for m in range(-12, 13) if m]:
+        c0, c1, parasite = ry._cone_parts(family, n)[:3]
+        assert xp.p_eval(parasite, 2) != 0
+        a2 = -xp.p_eval(c0, 2) / xp.p_eval(c1, 2)
+        if family is KnotFamily.C2N3 or (family is KnotFamily.C2N2 and n > 0):
+            assert a2 < 0
+        else:
+            assert a2 == det_k(family.value, n)
+
+
+@pytest.mark.parametrize("family, n", [(KnotFamily.C2N2, -2), (KnotFamily.C2NMINUS2N, 2)])
+def test_root_at_y_equal_2_is_spurious_and_only_in_the_full_listing(family, n):
+    alpha = 2.0 * math.atan(1.0 / math.sqrt(det_k(family.value, n)))
+    eq = ry.build_cone_equation(family, n, 1.0 / math.tan(0.5 * alpha))
+    full = [r for r in ry.solve_cone_equation(eq, keep_spurious=True)
+            if abs(r.y - 2.0) <= ry.SPURIOUS_EPS]
+    assert len(full) == 1 and full[0].spurious and full[0].residual == math.inf
+    assert all(abs(r.y - 2.0) > ry.SPURIOUS_EPS for r in ry.solve_cone_equation(eq))
+
+
+def test_default_listing_leaves_out_the_parasites():
+    # C(4,3) has the f^2 = 1 parasite y = 1; only the full listing holds it
+    eq = ry.build_cone_equation(KnotFamily.C2N3, 2, 0.5)
+    full = ry.solve_cone_equation(eq, keep_spurious=True)
+    default = ry.solve_cone_equation(eq)
+    assert [r for r in full if not r.unit_f] == default
+    assert [r.y for r in full if r.unit_f] == [pytest.approx(1.0, abs=1e-12)]
+
+
+@pytest.mark.parametrize("family, n, walks", [
+    (KnotFamily.C2N3, 2, 2613),      # 4,392 when residual and slope walked apart
+    (KnotFamily.C2N2, 8, 34732),     # 64,035
+    (KnotFamily.C2NMINUS2N, 4, 7292),  # 14,603
+])
+def test_cold_critical_angle_recurrence_walks_are_pinned(family, n, walks, monkeypatch):
+    geometry.clear_caches()
+    calls = []
+    kernel = chebyshev.eval_S_pair
+    monkeypatch.setattr(
+        chebyshev, "eval_S_pair", lambda *a, **k: calls.append(a) or kernel(*a, **k)
+    )
+    critical_angle(family, n)
+    assert len(calls) == walks
+
+
 def test_newton_polish_on_constructed_polynomial():
     # (y^2 - 2y + 2)(y + 1): roots 1 +/- i and -1
     coeffs = [2.0, 0.0, -1.0, 1.0]
@@ -193,7 +267,7 @@ def test_lemma_cd_at_roots_and_off_roots():
         alpha = 1.1
         A = 1.0 / math.tan(alpha / 2)
         eq = ry.build_cone_equation(family, n, A)
-        for r in ry.solve_cone_equation(eq):
+        for r in ry.solve_cone_equation(eq, keep_spurious=True):
             rep = ry.check_lemma_cd(family, n, alpha, r.y)
             assert rep.consistent
             if not r.unit_f:
@@ -210,7 +284,9 @@ def test_unit_f_parasites_are_alpha_independent(monkeypatch):
         ry.build_cone_equation(KnotFamily.C2N3, 2, A) for A in (0.0, 0.5, 2.0)
     ]
     for eq in eqs:
-        paras = [r.y for r in ry.solve_cone_equation(eq) if r.unit_f]
+        paras = [
+            r.y for r in ry.solve_cone_equation(eq, keep_spurious=True) if r.unit_f
+        ]
         assert len(paras) == 1
         assert paras[0] == pytest.approx(1.0, abs=1e-12)
         fv = eval_f(2, paras[0])
@@ -221,7 +297,8 @@ def test_unit_f_parasites_are_alpha_independent(monkeypatch):
     monkeypatch.setattr(
         ry, "_newton_on_poly", lambda *args: calls.append(args) or newton(*args)
     )
-    recs = ry.solve_cone_equation(ry.build_cone_equation(KnotFamily.C2N3, 2, 1.3))
+    eq = ry.build_cone_equation(KnotFamily.C2N3, 2, 1.3)
+    recs = ry.solve_cone_equation(eq, keep_spurious=True)
     assert [r.y for r in recs if r.unit_f] == paras
     assert calls == []
 
