@@ -130,11 +130,20 @@ def build_phi(family: KnotFamily, n: int) -> BivariatePoly:
 
 # ------------------------------------------------------------- cone equation
 
+# (a, b, c, sign) of w = (y-2)^a S_{n-1}^b and r = sign (S_n - S_{n-1})^c, so
+# that g = -r / (D^2 w) and R = -(N^2 + A^2 D^2) w / ((1+A^2) r)
+R_FACTORS = {
+    KnotFamily.C2N3: (1, 2, 2, 1),  # common denominator (y-2)^3 S_{n-1}^4
+    KnotFamily.C2N2: (0, 1, 1, 1),  # (y-2)^2 S_{n-1}^3
+    KnotFamily.C2NMINUS2N: (0, 2, 0, -1),  # (y-2)^2 S_{n-1}^4
+}
+
+
 @lru_cache(maxsize=None)
 def _cone_parts(family: KnotFamily, n: int):
     """Exact integer parts of the cleared equation C0(y) + A^2 * C1(y) = 0.
 
-    With f = N/D (exactpoly.f_parts) every family's g is -r / (D^2 w), so
+    With f = N/D (exactpoly.f_parts) and w, r from R_FACTORS, g = -r / (D^2 w);
     multiplying through by D^2 w gives C0 = N^2 w + r and C1 = D^2 w + r.
     The common factor d = gcd(C0, C1) holds exactly the angle-independent
     f^2 = 1 parasite roots; the deflated pair (C0/d, C1/d) carries the moving
@@ -142,16 +151,9 @@ def _cone_parts(family: KnotFamily, n: int):
     """
     num, den = xp.f_parts(n)
     s_nm1 = xp.s_poly(n - 1)
-    diff = xp.p_sub(xp.s_poly(n), s_nm1)
-    if family is KnotFamily.C2N3:
-        # common denominator (y-2)^3 S^4
-        w, r = xp.p_mul([-2, 1], xp.p_pow(s_nm1, 2)), xp.p_pow(diff, 2)
-    elif family is KnotFamily.C2N2:
-        # common denominator (y-2)^2 S^3
-        w, r = s_nm1, diff
-    else:
-        # common denominator (y-2)^2 S^4
-        w, r = xp.p_pow(s_nm1, 2), [-1]
+    a, b, c, sign = R_FACTORS[family]
+    w = xp.p_mul(xp.p_pow([-2, 1], a), xp.p_pow(s_nm1, b))
+    r = [sign * k for k in xp.p_pow(xp.p_sub(xp.s_poly(n), s_nm1), c)]
     c0 = xp.p_add(xp.p_mul(xp.p_pow(num, 2), w), r)
     c1 = xp.p_add(xp.p_mul(xp.p_pow(den, 2), w), r)
     parasite = xp.p_gcd(c0, c1)

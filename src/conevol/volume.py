@@ -21,12 +21,17 @@ monodromy jump).  The spherical contour runs along the real segment from y+
 to y- with small semicircular detours into the upper half-plane around any
 singular point in between.  A path is a tuple of line and arc segments.
 
-Both regimes go through one driver, which takes the first candidate path
-whose tracked log closes (returns to 0 at the far endpoint, where R = 1
-again) and integrates it.  The hyperbolic candidates are the anchored V,
-then Vs through other real anchors and staples threading the pinch
-corridors beside higher-order zeros of the log argument; the spherical
-contour is its only candidate.
+Both regimes go through one driver, which builds the branch tracker of the
+first candidate path and integrates it.  The right class is the one in which
+log(R) returns to 0 at the far endpoint, where R = 1 again.  R is
+c * prod (y - a)^e over the roots of N^2 + A^2 D^2 and the exact cosines of
+riley.R_FACTORS, so its winding along a straight leg is an exact sum, and
+the hyperbolic candidates (the anchored V, then Vs through other real
+anchors and staples threading the pinch corridors beside higher-order zeros
+of the log argument) are yielded only in that class: one tracker per
+volume.  The tracker's closure check stays as a certificate that the sampled
+branch agrees; a candidate failing it is skipped.  The spherical contour is
+its only candidate.
 
 Quadrature is adaptive Gauss 15/7 per segment, absolute tolerance 1e-9, at
 most 2000 subdivisions.  The 7-point Gauss-Legendre rule is a separate rule,
@@ -75,6 +80,7 @@ from .geometry import (
     hyperbolic_length,
     spherical_length,
 )
+from .riley import R_FACTORS
 
 R_EXCL = 1e-4
 QUAD_ABS_TOL = 1e-9
@@ -194,6 +200,24 @@ def _log_zero_points(n: int, A: float):
     return xp.p_roots(coeffs)
 
 
+def _r_factors(family: KnotFamily, n: int, log_zeros):
+    """R = c * prod (y - a)^e as (a, e): the log zeros, then the exact cosines."""
+    a, b, c, _ = R_FACTORS[family]
+    return ([(z, 1) for z in log_zeros] + [(2.0, a)]
+            + [(s, b) for s in _s_zeros(n - 1)]
+            + [(s, -c) for s in _s_diff_zeros(n)])
+
+
+def _closes(path: tuple, factors) -> bool:
+    """True when R's exact winding along the path's straight legs is zero.
+
+    Off the leg p -> q, arg(y - a) turns by exactly phase((q - a)/(p - a)).
+    """
+    turn = sum(e * cmath.phase((leg.z1 - a) / (leg.z0 - a))
+               for leg in path for a, e in factors)
+    return round(turn / (2.0 * math.pi)) == 0
+
+
 def _via(y0: complex, *waypoints: complex) -> tuple:
     """Straight legs conj(y0) -> waypoints -> y0, as a tuple of segments."""
     pts = (y0.conjugate(), *waypoints, y0)
@@ -204,17 +228,22 @@ def _candidate_paths(family: KnotFamily, n: int, A: float, y0: complex,
                      shift: complex = 0.0):
     """Deterministic contour candidates, collision-anchored V first.
 
-    The correct homotopy class has the tracked log returning to zero at the
-    far endpoint; the caller scans candidates until one passes.  Straight
-    two-leg Vs handle simple real zeros of the log argument (side selection
-    by anchor interval); staple paths thread the pinch corridors next to
-    higher-order zeros, whose conjugate companion pair squeezes onto the
-    axis as the angle shrinks.  Only paths clear of the real singular set
-    are yielded.
+    The correct class has log(R) returning to zero at the far endpoint.  A
+    candidate is made of straight legs, so its winding of R is exact and is
+    decided before any sampling: only paths of winding 0 (_closes) and clear
+    of the real singular set are yielded.  The caller builds one branch
+    tracker, for the first; its closure check stays, to certify that the
+    sampled branch agrees with the exact class.  Straight two-leg Vs handle
+    simple real zeros of the log argument (side selection by anchor
+    interval); staple paths thread the pinch corridors next to higher-order
+    zeros, whose conjugate companion pair squeezes onto the axis as the
+    angle shrinks.
     """
     reals = real_singular_points(n, include_f_zeros=True)
     y_star = collision_root(family, n)
-    zeros = [z for z in _log_zero_points(n, A) if z.imag > 1e-9]
+    log_zeros = _log_zero_points(n, A)
+    factors = _r_factors(family, n, log_zeros)
+    zeros = [z for z in log_zeros if z.imag > 1e-9]
     verticals = sorted(
         set(reals)
         | {z.real for z in zeros if abs(z.real) < abs(reals[-1]) + 1.0}
@@ -243,7 +272,8 @@ def _candidate_paths(family: KnotFamily, n: int, A: float, y0: complex,
             h = 1.4 * h_local + 0.05
             paths.append(_via(y0, complex(x, math.copysign(h, -y0.imag)) + shift,
                               complex(x, math.copysign(h, y0.imag)) + shift))
-        yield from (path for path in paths if _path_clear(path, reals))
+        yield from (path for path in paths
+                    if _closes(path, factors) and _path_clear(path, reals))
 
 
 def _path_clear(path: tuple, obstacles) -> bool:
@@ -335,7 +365,6 @@ class BranchTracker:
                 f"log argument not anchored at the start endpoint "
                 f"(arg = {unwrapped[0]:.3e})"
             )
-        self.windings = round((unwrapped[-1] - unwrapped[0]) / (2.0 * math.pi))
 
     def log_at(self, t: float, value: complex) -> complex:
         i = bisect.bisect_right(self.ts, t) - 1
@@ -448,7 +477,6 @@ class VolumeResult:
     volume: float
     error_estimate: float
     imaginary_residual: float = 0.0
-    branch_windings: int = 0
     l_alpha: float | None = None
     schlafli_volume: float | None = None
     diagnostics: dict = field(default_factory=dict)
@@ -459,8 +487,7 @@ def _contour(spec: ConeManifoldSpec, paths, rotation: complex):
 
     R = 1 at both endpoints, so a path on which the tracked log does not
     return to 0 is in the wrong homotopy class and is skipped, as is one on
-    which branch tracking fails.  Returns (value, error estimate, windings,
-    path).
+    which branch tracking fails.  Returns (value, error estimate, path).
     """
     family, n = spec.family, spec.n
     last_err = None
@@ -490,7 +517,7 @@ def _contour(spec: ConeManifoldSpec, paths, rotation: complex):
             f"volume has imaginary residual {value.imag:.3e} (branch tracking "
             f"inconsistent)"
         )
-    return value, err, integrand.tracker.windings, path
+    return value, err, path
 
 
 def volume_hyperbolic(spec: ConeManifoldSpec, y0: complex,
@@ -503,14 +530,13 @@ def volume_hyperbolic(spec: ConeManifoldSpec, y0: complex,
     """
     family, n = spec.family, spec.n
     paths = _candidate_paths(family, n, spec.cot_half, y0, anchor_shift)
-    value, err, windings, path = _contour(spec, paths, 1j)
+    value, err, path = _contour(spec, paths, 1j)
     return VolumeResult(
         spec,
         Regime.HYPERBOLIC,
         value.real,
         err,
         abs(value.imag),
-        windings,
         diagnostics={"y0": y0, "anchor": path[0].z1},
     )
 
@@ -520,7 +546,7 @@ def volume_spherical(spec: ConeManifoldSpec, y_plus: float,
     """Contour volume from the selected real pair; l_alpha is left to classify."""
     family, n = spec.family, spec.n
     paths = (spherical_path(n, y_plus, y_minus),)
-    value, err, windings, path = _contour(spec, paths, 1)
+    value, err, path = _contour(spec, paths, 1)
     flipped = False
     if value.real < 0.0:
         value = -value
@@ -531,7 +557,6 @@ def volume_spherical(spec: ConeManifoldSpec, y_plus: float,
         value.real,
         err,
         abs(value.imag),
-        windings,
         diagnostics={
             "y_plus": y_plus,
             "y_minus": y_minus,

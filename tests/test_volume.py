@@ -10,6 +10,7 @@ import pytest
 
 from conevol import geometry
 from conevol import volume as vo
+from conevol.chebyshev import eval_fg
 from conevol.cli import main
 from conevol.errors import NonConvergenceError, PathBlockedError, QuadratureError
 from conevol.families import ConeManifoldSpec, KnotFamily, is_torus_member
@@ -19,6 +20,15 @@ from conevol.representation import holonomy_data, longitude_eigenvalue, word_12
 from oracles import figure_eight_volume
 
 FIG8 = KnotFamily.C2N2
+
+
+# the non-torus members with |n| <= 4, and C(16,2)
+MEMBERS = [
+    (family, n)
+    for family in KnotFamily
+    for n in (-4, -3, -2, -1, 1, 2, 3, 4)
+    if not is_torus_member(family, n)
+] + [(FIG8, 8)]
 
 
 def spec8(alpha):
@@ -87,7 +97,6 @@ def test_hyperbolic_result_fields():
     assert r.volume > 0
     assert r.error_estimate < 1e-8
     assert r.imaginary_residual <= 1e-7
-    assert r.branch_windings == 0
     assert r.volume == pytest.approx(r.schlafli_volume, abs=1e-6)
 
 
@@ -155,6 +164,109 @@ def test_integrand_vanishes_at_endpoints():
         assert abs(log_term) < 1e-6
 
 
+# ------------------------------------------------------- exact class filter
+
+def _log_argument(family, n, A, y):
+    """R = (f^2 + A^2) / ((1 + A^2) g) from the recurrence kernel."""
+    fv, gv, _, _ = eval_fg(family, n, y)
+    return (fv * fv + A * A) / ((1.0 + A * A) * gv)
+
+
+@pytest.mark.parametrize("family", list(KnotFamily), ids=lambda f: f.value)
+def test_log_argument_is_a_constant_times_its_factor_product(family):
+    # R = c * prod (y - a)^e over the zeros of N^2 + A^2 D^2 and the exact
+    # cosines of riley.R_FACTORS: the premise of the exact winding filter
+    rng = np.random.default_rng(12)
+    ys = [complex(x, s * h) for x, s, h in zip(
+        rng.uniform(-2.5, 2.5, 12), rng.choice((-1.0, 1.0), 12),
+        rng.uniform(0.05, 1.0, 12))]
+    for n in [k for m in range(1, 9) for k in (m, -m)]:
+        for alpha in (0.3, 1.5, 2.5, 3.0):
+            A = 1.0 / math.tan(0.5 * alpha)
+            factors = vo._r_factors(family, n, vo._log_zero_points(n, A))
+            c = []
+            for y in ys:
+                prod = 1.0
+                for a, e in factors:
+                    prod *= (y - a) ** e
+                c.append(_log_argument(family, n, A, y) / prod)
+            spread = max(abs(v - c[0]) for v in c) / abs(c[0])
+            assert spread <= 1e-9, (n, alpha, spread)
+
+
+def _scan(family, n, A, y0, shift, monkeypatch):
+    """Every candidate of the generator with the exact class filter off."""
+    with monkeypatch.context() as m:
+        m.setattr(vo, "_closes", lambda path, factors: True)
+        return list(vo._candidate_paths(family, n, A, y0, shift))
+
+
+def _tracker_closes(family, n, A, path):
+    try:
+        tracker = vo._Integrand(family, n, A, path).tracker
+    except QuadratureError:
+        return False
+    return abs(tracker.unwrapped[-1]) <= 1e-5
+
+
+@pytest.mark.parametrize("family,n", MEMBERS, ids=lambda v: str(v))
+def test_filter_yields_first_the_path_the_sampled_scan_accepts(family, n,
+                                                                monkeypatch):
+    a_k = critical_angle(family, n)
+    for fraction in (0.05, 0.2, 0.5, 0.8, 0.95):
+        spec = ConeManifoldSpec(family, n, fraction * a_k)
+        A, y0 = spec.cot_half, classify(spec).roots[0]
+        for shift in (0.0, 0.1j, -0.1j):
+            # None where no candidate closes: the shifted C(2n,-2n) cases of
+            # test_path_independence_at_small_angles
+            accepted = next((path for path in _scan(family, n, A, y0, shift, monkeypatch)
+                             if _tracker_closes(family, n, A, path)), None)
+            first = next(vo._candidate_paths(family, n, A, y0, shift), None)
+            assert first == accepted, (fraction, shift)
+
+
+def test_twice_winding_v_of_c_minus8_3_is_not_yielded(monkeypatch):
+    # the sampled tracker closes on conj(y0) -> 0.88268343236509 -> y0, but
+    # R winds twice along it
+    family, n = KnotFamily.C2N3, -4
+    spec = ConeManifoldSpec(family, n, 0.05 * critical_angle(family, n))
+    A, y0 = spec.cot_half, classify(spec).roots[0]
+    v = vo._via(y0, complex(0.88268343236509))
+    assert v in _scan(family, n, A, y0, 0.0, monkeypatch)
+    # a dense unwrap of R, 20,000 steps a leg, counts the two turns
+    turn = 0.0
+    for leg in v:
+        phases = [cmath.phase(_log_argument(family, n, A, leg.point(k / 20000)))
+                  for k in range(20001)]
+        turn += float(np.unwrap(phases)[-1] - phases[0])
+    assert round(turn / (2.0 * math.pi)) == 2
+    factors = vo._r_factors(family, n, vo._log_zero_points(n, A))
+    assert not vo._closes(v, factors)
+    assert v not in list(vo._candidate_paths(family, n, A, y0))
+
+
+@pytest.mark.parametrize("family,n", [
+    (FIG8, 1), (KnotFamily.C2N3, 2), (KnotFamily.C2NMINUS2N, 4), (FIG8, 8),
+], ids=lambda v: str(v))
+def test_one_branch_tracker_per_hyperbolic_volume(family, n, monkeypatch):
+    # the four sweep-curves members at 16 hyperbolic angles
+    a_k = critical_angle(family, n)
+    specs = [ConeManifoldSpec(family, n, (k + 0.5) / 16 * a_k) for k in range(16)]
+    roots = [classify(spec).roots[0] for spec in specs]
+    trackers = []
+    init = vo.BranchTracker.__init__
+
+    def counted_init(self, ratio, n_segments):
+        trackers[-1] += 1
+        init(self, ratio, n_segments)
+
+    monkeypatch.setattr(vo.BranchTracker, "__init__", counted_init)
+    for spec, y0 in zip(specs, roots):
+        trackers.append(0)
+        vo.volume_hyperbolic(spec, y0)
+    assert trackers == [1] * 16
+
+
 # ----------------------------------------------------------- branch tracker
 
 def _breadth_first_tracker(ratio, n_segments, init_per_segment=33):
@@ -186,8 +298,7 @@ def _breadth_first_tracker(ratio, n_segments, init_per_segment=33):
     unwrapped = [args[0]]
     for i in range(1, len(ts)):
         unwrapped.append(unwrapped[-1] + vo._wrap(args[i] - args[i - 1]))
-    windings = round((unwrapped[-1] - unwrapped[0]) / (2.0 * math.pi))
-    return ts, unwrapped, windings
+    return ts, unwrapped
 
 
 # a fast-turning phase, and a zero 1e-9 off the path at t = 0.5 (both are 1 at t = 0)
@@ -200,12 +311,11 @@ DEEP_RATIOS = {
 @pytest.mark.parametrize("name", sorted(DEEP_RATIOS))
 def test_tracker_matches_breadth_first_refinement(name, monkeypatch):
     ratio = DEEP_RATIOS[name]
-    ts, unwrapped, windings = _breadth_first_tracker(ratio, 2)
+    ts, unwrapped = _breadth_first_tracker(ratio, 2)
     assert len(ts) > 100 or min(b - a for a, b in zip(ts, ts[1:])) < 1e-9
     tracker = vo.BranchTracker(ratio, 2)
     assert repr(tracker.ts) == repr(ts)
     assert repr(tracker.unwrapped) == repr(unwrapped)
-    assert repr(tracker.windings) == repr(windings)
     # the budget binds exactly when the fully refined set exceeds it
     monkeypatch.setattr(vo.BranchTracker, "MAX_SAMPLES", len(ts))
     assert vo.BranchTracker(ratio, 2).ts == ts
@@ -286,15 +396,7 @@ def test_spherical_contour_must_close(monkeypatch):
 
 # ------------------------------------------------------- singular length
 
-LENGTH_MEMBERS = [
-    (family, n)
-    for family in KnotFamily
-    for n in (-4, -3, -2, -1, 1, 2, 3, 4)
-    if not is_torus_member(family, n)
-] + [(FIG8, 8)]
-
-
-@pytest.mark.parametrize("family,n", LENGTH_MEMBERS, ids=lambda v: str(v))
+@pytest.mark.parametrize("family,n", MEMBERS, ids=lambda v: str(v))
 def test_classify_owns_the_singular_length(family, n):
     a_k = critical_angle(family, n)
     hyperbolic = [f * a_k for f in (0.2, 0.5, 0.8)]
@@ -310,7 +412,7 @@ def test_classify_owns_the_singular_length(family, n):
         assert repr(vo.compute_volume(spec).l_alpha) == repr(res.l_alpha)
 
 
-@pytest.mark.parametrize("family,n", LENGTH_MEMBERS, ids=lambda v: str(v))
+@pytest.mark.parametrize("family,n", MEMBERS, ids=lambda v: str(v))
 def test_longitude_eigenvalue_is_the_word_entry_ratio(family, n):
     # one word evaluation at m serves the residual check and W_12
     a_k = critical_angle(family, n)
@@ -452,11 +554,13 @@ def test_hot_loop_runs_on_python_scalars(monkeypatch):
 @pytest.mark.parametrize("spec, evals, trackers, samples", [
     (ConeManifoldSpec(FIG8, 8, 0.6 * critical_angle(FIG8, 8)), 294, 1, 65),
     (ConeManifoldSpec(KnotFamily.C2NMINUS2N, 4,
-                      0.6 * critical_angle(KnotFamily.C2NMINUS2N, 4)), 651, 8, 680),
+                      0.6 * critical_angle(KnotFamily.C2NMINUS2N, 4)), 651, 1, 105),
     (C43, 1407, 1, 33),
 ], ids=["C(16,2)", "C(8,-8)", "C(4,3)"])
 def test_contour_work_counts_are_pinned(spec, evals, trackers, samples, monkeypatch):
-    # a faster contour must come from cheaper evaluations, not from fewer
+    # integrand evaluations must not fall: a faster contour must come from
+    # cheaper evaluations, not from fewer; the exact class filter leaves one
+    # branch tracker per hyperbolic volume
     counts = {"evals": 0, "trackers": 0, "samples": 0}
     call, init = vo._Integrand.__call__, vo.BranchTracker.__init__
 
