@@ -9,7 +9,9 @@ functions that drive the whole artifact, for a nonzero twist parameter n:
 
     f_n(y) = (2*S_n(y) - y*S_{n-1}(y)) / ((y-2)*S_{n-1}(y))
 
-and a family-dependent companion g_n(y):
+and a family-dependent companion g_n(y) = -r / (D^2 w), with D = (y-2) S_{n-1},
+w = (y-2)^a S_{n-1}^b and r = sign (S_n - S_{n-1})^c; families.R_EXPONENTS
+holds (a, b, c, sign), the one table of the family-specific exponents:
 
     C(2n,3):    -(S_n - S_{n-1})^2 / ((y-2)^3 * S_{n-1}^4)
     C(2n,2):    -(S_n - S_{n-1})   / ((y-2)^2 * S_{n-1}^3)
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 from .errors import PoleError
 from .exactpoly import _zero_like
-from .families import KnotFamily
+from .families import R_EXPONENTS, KnotFamily
 
 # Denominator guard: |den| below this times the numerator scale is a pole.
 POLE_TOL = 1e-14
@@ -105,26 +107,19 @@ def _f_from(y, walk, pole_tol):
 
 def _g_from(family: KnotFamily, y, walk, pole_tol):
     """(g_n, g'_n) from an eval_S_pair walk, both by the quotient rule on the
-    unreduced numerator and denominator; g'_n is None unless the walk has S'."""
+    unreduced numerator -sign (S_n - S_{n-1})^c and denominator
+    (y-2)^(a+2) S_{n-1}^(b+2), with (a, b, c, sign) from R_EXPONENTS; g'_n is
+    None unless the walk has S'."""
+    a, b, c, sign = R_EXPONENTS[family]
     s_nm1, s_n, d_nm1, d_n = walk
-    if family is KnotFamily.C2N3:
-        num, den = -((s_n - s_nm1) ** 2), (y - 2) ** 3 * s_nm1**4
-    elif family is KnotFamily.C2N2:
-        num, den = -(s_n - s_nm1), (y - 2) ** 2 * s_nm1**3
-    else:
-        num, den = 1, (y - 2) ** 2 * s_nm1**4
+    p, q = a + 2, b + 2
+    num = -sign * (s_n - s_nm1) ** c
+    den = (y - 2) ** p * s_nm1**q
     _guard(num, den, pole_tol)
     if d_n is None:
         return num / den, None
-    if family is KnotFamily.C2N3:
-        num_p = -2 * (s_n - s_nm1) * (d_n - d_nm1)
-        den_p = 3 * (y - 2) ** 2 * s_nm1**4 + 4 * (y - 2) ** 3 * s_nm1**3 * d_nm1
-    elif family is KnotFamily.C2N2:
-        num_p = -(d_n - d_nm1)
-        den_p = 2 * (y - 2) * s_nm1**3 + 3 * (y - 2) ** 2 * s_nm1**2 * d_nm1
-    else:
-        num_p = 0
-        den_p = 2 * (y - 2) * s_nm1**4 + 4 * (y - 2) ** 2 * s_nm1**3 * d_nm1
+    num_p = -sign * c * (s_n - s_nm1) ** (c - 1) * (d_n - d_nm1) if c else 0
+    den_p = p * (y - 2) ** (p - 1) * s_nm1**q + q * (y - 2) ** p * s_nm1 ** (q - 1) * d_nm1
     return num / den, (num_p * den - num * den_p) / (den * den)
 
 

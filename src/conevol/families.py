@@ -39,6 +39,16 @@ class KnotFamily(Enum):
         return -n  # C(2n, 2p) with 2p = -2n
 
 
+# (a, b, c, sign) of w = (y-2)^a S_{n-1}^b and r = sign (S_n - S_{n-1})^c, so
+# that g = -r / (D^2 w) with D = (y-2) S_{n-1}, and the log argument of the
+# volume integrand is R = -(N^2 + A^2 D^2) w / ((1+A^2) r)
+R_EXPONENTS = {
+    KnotFamily.C2N3: (1, 2, 2, 1),  # g = -(S_n - S_{n-1})^2 / ((y-2)^3 S_{n-1}^4)
+    KnotFamily.C2N2: (0, 1, 1, 1),  # g = -(S_n - S_{n-1}) / ((y-2)^2 S_{n-1}^3)
+    KnotFamily.C2NMINUS2N: (0, 2, 0, -1),  # g = 1 / ((y-2)^2 S_{n-1}^4)
+}
+
+
 def parse_family(token: str) -> KnotFamily:
     """Map a CLI token (c2n2 | c2n3 | c2nm2n) to a family, case-insensitively."""
     try:

@@ -9,6 +9,8 @@ Two exact objects are assembled here with integer arithmetic:
 
 * the cone equation  f_n^2(y) + A^2 = (1+A^2) g_n(y)  with A = cot(alpha/2),
   cleared of denominators with the minimal powers of (y-2) and S_{n-1}.  The
+  powers come from families.R_EXPONENTS, the exponent table that chebyshev's
+  g_n and volume's factorisation of the log argument read as well.  The
   cleared polynomial splits as C0(y) + A^2*C1(y) with exact integer C0, C1,
   so one symbolic assembly per (family, n) serves every angle.
 
@@ -36,7 +38,7 @@ from functools import lru_cache
 from . import exactpoly as xp
 from .chebyshev import eval_S, eval_f, eval_fg
 from .errors import NonConvergenceError, PoleError
-from .families import KnotFamily, validate_twist
+from .families import R_EXPONENTS, KnotFamily, validate_twist
 
 # Proximity threshold to the cleared denominator y = 2.
 SPURIOUS_EPS = 1e-8
@@ -130,28 +132,19 @@ def build_phi(family: KnotFamily, n: int) -> BivariatePoly:
 
 # ------------------------------------------------------------- cone equation
 
-# (a, b, c, sign) of w = (y-2)^a S_{n-1}^b and r = sign (S_n - S_{n-1})^c, so
-# that g = -r / (D^2 w) and R = -(N^2 + A^2 D^2) w / ((1+A^2) r)
-R_FACTORS = {
-    KnotFamily.C2N3: (1, 2, 2, 1),  # common denominator (y-2)^3 S_{n-1}^4
-    KnotFamily.C2N2: (0, 1, 1, 1),  # (y-2)^2 S_{n-1}^3
-    KnotFamily.C2NMINUS2N: (0, 2, 0, -1),  # (y-2)^2 S_{n-1}^4
-}
-
-
 @lru_cache(maxsize=None)
 def _cone_parts(family: KnotFamily, n: int):
     """Exact integer parts of the cleared equation C0(y) + A^2 * C1(y) = 0.
 
-    With f = N/D (exactpoly.f_parts) and w, r from R_FACTORS, g = -r / (D^2 w);
-    multiplying through by D^2 w gives C0 = N^2 w + r and C1 = D^2 w + r.
-    The common factor d = gcd(C0, C1) holds exactly the angle-independent
-    f^2 = 1 parasite roots; the deflated pair (C0/d, C1/d) carries the moving
-    roots.  Returns (c0, c1, parasite, c0_red, c1_red).
+    With f = N/D (exactpoly.f_parts) and w, r from families.R_EXPONENTS,
+    g = -r / (D^2 w); multiplying through by D^2 w gives C0 = N^2 w + r and
+    C1 = D^2 w + r.  The common factor d = gcd(C0, C1) holds exactly the
+    angle-independent f^2 = 1 parasite roots; the deflated pair (C0/d, C1/d)
+    carries the moving roots.  Returns (c0, c1, parasite, c0_red, c1_red).
     """
     num, den = xp.f_parts(n)
     s_nm1 = xp.s_poly(n - 1)
-    a, b, c, sign = R_FACTORS[family]
+    a, b, c, sign = R_EXPONENTS[family]
     w = xp.p_mul(xp.p_pow([-2, 1], a), xp.p_pow(s_nm1, b))
     r = [sign * k for k in xp.p_pow(xp.p_sub(xp.s_poly(n), s_nm1), c)]
     c0 = xp.p_add(xp.p_mul(xp.p_pow(num, 2), w), r)

@@ -21,17 +21,17 @@ monodromy jump).  The spherical contour runs along the real segment from y+
 to y- with small semicircular detours into the upper half-plane around any
 singular point in between.  A path is a tuple of line and arc segments.
 
-Both regimes go through one driver, which builds the branch tracker of the
-first candidate path and integrates it.  The right class is the one in which
-log(R) returns to 0 at the far endpoint, where R = 1 again.  R is
-c * prod (y - a)^e over the roots of N^2 + A^2 D^2 and the exact cosines of
-riley.R_FACTORS, so its winding along a straight leg is an exact sum, and
-the hyperbolic candidates (the anchored V, then Vs through other real
-anchors and staples threading the pinch corridors beside higher-order zeros
-of the log argument) are yielded only in that class: one tracker per
-volume.  The tracker's closure check stays as a certificate that the sampled
-branch agrees; a candidate failing it is skipped.  The spherical contour is
-its only candidate.
+Both regimes go through one driver, which integrates the one path it is
+given.  The right class is the one in which log(R) returns to 0 at the far
+endpoint, where R = 1 again.  R is c * prod (y - a)^e over the roots of
+N^2 + A^2 D^2 and the exact cosines of families.R_EXPONENTS, so its winding
+along a straight leg is an exact sum, and the hyperbolic candidates (the
+anchored V, then Vs through other real anchors and staples threading the
+pinch corridors beside higher-order zeros of the log argument) are yielded
+only in that class; the first one is integrated.  The branch tracker's
+closure check stays as a certificate that the sampled branch agrees: a path
+failing it raises PathBlockedError and is never replaced by a path of
+another class.  The spherical contour is its regime's one path.
 
 Quadrature is adaptive Gauss 15/7 per segment, absolute tolerance 1e-9, at
 most 2000 subdivisions.  The 7-point Gauss-Legendre rule is a separate rule,
@@ -43,7 +43,10 @@ of the hot loop a numpy scalar operation, which pays for type dispatch and
 rounds exactly as the Python float operation does.
 Within 1e-3 of the transition angle the endpoints nearly coincide and the
 contour loses relative accuracy, so the Schlaefli integral is used there
-instead.
+instead.  It also serves within 1e-5 below the folded angle pi: there the
+conjugate zeros of N^2 + A^2 D^2 close in on the real zeros of f, which lie
+on the spherical segment, and the quadrature would integrate an interior log
+singularity that its error estimate does not see.
 
 The Schlaefli oracle integrates the real length of the singular geodesic:
 kappa * dVol = (1/2) l_alpha d(alpha) with Vol -> 0 at the transition, i.e.
@@ -70,7 +73,7 @@ from . import exactpoly as xp
 # eval_f_prime is not called here, but perfbench's tracer test reads this name
 from .chebyshev import _f_from, _g_from, eval_f_prime, eval_S_pair  # noqa: F401
 from .errors import PathBlockedError, QuadratureError
-from .families import ConeManifoldSpec, KnotFamily
+from .families import R_EXPONENTS, ConeManifoldSpec, KnotFamily
 from .geometry import (
     Regime,
     _fold,
@@ -80,7 +83,6 @@ from .geometry import (
     hyperbolic_length,
     spherical_length,
 )
-from .riley import R_FACTORS
 
 R_EXCL = 1e-4
 QUAD_ABS_TOL = 1e-9
@@ -90,6 +92,7 @@ TRACKER_INIT_STEPS = 32  # initial branch-tracker grid steps per path segment
 PATH_CLEARANCE = 1e-7  # least distance from a candidate path to a singular point
 IMAG_RESIDUAL_TOL = 1e-7
 TRANSITION_WINDOW = 1e-3
+PI_WINDOW = 1e-5
 
 _GL15 = tuple(a.tolist() for a in np.polynomial.legendre.leggauss(15))
 _GL7 = tuple(a.tolist() for a in np.polynomial.legendre.leggauss(7))
@@ -202,7 +205,7 @@ def _log_zero_points(n: int, A: float):
 
 def _r_factors(family: KnotFamily, n: int, log_zeros):
     """R = c * prod (y - a)^e as (a, e): the log zeros, then the exact cosines."""
-    a, b, c, _ = R_FACTORS[family]
+    a, b, c, _ = R_EXPONENTS[family]
     return ([(z, 1) for z in log_zeros] + [(2.0, a)]
             + [(s, b) for s in _s_zeros(n - 1)]
             + [(s, -c) for s in _s_diff_zeros(n)])
@@ -231,13 +234,12 @@ def _candidate_paths(family: KnotFamily, n: int, A: float, y0: complex,
     The correct class has log(R) returning to zero at the far endpoint.  A
     candidate is made of straight legs, so its winding of R is exact and is
     decided before any sampling: only paths of winding 0 (_closes) and clear
-    of the real singular set are yielded.  The caller builds one branch
-    tracker, for the first; its closure check stays, to certify that the
-    sampled branch agrees with the exact class.  Straight two-leg Vs handle
-    simple real zeros of the log argument (side selection by anchor
-    interval); staple paths thread the pinch corridors next to higher-order
-    zeros, whose conjugate companion pair squeezes onto the axis as the
-    angle shrinks.
+    of the real singular set are yielded.  The caller integrates the first;
+    its branch tracker's closure check certifies that the sampled branch
+    agrees with the exact class.  Straight two-leg Vs handle simple real
+    zeros of the log argument (side selection by anchor interval); staple
+    paths thread the pinch corridors next to higher-order zeros, whose
+    conjugate companion pair squeezes onto the axis as the angle shrinks.
     """
     reals = real_singular_points(n, include_f_zeros=True)
     y_star = collision_root(family, n)
@@ -482,28 +484,22 @@ class VolumeResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _contour(spec: ConeManifoldSpec, paths, rotation: complex):
-    """rotation * INT over the first path whose tracked log closes.
+def _contour(spec: ConeManifoldSpec, path: tuple, rotation: complex):
+    """rotation * INT over path; returns (value, error estimate).
 
-    R = 1 at both endpoints, so a path on which the tracked log does not
-    return to 0 is in the wrong homotopy class and is skipped, as is one on
-    which branch tracking fails.  Returns (value, error estimate, path).
+    R = 1 at both endpoints, so on a path of the right class the tracked log
+    returns to 0.  The tracker's closure check certifies that: where it does
+    not close, or branch tracking fails, the call raises PathBlockedError.
     """
     family, n = spec.family, spec.n
-    last_err = None
-    for path in paths:
-        try:
-            integrand = _Integrand(family, n, spec.cot_half, path)
-        except QuadratureError as exc:
-            last_err = exc
-            continue
-        if abs(integrand.tracker.unwrapped[-1]) <= 1e-5:
-            break
-    else:
+    try:
+        integrand = _Integrand(family, n, spec.cot_half, path)
+    except QuadratureError as exc:
+        raise PathBlockedError(f"branch tracking failed on the contour: {exc}") from exc
+    if abs(integrand.tracker.unwrapped[-1]) > 1e-5:
         raise PathBlockedError(
-            f"no anchored contour with endpoint-closed branch found for "
-            f"{family.value} n={n} at alpha={spec.alpha:.6f}"
-            + (f" (last tracker error: {last_err})" if last_err else "")
+            f"the tracked log does not close on the contour of {family.value} "
+            f"n={n} at alpha={spec.alpha:.6f}"
         )
     total = 0j
     err = 0.0
@@ -517,7 +513,7 @@ def _contour(spec: ConeManifoldSpec, paths, rotation: complex):
             f"volume has imaginary residual {value.imag:.3e} (branch tracking "
             f"inconsistent)"
         )
-    return value, err, path
+    return value, err
 
 
 def volume_hyperbolic(spec: ConeManifoldSpec, y0: complex,
@@ -529,8 +525,13 @@ def volume_hyperbolic(spec: ConeManifoldSpec, y0: complex,
     singular set leaves the value unchanged.  l_alpha is left to classify.
     """
     family, n = spec.family, spec.n
-    paths = _candidate_paths(family, n, spec.cot_half, y0, anchor_shift)
-    value, err, path = _contour(spec, paths, 1j)
+    path = next(_candidate_paths(family, n, spec.cot_half, y0, anchor_shift), None)
+    if path is None:
+        raise PathBlockedError(
+            f"no contour of winding 0 clear of the singular set for "
+            f"{family.value} n={n} at alpha={spec.alpha:.6f}"
+        )
+    value, err = _contour(spec, path, 1j)
     return VolumeResult(
         spec,
         Regime.HYPERBOLIC,
@@ -544,9 +545,8 @@ def volume_hyperbolic(spec: ConeManifoldSpec, y0: complex,
 def volume_spherical(spec: ConeManifoldSpec, y_plus: float,
                      y_minus: float) -> VolumeResult:
     """Contour volume from the selected real pair; l_alpha is left to classify."""
-    family, n = spec.family, spec.n
-    paths = (spherical_path(n, y_plus, y_minus),)
-    value, err, path = _contour(spec, paths, 1)
+    path = spherical_path(spec.n, y_plus, y_minus)
+    value, err = _contour(spec, path, 1)
     flipped = False
     if value.real < 0.0:
         value = -value
@@ -596,7 +596,7 @@ def volume_schlafli(spec: ConeManifoldSpec) -> float:
 
 
 def compute_volume(spec: ConeManifoldSpec, cross_check: bool = False) -> VolumeResult:
-    """Classify the angle and evaluate the volume (Schlaefli near transitions)."""
+    """Classify the angle and evaluate the volume (Schlaefli near a_K and pi)."""
     return _volume_for(spec, classify(spec), cross_check)
 
 
@@ -613,7 +613,7 @@ def _volume_for(spec: ConeManifoldSpec, result, cross_check: bool) -> VolumeResu
         )
     a_k = result.critical_angle
     folded = _fold(spec.alpha)
-    if abs(folded - a_k) < TRANSITION_WINDOW:
+    if abs(folded - a_k) < TRANSITION_WINDOW or math.pi - folded < PI_WINDOW:
         vol = volume_schlafli(spec)
         return VolumeResult(
             spec,

@@ -1,5 +1,7 @@
 """Chebyshev recurrences and the rational pair f, g."""
 
+import ast
+import inspect
 import math
 
 import numpy as np
@@ -8,6 +10,7 @@ import sympy as sp
 
 from conevol import chebyshev as ch
 from conevol import exactpoly as xp
+from conevol import riley, volume
 from conevol.errors import PoleError
 from conevol.families import KnotFamily
 
@@ -217,7 +220,11 @@ def _ref_f(n, y, s, d, tol):
 
 
 def _ref_g(family, n, y, s, d, tol):
-    """(g_n, g'_n) by the quotient rule on the unreduced numerator and denominator."""
+    """(g_n, g'_n) by the quotient rule on the unreduced numerator and denominator.
+
+    One branch per family, written out: the reference for the table-driven
+    chebyshev._g_from.
+    """
     a, b, da, db = s[n - 1], s[n], d[n - 1], d[n]
     if family is KnotFamily.C2N3:
         num, den = -((b - a) ** 2), (y - 2) ** 3 * a**4
@@ -290,3 +297,38 @@ def test_kernel_and_views_match_the_plain_recurrence_exactly(y):
                 _ref_g, family, n, y, s, d, tiny)
             assert _outcome(lambda: ch._g_from(family, y, walk[:2] + (None, None),
                                                tiny)[0]) == ref_g
+
+
+def _value(fn, *args):
+    try:
+        return fn(*args)
+    except PoleError:
+        return "PoleError"
+
+
+def test_table_g_equals_the_per_family_formulas():
+    # == rather than repr: the table's powers may flip the sign of a zero
+    # imaginary part, which no caller reads
+    rng = np.random.default_rng(13)
+    off_axis = [complex(x, h) for x, h in zip(rng.uniform(-3, 3, 40), rng.uniform(-1.5, 1.5, 40))]
+    real = [complex(x) for x in rng.uniform(-3, 3, 20)] + list(rng.uniform(-3, 3, 10).tolist())
+    for y in off_axis + real:
+        s, d = _ref_tables(y)
+        for n in [k for m in range(1, 15) for k in (m, -m)]:
+            walk = (s[n - 1], s[n], d[n - 1], d[n])
+            for family in KnotFamily:
+                ref = _value(_ref_g, family, n, y, s, d, ch.POLE_TOL)
+                assert _value(ch._g_from, family, y, walk, ch.POLE_TOL) == ref
+                ref_g = ref if ref == "PoleError" else ref[0]
+                assert _value(lambda: ch._g_from(family, y, walk[:2] + (None, None),
+                                                 ch.POLE_TOL)[0]) == ref_g
+
+
+def test_g_and_r_factor_builders_name_no_family():
+    # each reads the one exponent table, families.R_EXPONENTS
+    members = {family.name for family in KnotFamily}
+    for fn in (ch._g_from, riley._cone_parts.__wrapped__, volume._r_factors):
+        tree = ast.parse(inspect.getsource(fn))
+        named = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        named |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert not named & members, fn.__name__

@@ -175,7 +175,7 @@ def _log_argument(family, n, A, y):
 @pytest.mark.parametrize("family", list(KnotFamily), ids=lambda f: f.value)
 def test_log_argument_is_a_constant_times_its_factor_product(family):
     # R = c * prod (y - a)^e over the zeros of N^2 + A^2 D^2 and the exact
-    # cosines of riley.R_FACTORS: the premise of the exact winding filter
+    # cosines of families.R_EXPONENTS: the premise of the exact winding filter
     rng = np.random.default_rng(12)
     ys = [complex(x, s * h) for x, s, h in zip(
         rng.uniform(-2.5, 2.5, 12), rng.choice((-1.0, 1.0), 12),
@@ -347,7 +347,7 @@ def test_fig8_orbifold_volume_at_pi():
     # the angle-pi cone manifold is the quotient of the lens space L(5,2)
     # with its round metric: volume pi^2 / 5
     r = vo.compute_volume(spec8(math.pi))
-    assert r.volume == pytest.approx(math.pi**2 / 5.0, abs=1e-8)
+    assert r.volume == pytest.approx(math.pi**2 / 5.0, abs=1e-12)
 
 
 def test_spherical_symmetry():
@@ -392,6 +392,27 @@ def test_spherical_contour_must_close(monkeypatch):
     monkeypatch.setattr(vo.BranchTracker, "__init__", unclosed)
     with pytest.raises(PathBlockedError):
         vo.compute_volume(spec8(2.6))
+
+
+def test_hyperbolic_tracker_veto_raises_instead_of_taking_another_path(monkeypatch):
+    # the first path of the exact class is the only one integrated: a veto by
+    # the sampled tracker raises, it does not move on to a path of another class
+    spec = ConeManifoldSpec(KnotFamily.C2N3, 2, 0.5 * critical_angle(KnotFamily.C2N3, 2))
+    y0 = classify(spec).roots[0]
+    assert len(list(vo._candidate_paths(spec.family, spec.n, spec.cot_half, y0))) > 1
+    trackers = []
+    init = vo.BranchTracker.__init__
+
+    def unclosed(self, *args, **kwargs):
+        trackers.append(self)
+        init(self, *args, **kwargs)
+        self.ts.append(self.ts[-1])
+        self.unwrapped.append(self.unwrapped[-1] + 2.0 * math.pi)
+
+    monkeypatch.setattr(vo.BranchTracker, "__init__", unclosed)
+    with pytest.raises(PathBlockedError):
+        vo.volume_hyperbolic(spec, y0)
+    assert len(trackers) == 1
 
 
 # ------------------------------------------------------- singular length
@@ -575,7 +596,12 @@ def test_contour_work_counts_are_pinned(spec, evals, trackers, samples, monkeypa
 
     monkeypatch.setattr(vo._Integrand, "__call__", counted_call)
     monkeypatch.setattr(vo.BranchTracker, "__init__", counted_init)
-    vo.compute_volume(spec)
+    # the contour itself: at pi, compute_volume takes the Schlaefli window
+    res = classify(spec)
+    if res.regime is Regime.HYPERBOLIC:
+        vo.volume_hyperbolic(spec, res.roots[0])
+    else:
+        vo.volume_spherical(spec, res.roots[0], res.roots[1])
     assert counts == {"evals": evals, "trackers": trackers, "samples": samples}
 
 
