@@ -311,7 +311,7 @@ def test_table_g_equals_the_per_family_formulas():
     # imaginary part, which no caller reads
     rng = np.random.default_rng(13)
     off_axis = [complex(x, h) for x, h in zip(rng.uniform(-3, 3, 40), rng.uniform(-1.5, 1.5, 40))]
-    real = [complex(x) for x in rng.uniform(-3, 3, 20)] + list(rng.uniform(-3, 3, 10).tolist())
+    real = [complex(x) for x in rng.uniform(-3, 3, 20)] + rng.uniform(-3, 3, 10).tolist()
     for y in off_axis + real:
         s, d = _ref_tables(y)
         for n in [k for m in range(1, 15) for k in (m, -m)]:
