@@ -26,7 +26,8 @@ print(f"  |Phi(2, (3+i sqrt3)/2)| = {abs(phi.eval(2.0, root)):.2e}")
 
 print("\nCone equation of C(2,2) at alpha = pi (A = 0):")
 eq = build_cone_equation(KnotFamily.C2N2, 1, 0.0)
-print("  cleared polynomial coefficients (ascending):", list(eq.coeffs))
+print("  moving factor coefficients (ascending):", list(eq.moving_coeffs))
+print("  parasite factor coefficients:", list(eq.parasite))
 print("  roots:", [f"{r.y:.6f}" for r in solve_cone_equation(eq)],
       " (the golden-ratio pair)")
 

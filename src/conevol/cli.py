@@ -29,7 +29,7 @@ from .errors import ConevolError, PoleError
 from .families import ConeManifoldSpec, parse_family
 from .geometry import Regime, classify, collision_root, critical_angle
 from .riley import build_cone_equation, solve_cone_equation
-from .verify import ALL_SUITES, run_suites
+from .verify import ALL_SUITES, DEFAULT_N, run_suites
 from .volume import QUAD_ABS_TOL, _volume_for
 
 CSV_HEADER = "alpha,regime,volume,error_estimate,l_alpha,alpha_K,status"
@@ -246,7 +246,7 @@ def cmd_roots(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    n_values = tuple(args.n) if args.n else (-2, -1, 1, 2)
+    n_values = tuple(args.n) if args.n else DEFAULT_N
     if any(v == 0 for v in n_values):
         raise ValueError("n must be nonzero")
     results = run_suites(args.suite, n_values=n_values)

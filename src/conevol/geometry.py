@@ -5,7 +5,8 @@ the cone manifold is hyperbolic below it, Euclidean at it, spherical between
 a_K and 2*pi - a_K, and unsupported beyond.  a_K is found by tracking the
 geometric conjugate root pair of the cone equation upward in the angle until
 it collides onto the real axis, bisecting the collision angle, and polishing
-the collided double root on the deflated equation.
+the collided double root on the deflated equation, which gives a_K.  A
+failed polish raises NonConvergenceError; the bisected angle is no fallback.
 
 Which pair is geometric cannot be read off pointwise: every complex root
 with Im f > 0 is a genuine representation (the relation residual vanishes)
@@ -43,7 +44,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .chebyshev import eval_f
-from .errors import DegenerateLongitudeError, NotBracketedError, SelectionAmbiguityError
+from .errors import (DegenerateLongitudeError, NonConvergenceError, NotBracketedError,
+                     SelectionAmbiguityError)
 from .exactpoly import p_deriv, p_eval
 from .families import ConeManifoldSpec, KnotFamily, validate_twist
 from .representation import longitude_eigenvalue, relation_residual
@@ -227,6 +229,7 @@ def _polish_collision(family: KnotFamily, n: int, alpha_est: float, y_est: float
 
     A double root of C0r + A^2*C1r satisfies the single real equation
     C0r'*C1r - C0r*C1r' = 0; the angle then follows from A^2 = -C0r/C1r.
+    Raises NonConvergenceError if it leaves the bracket (1e-6 in alpha, 1e-3 in y).
     """
     _, _, _, c0r, c1r = _cone_parts(family, n)
     d0, d1 = p_deriv(c0r), p_deriv(c1r)
@@ -246,14 +249,12 @@ def _polish_collision(family: KnotFamily, n: int, alpha_est: float, y_est: float
         if abs(step) < 1e-15 * max(1.0, abs(y)):
             break
     denom = p_eval(c1r, y)
-    if denom == 0.0:
-        return None
-    a_sq = -p_eval(c0r, y) / denom
-    if a_sq <= 0.0:
-        return None
-    alpha = 2.0 * math.atan(1.0 / math.sqrt(a_sq))
-    if abs(alpha - alpha_est) > 1e-6 or abs(y - y_est) > 1e-3:
-        return None
+    # no real angle (A^2 <= 0) leaves alpha = nan, which fails the bracket test
+    a_sq = -p_eval(c0r, y) / denom if denom != 0.0 else 0.0
+    alpha = 2.0 * math.atan(1.0 / math.sqrt(a_sq)) if a_sq > 0.0 else math.nan
+    if not (abs(alpha - alpha_est) <= 1e-6 and abs(y - y_est) <= 1e-3):
+        raise NonConvergenceError(f"{family.value} n={n}: the double-root polish left "
+                                  f"the bracket of alpha={alpha_est:.10f}, y={y_est:.10f}")
     return alpha, y
 
 
@@ -318,10 +319,7 @@ class _MemberGeometry:
                 f"certification at the seed angle",
                 [y_seed],
             )
-        alpha_k, y_star = win.collision, win.collision_root
-        polished = _polish_collision(family, n, alpha_k, y_star)
-        if polished is not None:
-            alpha_k, y_star = polished
+        alpha_k, y_star = _polish_collision(family, n, win.collision, win.collision_root)
         if not (_WINDOW_LO <= alpha_k < math.pi):
             raise NotBracketedError(
                 f"collision angle {alpha_k:.8f} outside [2*pi/3, pi) for "

@@ -14,19 +14,20 @@ Two exact objects are assembled here with integer arithmetic:
   cleared polynomial splits as C0(y) + A^2*C1(y) with exact integer C0, C1,
   so one symbolic assembly per (family, n) serves every angle.
 
-Roots of the cleared polynomial come from the companion matrix
-(exactpoly.p_roots) and are polished by Newton iteration on the rational
-residual itself, which avoids error amplification from the cleared factors;
-roots that fail to polish raise.  Each Newton point costs one recurrence
-walk: ConeEquation.residual_prime returns (residual, slope), and keeps its
-name because perfbench's tracer counts riley.newton.steps by it.  Of the
-cleared denominators only y = 2 can be a root, exactly where
-cot^2(alpha/2) = det K (C(2n,2) with n <= -1, every C(2n,-2n)); it is
-marked spurious.  (S_{n-1}
-divides w and D, so at its zeros C0 = C1 = r != 0 by the Pell identity.)
-Roots with f_n(y)^2 = 1, where the equivalence with Phi = 0 breaks down, are
-marked unit_f; the angle-independent ones, roots of gcd(C0, C1), and the
-spurious roots appear only in the full flagged listing (keep_spurious).
+A ConeEquation carries the cleared polynomial deflated: the parasite
+gcd(C0, C1) and the moving quotient.  The moving roots come from the
+companion matrix (exactpoly.p_roots) and are polished by Newton iteration on
+the rational residual itself, which avoids error amplification from the
+cleared factors; roots that fail to polish raise.  Each Newton point costs
+one recurrence walk: ConeEquation.residual_prime returns (residual, slope),
+and keeps its name because perfbench's tracer counts riley.newton.steps by
+it.  Of the cleared denominators only y = 2 can be a root, exactly where
+cot^2(alpha/2) = det K (C(2n,2) with n <= -1, every C(2n,-2n)); it is marked
+spurious.  (S_{n-1} divides w and D, so at its zeros C0 = C1 = r != 0 by the
+Pell identity.)  Roots with f_n(y)^2 = 1, where the equivalence with Phi = 0
+breaks down, are marked unit_f; the angle-independent ones, roots of
+gcd(C0, C1), and the spurious roots appear only in the full flagged listing
+(keep_spurious).
 """
 
 from __future__ import annotations
@@ -161,18 +162,13 @@ def _cone_parts(family: KnotFamily, n: int):
 
 @dataclass(frozen=True)
 class ConeEquation:
-    """The cleared real-coefficient polynomial equivalent of f^2 + A^2 = (1+A^2) g."""
+    """f^2 + A^2 = (1+A^2) g as the deflated pair: C0 + A^2*C1 = parasite * moving."""
 
     family: KnotFamily
     n: int
     A: float
-    coeffs: tuple  # ascending float coefficients of C0 + A^2*C1
     parasite: tuple  # gcd(C0, C1): exact minimal polynomial of the f^2 = 1 roots
     moving_coeffs: tuple  # deflated (C0 + A^2*C1)/parasite, float ascending
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
     def residual(self, y):
         """The rational residual f^2 + A^2 - (1+A^2) g at y."""
@@ -189,7 +185,7 @@ class ConeEquation:
 
 
 def build_cone_equation(family: KnotFamily, n: int, A: float) -> ConeEquation:
-    """Clear denominators of f^2 + A^2 = (1+A^2) g into a real polynomial in y.
+    """Clear denominators of f^2 + A^2 = (1+A^2) g and deflate the parasites.
 
     Coefficients depend on the angle only through A^2, so the equation is
     invariant under A -> -A (hence under alpha -> 2*pi - alpha).
@@ -197,15 +193,9 @@ def build_cone_equation(family: KnotFamily, n: int, A: float) -> ConeEquation:
     validate_twist(n)
     if not math.isfinite(A):
         raise ValueError("A = cot(alpha/2) must be finite")
-    c0, c1, parasite, c0_red, c1_red = _cone_parts(family, n)
-    a2 = A * A
+    _, _, parasite, c0_red, c1_red = _cone_parts(family, n)
     return ConeEquation(
-        family,
-        n,
-        float(A),
-        xp.p_float_sum(c0, c1, a2),
-        tuple(parasite),
-        xp.p_float_sum(c0_red, c1_red, a2),
+        family, n, float(A), tuple(parasite), xp.p_float_sum(c0_red, c1_red, A * A)
     )
 
 
@@ -242,7 +232,7 @@ def _polish(eq: ConeEquation, y: complex):
 
 
 def solve_cone_equation(eq: ConeEquation, keep_spurious: bool = False):
-    """All roots of the cleared polynomial, polished and flagged.
+    """All roots of the cone equation, polished and flagged.
 
     Returns RootRecords sorted by (real, imag); unit_f marks f^2 = 1.  A root
     within SPURIOUS_EPS of y = 2, or whose polish meets a pole, is spurious;
@@ -250,8 +240,6 @@ def solve_cone_equation(eq: ConeEquation, keep_spurious: bool = False):
     NonConvergenceError.  keep_spurious gives the full flagged listing, with
     the spurious roots and the angle-independent f^2 = 1 parasites.
     """
-    if eq.degree < 1:
-        raise ValueError("cone equation degree must be >= 1")
     records = []
     for y0 in xp.p_roots(eq.moving_coeffs):
         if abs(y0 - 2.0) <= SPURIOUS_EPS:
@@ -266,12 +254,7 @@ def solve_cone_equation(eq: ConeEquation, keep_spurious: bool = False):
             raise NonConvergenceError(
                 f"root {y0} failed to polish below {RESIDUAL_TOL} (residual {res:.3e})"
             )
-        try:
-            fv = eval_f(eq.n, y_pol)
-            unit = abs(fv * fv - 1.0) <= UNIT_F_TOL
-        except PoleError:
-            unit = False
-        records.append(RootRecord(y_pol, res, False, unit))
+        records.append(RootRecord(y_pol, res, False, _unit_f(eq.n, y_pol)))
     if keep_spurious:
         for y0 in _parasite_roots(eq.parasite):
             try:
@@ -304,6 +287,15 @@ def _newton_on_poly(coeffs, y: complex) -> complex:
         if abs(step) <= 1e-16 * max(1.0, abs(y)):
             break
     return y
+
+
+def _unit_f(n: int, y: complex) -> bool:
+    """f(y)^2 = 1 to UNIT_F_TOL; False at a pole of f."""
+    try:
+        fv = eval_f(n, y)
+    except PoleError:
+        return False
+    return abs(fv * fv - 1.0) <= UNIT_F_TOL
 
 
 def _double_root_excused(eq: ConeEquation, y: complex, res: float) -> bool:
@@ -343,11 +335,7 @@ def check_lemma_cd(
     phi = build_phi(family, n).eval(x, complex(y))
     eq = build_cone_equation(family, n, A)
     res = eq.residual(complex(y))
-    try:
-        fv = eval_f(n, complex(y))
-        unit = abs(fv * fv - 1.0) <= UNIT_F_TOL
-    except PoleError:
-        unit = False
     return LemmaCdReport(
-        phi, res, abs(phi) <= LEMMA_CD_TOL, abs(res) <= LEMMA_CD_TOL, unit
+        phi, res, abs(phi) <= LEMMA_CD_TOL, abs(res) <= LEMMA_CD_TOL,
+        _unit_f(n, complex(y)),
     )

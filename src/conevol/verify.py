@@ -30,6 +30,7 @@ REPRESENTATION_ANGLES, REPRESENTATION_TOL = 6, 1e-9
 W12_TOL, W12_SEED = 1e-9, 13
 SCHLAFLI_TOL = 1e-6
 SYMMETRY_TOL = 1e-8
+DEFAULT_N = (-2, -1, 1, 2)  # twist parameters of the battery without --n
 
 
 @dataclass
@@ -70,7 +71,7 @@ def suite_pell() -> SuiteResult:
     )
 
 
-def suite_lemma_cd(n_values=(-2, -1, 1, 2)) -> SuiteResult:
+def suite_lemma_cd(n_values=DEFAULT_N) -> SuiteResult:
     """Zero sets of Phi(2cos(alpha/2), .) and of the cone equation coincide."""
     rng = np.random.default_rng(LEMMA_CD_SEED)
     worst = 0.0
@@ -106,7 +107,7 @@ def suite_lemma_cd(n_values=(-2, -1, 1, 2)) -> SuiteResult:
     )
 
 
-def suite_representation(n_values=(-2, -1, 1, 2)) -> SuiteResult:
+def suite_representation(n_values=DEFAULT_N) -> SuiteResult:
     """Selected geometric roots satisfy the defining matrix relation.
 
     The grid knows each angle's regime, so the roots come from the selectors
@@ -137,7 +138,7 @@ def suite_representation(n_values=(-2, -1, 1, 2)) -> SuiteResult:
     )
 
 
-def suite_w12(n_values=(-2, -1, 1, 2)) -> SuiteResult:
+def suite_w12(n_values=DEFAULT_N) -> SuiteResult:
     """Closed-form word (1,2)-entries match literal products at Riley roots."""
     rng = np.random.default_rng(W12_SEED)
     worst = 0.0
@@ -159,7 +160,7 @@ def suite_w12(n_values=(-2, -1, 1, 2)) -> SuiteResult:
     )
 
 
-def suite_schlafli(n_values=(-2, -1, 1, 2)) -> SuiteResult:
+def suite_schlafli(n_values=DEFAULT_N) -> SuiteResult:
     """Contour volumes match the Schlaefli length integral."""
     worst = 0.0
     checked = 0
@@ -179,7 +180,7 @@ def suite_schlafli(n_values=(-2, -1, 1, 2)) -> SuiteResult:
     )
 
 
-def suite_symmetry(n_values=(-2, -1, 1, 2)) -> SuiteResult:
+def suite_symmetry(n_values=DEFAULT_N) -> SuiteResult:
     """Vol(alpha) = Vol(2*pi - alpha) across the spherical band."""
     worst = 0.0
     checked = 0
@@ -209,7 +210,7 @@ ALL_SUITES = {
 }
 
 
-def run_suites(names=None, n_values=(-2, -1, 1, 2)):
+def run_suites(names=None, n_values=DEFAULT_N):
     """Run the requested suites (all by default); returns list of SuiteResult.
 
     A suite that raises a ConevolError fails with metric inf, and the rest

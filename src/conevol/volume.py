@@ -256,13 +256,7 @@ def _candidate_paths(family: KnotFamily, n: int, A: float, y0: complex,
     )
     xs.append(verticals[0] - 0.5)
     xs.append(verticals[-1] + 0.5)
-    seen = set()
-    ordered = [xs[0]] + sorted(xs[1:], key=lambda c: abs(c - y_star))
-    for x in ordered:
-        key = round(x, 12)
-        if key in seen:
-            continue
-        seen.add(key)
+    for x in [xs[0]] + sorted(xs[1:], key=lambda c: abs(c - y_star)):
         paths = [_via(y0, complex(x) + shift)]
         h_local = max(
             (z.imag for z in zeros if abs(z.real - x) < 0.6), default=0.0
@@ -279,13 +273,8 @@ def _candidate_paths(family: KnotFamily, n: int, A: float, y0: complex,
 
 
 def _path_clear(path: tuple, obstacles) -> bool:
-    for s in obstacles:
-        for leg in path:
-            if abs(complex(s) - leg.z0) < 1e-15 or abs(complex(s) - leg.z1) < 1e-15:
-                continue
-            if _dist_point_segment(complex(s), leg.z0, leg.z1) < PATH_CLEARANCE:
-                return False
-    return True
+    return all(_dist_point_segment(complex(s), leg.z0, leg.z1) >= PATH_CLEARANCE
+               for s in obstacles for leg in path)
 
 
 def spherical_path(n: int, y_from: float, y_to: float):
@@ -335,7 +324,6 @@ class BranchTracker:
     MAX_SAMPLES = 200_000
 
     def __init__(self, ratio, n_segments: int):
-        self.ratio = ratio
         grid: list = []
         for k in range(n_segments):
             grid.extend(k + i / TRACKER_INIT_STEPS for i in range(TRACKER_INIT_STEPS))
@@ -544,13 +532,15 @@ def volume_hyperbolic(spec: ConeManifoldSpec, y0: complex,
 
 def volume_spherical(spec: ConeManifoldSpec, y_plus: float,
                      y_minus: float) -> VolumeResult:
-    """Contour volume from the selected real pair; l_alpha is left to classify."""
+    """Contour volume from the selected real pair; l_alpha is left to classify.
+
+    The pair's longitude-phase order alone fixes the sign: a negative volume raises.
+    """
     path = spherical_path(spec.n, y_plus, y_minus)
     value, err = _contour(spec, path, 1)
-    flipped = False
     if value.real < 0.0:
-        value = -value
-        flipped = True
+        raise QuadratureError(f"spherical volume {value.real:.3e} < 0: the pair "
+                              f"({y_plus:.8f}, {y_minus:.8f}) is not in phase order")
     return VolumeResult(
         spec,
         Regime.SPHERICAL,
@@ -560,7 +550,6 @@ def volume_spherical(spec: ConeManifoldSpec, y_plus: float,
         diagnostics={
             "y_plus": y_plus,
             "y_minus": y_minus,
-            "orientation_flipped": flipped,
             "deformations": sum(isinstance(seg, _Arc) for seg in path),
         },
     )

@@ -10,6 +10,7 @@ from conevol import geometry as ge
 from conevol.chebyshev import eval_f
 from conevol.errors import (
     DegenerateLongitudeError,
+    NonConvergenceError,
     NotBracketedError,
     SelectionAmbiguityError,
 )
@@ -248,6 +249,17 @@ def test_track_nearest_matches_the_linear_scan(alpha):
     # 0.75, 1.25 and 2.0 are exact ties: the lower node wins
     i = min(range(len(NODES)), key=lambda k: abs(NODES[k] - alpha))
     assert track.nearest(alpha) == (NODES[i], f"s{i}")
+
+
+def test_collision_polish_raises_outside_its_bracket():
+    # the polish owns a_K: an estimate it cannot confirm raises, there is no
+    # fallback to the estimate
+    family, n = KnotFamily.C2N3, 2
+    a_k, y_star = ge.critical_angle(family, n), ge.collision_root(family, n)
+    alpha, y = ge._polish_collision(family, n, a_k, y_star)
+    assert alpha == pytest.approx(a_k, abs=1e-12) and y == pytest.approx(y_star, abs=1e-9)
+    with pytest.raises(NonConvergenceError):
+        ge._polish_collision(family, n, a_k + 1e-3, y_star)
 
 
 def test_critical_angle_of_c16_minus16():

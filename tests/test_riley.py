@@ -106,8 +106,9 @@ def test_full_even_riley_divisible_by_hol_factor(n):
 
 def test_cone_equation_fig8_at_pi():
     eq = ry.build_cone_equation(KnotFamily.C2N2, 1, 0.0)
-    # proportional to y^2 + y - 1
-    c = np.array(eq.coeffs)
+    # no parasite; the moving factor is proportional to y^2 + y - 1
+    assert list(eq.parasite) == [1]
+    c = np.array(eq.moving_coeffs)
     assert np.allclose(c / c[-1], [-1.0, 1.0, 1.0])
     roots = sorted(r.y.real for r in ry.solve_cone_equation(eq))
     assert roots[0] == pytest.approx((-1 - math.sqrt(5)) / 2, abs=1e-12)
@@ -118,8 +119,8 @@ def test_cone_equation_minus2n_trefoil_at_pi():
     # f^2 = g for C(2,-2) reduces to y^2 = 1; y = 1 is the angle-independent
     # f^2 = 1 parasite (common root of C0 and C1), y = -1 the moving root
     eq = ry.build_cone_equation(KnotFamily.C2NMINUS2N, 1, 0.0)
-    c = np.array(eq.coeffs)
-    assert np.allclose(c / c[-1], [-1.0, 0.0, 1.0])
+    c = np.array(eq.moving_coeffs)
+    assert np.allclose(c / c[-1], [1.0, 1.0])
     assert list(eq.parasite) == [-1, 1]
     recs = ry.solve_cone_equation(eq, keep_spurious=True)
     moving = [r for r in recs if not r.unit_f]
@@ -144,7 +145,8 @@ def test_degree_matches_symbolic_prediction(family, n):
     c0_ref, c1_ref, y = sympy_cone_polynomial(family.value, n)
     eq = ry.build_cone_equation(family, n, 0.33)
     predicted = max(sp.degree(c0_ref, y), sp.degree(c1_ref, y))
-    assert eq.degree == predicted
+    # the cleared polynomial is the parasite times the moving factor
+    assert (len(eq.moving_coeffs) - 1) + (len(eq.parasite) - 1) == predicted
 
 
 @pytest.mark.parametrize("family", list(KnotFamily))
@@ -152,7 +154,7 @@ def test_coefficients_even_in_A(family):
     a = 0.8125
     eq_plus = ry.build_cone_equation(family, 2, a)
     eq_minus = ry.build_cone_equation(family, 2, -a)
-    assert eq_plus.coeffs == eq_minus.coeffs
+    assert eq_plus.moving_coeffs == eq_minus.moving_coeffs
 
 
 def test_conjugation_closure():

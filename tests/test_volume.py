@@ -164,6 +164,15 @@ def test_integrand_vanishes_at_endpoints():
         assert abs(log_term) < 1e-6
 
 
+def test_spherical_volume_of_the_reversed_pair_raises():
+    # the longitude-phase order of the pair is the one owner of the sign
+    spec = ConeManifoldSpec(KnotFamily.C2N3, 2, 2.9)
+    y_plus, y_minus = classify(spec).roots
+    assert vo.volume_spherical(spec, y_plus, y_minus).volume > 0.0
+    with pytest.raises(QuadratureError):
+        vo.volume_spherical(spec, y_minus, y_plus)
+
+
 # ------------------------------------------------------- exact class filter
 
 def _log_argument(family, n, A, y):
@@ -243,6 +252,18 @@ def test_twice_winding_v_of_c_minus8_3_is_not_yielded(monkeypatch):
     factors = vo._r_factors(family, n, vo._log_zero_points(n, A))
     assert not vo._closes(v, factors)
     assert v not in list(vo._candidate_paths(family, n, A, y0))
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True, reason=(
+    "ROADMAP Open item 5: the sampled tracker misses a full turn on the V "
+    "through 0.6052 +/- 0.1i, whose exact winding is 0"))
+def test_every_yielded_path_of_c_minus8_3_has_a_closing_tracker():
+    family, n = KnotFamily.C2N3, -4
+    spec = ConeManifoldSpec(family, n, 0.05 * critical_angle(family, n))
+    A, y0 = spec.cot_half, classify(spec).roots[0]
+    for shift in (0.1j, -0.1j):
+        for path in vo._candidate_paths(family, n, A, y0, shift):
+            assert _tracker_closes(family, n, A, path), (shift, path)
 
 
 @pytest.mark.parametrize("family,n", [
