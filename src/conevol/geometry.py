@@ -2,11 +2,15 @@
 
 Each hyperbolic family member has a critical cone angle a_K in [2*pi/3, pi):
 the cone manifold is hyperbolic below it, Euclidean at it, spherical between
-a_K and 2*pi - a_K, and unsupported beyond.  a_K is found by tracking the
-geometric conjugate root pair of the cone equation upward in the angle until
-it collides onto the real axis, bisecting the collision angle, and polishing
-the collided double root on the deflated equation, which gives a_K.  A
-failed polish raises NonConvergenceError; the bisected angle is no fallback.
+a_K and 2*pi - a_K, and out of range from 2*pi - a_K on.  regime_of is that
+one rule; every entry point asks it and raises ValueError outside its own
+regimes (classify serves all four).  classify is the one source of l_alpha.
+
+a_K is found by tracking the geometric conjugate root pair of the cone
+equation upward in the angle until it collides onto the real axis, bisecting
+the collision angle, and polishing the collided double root on the deflated
+equation, which gives a_K.  A failed polish raises NonConvergenceError; the
+bisected angle is no fallback.
 
 Which pair is geometric cannot be read off pointwise: every complex root
 with Im f > 0 is a genuine representation (the relation residual vanishes)
@@ -440,42 +444,40 @@ def collision_root(family: KnotFamily, n: int) -> float:
     return _member(family, n).y_star
 
 
+def regime_of(alpha: float, a_k: float, *serves: Regime) -> Regime:
+    """The regime of alpha (module docstring); ValueError if serves lacks it."""
+    if alpha >= 2.0 * math.pi - a_k:
+        regime = Regime.OUT_OF_RANGE
+    elif alpha == a_k:
+        regime = Regime.EUCLIDEAN
+    else:
+        regime = Regime.HYPERBOLIC if alpha < a_k else Regime.SPHERICAL
+    if serves and regime not in serves:
+        raise ValueError(f"alpha={alpha} is {regime.value} (a_K = {a_k}); only "
+                         f"{', '.join(r.value for r in serves)} angles are served")
+    return regime
+
+
 def select_hyperbolic_root(spec: ConeManifoldSpec) -> complex:
     """The geometric root y0 (Im f > 0) at a hyperbolic cone angle."""
     member = _member(spec.family, spec.n)
-    if not spec.alpha < member.alpha_k:
-        raise ValueError(
-            f"alpha={spec.alpha} is not in the hyperbolic range (0, {member.alpha_k})"
-        )
+    regime_of(spec.alpha, member.alpha_k, Regime.HYPERBOLIC)
     return member.hyperbolic_root(spec.alpha)
-
-
-def hyperbolic_length(family: KnotFamily, n: int, alpha: float) -> float:
-    """Singular length at any hyperbolic angle (the Schlaefli integrand)."""
-    return _length(family, n, alpha, _member(family, n).hyperbolic_root(alpha))
 
 
 def _fold(alpha: float) -> float:
     return alpha if alpha <= math.pi else 2.0 * math.pi - alpha
 
 
+def _spherical(spec: ConeManifoldSpec) -> RegimeResult:
+    """classify(spec) at a spherical angle; any other angle raises ValueError."""
+    regime_of(spec.alpha, _member(spec.family, spec.n).alpha_k, Regime.SPHERICAL)
+    return classify(spec)
+
+
 def select_spherical_roots(spec: ConeManifoldSpec):
     """(y_plus, y_minus): the real-f root pair, phase-ordered (l_alpha > 0)."""
-    member = _member(spec.family, spec.n)
-    a_k = member.alpha_k
-    if not (a_k < spec.alpha < 2.0 * math.pi - a_k):
-        raise ValueError(
-            f"alpha={spec.alpha} is not in the spherical band "
-            f"({a_k}, {2.0 * math.pi - a_k})"
-        )
-    return _spherical_roots(member, spec.alpha)[:2]
-
-
-def _spherical_roots(member: _MemberGeometry, alpha: float):
-    """(y_plus, y_minus, l_alpha) from one spherical-state lookup."""
-    pair, phase = member.spherical_state(_fold(alpha))
-    y_plus, y_minus = pair if phase >= 0.0 else pair[::-1]
-    return y_plus, y_minus, abs(phase)
+    return _spherical(spec).roots
 
 
 def spherical_length(family: KnotFamily, n: int, alpha: float) -> float:
@@ -484,25 +486,28 @@ def spherical_length(family: KnotFamily, n: int, alpha: float) -> float:
     Unwrapped longitude phase difference of the selected pair, anchored to
     zero at a_K; symmetric under alpha -> 2*pi - alpha.
     """
-    return _spherical_roots(_member(family, n), alpha)[2]
+    return _spherical(ConeManifoldSpec(family, n, alpha)).l_alpha
 
 
 def classify(spec: ConeManifoldSpec) -> RegimeResult:
-    """Regime of the cone angle plus the selected geometric root(s)."""
+    """Regime, selected geometric root(s) and l_alpha (its one source).
+
+    l_alpha is 2*log|ell| at the tracked hyperbolic root, or the spherical
+    pair's unwrapped longitude phase gap, which also orders the pair.
+    """
     member = _member(spec.family, spec.n)
     a_k = member.alpha_k
     alpha = spec.alpha
-    if alpha >= 2.0 * math.pi - a_k:
-        return RegimeResult(Regime.OUT_OF_RANGE, a_k, (), None)
-    if alpha == a_k:
-        return RegimeResult(Regime.EUCLIDEAN, a_k, (member.y_star,), None)
-    if alpha < a_k:
+    regime = regime_of(alpha, a_k)
+    if regime is Regime.OUT_OF_RANGE:
+        return RegimeResult(regime, a_k, (), None)
+    if regime is Regime.EUCLIDEAN:
+        return RegimeResult(regime, a_k, (member.y_star,), None)
+    if regime is Regime.HYPERBOLIC:
         y0 = member.hyperbolic_root(alpha)
-        return RegimeResult(
-            Regime.HYPERBOLIC, a_k, (y0,), _length(spec.family, spec.n, alpha, y0)
-        )
-    y_plus, y_minus, l_alpha = _spherical_roots(member, alpha)
-    return RegimeResult(Regime.SPHERICAL, a_k, (y_plus, y_minus), l_alpha)
+        return RegimeResult(regime, a_k, (y0,), _length(spec.family, spec.n, alpha, y0))
+    pair, phase = member.spherical_state(_fold(alpha))
+    return RegimeResult(regime, a_k, pair if phase >= 0.0 else pair[::-1], abs(phase))
 
 
 def clear_caches():

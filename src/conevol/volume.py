@@ -53,8 +53,8 @@ kappa * dVol = (1/2) l_alpha d(alpha) with Vol -> 0 at the transition, i.e.
 Vol = INT_alpha^{a_K} l/2 (hyperbolic) and INT_{a_K}^alpha l/2 (spherical,
 folded about pi by the A^2 symmetry).  The substitution beta = a_K -/+ t^2
 absorbs the square-root behaviour of l at the transition.  Both lengths come
-from the geometry module, as does the l_alpha of every volume result:
-2*log|ell| at the tracked root, or the tracked pair's longitude phase gap.
+from classify, as does the l_alpha of every volume result: 2*log|ell| at the
+tracked root, or the tracked pair's longitude phase gap.
 """
 
 from __future__ import annotations
@@ -74,15 +74,7 @@ from . import exactpoly as xp
 from .chebyshev import _f_from, _g_from, eval_f_prime, eval_S_pair  # noqa: F401
 from .errors import PathBlockedError, QuadratureError
 from .families import R_EXPONENTS, ConeManifoldSpec, KnotFamily
-from .geometry import (
-    Regime,
-    _fold,
-    classify,
-    collision_root,
-    critical_angle,
-    hyperbolic_length,
-    spherical_length,
-)
+from .geometry import Regime, _fold, classify, collision_root, critical_angle, regime_of
 
 R_EXCL = 1e-4
 QUAD_ABS_TOL = 1e-9
@@ -558,29 +550,26 @@ def volume_spherical(spec: ConeManifoldSpec, y_plus: float,
 def volume_schlafli(spec: ConeManifoldSpec) -> float:
     """Volume by integrating the singular geodesic length from the transition.
 
-    Independent of the contour machinery: only root continuation and the
-    longitude eigenvalue enter.  The substitution beta = a_K -/+ t^2 removes
-    the square-root vanishing of the length at the transition.
+    Independent of the contour machinery: only classify's l_alpha enters, at
+    each node.  The substitution beta = a_K -/+ t^2 removes the square-root
+    vanishing of the length at the transition.  Raises ValueError beyond the
+    spherical band, from 2*pi - a_K on.
     """
-    family, n, alpha = spec.family, spec.n, spec.alpha
+    family, n = spec.family, spec.n
     a_k = critical_angle(family, n)
-    folded = _fold(alpha)
-    if folded == a_k:
+    regime = regime_of(spec.alpha, a_k, Regime.HYPERBOLIC, Regime.EUCLIDEAN,
+                       Regime.SPHERICAL)
+    if regime is Regime.EUCLIDEAN:
         return 0.0
-    if folded < a_k:
-        span = math.sqrt(a_k - folded)
+    side = -1.0 if regime is Regime.HYPERBOLIC else 1.0
 
-        def integrand(t):
-            beta = a_k - t * t
-            return hyperbolic_length(family, n, beta) * t
-    else:
-        span = math.sqrt(folded - a_k)
+    def integrand(t):
+        node = classify(ConeManifoldSpec(family, n, a_k + side * t * t))
+        # a node with t*t under half an ulp of a_K lands on it, where l = 0
+        return 0.0 if node.regime is Regime.EUCLIDEAN else node.l_alpha * t
 
-        def integrand(t):
-            beta = a_k + t * t
-            return spherical_length(family, n, beta) * t
-
-    val, _ = adaptive_quad(integrand, 0.0, span, SCHLAFLI_QUAD_TOL)
+    val, _ = adaptive_quad(integrand, 0.0, math.sqrt(abs(_fold(spec.alpha) - a_k)),
+                           SCHLAFLI_QUAD_TOL)
     return float(val)
 
 

@@ -279,6 +279,12 @@ def test_critical_angle_of_c2n_minus2n_increases_with_n():
     assert all(a < b for a, b in zip(angles, angles[1:]))
 
 
+def test_spherical_length_at_a_hyperbolic_angle_raises_value_error():
+    # it raised SelectionAmbiguityError ("could not isolate the split real pair")
+    with pytest.raises(ValueError):
+        ge.spherical_length(KnotFamily.C2N2, 1, 1.0)
+
+
 def _cold_spherical_lengths(family, n, descending):
     ge.clear_caches()
     a_k = ge.critical_angle(family, n)

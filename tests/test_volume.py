@@ -12,7 +12,8 @@ from conevol import geometry
 from conevol import volume as vo
 from conevol.chebyshev import eval_fg
 from conevol.cli import main
-from conevol.errors import NonConvergenceError, PathBlockedError, QuadratureError
+from conevol.errors import (ConevolError, NonConvergenceError, PathBlockedError,
+                            QuadratureError)
 from conevol.families import ConeManifoldSpec, KnotFamily, is_torus_member
 from conevol.geometry import Regime, classify, critical_angle
 from conevol.representation import holonomy_data, longitude_eigenvalue, word_12
@@ -495,12 +496,83 @@ def test_contour_layer_imports_nothing_from_representation():
     assert not [m for m in modules if "representation" in m.split(".")]
 
 
+def test_contour_layer_imports_no_length_function_from_geometry():
+    # classify is the one source of l_alpha, the Schlaefli nodes' included
+    tree = ast.parse(Path(vo.__file__).read_text())
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "geometry"
+             for alias in node.names]
+    assert "classify" in names
+    assert not [name for name in names if "length" in name]
+
+
 # ------------------------------------------------------------- dispatch
 
 def test_out_of_range_raises():
     a_k = critical_angle(FIG8, 1)
     with pytest.raises(ValueError):
         vo.compute_volume(spec8(2 * math.pi - a_k + 0.05))
+
+
+def test_schlafli_beyond_the_band_raises():
+    # it used to integrate the hyperbolic length up to 2*pi - 6.2 and return
+    # 2.0238973934903703, the hyperbolic volume at that folded angle
+    with pytest.raises(ValueError):
+        vo.volume_schlafli(spec8(6.2))
+
+
+ROADMAP_MEMBERS = [(FIG8, 1), (KnotFamily.C2N3, 2), (KnotFamily.C2NMINUS2N, 4), (FIG8, 8)]
+
+
+@pytest.mark.parametrize("family,n", ROADMAP_MEMBERS, ids=lambda v: str(v))
+def test_schlafli_at_the_end_of_the_band_raises(family, n):
+    # classify calls 2*pi - a_K out of range; the folded angle a_K gave 0.0
+    spec = ConeManifoldSpec(family, n, 2 * math.pi - critical_angle(family, n))
+    assert classify(spec).regime is Regime.OUT_OF_RANGE
+    with pytest.raises(ValueError):
+        vo.volume_schlafli(spec)
+
+
+def _spherical_length(spec):
+    return geometry.spherical_length(spec.family, spec.n, spec.alpha)
+
+
+ENTRY_POINTS = [
+    (geometry.select_hyperbolic_root, {Regime.HYPERBOLIC}),
+    (geometry.select_spherical_roots, {Regime.SPHERICAL}),
+    (_spherical_length, {Regime.SPHERICAL}),
+    (vo.volume_schlafli, {Regime.HYPERBOLIC, Regime.EUCLIDEAN, Regime.SPHERICAL}),
+]
+
+
+@pytest.mark.parametrize("family,n", ROADMAP_MEMBERS, ids=lambda v: str(v))
+def test_entry_points_raise_value_error_exactly_outside_their_regimes(family, n):
+    a_k = critical_angle(family, n)
+    edge = 2 * math.pi - a_k
+    for alpha in (a_k - 1e-9, a_k, a_k + 1e-9, edge - 1e-9, edge, edge + 1e-9):
+        spec = ConeManifoldSpec(family, n, alpha)
+        regime = geometry.regime_of(alpha, a_k)
+        try:
+            assert classify(spec).regime is regime
+        except ConevolError:
+            pass  # the root tracker may fail next to a_K; the rule still holds
+        for entry, serves in ENTRY_POINTS:
+            try:
+                entry(spec)
+            except ValueError:
+                assert regime not in serves, (entry.__name__, alpha)
+            except ConevolError:
+                assert regime in serves, (entry.__name__, alpha)
+            else:
+                assert regime in serves, (entry.__name__, alpha)
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_schlafli_node_landing_on_a_k_has_zero_length(side):
+    # within 1e-14 of a_K some nodes round onto a_K, which classify calls
+    # Euclidean (no l_alpha); their length is the limit 0, not a raw error
+    alpha = critical_angle(FIG8, 1) + side * 1e-14
+    assert 0.0 <= vo.volume_schlafli(spec8(alpha)) < 1e-18
 
 
 def test_euclidean_volume_zero():
