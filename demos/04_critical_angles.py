@@ -1,8 +1,9 @@
 """Transition angles across the three families.
 
 Every hyperbolic member has a critical angle a_K in [2*pi/3, pi) where the
-tracked conjugate root pair of the cone equation collides onto the real
-axis: hyperbolic below, Euclidean at, spherical above (up to 2*pi - a_K).
+geometric conjugate root pair of the cone equation (the one with the least
+real part) collides onto the real axis: hyperbolic below, Euclidean at,
+spherical above (up to 2*pi - a_K).
 The torus-knot members (trefoils in disguise) have no such transition and
 are reported as degenerate.
 """

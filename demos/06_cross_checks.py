@@ -1,7 +1,7 @@
 """The oracle web: every volume is certified three independent ways.
 
 1. the contour integral (exact formula, branch-tracked logarithm);
-2. the Schlaefli length integral (root continuation + longitude eigenvalue,
+2. the Schlaefli length integral (roots selected by order + singular length,
    no contour machinery at all);
 3. structural invariants: symmetry about pi, path independence, endpoint
    derivative = -/+ half the geodesic length.

@@ -6,33 +6,28 @@ a_K and 2*pi - a_K, and out of range from 2*pi - a_K on.  regime_of is that
 one rule; every entry point asks it and raises ValueError outside its own
 regimes (classify serves all four).  classify is the one source of l_alpha.
 
-a_K is found by tracking the geometric conjugate root pair of the cone
-equation upward in the angle until it collides onto the real axis, bisecting
-the collision angle, and polishing the collided double root on the deflated
-equation, which gives a_K.  A failed polish raises NonConvergenceError; the
-bisected angle is no fallback.
+Roots are selected by their order, not by continuation.  The hyperbolic cone
+structure on (0, a_K) is unique (Hodgson-Kerckhoff), and its root is the
+member with Im f > 0 of the non-real conjugate pair with the least real part
+(_geometric_root).  A missing pair, a least pair that is not conjugate, or a
+second pair within PAIR_MARGIN in real part raises SelectionAmbiguityError.
+Above a_K the pair has split into the two least real roots r0 < r1
+(_spherical_pair), ordered (r1, r0) for n > 0 and (r0, r1) for n < 0; a
+non-real root among the two least raises SelectionAmbiguityError.  Their
+length comes from f in closed form: for real F = f(r) tan(alpha/2) the
+longitude eigenvalue is -exp(-2i atan F), so l = 2|atan F(r1) - atan F(r0)|.
+Angles above pi reuse the pair at 2*pi - alpha, since the cone equation
+depends on the angle only through A^2 = cot^2(alpha/2).  Each lookup is one
+cone-equation solve and a sort, so it cannot depend on earlier lookups.
 
-Which pair is geometric cannot be read off pointwise: every complex root
-with Im f > 0 is a genuine representation (the relation residual vanishes)
-and several of them can have positive real length.  Since the hyperbolic
-structure is unique and persists on all of (0, a_K) with a_K >= 2*pi/3, the
-geometric branch is selected by competition: every Im f > 0 conjugate pair
-at the seed angle is continued upward, and the branch whose collision lands
-in [2*pi/3, pi) wins.  Non-geometric branches collide early (below 2*pi/3)
-or never; two survivors raise SelectionAmbiguityError rather than guessing.
-The winner is additionally certified against the matrix oracle (relation
-residual <= 1e-9 and |ell| > 1, i.e. positive real length).
-
-The spherical pair is seeded just above a_K at the two real roots splitting
-off the collision and tracked the same way.  One tracker serves both: a
-_Track keeps ascending node angles and one state each (y on the branch,
-(pair, phase) on the spherical pair), and one rule, _match_unambiguous,
-takes every root from a solve.  Marches halve the step on an ambiguous
-match; lookups match from the nearest node and raise SelectionAmbiguityError
-instead of guessing.  The (+, -) labels come from the sign of the tracked
-longitude phase difference, which is zero at the transition.  Angles above
-pi reuse the pair at 2*pi - alpha, since the cone equation depends on the
-angle only through A^2 = cot^2(alpha/2).
+a_K is set up once per member: the rule picks the root at ALPHA_SEED, the
+matrix oracle certifies it (relation residual <= 1e-9 and |ell| > 1, i.e.
+positive real length), and that one root is marched upward in the angle
+until it collides onto the real axis.  The march halves its step on an
+ambiguous match (_match_unambiguous), bisects the collision angle, and the
+collided double root is polished on the deflated equation, which gives a_K.
+A failed polish raises NonConvergenceError; the bisected angle is no
+fallback.  The member keeps only a_K and the double root y*.
 
 Torus-knot members (families.is_torus_member) have no complex roots at any
 angle, so critical_angle raises NotBracketedError for them.
@@ -40,7 +35,6 @@ angle, so critical_angle raises NotBracketedError for them.
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import math
 import threading
@@ -60,6 +54,8 @@ MARCH_STEP = 0.05
 COLLISION_IM_TOL = 1e-9
 BISECT_TOL = 1e-10
 CERT_RELATION_TOL = 1e-9
+REAL_IM_TOL = 1e-7  # a spherical root with |Im y| above this is not real
+PAIR_MARGIN = 1e-3  # least real-part gap between the geometric pair and the next
 _WINDOW_LO = 2.0 * math.pi / 3.0 - 1e-6  # Kojima-Porti lower bound, with slack
 
 
@@ -93,8 +89,35 @@ def _moving_roots(family: KnotFamily, n: int, alpha: float) -> list:
     return [r.y for r in solve_cone_equation(eq) if not r.unit_f]
 
 
-def _real_roots(ys) -> list:
-    return [y for y in ys if abs(y.imag) <= 1e-7]
+def _geometric_root(family: KnotFamily, n: int, alpha: float, roots) -> complex:
+    """The member with Im f > 0 of the least-real-part non-real pair of roots."""
+    ys = sorted((y for y in roots if abs(y.imag) > COLLISION_IM_TOL),
+                key=lambda y: y.real)
+    where = f"{family.value} n={n} at alpha={alpha:.8f}"
+    if len(ys) < 2 or abs(ys[1] - ys[0].conjugate()) > 1e-9 * max(1.0, abs(ys[0])):
+        raise SelectionAmbiguityError(f"{where}: the least non-real roots {ys[:2]} "
+                                      f"are not a conjugate pair", ys[:2])
+    if len(ys) > 2 and ys[2].real - ys[0].real < PAIR_MARGIN:
+        raise SelectionAmbiguityError(f"{where}: two non-real pairs within "
+                                      f"{PAIR_MARGIN} in real part", ys[:4])
+    return ys[0] if eval_f(n, ys[0]).imag > 0.0 else ys[1]
+
+
+def _spherical_pair(family: KnotFamily, n: int, alpha: float):
+    """((y_plus, y_minus), l_alpha) at a folded spherical angle in (a_K, pi].
+
+    The two least real roots r0 < r1, as (r1, r0) for n > 0 and (r0, r1)
+    for n < 0, and l = 2|atan F(r1) - atan F(r0)| with F = f(r) tan(alpha/2).
+    """
+    ys = sorted(_moving_roots(family, n, alpha), key=lambda y: y.real)
+    if len(ys) < 2 or max(abs(ys[0].imag), abs(ys[1].imag)) > REAL_IM_TOL:
+        raise SelectionAmbiguityError(
+            f"{family.value} n={n}: the two least roots at alpha={alpha:.8f} are "
+            f"not a real pair", ys[:2])
+    r0, r1 = ys[0].real, ys[1].real
+    t = math.tan(0.5 * alpha)
+    l_alpha = 2.0 * abs(math.atan(eval_f(n, r1) * t) - math.atan(eval_f(n, r0) * t))
+    return ((r1, r0) if n > 0 else (r0, r1)), l_alpha
 
 
 def _match_unambiguous(ys, target: complex):
@@ -129,28 +152,6 @@ def _length(family: KnotFamily, n: int, alpha: float, y: complex) -> float:
     return 2.0 * math.log(abs(_ell(family, n, alpha, y)))
 
 
-class _Track:
-    """Continuation nodes: ascending angles and the tracked state at each."""
-
-    def __init__(self, alpha: float, state):
-        self.alphas = [alpha]
-        self.states = [state]
-
-    def add(self, alpha: float, state):
-        self.alphas.append(alpha)
-        self.states.append(state)
-
-    def nearest(self, alpha: float):
-        """(angle, state) of the node nearest alpha; a tie goes to the lower node."""
-        a = self.alphas
-        i = bisect.bisect_left(a, alpha)
-        if i == len(a) or (i > 0 and alpha - a[i - 1] <= a[i] - alpha):
-            i -= 1
-            while i > 0 and alpha - a[i - 1] == alpha - a[i]:  # equal once rounded
-                i -= 1
-        return a[i], self.states[i]
-
-
 def _certify(family: KnotFamily, n: int, alpha: float, y: complex) -> bool:
     """Relation residual and positive real length at the candidate root."""
     m = cmath.exp(0.5j * alpha)
@@ -164,68 +165,41 @@ def _certify(family: KnotFamily, n: int, alpha: float, y: complex) -> bool:
     return abs(ell) > 1.0
 
 
-class _Branch:
-    """One conjugate root pair continued upward from the seed angle."""
+def _march_to_collision(family: KnotFamily, n: int, y: complex):
+    """(angle, Re y) where the root tracked up from ALPHA_SEED lands on the real axis.
 
-    def __init__(self, family: KnotFamily, n: int, y_seed: complex):
-        self.family = family
-        self.n = n
-        self.track = _Track(ALPHA_SEED, y_seed)
-        self.collision: float | None = None
-        self.collision_root: float | None = None
-
-    def volume_estimate(self) -> float:
-        """Trapezoid of l/2 over the branch nodes: the branch's total volume.
-
-        Used as a tie-break when several branches collide inside the
-        Kojima-Porti window: the geometric branch has the maximal volume
-        (volume rigidity of the discrete faithful representation at the
-        zero-angle limit).
-        """
-        total = 0.0
-        prev_a = prev_l = None
-        for a, y in zip(self.track.alphas, self.track.states):
-            l = _length(self.family, self.n, a, y)
-            if prev_a is not None:
-                total += 0.25 * (l + prev_l) * (a - prev_a)
-            prev_a, prev_l = a, l
-        return total
-
-    def march_to_collision(self):
-        """Advance until the tracked root lands on the real axis; bisect the angle."""
-        family, n = self.family, self.n
-        a, y = self.track.alphas[-1], self.track.states[-1]
-        step = MARCH_STEP
-        while True:
-            if a >= math.pi - 1e-12:
-                return  # survived past the window: not a transition in (0, pi)
-            cand = min(a + step, math.pi)
-            matched, ok = _match_unambiguous(_moving_roots(family, n, cand), y)
-            if ok and abs(matched.imag) > COLLISION_IM_TOL:
-                a, y = cand, matched
-                self.track.add(a, y)
-                step = min(MARCH_STEP, step * 1.6)
-                continue
-            if step > 1e-4:
-                step *= 0.5
-                continue
-            if abs(matched.imag) > COLLISION_IM_TOL:
-                raise SelectionAmbiguityError(
-                    f"{family.value} n={n}: root tracking tangled near "
-                    f"alpha={cand:.6f}",
-                    [y, matched],
-                )
-            lo, hi = a, cand
-            break
-        while hi - lo > BISECT_TOL:
-            mid = 0.5 * (lo + hi)
-            matched = _match_unambiguous(_moving_roots(family, n, mid), y)[0]
-            if abs(matched.imag) > COLLISION_IM_TOL:
-                lo, y = mid, matched
-            else:
-                hi = mid
-        self.collision = 0.5 * (lo + hi)
-        self.collision_root = y.real
+    None if it is still off the axis at pi.
+    """
+    a = ALPHA_SEED
+    step = MARCH_STEP
+    while True:
+        if a >= math.pi - 1e-12:
+            return None
+        cand = min(a + step, math.pi)
+        matched, ok = _match_unambiguous(_moving_roots(family, n, cand), y)
+        if ok and abs(matched.imag) > COLLISION_IM_TOL:
+            a, y = cand, matched
+            step = min(MARCH_STEP, step * 1.6)
+            continue
+        if step > 1e-4:
+            step *= 0.5
+            continue
+        if abs(matched.imag) > COLLISION_IM_TOL:
+            raise SelectionAmbiguityError(
+                f"{family.value} n={n}: root tracking tangled near "
+                f"alpha={cand:.6f}",
+                [y, matched],
+            )
+        lo, hi = a, cand
+        break
+    while hi - lo > BISECT_TOL:
+        mid = 0.5 * (lo + hi)
+        matched = _match_unambiguous(_moving_roots(family, n, mid), y)[0]
+        if abs(matched.imag) > COLLISION_IM_TOL:
+            lo, y = mid, matched
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), y.real
 
 
 def _polish_collision(family: KnotFamily, n: int, alpha_est: float, y_est: float):
@@ -263,165 +237,48 @@ def _polish_collision(family: KnotFamily, n: int, alpha_est: float, y_est: float
 
 
 class _MemberGeometry:
-    """Per-(family, n) cache: winning branch, critical angle, spherical track."""
+    """Per-(family, n) set-up: a_K and the collided double root y*."""
 
     def __init__(self, family: KnotFamily, n: int):
         validate_twist(n)
         self.family = family
         self.n = n
         self._resolve()
-        # (pair, phase) nodes above a_K, seeded on first use; the track grows
-        # lazily and concurrent classify() calls must not interleave appends
-        self.sph: _Track | None = None
-        self._sph_lock = threading.RLock()
-
-    # ---------------------------------------------------------- hyperbolic
 
     def _resolve(self):
         family, n = self.family, self.n
-        seeds = [
-            y
-            for y in _moving_roots(family, n, ALPHA_SEED)
-            if abs(y.imag) > COLLISION_IM_TOL and eval_f(n, y).imag > 0.0
-        ]
-        if not seeds:
+        roots = _moving_roots(family, n, ALPHA_SEED)
+        if all(abs(y.imag) <= COLLISION_IM_TOL for y in roots):
             raise NotBracketedError(
-                f"{family.value} n={n}: no complex root with Im f > 0 at the seed "
-                f"angle; this member admits no hyperbolic cone structure"
+                f"{family.value} n={n}: no complex root at the seed angle; this "
+                f"member admits no hyperbolic cone structure"
             )
-        branches = [_Branch(family, n, y) for y in seeds]
-        for b in branches:
-            b.march_to_collision()
-        winners = [
-            b
-            for b in branches
-            if b.collision is not None and _WINDOW_LO <= b.collision < math.pi
-        ]
-        if not winners:
-            raise NotBracketedError(
-                f"{family.value} n={n}: no root-pair collision inside [2*pi/3, pi); "
-                f"branch collisions: {[b.collision for b in branches]}"
-            )
-        if len(winners) > 1:
-            # several candidate transitions: the geometric branch carries the
-            # maximal volume (rigidity); demand a clear margin before choosing
-            volumes = {b: b.volume_estimate() for b in winners}
-            winners.sort(key=volumes.get, reverse=True)
-            v0, v1 = volumes[winners[0]], volumes[winners[1]]
-            if not v0 > v1 * 1.02:
-                raise SelectionAmbiguityError(
-                    f"{family.value} n={n}: {len(winners)} branches collide inside "
-                    f"the Kojima-Porti window with comparable volumes "
-                    f"({v0:.6f} vs {v1:.6f})",
-                    [b.track.states[0] for b in winners],
-                )
-        win = winners[0]
-        y_seed = win.track.states[0]
+        y_seed = _geometric_root(family, n, ALPHA_SEED, roots)
         if not _certify(family, n, ALPHA_SEED, y_seed):
             raise SelectionAmbiguityError(
-                f"{family.value} n={n}: surviving branch failed holonomy "
-                f"certification at the seed angle",
+                f"{family.value} n={n}: the seed root failed holonomy "
+                f"certification",
                 [y_seed],
             )
-        alpha_k, y_star = _polish_collision(family, n, win.collision, win.collision_root)
+        collision = _march_to_collision(family, n, y_seed)
+        if collision is None or not _WINDOW_LO <= collision[0] < math.pi:
+            raise NotBracketedError(
+                f"{family.value} n={n}: the geometric root collides outside "
+                f"[2*pi/3, pi), at {collision}"
+            )
+        alpha_k, y_star = _polish_collision(family, n, *collision)
         if not (_WINDOW_LO <= alpha_k < math.pi):
             raise NotBracketedError(
                 f"collision angle {alpha_k:.8f} outside [2*pi/3, pi) for "
                 f"{family.value} n={n}"
             )
-        self.branch = win
         self.alpha_k = alpha_k
         self.y_star = y_star
 
     def hyperbolic_root(self, alpha: float) -> complex:
-        """Tracked geometric root at a hyperbolic angle, polished at alpha.
-
-        Matched from the nearest branch node by the march's rule; an ambiguous
-        match raises instead of taking the nearest root.
-        """
-        _, ref = self.branch.track.nearest(alpha)
-        y, ok = _match_unambiguous(_moving_roots(self.family, self.n, alpha), ref)
-        if not ok:
-            raise SelectionAmbiguityError(
-                f"{self.family.value} n={self.n}: ambiguous root at alpha={alpha:.8f}",
-                [ref, y],
-            )
-        if eval_f(self.n, y).imag < 0.0:
-            y = y.conjugate()
-        return y
-
-    # ------------------------------------------------------------ spherical
-
-    SEED_OFFSET = 1e-4
-
-    def _ell_ratio(self, alpha: float, pair) -> complex:
-        e1 = _ell(self.family, self.n, alpha, complex(pair[0]))
-        return e1 / _ell(self.family, self.n, alpha, complex(pair[1]))
-
-    def _split_state(self, alpha: float):
-        """The two real roots split off the collision nearest y*, and their phase."""
-        real = _real_roots(_moving_roots(self.family, self.n, alpha))
-        real.sort(key=lambda y: abs(y - self.y_star))
-        if len(real) < 2 or abs(real[1] - self.y_star) > 0.2:
-            raise SelectionAmbiguityError(
-                f"{self.family.value} n={self.n}: could not isolate the split real "
-                f"pair at alpha={alpha:.8f}",
-                real[:4],
-            )
-        pair = tuple(sorted((real[0].real, real[1].real)))
-        return pair, cmath.phase(self._ell_ratio(alpha, pair))
-
-    def _sph_step(self, a: float, state, step: float):
-        """(angle, state) after following the pair from node (a, state) by step.
-
-        The step halves until each root matches unambiguously, the two stay
-        distinct and the phase jumps by at most 1.5 (or the step is <= 1e-7).
-        """
-        (p0, p1), phase = state
-        while True:
-            nxt = a + step
-            live = _real_roots(_moving_roots(self.family, self.n, nxt))
-            r1, ok1 = _match_unambiguous(live, p0)
-            r2, ok2 = _match_unambiguous(live, p1)
-            if (not ok1 or not ok2 or r1 == r2) and abs(step) > 1e-7:
-                step *= 0.5
-                continue
-            if r1 == r2:
-                raise SelectionAmbiguityError(
-                    f"spherical pair merged at alpha={nxt:.8f}", [r1]
-                )
-            pair = (r1.real, r2.real)
-            jump = cmath.phase(self._ell_ratio(nxt, pair) * cmath.exp(-1j * phase))
-            if abs(jump) <= 1.5 or abs(step) <= 1e-7:
-                return nxt, (pair, phase + jump)
-            step *= 0.5
-
-    def spherical_state(self, alpha: float):
-        """((r1, r2), unwrapped phase difference) at a folded angle in (a_K, pi].
-
-        The track advances past alpha and stores nodes; the lookup then steps
-        from the nearest node and stores nothing.  Each advance aims at pi,
-        not at alpha, so the nodes are a prefix of one fixed sequence and the
-        result does not depend on which angles were asked before.  Both
-        angles lie in (2*pi/3, pi], so alpha - a is exact and the last step
-        lands on alpha.
-        """
-        with self._sph_lock:
-            if self.sph is None:
-                a0 = self.alpha_k + self.SEED_OFFSET
-                self.sph = _Track(a0, self._split_state(a0))
-            track = self.sph
-            if alpha < track.alphas[0]:
-                return self._split_state(alpha)
-            while track.alphas[-1] < alpha - 1e-15:
-                cur = track.alphas[-1]
-                step = min(MARCH_STEP / 2.0, math.pi - cur)
-                track.add(*self._sph_step(cur, track.states[-1], step))
-            a, state = track.nearest(alpha)
-        while True:
-            a, state = self._sph_step(a, state, alpha - a)
-            if a == alpha:
-                return state
+        """The geometric root at a hyperbolic angle (_geometric_root)."""
+        return _geometric_root(self.family, self.n, alpha,
+                               _moving_roots(self.family, self.n, alpha))
 
 
 def _member(family: KnotFamily, n: int) -> _MemberGeometry:
@@ -440,7 +297,7 @@ def critical_angle(family: KnotFamily, n: int) -> float:
 
 
 def collision_root(family: KnotFamily, n: int) -> float:
-    """The real double root at a_K (integration anchor and spherical seed)."""
+    """The real double root y* at a_K (the contour's integration anchor)."""
     return _member(family, n).y_star
 
 
@@ -476,15 +333,15 @@ def _spherical(spec: ConeManifoldSpec) -> RegimeResult:
 
 
 def select_spherical_roots(spec: ConeManifoldSpec):
-    """(y_plus, y_minus): the real-f root pair, phase-ordered (l_alpha > 0)."""
+    """(y_plus, y_minus): the real-f root pair, in _spherical_pair's order."""
     return _spherical(spec).roots
 
 
 def spherical_length(family: KnotFamily, n: int, alpha: float) -> float:
     """Geodesic length of the singular locus in the spherical regime.
 
-    Unwrapped longitude phase difference of the selected pair, anchored to
-    zero at a_K; symmetric under alpha -> 2*pi - alpha.
+    2|atan F(r1) - atan F(r0)| at the selected pair (_spherical_pair); zero
+    at a_K and symmetric under alpha -> 2*pi - alpha.
     """
     return _spherical(ConeManifoldSpec(family, n, alpha)).l_alpha
 
@@ -492,8 +349,8 @@ def spherical_length(family: KnotFamily, n: int, alpha: float) -> float:
 def classify(spec: ConeManifoldSpec) -> RegimeResult:
     """Regime, selected geometric root(s) and l_alpha (its one source).
 
-    l_alpha is 2*log|ell| at the tracked hyperbolic root, or the spherical
-    pair's unwrapped longitude phase gap, which also orders the pair.
+    l_alpha is 2*log|ell| at the hyperbolic root, from the matrix words, or
+    the spherical pair's closed-form length (_spherical_pair).
     """
     member = _member(spec.family, spec.n)
     a_k = member.alpha_k
@@ -506,8 +363,8 @@ def classify(spec: ConeManifoldSpec) -> RegimeResult:
     if regime is Regime.HYPERBOLIC:
         y0 = member.hyperbolic_root(alpha)
         return RegimeResult(regime, a_k, (y0,), _length(spec.family, spec.n, alpha, y0))
-    pair, phase = member.spherical_state(_fold(alpha))
-    return RegimeResult(regime, a_k, pair if phase >= 0.0 else pair[::-1], abs(phase))
+    pair, l_alpha = _spherical_pair(spec.family, spec.n, _fold(alpha))
+    return RegimeResult(regime, a_k, pair, l_alpha)
 
 
 def clear_caches():

@@ -54,7 +54,7 @@ Vol = INT_alpha^{a_K} l/2 (hyperbolic) and INT_{a_K}^alpha l/2 (spherical,
 folded about pi by the A^2 symmetry).  The substitution beta = a_K -/+ t^2
 absorbs the square-root behaviour of l at the transition.  Both lengths come
 from classify, as does the l_alpha of every volume result: 2*log|ell| at the
-tracked root, or the tracked pair's longitude phase gap.
+selected root, or the closed form 2|atan F(r1) - atan F(r0)| at the pair.
 """
 
 from __future__ import annotations

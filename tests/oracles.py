@@ -168,6 +168,33 @@ def sympy_cone_polynomial(family_token: str, n: int):
     return c0, c1, y
 
 
+def critical_angle_exact(family_token: str, n: int) -> float:
+    """a_K from the exact double root of the deflated cone polynomial.
+
+    A double root of P = C0r + s*C1r (s = cot^2(alpha/2)) is a real root of
+    the integer polynomial W = C0r'*C1r - C0r*C1r', where s = -C0r/C1r is
+    critical.  sympy isolates the real roots of W in rational intervals of
+    width 1e-30; since s' vanishes there, s at the midpoint is exact far past
+    double precision.  a_K = 2*atan(1/sqrt(s)) for the least s in (0, 1/3],
+    which is the largest angle in [2*pi/3, pi).
+    """
+    c0, c1, y = sympy_cone_polynomial(family_token, n)
+    p0, p1 = sp.Poly(c0, y), sp.Poly(c1, y)
+    gcd = sp.gcd(p0, p1)
+    c0r, c1r = sp.quo(p0, gcd), sp.quo(p1, gcd)
+    w = c0r.diff(y) * c1r - c0r * c1r.diff(y)
+    best = None
+    for (lo, hi), _ in w.intervals(eps=sp.Rational(1, 10**30)):
+        mid = (lo + hi) / 2
+        den = c1r.eval(mid)
+        if den == 0:
+            continue
+        s = -c0r.eval(mid) / den
+        if 0 < s <= sp.Rational(1, 3) and (best is None or s < best):
+            best = s
+    return float(2 * sp.atan(1 / sp.sqrt(best)).evalf(40))
+
+
 # ------------------------------------------------------ 60-digit longitude
 
 def _mp_S(k: int, y):

@@ -1,9 +1,9 @@
 """Concurrent evaluation matches serial evaluation exactly.
 
-Pure operations plus the guarded per-member caches: a thread pool hammering
-one member across both regimes must reproduce the serial volumes bit for
-bit, including when the lazily grown continuation traces are being extended
-by several threads at once.
+Pure operations plus the per-member set-up, which the module lock guards:
+a thread pool hammering one member across both regimes must reproduce the
+serial volumes bit for bit, including when several threads ask for the
+member before its set-up is done.  After set-up geometry keeps no state.
 """
 
 import math

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -9,16 +10,17 @@ import pytest
 from conevol import geometry as ge
 from conevol.chebyshev import eval_f
 from conevol.errors import (
+    ConevolError,
     DegenerateLongitudeError,
     NonConvergenceError,
     NotBracketedError,
     SelectionAmbiguityError,
 )
 from conevol.families import ConeManifoldSpec, KnotFamily, is_torus_member
-from conevol.representation import relation_residual
+from conevol.representation import longitude_eigenvalue, relation_residual
 from conevol.riley import build_cone_equation
 
-from oracles import singular_length_60
+from oracles import critical_angle_exact, singular_length_60
 
 MEMBERS = [
     (family, n)
@@ -191,7 +193,7 @@ def test_hyperbolic_root_raises_on_an_ambiguous_match(monkeypatch):
     family, n, alpha = KnotFamily.C2N2, 1, 1.0
     member = ge._member(family, n)
     y = member.hyperbolic_root(alpha)
-    # two roots tie around the tracked one: neither is a trustworthy match
+    # the two least non-real roots are no conjugate pair: nothing to select
     monkeypatch.setattr(ge, "_moving_roots", lambda *args: [y + 0.5, y - 0.5])
     with pytest.raises(SelectionAmbiguityError):
         member.hyperbolic_root(alpha)
@@ -217,38 +219,6 @@ def test_classify_length_is_none_off_both_regimes():
     a_k = ge.critical_angle(family, n)
     assert ge.classify(ConeManifoldSpec(family, n, a_k)).l_alpha is None
     assert ge.classify(ConeManifoldSpec(family, n, 2 * math.pi - a_k + 0.1)).l_alpha is None
-
-
-def test_tie_break_scores_each_winner_once(monkeypatch):
-    # three branches of C(8,3) collide inside the Kojima-Porti window
-    scored = []
-    estimate = ge._Branch.volume_estimate
-
-    def counted(self):
-        scored.append(self)
-        return estimate(self)
-
-    monkeypatch.setattr(ge._Branch, "volume_estimate", counted)
-    member = ge._MemberGeometry(KnotFamily.C2N3, 4)
-    assert len(scored) == len(set(map(id, scored))) == 3
-    assert member.branch is max(scored, key=estimate)
-    assert member.alpha_k == ge.critical_angle(KnotFamily.C2N3, 4)
-
-
-NODES = (0.5, 1.0, 1.5, 2.5, 2.5000000000000004)
-
-
-@pytest.mark.parametrize(
-    "alpha",
-    [-1.0, 0.5, 0.75, 0.9, 1.0, 1.25, 1.3, 2.0, 2.4, 2.5, 2.5000000000000004, 9.0],
-)
-def test_track_nearest_matches_the_linear_scan(alpha):
-    track = ge._Track(NODES[0], "s0")
-    for i, a in enumerate(NODES[1:], start=1):
-        track.add(a, f"s{i}")
-    # 0.75, 1.25 and 2.0 are exact ties: the lower node wins
-    i = min(range(len(NODES)), key=lambda k: abs(NODES[k] - alpha))
-    assert track.nearest(alpha) == (NODES[i], f"s{i}")
 
 
 def test_collision_polish_raises_outside_its_bracket():
@@ -296,7 +266,7 @@ def _cold_spherical_lengths(family, n, descending):
 @pytest.mark.parametrize("family,n", [(KnotFamily.C2N2, 1), (KnotFamily.C2N3, 2),
                                       (KnotFamily.C2NMINUS2N, 4), (KnotFamily.C2N2, 8)])
 def test_spherical_length_does_not_depend_on_query_order(family, n):
-    # advances must not aim at the queried angle: doing so made C(2,2) at
+    # a lookup is one solve and a sort; a continued phase once made C(2,2) at
     # 2.738824364668025 read ...911 ascending and ...912 descending
     ascending = _cold_spherical_lengths(family, n, False)
     assert _cold_spherical_lengths(family, n, True) == ascending
@@ -323,3 +293,156 @@ def test_singular_length_of_c8_minus8_at_a_small_angle():
     res = ge.classify(ConeManifoldSpec(KnotFamily.C2NMINUS2N, 4, alpha))
     length, _ = singular_length_60("c2nm2n", 4, alpha, res.roots[0])
     assert abs(res.l_alpha - length) <= 2e-14
+
+
+# ------------------------------------------------ selection by root order
+
+MEMBERS_4 = [
+    (family, n)
+    for family in KnotFamily
+    for n in range(-4, 5)
+    if n != 0 and not is_torus_member(family, n)
+]
+FIG8 = (KnotFamily.C2N2, 1)
+
+
+def _hyperbolic_grid(a_k):
+    return [f * a_k for f in (0.05, 0.3, 0.6, 0.9, 0.999)]
+
+
+def _spherical_grid(a_k):
+    band = math.pi - a_k
+    return [a_k + f * band for f in (0.01, 0.3, 0.7, 1.0)] + [math.pi + 0.5 * band]
+
+
+@pytest.mark.parametrize("family,n", MEMBERS_4)
+def test_geometric_root_is_the_certified_member_of_its_pair(family, n):
+    a_k = ge.critical_angle(family, n)
+    for alpha in _hyperbolic_grid(a_k):
+        y0 = ge.select_hyperbolic_root(ConeManifoldSpec(family, n, alpha))
+        assert ge._certify(family, n, alpha, y0)
+        assert not ge._certify(family, n, alpha, y0.conjugate())
+
+
+@pytest.mark.parametrize("family,n", MEMBERS_4)
+def test_spherical_length_is_the_phase_of_the_matrix_longitude_ratio(family, n):
+    # the matrix words are an independent oracle for the closed form, and the
+    # sign of the phase checks the (y_plus, y_minus) order
+    a_k = ge.critical_angle(family, n)
+    for alpha in _spherical_grid(a_k):
+        res = ge.classify(ConeManifoldSpec(family, n, alpha))
+        m = cmath.exp(0.5j * min(alpha, 2 * math.pi - alpha))
+        y_plus, y_minus = (complex(y) for y in res.roots)
+        ratio = (longitude_eigenvalue(family, n, m, y_plus)
+                 / longitude_eigenvalue(family, n, m, y_minus))
+        assert abs(math.remainder(res.l_alpha - cmath.phase(ratio), 2 * math.pi)) <= 1e-10
+
+
+@pytest.mark.parametrize("family,n", MEMBERS_4)
+def test_classify_does_not_depend_on_query_order(family, n):
+    ge.clear_caches()
+    a_k = ge.critical_angle(family, n)
+    grid = sorted(_hyperbolic_grid(a_k) + _spherical_grid(a_k))
+    ascending = [repr(ge.classify(ConeManifoldSpec(family, n, a))) for a in grid]
+    order = list(range(len(grid)))
+    random.Random(n).shuffle(order)
+    ge.clear_caches()
+    shuffled = {i: repr(ge.classify(ConeManifoldSpec(family, n, grid[i]))) for i in order}
+    assert [shuffled[i] for i in range(len(grid))] == ascending
+
+
+@pytest.mark.parametrize("roots", [
+    [-1.0 + 0j, 0.5 + 0j],  # no non-real pair
+    [1.0 - 1.0j, 1.0 + 0.5j],  # the least two non-real roots are not conjugate
+    [1.0 - 1.0j, 1.0 + 1.0j, 1.0005 - 2.0j, 1.0005 + 2.0j],  # pairs within PAIR_MARGIN
+])
+def test_hyperbolic_selection_raises_on_constructed_roots(roots, monkeypatch):
+    member = ge._member(*FIG8)
+    monkeypatch.setattr(ge, "_moving_roots", lambda *args: list(roots))
+    with pytest.raises(SelectionAmbiguityError):
+        member.hyperbolic_root(1.0)
+
+
+def test_hyperbolic_selection_takes_im_f_positive_from_the_least_pair(monkeypatch):
+    member = ge._member(*FIG8)
+    roots = [-3.0 + 0j, 1.0 - 1.0j, 1.0 + 1.0j, 1.5 - 2.0j, 1.5 + 2.0j]
+    monkeypatch.setattr(ge, "_moving_roots", lambda *args: list(roots))
+    y = member.hyperbolic_root(1.0)
+    assert y in (1.0 - 1.0j, 1.0 + 1.0j) and eval_f(1, y).imag > 0
+
+
+@pytest.mark.parametrize("roots", [
+    [0.5 + 0j],  # one root
+    [-1.0 - 1e-3j, -1.0 + 1e-3j, 0.5 + 0j],  # the least two are a conjugate pair
+    [-1.0 + 0j, 0.2 - 1e-3j, 0.2 + 1e-3j],  # the second least is not real
+])
+def test_spherical_selection_raises_on_constructed_roots(roots, monkeypatch):
+    ge.critical_angle(*FIG8)
+    monkeypatch.setattr(ge, "_moving_roots", lambda *args: list(roots))
+    with pytest.raises(SelectionAmbiguityError):
+        ge.classify(ConeManifoldSpec(*FIG8, 2.6))
+
+
+@pytest.mark.parametrize("roots,match", [
+    ([1.0 - 1.0j, 2.0 + 1.0j], "conjugate pair"),
+    ([1.0 - 1.0j, 1.0 + 1.0j], "certification"),  # no representation point
+])
+def test_set_up_raises_on_constructed_seed_roots(roots, match, monkeypatch):
+    monkeypatch.setattr(ge, "_moving_roots", lambda *args: list(roots))
+    with pytest.raises(SelectionAmbiguityError, match=match):
+        ge._MemberGeometry(*FIG8)
+
+
+def test_set_up_raises_when_the_march_tangles(monkeypatch):
+    seed_roots = ge._moving_roots(*FIG8, ge.ALPHA_SEED)
+    y = ge._geometric_root(*FIG8, ge.ALPHA_SEED, seed_roots)
+    # past the seed, two roots tie around the marched one at every step
+    monkeypatch.setattr(ge, "_moving_roots", lambda family, n, alpha: (
+        seed_roots if alpha == ge.ALPHA_SEED else [y - 0.5, y + 0.5]))
+    with pytest.raises(SelectionAmbiguityError, match="tangled"):
+        ge._MemberGeometry(*FIG8)
+
+
+def test_c18_3_just_above_its_a_k_is_still_hyperbolic():
+    # a_K of C(18,3) is 1.7e-9 below the exact value (ROADMAP item 12), so a
+    # conjugate pair is still the least at a_K + 1e-10; the continued split
+    # pair silently answered l_alpha = 0.622 there
+    a_k = ge.critical_angle(KnotFamily.C2N3, 9)
+    with pytest.raises(SelectionAmbiguityError, match="not a real pair"):
+        ge.classify(ConeManifoldSpec(KnotFamily.C2N3, 9, a_k + 1e-10))
+
+
+# a_K past 4 ulp of the exact double root (ROADMAP item 12)
+_AK_OFF = {(KnotFamily.C2N3, 4): 8.9e-15, (KnotFamily.C2NMINUS2N, 4): 8.9e-15,
+           (KnotFamily.C2NMINUS2N, -4): 8.9e-15, (KnotFamily.C2N2, 8): 1.65e-12}
+
+
+@pytest.mark.parametrize("family,n", [
+    pytest.param(f, n, marks=pytest.mark.xfail(
+        strict=True, reason=f"ROADMAP item 12: a_K {_AK_OFF[f, n]:.3g} off"))
+    if (f, n) in _AK_OFF else (f, n)
+    for f, n in MEMBERS_4 + [(KnotFamily.C2N2, 8)]
+])
+def test_critical_angle_is_within_4_ulp_of_the_exact_double_root(family, n):
+    exact = critical_angle_exact(family.value, n)
+    assert abs(ge.critical_angle(family, n) - exact) <= 4 * math.ulp(exact)
+
+
+MEMBERS_12 = [
+    (family, n)
+    for family in KnotFamily
+    for n in range(-12, 13)
+    if n != 0 and not is_torus_member(family, n)
+]
+# ROADMAP item 2: a Newton polish fails (c2n2 n=-6, c2n3 n=12) or the seed root
+# is no certified representation (c2nm2n n=12)
+STILL_RAISE = {(KnotFamily.C2N2, -6), (KnotFamily.C2N3, 12), (KnotFamily.C2NMINUS2N, 12)}
+
+
+@pytest.mark.parametrize("family,n", MEMBERS_12)
+def test_every_member_up_to_twelve_resolves_or_raises_a_typed_error(family, n):
+    if (family, n) in STILL_RAISE:
+        with pytest.raises(ConevolError):
+            ge.critical_angle(family, n)
+    else:
+        assert 2 * math.pi / 3 - 1e-6 <= ge.critical_angle(family, n) < math.pi

@@ -230,9 +230,11 @@ def test_default_listing_leaves_out_the_parasites():
 
 
 @pytest.mark.parametrize("family, n, walks", [
-    (KnotFamily.C2N3, 2, 2613),      # 4,392 when residual and slope walked apart
-    (KnotFamily.C2N2, 8, 34732),     # 64,035
-    (KnotFamily.C2NMINUS2N, 4, 7292),  # 14,603
+    # marching every seed pair took 2,613, 34,732 and 7,292 walks; before that,
+    # residual and slope walked apart: 4,392, 64,035 and 14,603
+    (KnotFamily.C2N3, 2, 1411),
+    (KnotFamily.C2N2, 8, 5520),
+    (KnotFamily.C2NMINUS2N, 4, 3143),
 ])
 def test_cold_critical_angle_recurrence_walks_are_pinned(family, n, walks, monkeypatch):
     geometry.clear_caches()

@@ -13,7 +13,7 @@ from conevol import volume as vo
 from conevol.chebyshev import eval_fg
 from conevol.cli import main
 from conevol.errors import (ConevolError, NonConvergenceError, PathBlockedError,
-                            QuadratureError)
+                            QuadratureError, SelectionAmbiguityError)
 from conevol.families import ConeManifoldSpec, KnotFamily, is_torus_member
 from conevol.geometry import Regime, classify, critical_angle
 from conevol.representation import holonomy_data, longitude_eigenvalue, word_12
@@ -469,16 +469,33 @@ def test_longitude_eigenvalue_is_the_word_entry_ratio(family, n):
 def test_spherical_volume_looks_up_the_pair_once(monkeypatch):
     critical_angle(FIG8, 1)
     calls = []
-    state = geometry._MemberGeometry.spherical_state
+    solve = geometry._moving_roots
 
-    def counted(self, alpha):
-        calls.append(alpha)
-        return state(self, alpha)
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
 
-    monkeypatch.setattr(geometry._MemberGeometry, "spherical_state", counted)
+    monkeypatch.setattr(geometry, "_moving_roots", counted)
     r = vo.compute_volume(spec8(2.6))
     assert r.regime is Regime.SPHERICAL
     assert len(calls) == 1
+
+
+def test_volume_just_above_a_k_of_c16_3():
+    # the continued split pair leaked a raw ValueError here ("longitude
+    # eigenvalue needs a representation point")
+    a_k = critical_angle(KnotFamily.C2N3, 8)
+    vol = vo.compute_volume(ConeManifoldSpec(KnotFamily.C2N3, 8, a_k + 1e-8)).volume
+    assert vol == pytest.approx(5.6e-12, rel=0.01)
+
+
+@pytest.mark.xfail(strict=True, raises=SelectionAmbiguityError,
+                   reason="ROADMAP items 2 and 12: a Schlaefli node 3.6e-14 below a_K "
+                          "solves the geometric pair as two real roots")
+def test_volume_just_below_a_k_of_c16_2():
+    a_k = critical_angle(KnotFamily.C2N2, 8)
+    vol = vo.compute_volume(ConeManifoldSpec(KnotFamily.C2N2, 8, a_k - 1e-9)).volume
+    assert 0.0 < vol < 1e-10
 
 
 def test_contour_layer_imports_nothing_from_representation():
