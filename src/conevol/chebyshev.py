@@ -21,19 +21,21 @@ Evaluation runs the recurrence directly (never the closed form in
 s = (y +/- sqrt(y^2-4))/2, which needs a branch choice); it is exact for
 integer arguments and stable for the moderate |k| <= ~50 used here.
 
-One kernel, eval_S_pair, walks the recurrence once per point from (S_0, S_1)
-and returns S_{n-1} and S_n, with S'_{n-1} and S'_n carried along when asked;
-a Python complex y, the contour's and Newton polish's case, is seeded without
-type dispatch.  f_n, g_n and their derivatives are all assembled from those
-four values, so eval_fg hands Newton polish (and _f_from/_g_from the contour
-integrand) everything they need from one walk; eval_S, eval_f, eval_g and
-their derivatives are views over the same kernel, with identical
-floating-point results.  The exact coefficients of S_k
-(s_poly) and their Horner evaluation (p_eval) live in the polynomial module
-exactpoly.
+One walk, eval_S_pair, runs the recurrence once per point from (S_0, S_1)
+to S_{n-1} and S_n, with S'_{n-1} and S'_n carried along when asked; a Python
+complex y, the contour's and Newton polish's case, is seeded without type
+dispatch.  One factory, kernel(family, n, pole tolerance), fixes the
+R_EXPONENTS row and the guard once per member and returns the closure that
+assembles f_n, g_n, f'_n and (where Newton reads it) g'_n from that walk: at a
+contour node, dispatch (helper calls, tuples, hashing the family enum) cost
+more than the arithmetic.  eval_fg, the eval_* views, ConeEquation and the
+contour integrand all call it, with identical floating-point results.  The
+exact coefficients of S_k (s_poly) and their Horner evaluation live in exactpoly.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .errors import PoleError
 from .exactpoly import _zero_like
@@ -86,70 +88,66 @@ def eval_S_prime(k: int, y):
     return eval_S_pair(k, y, True)[3]
 
 
-def _guard(num, den, tol):
-    d = abs(den)
-    if d <= tol or d <= tol * abs(num):  # i.e. d <= tol * max(1, |num|)
-        raise PoleError(f"denominator {den!r} vanishes relative to numerator {num!r}")
+@lru_cache(maxsize=None)
+def kernel(family: KnotFamily | None, n: int, pole_tol: float = POLE_TOL):
+    """fg(y, f=1, g=1) -> (f_n, g_n, f'_n, g'_n) for one member and guard.
 
-
-def _f_from(y, walk, pole_tol):
-    """(f_n, f'_n) from an eval_S_pair walk; f'_n is None unless the walk has S'."""
-    s_nm1, s_n, d_nm1, d_n = walk
-    num = 2 * s_n - y * s_nm1
-    den = (y - 2) * s_nm1
-    _guard(num, den, pole_tol)
-    if d_n is None:
-        return num / den, None
-    num_p = 2 * d_n - s_nm1 - y * d_nm1
-    den_p = s_nm1 + (y - 2) * d_nm1
-    return num / den, (num_p * den - num * den_p) / (den * den)
-
-
-def _g_from(family: KnotFamily, y, walk, pole_tol):
-    """(g_n, g'_n) from an eval_S_pair walk, both by the quotient rule on the
-    unreduced numerator -sign (S_n - S_{n-1})^c and denominator
-    (y-2)^(a+2) S_{n-1}^(b+2), with (a, b, c, sign) from R_EXPONENTS; g'_n is
-    None unless the walk has S'."""
-    a, b, c, sign = R_EXPONENTS[family]
-    s_nm1, s_n, d_nm1, d_n = walk
+    f and g are each 0 (skip), 1 (value) or 2 (value and derivative); what is
+    not asked is None.  The R_EXPONENTS row is looked up here once (hashing the
+    family enum runs Python code); f is guarded before g, and a pole raises
+    PoleError.  g' is the quotient rule on the unreduced -sign (S_n -
+    S_{n-1})^c over (y-2)^(a+2) S_{n-1}^(b+2).  family None: f only.
+    """
+    a, b, c, sign = R_EXPONENTS[family] if family is not None else (0, 0, 0, 0)
     p, q = a + 2, b + 2
-    num = -sign * (s_n - s_nm1) ** c
-    den = (y - 2) ** p * s_nm1**q
-    _guard(num, den, pole_tol)
-    if d_n is None:
-        return num / den, None
-    num_p = -sign * c * (s_n - s_nm1) ** (c - 1) * (d_n - d_nm1) if c else 0
-    den_p = p * (y - 2) ** (p - 1) * s_nm1**q + q * (y - 2) ** p * s_nm1 ** (q - 1) * d_nm1
-    return num / den, (num_p * den - num * den_p) / (den * den)
+
+    def fg(y, f=1, g=1):
+        s_nm1, s_n, d_nm1, d_n = eval_S_pair(n, y, f > 1 or g > 1)
+        ym2 = y - 2
+        fv = gv = fp = gp = None
+        if f:
+            num, den = 2 * s_n - y * s_nm1, ym2 * s_nm1
+            if (d := abs(den)) <= pole_tol or d <= pole_tol * abs(num):  # tol*max(1,|num|)
+                raise PoleError(f"denominator {den!r} vanishes relative to numerator {num!r}")
+            fv = num / den
+            if f > 1:
+                num_p, den_p = 2 * d_n - s_nm1 - y * d_nm1, s_nm1 + ym2 * d_nm1
+                fp = (num_p * den - num * den_p) / (den * den)
+        if g:
+            num, den = -sign * (s_n - s_nm1) ** c, ym2**p * s_nm1**q
+            if (d := abs(den)) <= pole_tol or d <= pole_tol * abs(num):
+                raise PoleError(f"denominator {den!r} vanishes relative to numerator {num!r}")
+            gv = num / den
+            if g > 1:
+                num_p = -sign * c * (s_n - s_nm1) ** (c - 1) * (d_n - d_nm1) if c else 0
+                den_p = p * ym2 ** (p - 1) * s_nm1**q + q * ym2**p * s_nm1 ** (q - 1) * d_nm1
+                gp = (num_p * den - num * den_p) / (den * den)
+        return fv, gv, fp, gp
+
+    return fg
 
 
 def eval_fg(family: KnotFamily, n: int, y, prime: bool = False):
-    """(f_n, g_n, f'_n, g'_n) at y from a single recurrence walk.
-
-    The derivatives are None unless prime.  Raises PoleError where f_n or g_n
-    has a pole (f_n is checked first).
-    """
-    walk = eval_S_pair(n, y, prime)
-    fv, fp = _f_from(y, walk, POLE_TOL)
-    gv, gp = _g_from(family, y, walk, POLE_TOL)
-    return fv, gv, fp, gp
+    """(f_n, g_n, f'_n, g'_n) at y from one walk; the derivatives are None
+    unless prime.  PoleError where f_n or g_n has a pole (f_n checked first)."""
+    return kernel(family, n)(y, 1 + prime, 1 + prime)
 
 
 def eval_f(n: int, y):
     """f_n(y); raises PoleError at y = 2 and at zeros of S_{n-1}."""
-    return _f_from(y, eval_S_pair(n, y), POLE_TOL)[0]
+    return kernel(None, n)(y, 1, 0)[0]
 
 
 def eval_f_prime(n: int, y):
     """d/dy f_n(y), assembled by the quotient rule from S and S'."""
-    return _f_from(y, eval_S_pair(n, y, True), POLE_TOL)[1]
+    return kernel(None, n)(y, 2, 0)[2]
 
 
 def eval_g(family: KnotFamily, n: int, y):
     """Family-specific g_n(y); raises PoleError on the shared denominator zeros."""
-    return _g_from(family, y, eval_S_pair(n, y), POLE_TOL)[0]
+    return kernel(family, n)(y, 0, 1)[1]
 
 
 def eval_g_prime(family: KnotFamily, n: int, y):
     """d/dy g_n(y) by the quotient rule (needed by Newton polish, not an integrand)."""
-    return _g_from(family, y, eval_S_pair(n, y, True), POLE_TOL)[1]
+    return kernel(family, n)(y, 0, 2)[3]

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import exactpoly as xp
-from .chebyshev import eval_S, eval_f, eval_fg
+from .chebyshev import eval_S, eval_f, kernel
 from .errors import NonConvergenceError, PoleError
 from .families import R_EXPONENTS, KnotFamily, validate_twist
 
@@ -172,13 +172,13 @@ class ConeEquation:
 
     def residual(self, y):
         """The rational residual f^2 + A^2 - (1+A^2) g at y."""
-        fv, gv, _, _ = eval_fg(self.family, self.n, y)
+        fv, gv, _, _ = kernel(self.family, self.n)(y)
         a2 = self.A * self.A
         return fv * fv + a2 - (1.0 + a2) * gv
 
     def residual_prime(self, y):
         """(residual(y), its derivative in y) from one recurrence walk."""
-        fv, gv, fp, gp = eval_fg(self.family, self.n, y, prime=True)
+        fv, gv, fp, gp = kernel(self.family, self.n)(y, 2, 2)
         a2 = self.A * self.A
         one_a2 = 1.0 + a2
         return fv * fv + a2 - one_a2 * gv, 2.0 * fv * fp - one_a2 * gp

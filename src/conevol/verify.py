@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import eval_S
+from .chebyshev import eval_S_pair
 from .errors import ConevolError
 from .exactpoly import p_roots
 from .families import ConeManifoldSpec, KnotFamily, is_torus_member
@@ -62,7 +62,7 @@ def suite_pell() -> SuiteResult:
             if abs(y) <= 4.0:
                 break
         for k in range(-6, 9):
-            a, b = eval_S(k, y), eval_S(k - 1, y)
+            b, a, _, _ = eval_S_pair(k, y)  # (S_{k-1}, S_k) from one walk
             res = abs(a * a - y * a * b + b * b - 1.0)
             scale = max(1.0, abs(a * a), abs(y * a * b), abs(b * b))
             worst = max(worst, res / scale)

@@ -37,10 +37,14 @@ Quadrature is adaptive Gauss 15/7 per segment, absolute tolerance 1e-9, at
 most 2000 subdivisions.  The 7-point Gauss-Legendre rule is a separate rule,
 not an embedded one: it shares only the midpoint node with the 15-point
 rule, and its difference from the 15-point value is the error estimate.
-Nodes and weights are Python floats, not the numpy arrays leggauss returns:
-a numpy node would make every path parameter, tracker lookup and panel sum
-of the hot loop a numpy scalar operation, which pays for type dispatch and
-rounds exactly as the Python float operation does.
+A node's dispatch (calls, tuples, attribute and table lookups) cost more than
+its arithmetic.  So nodes and weights are Python floats, not leggauss's numpy
+arrays, which would make each parameter, tracker lookup and panel sum a numpy
+scalar operation (same rounding), and the integrand is one closure per path
+(_Integrand): the member's chebyshev.kernel, the segment geometry and A^2 are
+fixed with the path, and a node forms y, walks once and reads the tracked log
+with the tracker's bracket lookup inlined, in the floating-point operations of
+seg.point, seg.deriv and BranchTracker.log_at.
 Within 1e-3 of the transition angle the endpoints nearly coincide and the
 contour loses relative accuracy, so the Schlaefli integral is used there
 instead.  It also serves within 1e-5 below the folded angle pi: there the
@@ -71,7 +75,7 @@ import numpy as np
 
 from . import exactpoly as xp
 # eval_f_prime is not called here, but perfbench's tracer test reads this name
-from .chebyshev import _f_from, _g_from, eval_f_prime, eval_S_pair  # noqa: F401
+from .chebyshev import eval_f_prime, kernel  # noqa: F401
 from .errors import PathBlockedError, QuadratureError
 from .families import R_EXPONENTS, ConeManifoldSpec, KnotFamily
 from .geometry import Regime, _fold, classify, collision_root, critical_angle, regime_of
@@ -368,41 +372,49 @@ def _wrap(d: float) -> float:
 
 
 class _Integrand:
-    """log(R(y)) * f'(y) / (f(y)^2 - 1) evaluated along a path parameter."""
-
-    def __init__(self, family: KnotFamily, n: int, A: float, path: tuple):
-        self.family = family
-        self.n = n
-        self.path = path
-        self._a2 = A * A
-        self._scale = 1.0 + self._a2  # the 1 + A^2 of R's denominator
-        self._last = len(path) - 1
-        self.tracker = BranchTracker(self._ratio, len(path))
+    """log(R(y)) * f'(y) / (f(y)^2 - 1) along a path parameter, by one closure
+    per path (see the module docstring)."""
 
     POLE_TOL = 1e-60  # clearance is enforced geometrically on the path
 
-    def _at(self, t: float, prime: bool):
-        """(segment, local parameter, f, f' or None, R) at path parameter t."""
-        k = min(int(t), self._last)
-        seg, u = self.path[k], t - k
-        y = seg.point(u)
-        walk = eval_S_pair(self.n, y, prime)
-        fv, fp = _f_from(y, walk, self.POLE_TOL)
-        # g from the values alone: the integrand never uses g'
-        gv, _ = _g_from(self.family, y, (walk[0], walk[1], None, None), self.POLE_TOL)
-        val = (fv * fv + self._a2) / (self._scale * gv)
-        if abs(val) < 1e-100:
-            raise QuadratureError(
-                f"log argument vanishes on the path at y = {y:.8f}"
-            )
-        return seg, u, fv, fp, val
+    def __init__(self, family: KnotFamily, n: int, A: float, path: tuple):
+        fg = kernel(family, n, self.POLE_TOL)
+        a2, scale = A * A, 1.0 + A * A  # scale: the 1 + A^2 of R's denominator
+        segs = [(seg.z0, seg.z1 - seg.z0) if isinstance(seg, _Line) else seg for seg in path]
+        ends, last, two_pi = len(path), len(path) - 1, 2.0 * math.pi
+
+        def node(t, prime):
+            k = int(t) if t < ends else last
+            u, seg = t - k, segs[k]
+            if type(seg) is tuple:
+                y, dy = seg[0] + seg[1] * u, seg[1]
+            else:  # an arc
+                y, dy = seg.point(u), seg.deriv(u)
+            fv, gv, fp, _ = fg(y, 1 + prime, 1)
+            f2 = fv * fv
+            val = (f2 + a2) / (scale * gv)
+            if abs(val) < 1e-100:
+                raise QuadratureError(f"log argument vanishes on the path at y = {y:.8f}")
+            if not prime:
+                return val
+            i = bisect.bisect_right(ts, t) - 1
+            i = top if i > top else 0 if i < 0 else i
+            t0, t1 = ts[i], ts[i + 1]
+            w = (t - t0) / (t1 - t0) if t1 > t0 else 0.0
+            est = unwrapped[i] * (1 - w) + unwrapped[i + 1] * w
+            principal = cmath.phase(val)
+            k = round((est - principal) / two_pi)
+            return (math.log(abs(val)) + 1j * (principal + two_pi * k)) * fp / (f2 - 1.0) * dy
+
+        self._node = node
+        tracker = self.tracker = BranchTracker(self._ratio, len(path))
+        ts, unwrapped, top = tracker.ts, tracker.unwrapped, len(tracker.ts) - 2  # node's log
 
     def _ratio(self, t: float) -> complex:
-        return self._at(t, False)[4]
+        return self._node(t, False)
 
     def __call__(self, t: float) -> complex:
-        seg, u, fv, fp, val = self._at(t, True)
-        return self.tracker.log_at(t, val) * fp / (fv * fv - 1.0) * seg.deriv(u)
+        return self._node(t, True)
 
 
 # ----------------------------------------------------------- adaptive quad

@@ -3,6 +3,7 @@
 import ast
 import inspect
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,7 +224,7 @@ def _ref_g(family, n, y, s, d, tol):
     """(g_n, g'_n) by the quotient rule on the unreduced numerator and denominator.
 
     One branch per family, written out: the reference for the table-driven
-    chebyshev._g_from.
+    chebyshev.kernel.
     """
     a, b, da, db = s[n - 1], s[n], d[n - 1], d[n]
     if family is KnotFamily.C2N3:
@@ -288,15 +289,27 @@ def test_kernel_and_views_match_the_plain_recurrence_exactly(y):
             gv, gp = _ref_g(family, n, y, s, d, tol)
             assert repr(ch.eval_fg(family, n, y, prime=True)) == repr((fv, gv, fp, gp))
             assert repr(ch.eval_fg(family, n, y)) == repr((fv, gv, None, None))
-        # the contour integrand calls the assemblers with its own guard, 1e-60
-        tiny = 1e-60
-        assert _outcome(ch._f_from, y, walk, tiny) == _outcome(_ref_f, n, y, s, d, tiny)
-        for family in KnotFamily:
-            ref_g = _outcome(lambda: _ref_g(family, n, y, s, d, tiny)[0])
-            assert _outcome(ch._g_from, family, y, walk, tiny) == _outcome(
-                _ref_g, family, n, y, s, d, tiny)
-            assert _outcome(lambda: ch._g_from(family, y, walk[:2] + (None, None),
-                                               tiny)[0]) == ref_g
+        # the factory itself, in every mode, under Newton's guard and the
+        # contour integrand's own, 1e-60
+        for tol in (ch.POLE_TOL, 1e-60):
+            for family in (None, *KnotFamily):
+                fg = ch.kernel(family, n, tol)
+                for f, g in _MODES if family is not None else _MODES[:2]:
+                    assert _outcome(fg, y, f, g) == _kernel_ref(family, n, y, s, d, tol, f, g)
+
+
+# (f, g) modes of chebyshev.kernel: 0 skip, 1 value, 2 value and derivative
+_MODES = [(1, 0), (2, 0), (0, 1), (0, 2), (1, 1), (2, 1), (1, 2), (2, 2)]
+
+
+def _kernel_ref(family, n, y, s, d, tol, f, g):
+    """The outcome a kernel call in mode (f, g) must have: f guarded first."""
+    try:
+        fv, fp = _ref_f(n, y, s, d, tol) if f else (None, None)
+        gv, gp = _ref_g(family, n, y, s, d, tol) if g else (None, None)
+    except PoleError:
+        return "PoleError"
+    return repr((fv, gv, fp if f > 1 else None, gp if g > 1 else None))
 
 
 def _value(fn, *args):
@@ -315,20 +328,50 @@ def test_table_g_equals_the_per_family_formulas():
     for y in off_axis + real:
         s, d = _ref_tables(y)
         for n in [k for m in range(1, 15) for k in (m, -m)]:
-            walk = (s[n - 1], s[n], d[n - 1], d[n])
             for family in KnotFamily:
+                fg = ch.kernel(family, n)
                 ref = _value(_ref_g, family, n, y, s, d, ch.POLE_TOL)
-                assert _value(ch._g_from, family, y, walk, ch.POLE_TOL) == ref
+                assert _value(lambda: fg(y, 0, 2)[1::2]) == ref
                 ref_g = ref if ref == "PoleError" else ref[0]
-                assert _value(lambda: ch._g_from(family, y, walk[:2] + (None, None),
-                                                 ch.POLE_TOL)[0]) == ref_g
+                assert _value(lambda: fg(y, 0, 1)[1]) == ref_g
 
 
 def test_g_and_r_factor_builders_name_no_family():
     # each reads the one exponent table, families.R_EXPONENTS
     members = {family.name for family in KnotFamily}
-    for fn in (ch._g_from, riley._cone_parts.__wrapped__, volume._r_factors):
+    for fn in (ch.kernel.__wrapped__, riley._cone_parts.__wrapped__, volume._r_factors):
         tree = ast.parse(inspect.getsource(fn))
         named = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         named |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert not named & members, fn.__name__
+
+
+def _base(node):
+    """The variable a name or subscript expression reads: s for s[k - 1]."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def test_the_recurrence_step_is_written_only_in_eval_s_pair():
+    # an assignment in a loop of the form  ... = m * x - z  that advances the
+    # sequence it reads (x and z among its targets) is a step of the S_k
+    # walk; a second kernel must call eval_S_pair instead of forking the walk
+    steps = set()
+    for path in sorted(Path(ch.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for loop in (n for n in ast.walk(fn) if isinstance(n, (ast.For, ast.While))):
+                for assign in (n for n in ast.walk(loop) if isinstance(n, ast.Assign)):
+                    targets = {_base(t) for node in assign.targets for t in
+                               (node.elts if isinstance(node, ast.Tuple) else [node])}
+                    for node in ast.walk(assign.value):
+                        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+                                and isinstance(node.left, ast.BinOp)
+                                and isinstance(node.left.op, ast.Mult)
+                                and _base(node.right) in targets
+                                and {_base(node.left.left), _base(node.left.right)} & targets):
+                            steps.add((path.name, fn.name))
+    assert steps == {("chebyshev.py", "eval_S_pair")}

@@ -14,6 +14,7 @@ from conevol.verify import (
     W12_SEED,
     W12_TOL,
     run_suites,
+    suite_pell,
     suite_representation,
     suite_w12,
 )
@@ -32,6 +33,11 @@ def test_suite_filter():
     results = run_suites(names=["pell-identity"])
     assert [r.name for r in results] == ["pell-identity"]
     assert results[0].passed
+
+
+def test_pell_metric_is_pinned():
+    # (S_{k-1}, S_k) from one walk is the sequence two walks gave, bit for bit
+    assert repr(suite_pell().metric) == "4.228706907417768e-16"
 
 
 def test_suite_registry_names():

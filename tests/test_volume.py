@@ -666,20 +666,81 @@ C43 = ConeManifoldSpec(KnotFamily.C2N3, 2, math.pi)  # spherical
 
 def test_hot_loop_runs_on_python_scalars(monkeypatch):
     t_types, y_types = set(), set()
-    at = vo._Integrand._at
+    factory = vo.kernel
 
-    def typed_at(self, t, prime):
-        seg, u, fv, fp, val = at(self, t, prime)
-        t_types.add(type(t))
-        y_types.add(type(seg.point(u)))
-        return seg, u, fv, fp, val
+    def typed_kernel(*key):
+        fg = factory(*key)
 
-    monkeypatch.setattr(vo._Integrand, "_at", typed_at)
+        def typed_fg(y, *modes):
+            y_types.add(type(y))
+            return fg(y, *modes)
+
+        return typed_fg
+
+    def typed(method):
+        def wrapper(self, t):
+            t_types.add(type(t))
+            return method(self, t)
+
+        return wrapper
+
+    monkeypatch.setattr(vo, "kernel", typed_kernel)
+    for name in ("__call__", "_ratio"):
+        monkeypatch.setattr(vo._Integrand, name, typed(getattr(vo._Integrand, name)))
     hyperbolic = ConeManifoldSpec(FIG8, 8, 0.6 * critical_angle(FIG8, 8))
     for spec, regime in ((hyperbolic, Regime.HYPERBOLIC), (C43, Regime.SPHERICAL)):
         assert vo.compute_volume(spec).regime is regime
     assert t_types == {float}
     assert y_types == {complex}
+
+
+# every member the node pin covers: the three families at n = +/-1 ... +/-4 and 8
+NODE_MEMBERS = [
+    (family, n)
+    for family in KnotFamily
+    for n in (-4, -3, -2, -1, 1, 2, 3, 4, 8)
+    if not is_torus_member(family, n)
+]
+
+
+def _node_paths(family, n):
+    """(A, path) for an anchored V, a staple and a spherical path with an arc."""
+    a_k = critical_angle(family, n)
+    hyp = ConeManifoldSpec(family, n, 0.5 * a_k)
+    y0 = classify(hyp).roots[0]
+    reals = vo.real_singular_points(n, include_f_zeros=True)
+    x = vo._nudge_anchor(vo.collision_root(family, n), reals, 2.0 * vo.R_EXCL)
+    h = math.copysign(0.5, y0.imag)
+    sph = ConeManifoldSpec(family, n, a_k + 0.5 * (math.pi - a_k))
+    y_plus = classify(sph).roots[0]
+    # from y+ across its nearest singular point: R = 1 anchors the start
+    s = min(vo.real_singular_points(n), key=lambda v: abs(v - y_plus))
+    arc_path = vo.spherical_path(n, y_plus, s + math.copysign(0.05, s - y_plus))
+    assert any(isinstance(seg, vo._Arc) for seg in arc_path)
+    return [(hyp.cot_half, vo._via(y0, complex(x))),
+            (hyp.cot_half, vo._via(y0, complex(x, -h), complex(x, h))),
+            (sph.cot_half, arc_path)]
+
+
+@pytest.mark.parametrize("family,n", NODE_MEMBERS, ids=lambda v: str(v))
+def test_integrand_nodes_equal_the_written_out_expression(family, n):
+    # the per-path node closure, bit for bit, against the integrand written
+    # out: R from eval_fg, the log from tracker.log_at, dy/dt from seg.deriv
+    for A, path in _node_paths(family, n):
+        integrand = vo._Integrand(family, n, A, path)
+        # the GL15 and GL7 nodes of each segment's first adaptive panel, and
+        # the path's two ends, where the segment and bracket indices clamp
+        nodes = [k + 0.5 + 0.5 * x for k in range(len(path))
+                 for x in vo._GL15[0] + vo._GL7[0]]
+        for t in nodes + [0.0, float(len(path))]:
+            k = min(int(t), len(path) - 1)
+            seg, u = path[k], t - k
+            fv, gv, fp, _ = eval_fg(family, n, seg.point(u), prime=True)
+            val = (fv * fv + A * A) / ((1.0 + A * A) * gv)
+            want = (integrand.tracker.log_at(t, val) * fp / (fv * fv - 1.0)
+                    * seg.deriv(u))
+            assert repr(integrand._ratio(t)) == repr(val)
+            assert repr(integrand(t)) == repr(want)
 
 
 @pytest.mark.parametrize("spec, evals, trackers, samples", [
