@@ -102,7 +102,8 @@ def build_parser() -> _Parser:
     p.add_argument("--suite", action="append", choices=sorted(ALL_SUITES),
                    help="run only the named suite (repeatable)")
     p.add_argument("--n", type=int, action="append",
-                   help="twist value(s) to verify (default: -2 -1 1 2)")
+                   help="twist value(s) to verify (default: "
+                        f"{' '.join(map(str, DEFAULT_N))})")
     p.add_argument("--tol", type=float,
                    help="override every suite tolerance (failure injection)")
     p.set_defaults(func=cmd_verify)

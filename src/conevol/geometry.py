@@ -8,9 +8,10 @@ regimes (classify serves all four).  classify is the one source of l_alpha.
 
 Roots are selected by their order, not by continuation.  The hyperbolic cone
 structure on (0, a_K) is unique (Hodgson-Kerckhoff), and its root is the
-member with Im f > 0 of the non-real conjugate pair with the least real part
-(_geometric_root).  A missing pair, a least pair that is not conjugate, or a
-second pair within PAIR_MARGIN in real part raises SelectionAmbiguityError.
+member with Im f > 0 (_geometric_root) of the non-real conjugate pair with
+the least real part (_least_pair).  A missing pair, a least pair that is not
+conjugate, or a second pair within PAIR_MARGIN in real part raises
+SelectionAmbiguityError.
 Above a_K the pair has split into the two least real roots r0 < r1
 (_spherical_pair), ordered (r1, r0) for n > 0 and (r0, r1) for n < 0; a
 non-real root among the two least raises SelectionAmbiguityError.  Their
@@ -22,12 +23,14 @@ cone-equation solve and a sort, so it cannot depend on earlier lookups.
 
 a_K is set up once per member: the rule picks the root at ALPHA_SEED, the
 matrix oracle certifies it (relation residual <= 1e-9 and |ell| > 1, i.e.
-positive real length), and that one root is marched upward in the angle
-until it collides onto the real axis.  The march halves its step on an
-ambiguous match (_match_unambiguous), bisects the collision angle, and the
-collided double root is polished on the deflated equation, which gives a_K.
-A failed polish raises NonConvergenceError; the bisected angle is no
-fallback.  The member keeps only a_K and the double root y*.
+positive real length), and the angle is marched upward until the least pair
+collides onto the real axis.  Every march node uses the same order rule
+(_least_pair), so nothing is tracked from node to node but the pair's real
+part; a node has collided when no root is non-real.  The march halves its
+step past a collided node, bisects the collision angle, and the collided
+double root is polished on the deflated equation, which gives a_K.  A failed
+polish raises NonConvergenceError; the bisected angle is no fallback.  The
+member keeps only a_K and the double root y*.
 
 Torus-knot members (families.is_torus_member) have no complex roots at any
 angle, so critical_angle raises NotBracketedError for them.
@@ -89,10 +92,12 @@ def _moving_roots(family: KnotFamily, n: int, alpha: float) -> list:
     return [r.y for r in solve_cone_equation(eq) if not r.unit_f]
 
 
-def _geometric_root(family: KnotFamily, n: int, alpha: float, roots) -> complex:
-    """The member with Im f > 0 of the least-real-part non-real pair of roots."""
+def _least_pair(family: KnotFamily, n: int, alpha: float, roots):
+    """The least-real-part non-real conjugate pair, or None if every root is real."""
     ys = sorted((y for y in roots if abs(y.imag) > COLLISION_IM_TOL),
                 key=lambda y: y.real)
+    if not ys:
+        return None
     where = f"{family.value} n={n} at alpha={alpha:.8f}"
     if len(ys) < 2 or abs(ys[1] - ys[0].conjugate()) > 1e-9 * max(1.0, abs(ys[0])):
         raise SelectionAmbiguityError(f"{where}: the least non-real roots {ys[:2]} "
@@ -100,7 +105,16 @@ def _geometric_root(family: KnotFamily, n: int, alpha: float, roots) -> complex:
     if len(ys) > 2 and ys[2].real - ys[0].real < PAIR_MARGIN:
         raise SelectionAmbiguityError(f"{where}: two non-real pairs within "
                                       f"{PAIR_MARGIN} in real part", ys[:4])
-    return ys[0] if eval_f(n, ys[0]).imag > 0.0 else ys[1]
+    return ys[0], ys[1]
+
+
+def _geometric_root(family: KnotFamily, n: int, alpha: float, roots) -> complex:
+    """The member with Im f > 0 of the least pair (_least_pair)."""
+    pair = _least_pair(family, n, alpha, roots)
+    if pair is None:
+        raise SelectionAmbiguityError(f"{family.value} n={n} at alpha={alpha:.8f}: "
+                                      f"no non-real root", [])
+    return pair[0] if eval_f(n, pair[0]).imag > 0.0 else pair[1]
 
 
 def _spherical_pair(family: KnotFamily, n: int, alpha: float):
@@ -118,27 +132,6 @@ def _spherical_pair(family: KnotFamily, n: int, alpha: float):
     t = math.tan(0.5 * alpha)
     l_alpha = 2.0 * abs(math.atan(eval_f(n, r1) * t) - math.atan(eval_f(n, r0) * t))
     return ((r1, r0) if n > 0 else (r0, r1)), l_alpha
-
-
-def _match_unambiguous(ys, target: complex):
-    """(nearest root, unambiguous?): the match must beat the runner-up clearly.
-
-    A match is trusted when the tracked point moved less than half the
-    distance to the second-nearest root, so continuation steps shrink rather
-    than silently hopping branches.  A near-tie of a non-real root with its
-    own conjugate is the collision funnel, not branch tangling, and is
-    trusted too; real roots get no such excuse.
-    """
-    ranked = sorted(ys, key=lambda y: abs(y - target))
-    if len(ranked) == 1:
-        return ranked[0], True
-    move = abs(ranked[0] - target)
-    runner = abs(ranked[1] - target)
-    funnel = (
-        abs(ranked[0].imag) > COLLISION_IM_TOL
-        and abs(ranked[1] - ranked[0].conjugate()) < 1e-9
-    )
-    return ranked[0], move <= 0.5 * runner or funnel
 
 
 def _ell(family: KnotFamily, n: int, alpha: float, y: complex) -> complex:
@@ -165,10 +158,12 @@ def _certify(family: KnotFamily, n: int, alpha: float, y: complex) -> bool:
     return abs(ell) > 1.0
 
 
-def _march_to_collision(family: KnotFamily, n: int, y: complex):
-    """(angle, Re y) where the root tracked up from ALPHA_SEED lands on the real axis.
+def _march_to_collision(family: KnotFamily, n: int, x: float):
+    """(angle, x) where the least pair, of real part x, lands on the real axis.
 
-    None if it is still off the axis at pi.
+    The march starts at ALPHA_SEED with x the seed root's real part; a node
+    has collided when _least_pair finds no non-real root.  None if the pair
+    is still off the axis at pi.
     """
     a = ALPHA_SEED
     step = MARCH_STEP
@@ -176,30 +171,23 @@ def _march_to_collision(family: KnotFamily, n: int, y: complex):
         if a >= math.pi - 1e-12:
             return None
         cand = min(a + step, math.pi)
-        matched, ok = _match_unambiguous(_moving_roots(family, n, cand), y)
-        if ok and abs(matched.imag) > COLLISION_IM_TOL:
-            a, y = cand, matched
+        pair = _least_pair(family, n, cand, _moving_roots(family, n, cand))
+        if pair is not None:
+            a, x = cand, pair[0].real
             step = min(MARCH_STEP, step * 1.6)
-            continue
-        if step > 1e-4:
+        elif step > 1e-4:
             step *= 0.5
-            continue
-        if abs(matched.imag) > COLLISION_IM_TOL:
-            raise SelectionAmbiguityError(
-                f"{family.value} n={n}: root tracking tangled near "
-                f"alpha={cand:.6f}",
-                [y, matched],
-            )
-        lo, hi = a, cand
-        break
+        else:
+            break
+    lo, hi = a, cand
     while hi - lo > BISECT_TOL:
         mid = 0.5 * (lo + hi)
-        matched = _match_unambiguous(_moving_roots(family, n, mid), y)[0]
-        if abs(matched.imag) > COLLISION_IM_TOL:
-            lo, y = mid, matched
+        pair = _least_pair(family, n, mid, _moving_roots(family, n, mid))
+        if pair is not None:
+            lo, x = mid, pair[0].real
         else:
             hi = mid
-    return 0.5 * (lo + hi), y.real
+    return 0.5 * (lo + hi), x
 
 
 def _polish_collision(family: KnotFamily, n: int, alpha_est: float, y_est: float):
@@ -248,7 +236,7 @@ class _MemberGeometry:
     def _resolve(self):
         family, n = self.family, self.n
         roots = _moving_roots(family, n, ALPHA_SEED)
-        if all(abs(y.imag) <= COLLISION_IM_TOL for y in roots):
+        if _least_pair(family, n, ALPHA_SEED, roots) is None:
             raise NotBracketedError(
                 f"{family.value} n={n}: no complex root at the seed angle; this "
                 f"member admits no hyperbolic cone structure"
@@ -260,7 +248,7 @@ class _MemberGeometry:
                 f"certification",
                 [y_seed],
             )
-        collision = _march_to_collision(family, n, y_seed)
+        collision = _march_to_collision(family, n, y_seed.real)
         if collision is None or not _WINDOW_LO <= collision[0] < math.pi:
             raise NotBracketedError(
                 f"{family.value} n={n}: the geometric root collides outside "

@@ -1,6 +1,8 @@
 """Critical angles, regime classification, geometric root selection."""
 
+import ast
 import cmath
+import inspect
 import math
 import random
 
@@ -199,21 +201,6 @@ def test_hyperbolic_root_raises_on_an_ambiguous_match(monkeypatch):
         member.hyperbolic_root(alpha)
 
 
-def test_match_unambiguous_excuses_only_a_non_real_conjugate_tie():
-    # a non-real root with its conjugate as runner-up: the collision funnel
-    root = 1.0 + 1e-6j
-    y, ok = ge._match_unambiguous([root.conjugate(), root], 1.0 + 1e-8j)
-    assert (y, ok) == (root, True)
-    # a near-tie between two real roots stays ambiguous
-    y, ok = ge._match_unambiguous([1.0, 1.0 + 2e-6], 1.0 + 0.9e-6)
-    assert (y, ok) == (1.0, False)
-    # so does a "conjugate" tie of a root that is real within COLLISION_IM_TOL
-    root = 1.0 + 1e-10j
-    assert ge._match_unambiguous([root, root.conjugate()], 1.0 + 1e-11j) == (root, False)
-    # a clear winner needs no excuse
-    assert ge._match_unambiguous([0.0, 1.0], 0.1) == (0.0, True)
-
-
 def test_classify_length_is_none_off_both_regimes():
     family, n = KnotFamily.C2N2, 1
     a_k = ge.critical_angle(family, n)
@@ -371,6 +358,23 @@ def test_hyperbolic_selection_takes_im_f_positive_from_the_least_pair(monkeypatc
     assert y in (1.0 - 1.0j, 1.0 + 1.0j) and eval_f(1, y).imag > 0
 
 
+def test_geometry_orders_roots_only_by_real_part():
+    # roots are selected by their order: a sort or min/max keyed on anything
+    # but the real part (a distance to a tracked root, say) would bring back
+    # matching by continuation
+    keys = [kw.value for node in ast.walk(ast.parse(inspect.getsource(ge)))
+            if isinstance(node, ast.Call) and (
+                getattr(node.func, "id", None) in ("sorted", "min", "max")
+                or getattr(node.func, "attr", None) == "sort")
+            for kw in node.keywords if kw.arg == "key"]
+    assert keys
+    for key in keys:
+        assert (isinstance(key, ast.Lambda) and isinstance(key.body, ast.Attribute)
+                and key.body.attr == "real"
+                and getattr(key.body.value, "id", None) == key.args.args[0].arg), \
+            ast.unparse(key)
+
+
 @pytest.mark.parametrize("roots", [
     [0.5 + 0j],  # one root
     [-1.0 - 1e-3j, -1.0 + 1e-3j, 0.5 + 0j],  # the least two are a conjugate pair
@@ -396,10 +400,11 @@ def test_set_up_raises_on_constructed_seed_roots(roots, match, monkeypatch):
 def test_set_up_raises_when_the_march_tangles(monkeypatch):
     seed_roots = ge._moving_roots(*FIG8, ge.ALPHA_SEED)
     y = ge._geometric_root(*FIG8, ge.ALPHA_SEED, seed_roots)
-    # past the seed, two roots tie around the marched one at every step
+    # past the seed, the least two non-real roots at a march node are no
+    # conjugate pair: the order rule has no pair to march
     monkeypatch.setattr(ge, "_moving_roots", lambda family, n, alpha: (
         seed_roots if alpha == ge.ALPHA_SEED else [y - 0.5, y + 0.5]))
-    with pytest.raises(SelectionAmbiguityError, match="tangled"):
+    with pytest.raises(SelectionAmbiguityError, match="conjugate pair"):
         ge._MemberGeometry(*FIG8)
 
 
@@ -439,10 +444,84 @@ MEMBERS_12 = [
 STILL_RAISE = {(KnotFamily.C2N2, -6), (KnotFamily.C2N3, 12), (KnotFamily.C2NMINUS2N, 12)}
 
 
+# (a_K, y*) of every resolving member, bit for bit: a_K is printed by the CLI
+# and y* anchors every contour, so a change to the set-up march shows here
+SET_UP = {
+    (KnotFamily.C2N2, -12): (3.0339030452861024, -1.972874508204277),
+    (KnotFamily.C2N2, -11): (3.0238779339957396, -1.9676060822961776),
+    (KnotFamily.C2N2, -10): (3.011793717680157, -1.9606411585124912),
+    (KnotFamily.C2N2, -9): (2.996942972120213, -1.951165846788154),
+    (KnotFamily.C2N2, -8): (2.9782520273563975, -1.937813486452331),
+    (KnotFamily.C2N2, -7): (2.9540084319003492, -1.9181456088816045),
+    (KnotFamily.C2N2, -5): (2.8747536839035672, -1.8357460520498199),
+    (KnotFamily.C2N2, -4): (2.803178746393895, -1.738453600919772),
+    (KnotFamily.C2N2, -3): (2.678787547805059, -1.522005488471306),
+    (KnotFamily.C2N2, -2): (2.4071698135544546, -0.8832035059135258),
+    (KnotFamily.C2N2, 1): (2.0943951023931957, 2.7728957531590674e-17),
+    (KnotFamily.C2N2, 2): (2.5741407781318397, -1.2990844010726703),
+    (KnotFamily.C2N2, 3): (2.7506851520102793, -1.6541033200567838),
+    (KnotFamily.C2N2, 4): (2.8432095326835336, -1.7954644410492588),
+    (KnotFamily.C2N2, 5): (2.90025566693852, -1.8652366852606879),
+    (KnotFamily.C2N2, 6): (2.938968128072271, -1.9046235108047798),
+    (KnotFamily.C2N2, 7): (2.9669683930563395, -1.92898793432461),
+    (KnotFamily.C2N2, 8): (2.98816502670468, -1.9450924856627547),
+    (KnotFamily.C2N2, 9): (3.004770354274258, -1.9562855701857849),
+    (KnotFamily.C2N2, 10): (3.0181309437074453, -1.9643773184813569),
+    (KnotFamily.C2N2, 11): (3.0291135085191967, -1.9704152711046048),
+    (KnotFamily.C2N2, 12): (3.0383012323145455, -1.9750395614726752),
+    (KnotFamily.C2N3, -12): (3.0713470182889053, -1.9784335904509347),
+    (KnotFamily.C2N3, -11): (3.0648601756360185, -1.9742769637836874),
+    (KnotFamily.C2N3, -10): (3.05705192313996, -1.9687928718875185),
+    (KnotFamily.C2N3, -9): (3.0474738508331285, -1.9613502762860549),
+    (KnotFamily.C2N3, -8): (3.0354469364261965, -1.950893752300913),
+    (KnotFamily.C2N3, -7): (3.0198936535112693, -1.9355494743832369),
+    (KnotFamily.C2N3, -6): (2.998994995019931, -1.9117288954581306),
+    (KnotFamily.C2N3, -5): (2.969419149039419, -1.8718429159825754),
+    (KnotFamily.C2N3, -4): (2.9243319233357123, -1.7975069784633098),
+    (KnotFamily.C2N3, -3): (2.847130608403818, -1.6344468911713754),
+    (KnotFamily.C2N3, -2): (2.6840352539874024, -1.1636064363854701),
+    (KnotFamily.C2N3, -1): (2.0943951023931957, 1.0),
+    (KnotFamily.C2N3, 1): (2.4071698135544546, -0.13224188231190023),
+    (KnotFamily.C2N3, 2): (2.755110647655862, -1.3873714331463964),
+    (KnotFamily.C2N3, 3): (2.878258529608999, -1.705404659242026),
+    (KnotFamily.C2N3, 4): (2.9417544067175725, -1.8281315231787898),
+    (KnotFamily.C2N3, 5): (2.9805441786857485, -1.8876861065511168),
+    (KnotFamily.C2N3, 6): (3.006711216349767, -1.9209487918153756),
+    (KnotFamily.C2N3, 7): (3.0255585263590907, -1.9413751024520085),
+    (KnotFamily.C2N3, 8): (3.0397820291106905, -1.9548049525291324),
+    (KnotFamily.C2N3, 9): (3.050897984134941, -1.9641013228069328),
+    (KnotFamily.C2N3, 10): (3.0598248311106877, -1.970800520271592),
+    (KnotFamily.C2N3, 11): (3.067151711161037, -1.9757865326581003),
+    (KnotFamily.C2NMINUS2N, -12): (3.1330077394514873, -1.9827706955028417),
+    (KnotFamily.C2NMINUS2N, -11): (3.131371906424934, -1.9794742968146992),
+    (KnotFamily.C2NMINUS2N, -10): (3.1292192030523864, -1.9751298351572595),
+    (KnotFamily.C2NMINUS2N, -9): (3.1263061886817187, -1.969239237409301),
+    (KnotFamily.C2NMINUS2N, -8): (3.1222269291861986, -1.9609677716465845),
+    (KnotFamily.C2NMINUS2N, -7): (3.116262743346622, -1.9488273005176333),
+    (KnotFamily.C2NMINUS2N, -6): (3.107040214180285, -1.9299456623255171),
+    (KnotFamily.C2NMINUS2N, -5): (3.091655288535102, -1.8981591174299464),
+    (KnotFamily.C2NMINUS2N, -4): (3.0630358528332473, -1.8380996992217484),
+    (KnotFamily.C2NMINUS2N, -3): (2.999847664134955, -1.7014971228297513),
+    (KnotFamily.C2NMINUS2N, -2): (2.808209937605886, -1.2599210498948732),
+    (KnotFamily.C2NMINUS2N, 2): (2.808209937605886, -1.2599210498948732),
+    (KnotFamily.C2NMINUS2N, 3): (2.999847664134955, -1.7014971228297513),
+    (KnotFamily.C2NMINUS2N, 4): (3.0630358528332473, -1.8380996992217484),
+    (KnotFamily.C2NMINUS2N, 5): (3.091655288535102, -1.8981591174299464),
+    (KnotFamily.C2NMINUS2N, 6): (3.107040214180285, -1.9299456623255171),
+    (KnotFamily.C2NMINUS2N, 7): (3.116262743346622, -1.9488273005176333),
+    (KnotFamily.C2NMINUS2N, 8): (3.1222269291861986, -1.9609677716465845),
+    (KnotFamily.C2NMINUS2N, 9): (3.1263061886817187, -1.969239237409301),
+    (KnotFamily.C2NMINUS2N, 10): (3.1292192030523864, -1.9751298351572595),
+    (KnotFamily.C2NMINUS2N, 11): (3.131371906424934, -1.9794742968146992),
+}
+
+
 @pytest.mark.parametrize("family,n", MEMBERS_12)
 def test_every_member_up_to_twelve_resolves_or_raises_a_typed_error(family, n):
     if (family, n) in STILL_RAISE:
         with pytest.raises(ConevolError):
             ge.critical_angle(family, n)
     else:
-        assert 2 * math.pi / 3 - 1e-6 <= ge.critical_angle(family, n) < math.pi
+        a_k, y_star = ge.critical_angle(family, n), ge.collision_root(family, n)
+        assert 2 * math.pi / 3 - 1e-6 <= a_k < math.pi
+        assert (repr(a_k), repr(y_star)) == tuple(map(repr, SET_UP[family, n]))

@@ -11,6 +11,7 @@ from conevol.families import KnotFamily, is_torus_member
 from conevol.representation import w12_closed_form, word_12
 from conevol.verify import (
     ALL_SUITES,
+    DEFAULT_N,
     W12_SEED,
     W12_TOL,
     run_suites,
@@ -55,7 +56,7 @@ def test_representation_suite_computes_no_singular_length(monkeypatch):
     # the suite reads only roots; classify would add one matrix longitude per
     # hyperbolic angle (54 in the default run)
     for family in KnotFamily:
-        for n in (-2, -1, 1, 2):
+        for n in DEFAULT_N:
             if not is_torus_member(family, n):
                 geometry.critical_angle(family, n)
     calls = []
