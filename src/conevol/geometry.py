@@ -32,6 +32,12 @@ double root is polished on the deflated equation, which gives a_K.  A failed
 polish raises NonConvergenceError; the bisected angle is no fallback.  The
 member keeps only a_K and the double root y*.
 
+_least_pair reads no real root, so the seed, the march and every hyperbolic
+lookup take the cone equation's non-real listing (riley.solve_cone_equation
+with keep_real=False), which certifies an exactly real root by its residual
+instead of polishing it.  The spherical pair takes the full listing: which
+two roots are least depends on every root's polished value.
+
 Torus-knot members (families.is_torus_member) have no complex roots at any
 angle, so critical_angle raises NotBracketedError for them.
 """
@@ -86,10 +92,12 @@ _LOCK = threading.RLock()
 _MEMBERS: dict = {}
 
 
-def _moving_roots(family: KnotFamily, n: int, alpha: float) -> list:
+def _moving_roots(family: KnotFamily, n: int, alpha: float, keep_real: bool = True) -> list:
+    """The moving roots at alpha; keep_real=False leaves out the exactly real
+    ones (solve_cone_equation's non-real listing), which _least_pair never reads."""
     A = 1.0 / math.tan(0.5 * alpha)
     eq = build_cone_equation(family, n, A)
-    return [r.y for r in solve_cone_equation(eq) if not r.unit_f]
+    return [r.y for r in solve_cone_equation(eq, False, keep_real) if not r.unit_f]
 
 
 def _least_pair(family: KnotFamily, n: int, alpha: float, roots):
@@ -98,22 +106,24 @@ def _least_pair(family: KnotFamily, n: int, alpha: float, roots):
                 key=lambda y: y.real)
     if not ys:
         return None
-    where = f"{family.value} n={n} at alpha={alpha:.8f}"
     if len(ys) < 2 or abs(ys[1] - ys[0].conjugate()) > 1e-9 * max(1.0, abs(ys[0])):
-        raise SelectionAmbiguityError(f"{where}: the least non-real roots {ys[:2]} "
-                                      f"are not a conjugate pair", ys[:2])
+        raise SelectionAmbiguityError(f"{_where(family, n, alpha)}: the least non-real "
+                                      f"roots {ys[:2]} are not a conjugate pair", ys[:2])
     if len(ys) > 2 and ys[2].real - ys[0].real < PAIR_MARGIN:
-        raise SelectionAmbiguityError(f"{where}: two non-real pairs within "
-                                      f"{PAIR_MARGIN} in real part", ys[:4])
+        raise SelectionAmbiguityError(f"{_where(family, n, alpha)}: two non-real pairs "
+                                      f"within {PAIR_MARGIN} in real part", ys[:4])
     return ys[0], ys[1]
+
+
+def _where(family: KnotFamily, n: int, alpha: float) -> str:
+    return f"{family.value} n={n} at alpha={alpha:.8f}"
 
 
 def _geometric_root(family: KnotFamily, n: int, alpha: float, roots) -> complex:
     """The member with Im f > 0 of the least pair (_least_pair)."""
     pair = _least_pair(family, n, alpha, roots)
     if pair is None:
-        raise SelectionAmbiguityError(f"{family.value} n={n} at alpha={alpha:.8f}: "
-                                      f"no non-real root", [])
+        raise SelectionAmbiguityError(f"{_where(family, n, alpha)}: no non-real root", [])
     return pair[0] if eval_f(n, pair[0]).imag > 0.0 else pair[1]
 
 
@@ -171,7 +181,7 @@ def _march_to_collision(family: KnotFamily, n: int, x: float):
         if a >= math.pi - 1e-12:
             return None
         cand = min(a + step, math.pi)
-        pair = _least_pair(family, n, cand, _moving_roots(family, n, cand))
+        pair = _least_pair(family, n, cand, _moving_roots(family, n, cand, False))
         if pair is not None:
             a, x = cand, pair[0].real
             step = min(MARCH_STEP, step * 1.6)
@@ -182,7 +192,7 @@ def _march_to_collision(family: KnotFamily, n: int, x: float):
     lo, hi = a, cand
     while hi - lo > BISECT_TOL:
         mid = 0.5 * (lo + hi)
-        pair = _least_pair(family, n, mid, _moving_roots(family, n, mid))
+        pair = _least_pair(family, n, mid, _moving_roots(family, n, mid, False))
         if pair is not None:
             lo, x = mid, pair[0].real
         else:
@@ -235,7 +245,7 @@ class _MemberGeometry:
 
     def _resolve(self):
         family, n = self.family, self.n
-        roots = _moving_roots(family, n, ALPHA_SEED)
+        roots = _moving_roots(family, n, ALPHA_SEED, False)
         if _least_pair(family, n, ALPHA_SEED, roots) is None:
             raise NotBracketedError(
                 f"{family.value} n={n}: no complex root at the seed angle; this "
@@ -266,7 +276,7 @@ class _MemberGeometry:
     def hyperbolic_root(self, alpha: float) -> complex:
         """The geometric root at a hyperbolic angle (_geometric_root)."""
         return _geometric_root(self.family, self.n, alpha,
-                               _moving_roots(self.family, self.n, alpha))
+                               _moving_roots(self.family, self.n, alpha, False))
 
 
 def _member(family: KnotFamily, n: int) -> _MemberGeometry:

@@ -28,6 +28,15 @@ Pell identity.)  Roots with f_n(y)^2 = 1, where the equivalence with Phi = 0
 breaks down, are marked unit_f; the angle-independent ones, roots of
 gcd(C0, C1), and the spurious roots appear only in the full flagged listing
 (keep_spurious).
+
+A third listing, the non-real one (keep_real=False), serves callers that
+read no real root: below a_K geometry selects the least non-real conjugate
+pair, and more than half of the companion roots there come out exactly real.
+Newton keeps an exactly real start real, so its polish could only move the
+root along the axis the selection ignores; such a root is left out, and one
+residual walk certifies it instead of a polish.  A root whose certificate
+fails is polished and checked as in the other listings, so every root passes
+or raises exactly as there.
 """
 
 from __future__ import annotations
@@ -231,7 +240,8 @@ def _polish(eq: ConeEquation, y: complex):
     return best_y, best_r
 
 
-def solve_cone_equation(eq: ConeEquation, keep_spurious: bool = False):
+def solve_cone_equation(eq: ConeEquation, keep_spurious: bool = False,
+                        keep_real: bool = True):
     """All roots of the cone equation, polished and flagged.
 
     Returns RootRecords sorted by (real, imag); unit_f marks f^2 = 1.  A root
@@ -239,11 +249,18 @@ def solve_cone_equation(eq: ConeEquation, keep_spurious: bool = False):
     one whose polished residual exceeds RESIDUAL_TOL raises
     NonConvergenceError.  keep_spurious gives the full flagged listing, with
     the spurious roots and the angle-independent f^2 = 1 parasites.
+
+    keep_real=False gives the non-real listing (module docstring): it leaves
+    out each root with Im y = 0.0 exactly, unpolished if |residual| <=
+    RESIDUAL_TOL at the start (the polish keeps the best residual, the
+    start's included, so it would pass too), else polished and checked.
     """
     records = []
     for y0 in xp.p_roots(eq.moving_coeffs):
         if abs(y0 - 2.0) <= SPURIOUS_EPS:
             records.append(RootRecord(y0, float("inf"), True))
+            continue
+        if not keep_real and y0.imag == 0.0 and _certified(eq, y0):
             continue
         try:
             y_pol, res = _polish(eq, y0)
@@ -254,7 +271,8 @@ def solve_cone_equation(eq: ConeEquation, keep_spurious: bool = False):
             raise NonConvergenceError(
                 f"root {y0} failed to polish below {RESIDUAL_TOL} (residual {res:.3e})"
             )
-        records.append(RootRecord(y_pol, res, False, _unit_f(eq.n, y_pol)))
+        if keep_real or y0.imag != 0.0:
+            records.append(RootRecord(y_pol, res, False, _unit_f(eq.n, y_pol)))
     if keep_spurious:
         for y0 in _parasite_roots(eq.parasite):
             try:
@@ -266,6 +284,14 @@ def solve_cone_equation(eq: ConeEquation, keep_spurious: bool = False):
         records = [r for r in records if not r.spurious]
     records.sort(key=lambda r: (r.y.real, r.y.imag))
     return records
+
+
+def _certified(eq: ConeEquation, y0: complex) -> bool:
+    """|residual(y0)| <= RESIDUAL_TOL; False where the walk meets a pole or overflows."""
+    try:
+        return abs(eq.residual(y0)) <= RESIDUAL_TOL
+    except (PoleError, OverflowError):
+        return False
 
 
 @lru_cache(maxsize=None)

@@ -265,6 +265,30 @@ def det_k(family_token: str, n: int) -> int:
     return 4 * n * n - 1
 
 
+# ------------------------------------------------ presentation identities
+
+def two_bridge_pq(family_token: str, n: int) -> tuple:
+    """(p, q mod p) of the two-bridge knot b(p, q) with Conway notation C(2n, b).
+
+    C(a, b) has the continued fraction a + 1/b = (ab + 1)/b, so p = |ab + 1|
+    (the determinant, as in det_k) and q = b; the sign of the fraction only
+    mirrors the knot.
+    """
+    b = {"c2n2": 2, "c2n3": 3}.get(family_token, -2 * n)
+    p = abs(2 * n * b + 1)
+    return p, b % p
+
+
+def same_two_bridge_knot(pq, pq_other) -> bool:
+    """Schubert (1956): b(p, q) and b(p, q') are equal up to mirror exactly
+    when q' = +/- q^(+/-1) mod p."""
+    (p, q), (p_other, q_other) = pq, pq_other
+    if p != p_other:
+        return False
+    q_inv = pow(q, -1, p)
+    return q_other in {q, -q % p, q_inv, -q_inv % p}
+
+
 def mednykh_rasskazov_volume(alpha: float) -> float:
     """Figure-eight cone-manifold volume in closed form, at 30 digits.
 

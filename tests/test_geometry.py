@@ -9,13 +9,16 @@ import random
 import numpy as np
 import pytest
 
+from conevol import exactpoly as xp
 from conevol import geometry as ge
+from conevol import riley as ry
 from conevol.chebyshev import eval_f
 from conevol.errors import (
     ConevolError,
     DegenerateLongitudeError,
     NonConvergenceError,
     NotBracketedError,
+    PoleError,
     SelectionAmbiguityError,
 )
 from conevol.families import ConeManifoldSpec, KnotFamily, is_torus_member
@@ -402,7 +405,7 @@ def test_set_up_raises_when_the_march_tangles(monkeypatch):
     y = ge._geometric_root(*FIG8, ge.ALPHA_SEED, seed_roots)
     # past the seed, the least two non-real roots at a march node are no
     # conjugate pair: the order rule has no pair to march
-    monkeypatch.setattr(ge, "_moving_roots", lambda family, n, alpha: (
+    monkeypatch.setattr(ge, "_moving_roots", lambda family, n, alpha, *mode: (
         seed_roots if alpha == ge.ALPHA_SEED else [y - 0.5, y + 0.5]))
     with pytest.raises(SelectionAmbiguityError, match="conjugate pair"):
         ge._MemberGeometry(*FIG8)
@@ -525,3 +528,74 @@ def test_every_member_up_to_twelve_resolves_or_raises_a_typed_error(family, n):
         a_k, y_star = ge.critical_angle(family, n), ge.collision_root(family, n)
         assert 2 * math.pi / 3 - 1e-6 <= a_k < math.pi
         assert (repr(a_k), repr(y_star)) == tuple(map(repr, SET_UP[family, n]))
+
+
+# ------------------------------------- the non-real listing below a_K
+
+def _non_real_angles(a_k):
+    """The march's forward nodes below a_K and a 16-point hyperbolic grid."""
+    march, a = [], ge.ALPHA_SEED
+    while a < a_k:
+        march.append(a)
+        a += ge.MARCH_STEP
+    return march + [(k + 0.5) / 16 * a_k for k in range(16)]
+
+
+def _passing_real_start(eq, y):
+    """An exactly real companion root whose residual passes RESIDUAL_TOL."""
+    try:
+        return y.imag == 0.0 and abs(eq.residual(y)) <= ry.RESIDUAL_TOL
+    except (PoleError, OverflowError):
+        return False
+
+
+@pytest.mark.parametrize("family,n", MEMBERS_4 + [(KnotFamily.C2N2, 8)])
+def test_non_real_listing_skips_only_the_polish_of_certified_real_roots(
+        family, n, monkeypatch):
+    a_k = ge.critical_angle(family, n)
+    polished = []  # the passing real starts that _polish was called on
+    polish = ry._polish
+
+    def counted(eq, y):
+        if _passing_real_start(eq, y):
+            polished.append(y)
+        return polish(eq, y)
+
+    monkeypatch.setattr(ry, "_polish", counted)
+    for alpha in _non_real_angles(a_k):
+        eq = build_cone_equation(family, n, 1.0 / math.tan(0.5 * alpha))
+        passing = [y for y in xp.p_roots(eq.moving_coeffs) if _passing_real_start(eq, y)]
+        polished.clear()
+        full = _non_real_records(eq, True)
+        # the full listing polishes each of them, unless it raised first
+        assert polished == passing or isinstance(full, str)
+        polished.clear()
+        # a root that fails its polish raises the same error in both listings
+        assert _non_real_records(eq, False) == full
+        assert polished == []
+    ge.clear_caches()
+    member = ge._member(family, n)  # the seed and march of the set-up
+    for alpha in _non_real_angles(a_k):
+        try:
+            member.hyperbolic_root(alpha)
+        except NonConvergenceError:
+            pass  # a real root beside y = 2 fails its polish (ROADMAP item 2)
+    assert polished == []
+
+
+def _non_real_records(eq, keep_real):
+    """reprs of the records with |Im y| > COLLISION_IM_TOL, or the error raised."""
+    try:
+        return [repr(r) for r in ry.solve_cone_equation(eq, False, keep_real)
+                if abs(r.y.imag) > ge.COLLISION_IM_TOL]
+    except NonConvergenceError as err:
+        return repr(err)
+
+
+@pytest.mark.parametrize("n", (4, -4))
+def test_a_failed_real_root_still_raises_in_the_non_real_listing(n):
+    # the real root 2.000247... beside the y = 2 pole misses RESIDUAL_TOL
+    # (ROADMAP item 2); the hyperbolic lookup does not select it, but it is
+    # polished and checked as in the full listing
+    with pytest.raises(NonConvergenceError, match="failed to polish"):
+        ge.classify(ConeManifoldSpec(KnotFamily.C2NMINUS2N, n, 0.25))

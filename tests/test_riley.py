@@ -230,11 +230,12 @@ def test_default_listing_leaves_out_the_parasites():
 
 
 @pytest.mark.parametrize("family, n, walks", [
-    # marching every seed pair took 2,613, 34,732 and 7,292 walks; before that,
-    # residual and slope walked apart: 4,392, 64,035 and 14,603
-    (KnotFamily.C2N3, 2, 1411),
-    (KnotFamily.C2N2, 8, 5520),
-    (KnotFamily.C2NMINUS2N, 4, 3143),
+    # polishing the exactly real roots too took 1,411, 5,520 and 3,143 walks;
+    # marching every seed pair, 2,613, 34,732 and 7,292; before that, residual
+    # and slope walked apart: 4,392, 64,035 and 14,603
+    (KnotFamily.C2N3, 2, 867),
+    (KnotFamily.C2N2, 8, 3454),
+    (KnotFamily.C2NMINUS2N, 4, 1421),
 ])
 def test_cold_critical_angle_recurrence_walks_are_pinned(family, n, walks, monkeypatch):
     geometry.clear_caches()
