@@ -114,13 +114,14 @@ def kernel(family: KnotFamily | None, n: int, pole_tol: float = POLE_TOL):
                 num_p, den_p = 2 * d_n - s_nm1 - y * d_nm1, s_nm1 + ym2 * d_nm1
                 fp = (num_p * den - num * den_p) / (den * den)
         if g:
-            num, den = -sign * (s_n - s_nm1) ** c, ym2**p * s_nm1**q
+            ym2_p, s_nm1_q = ym2**p, s_nm1**q
+            num, den = -sign * (s_n - s_nm1) ** c, ym2_p * s_nm1_q
             if (d := abs(den)) <= pole_tol or d <= pole_tol * abs(num):
                 raise PoleError(f"denominator {den!r} vanishes relative to numerator {num!r}")
             gv = num / den
             if g > 1:
                 num_p = -sign * c * (s_n - s_nm1) ** (c - 1) * (d_n - d_nm1) if c else 0
-                den_p = p * ym2 ** (p - 1) * s_nm1**q + q * ym2**p * s_nm1 ** (q - 1) * d_nm1
+                den_p = p * ym2 ** (p - 1) * s_nm1_q + q * ym2_p * s_nm1 ** (q - 1) * d_nm1
                 gp = (num_p * den - num * den_p) / (den * den)
         return fv, gv, fp, gp
 

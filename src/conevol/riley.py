@@ -18,16 +18,21 @@ A ConeEquation carries the cleared polynomial deflated: the parasite
 gcd(C0, C1) and the moving quotient.  The moving roots come from the
 companion matrix (exactpoly.p_roots) and are polished by Newton iteration on
 the rational residual itself, which avoids error amplification from the
-cleared factors; roots that fail to polish raise.  Each Newton point costs
-one recurrence walk: ConeEquation.residual_prime returns (residual, slope),
-and keeps its name because perfbench's tracer counts riley.newton.steps by
-it.  Of the cleared denominators only y = 2 can be a root, exactly where
-cot^2(alpha/2) = det K (C(2n,2) with n <= -1, every C(2n,-2n)); it is marked
-spurious.  (S_{n-1} divides w and D, so at its zeros C0 = C1 = r != 0 by the
-Pell identity.)  Roots with f_n(y)^2 = 1, where the equivalence with Phi = 0
-breaks down, are marked unit_f; the angle-independent ones, roots of
-gcd(C0, C1), and the spurious roots appear only in the full flagged listing
-(keep_spurious).
+cleared factors; roots that fail to polish raise.  Each non-real conjugate
+pair is polished once: LAPACK returns the companion roots of a real
+polynomial in exact conjugate pairs, and every operation of the polish and
+of _unit_f (complex +, -, *, division, abs and integer powers, all with real
+coefficients) maps conjugate inputs to conjugate outputs, so the twin's
+record is the conjugate of the first member's, bit for bit.  Each Newton
+point costs one recurrence walk: ConeEquation.residual_prime returns
+(residual, slope), and keeps its name because perfbench's tracer counts
+riley.newton.steps by it.  Of the cleared denominators only y = 2 can be a
+root, exactly where cot^2(alpha/2) = det K (C(2n,2) with n <= -1, every
+C(2n,-2n)); it is marked spurious.  (S_{n-1} divides w and D, so at its
+zeros C0 = C1 = r != 0 by the Pell identity.)  Roots with f_n(y)^2 = 1,
+where the equivalence with Phi = 0 breaks down, are marked unit_f; the
+angle-independent ones, roots of gcd(C0, C1), and the spurious roots appear
+only in the full flagged listing (keep_spurious).
 
 A third listing, the non-real one (keep_real=False), serves callers that
 read no real root: below a_K geometry selects the least non-real conjugate
@@ -254,13 +259,22 @@ def solve_cone_equation(eq: ConeEquation, keep_spurious: bool = False,
     out each root with Im y = 0.0 exactly, unpolished if |residual| <=
     RESIDUAL_TOL at the start (the polish keeps the best residual, the
     start's included, so it would pass too), else polished and checked.
+
+    In every listing a non-real start whose conjugate start was polished
+    takes the conjugate of that record (module docstring); a start whose
+    twin is missing or was not polished is polished itself, and a failing
+    pair raises at its first member.
     """
-    records = []
+    records, twins = [], {}
     for y0 in xp.p_roots(eq.moving_coeffs):
         if abs(y0 - 2.0) <= SPURIOUS_EPS:
             records.append(RootRecord(y0, float("inf"), True))
             continue
         if not keep_real and y0.imag == 0.0 and _certified(eq, y0):
+            continue
+        twin = twins.pop(y0, None)
+        if twin is not None:
+            records.append(RootRecord(twin.y.conjugate(), twin.residual, False, twin.unit_f))
             continue
         try:
             y_pol, res = _polish(eq, y0)
@@ -273,6 +287,8 @@ def solve_cone_equation(eq: ConeEquation, keep_spurious: bool = False,
             )
         if keep_real or y0.imag != 0.0:
             records.append(RootRecord(y_pol, res, False, _unit_f(eq.n, y_pol)))
+            if y0.imag != 0.0:
+                twins[y0.conjugate()] = records[-1]
     if keep_spurious:
         for y0 in _parasite_roots(eq.parasite):
             try:

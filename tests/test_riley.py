@@ -1,6 +1,8 @@
 """Riley polynomials, cone equation assembly, roots, and the Lemma-cd link."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +12,8 @@ from conevol import chebyshev, geometry
 from conevol import exactpoly as xp
 from conevol import riley as ry
 from conevol.chebyshev import eval_f, eval_fg
-from conevol.errors import NonConvergenceError
-from conevol.families import KnotFamily
+from conevol.errors import NonConvergenceError, PoleError
+from conevol.families import KnotFamily, is_torus_member
 from conevol.geometry import critical_angle
 
 from oracles import det_k, sympy_cone_polynomial, sympy_phi_even, sympy_phi_odd
@@ -230,12 +232,13 @@ def test_default_listing_leaves_out_the_parasites():
 
 
 @pytest.mark.parametrize("family, n, walks", [
-    # polishing the exactly real roots too took 1,411, 5,520 and 3,143 walks;
+    # polishing both members of each conjugate pair took 867, 3,454 and 1,421
+    # walks; polishing the exactly real roots too, 1,411, 5,520 and 3,143;
     # marching every seed pair, 2,613, 34,732 and 7,292; before that, residual
     # and slope walked apart: 4,392, 64,035 and 14,603
-    (KnotFamily.C2N3, 2, 867),
-    (KnotFamily.C2N2, 8, 3454),
-    (KnotFamily.C2NMINUS2N, 4, 1421),
+    (KnotFamily.C2N3, 2, 598),
+    (KnotFamily.C2N2, 8, 2277),
+    (KnotFamily.C2NMINUS2N, 4, 901),
 ])
 def test_cold_critical_angle_recurrence_walks_are_pinned(family, n, walks, monkeypatch):
     geometry.clear_caches()
@@ -246,6 +249,117 @@ def test_cold_critical_angle_recurrence_walks_are_pinned(family, n, walks, monke
     )
     critical_angle(family, n)
     assert len(calls) == walks
+
+
+# the non-torus members with |n| <= 4, and C(16,2)
+LISTING_MEMBERS = [(family, n) for family in KnotFamily for n in (-4, -3, -2, -1, 1, 2, 3, 4)
+                   if not is_torus_member(family, n)] + [(KnotFamily.C2N2, 8)]
+LISTING_MODES = ((False, True), (True, True), (False, False))  # (keep_spurious, keep_real)
+
+
+def _listing_polishing_every_start(eq, keep_spurious, keep_real):
+    """solve_cone_equation with no conjugate-pair reuse: every start is
+    polished and every kept root runs _unit_f on its own polished value."""
+    records = []
+    for y0 in xp.p_roots(eq.moving_coeffs):
+        if abs(y0 - 2.0) <= ry.SPURIOUS_EPS:
+            records.append(ry.RootRecord(y0, math.inf, True))
+            continue
+        if not keep_real and y0.imag == 0.0 and ry._certified(eq, y0):
+            continue
+        try:
+            y_pol, res = ry._polish(eq, y0)
+        except PoleError:
+            records.append(ry.RootRecord(y0, math.inf, True))
+            continue
+        if res > ry.RESIDUAL_TOL and not ry._double_root_excused(eq, y_pol, res):
+            raise NonConvergenceError(
+                f"root {y0} failed to polish below {ry.RESIDUAL_TOL} (residual {res:.3e})")
+        if keep_real or y0.imag != 0.0:
+            records.append(ry.RootRecord(y_pol, res, False, ry._unit_f(eq.n, y_pol)))
+    if keep_spurious:
+        for y0 in ry._parasite_roots(eq.parasite):
+            try:
+                res = abs(eq.residual(y0))
+            except PoleError:
+                res = math.inf
+            records.append(ry.RootRecord(y0, res, False, True))
+    else:
+        records = [r for r in records if not r.spurious]
+    records.sort(key=lambda r: (r.y.real, r.y.imag))
+    return records
+
+
+def _listing_repr(solve, eq, mode):
+    try:
+        return repr(solve(eq, *mode))
+    except NonConvergenceError as err:
+        return repr(err)
+
+
+@pytest.mark.parametrize("family, n", LISTING_MEMBERS)
+def test_listings_equal_polishing_every_start_bit_for_bit(family, n):
+    # the conjugate twin of a polished non-real start gets the conjugate
+    # record: conjugate inputs give conjugate outputs in the polish and _unit_f
+    a_k = critical_angle(family, n)
+    # the set-up march's forward nodes below a_K, a hyperbolic and a spherical grid
+    march = [geometry.ALPHA_SEED + k * geometry.MARCH_STEP
+             for k in range(int((a_k - geometry.ALPHA_SEED) / geometry.MARCH_STEP) + 1)]
+    fractions = (0.1, 0.3, 0.5, 0.7, 0.9)
+    grids = [f * a_k for f in fractions] + [a_k + f * (math.pi - a_k) for f in fractions]
+    for alpha in march + grids:
+        eq = ry.build_cone_equation(family, n, 1.0 / math.tan(0.5 * alpha))
+        for mode in LISTING_MODES:
+            assert (_listing_repr(ry.solve_cone_equation, eq, mode)
+                    == _listing_repr(_listing_polishing_every_start, eq, mode)), (alpha, mode)
+
+
+def _counted_polish(monkeypatch):
+    starts = []
+    polish = ry._polish
+    monkeypatch.setattr(ry, "_polish", lambda eq, y: starts.append(y) or polish(eq, y))
+    return starts
+
+
+@pytest.mark.parametrize("mode", LISTING_MODES, ids=("default", "keep_spurious", "non_real"))
+def test_each_conjugate_pair_is_polished_once(mode, monkeypatch):
+    eq = ry.build_cone_equation(KnotFamily.C2N2, 8, 1.0 / math.tan(0.5))
+    starts = xp.p_roots(eq.moving_coeffs)
+    non_real = [y for y in starts if y.imag != 0.0]
+    assert non_real and all(y.conjugate() in non_real for y in non_real)
+    polished = _counted_polish(monkeypatch)
+    records = ry.solve_cone_equation(eq, *mode)
+    polished_non_real = [y for y in polished if y.imag != 0.0]
+    assert len(polished_non_real) == len(non_real) // 2
+    assert not {y.conjugate() for y in polished_non_real} & set(polished_non_real)
+    assert sum(r.y.imag != 0.0 for r in records) == len(non_real)
+
+
+def test_a_start_without_its_conjugate_twin_is_polished(monkeypatch):
+    # each second member of a pair becomes a neighbour one ulp off the conjugate
+    eq = ry.build_cone_equation(KnotFamily.C2N2, 8, 1.0 / math.tan(0.5))
+    starts, seen = [], set()
+    for y in xp.p_roots(eq.moving_coeffs):
+        if y.imag != 0.0 and y.conjugate() in seen:
+            y = complex(math.nextafter(y.real, math.inf), y.imag)
+        seen.add(y)
+        starts.append(y)
+    assert starts != xp.p_roots(eq.moving_coeffs)
+    monkeypatch.setattr(xp, "p_roots", lambda coeffs: list(starts))
+    polished = _counted_polish(monkeypatch)
+    ry.solve_cone_equation(eq)
+    assert polished == starts
+
+
+def test_polish_is_called_only_by_solve_cone_equation():
+    # so every polish passes through the conjugate-pair reuse
+    users = []
+    for path in sorted(Path(ry.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            users += [(path.name, getattr(stmt, "name", None)) for node in ast.walk(stmt)
+                      if (isinstance(node, ast.Name) and node.id == "_polish")
+                      or (isinstance(node, ast.Attribute) and node.attr == "_polish")]
+    assert users == [("riley.py", "solve_cone_equation")]
 
 
 def test_newton_polish_on_constructed_polynomial():

@@ -838,3 +838,23 @@ def test_cross_checked_volume_of_c16_minus16():
 def test_cross_check_below_the_pole_crossing_of_c8_minus8():
     spec = ConeManifoldSpec(KnotFamily.C2NMINUS2N, 4, 0.20626735472821622)
     vo.compute_volume(spec, cross_check=True)
+
+
+@pytest.mark.xfail(raises=NonConvergenceError, strict=True,
+                   reason="ROADMAP item 2: a real root beside y = 2 misses RESIDUAL_TOL "
+                          "where cot^2(alpha/2) = det K = 11 puts a cone root at the pole")
+@pytest.mark.parametrize("alpha", [0.5855, 0.58598, 0.586])
+def test_volume_of_c_minus6_2_near_the_pole_crossing(alpha):
+    vo.compute_volume(ConeManifoldSpec(FIG8, -3, alpha))
+
+
+def test_volume_of_c_minus6_2_past_the_pole_crossing():
+    vol = vo.compute_volume(ConeManifoldSpec(FIG8, -3, 0.59)).volume
+    assert vol == pytest.approx(3.12801454799, abs=1e-10)
+
+
+@pytest.mark.xfail(raises=SelectionAmbiguityError, strict=True,
+                   reason="ROADMAP items 2 and 13: a Schlaefli node finds that the two "
+                          "least roots of C(-24,3) are not a real pair")
+def test_volume_of_c_minus24_3_at_pi():
+    vo.compute_volume(ConeManifoldSpec(KnotFamily.C2N3, -12, math.pi))
