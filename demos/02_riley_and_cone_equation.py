@@ -19,7 +19,8 @@ from conevol.families import KnotFamily
 
 print("Riley polynomial of the figure-eight (twist knot C(2,2)):")
 phi = build_phi(KnotFamily.C2N2, 1)
-print("  coefficients {(power of x^2, power of z): c} =", phi.coeffs)
+print("  Phi = P0(z) + x^2 P1(z), coefficients ascending in z:")
+print("  P0 =", list(phi.p0), " P1 =", list(phi.p1))
 print("  at the parabolic locus x = 2 it factors through z^2 - 3z + 3;")
 root = (3 + 1j * math.sqrt(3)) / 2
 print(f"  |Phi(2, (3+i sqrt3)/2)| = {abs(phi.eval(2.0, root)):.2e}")

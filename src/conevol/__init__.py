@@ -49,15 +49,12 @@ from .representation import (
     word_omega_odd,
 )
 from .riley import (
-    BivariatePoly,
     ConeEquation,
     LemmaCdReport,
+    RileyPoly,
     RootRecord,
     build_cone_equation,
     build_phi,
-    build_phi_even,
-    build_phi_hol_minus2n,
-    build_phi_odd,
     check_lemma_cd,
     solve_cone_equation,
     trace_u,

@@ -3,10 +3,11 @@
 Every exact polynomial of the package is built here: the S_k coefficient
 lists, the numerator and denominator of f_n, the Riley and cone-equation
 pieces; p_eval is the only Horner loop and p_roots the only root finder.
-Dense univariate polynomials are plain lists of Python ints (coefficient of
-y^j at index j), so coefficient growth is unbounded and exact.  Bivariate
-polynomials in (X, y) with X standing for x^2 are dicts mapping
-(i, j) -> int for the monomial X^i * y^j.
+Polynomials are plain lists of Python ints (coefficient of y^j at index j),
+so coefficient growth is unbounded and exact.  The Riley polynomial and the
+cleared cone equation are linear in a parameter s (x^2 or A^2), so each is a
+pair p0 + s*p1 of such lists, and p_backward_error scores a root of that
+shape.
 """
 
 from __future__ import annotations
@@ -68,6 +69,19 @@ def p_eval(a, y):
     for c in reversed(a):
         acc = acc * y + c
     return acc
+
+
+def p_backward_error(p0, p1, s, y) -> float:
+    """|p0(y) + s*p1(y)| / (sum |p0_k| |y|^k + |s| sum |p1_k| |y|^k).
+
+    The scaled backward error of y as a root of p0 + s*p1: the least relative
+    change of the coefficients that makes y an exact root (0 where every
+    term vanishes).
+    """
+    r = abs(y)
+    scale = (p_eval([abs(c) for c in p0], r)
+             + abs(s) * p_eval([abs(c) for c in p1], r))
+    return abs(p_eval(p0, y) + s * p_eval(p1, y)) / scale if scale else 0.0
 
 
 def p_roots(a):
@@ -169,72 +183,3 @@ def p_float_sum(p0, p1, a2: float) -> tuple:
     for i, c in enumerate(p1):
         out[i] += a2 * float(c)
     return tuple(p_trim(out))
-
-
-# ----------------------------------------------------------------- bivariate
-
-def b_from_uni(a, var: str):
-    """Lift a univariate int poly into (X, y) coordinates; var is 'X' or 'y'."""
-    if var == "y":
-        return {(0, j): c for j, c in enumerate(a) if c}
-    return {(i, 0): c for i, c in enumerate(a) if c}
-
-
-def b_const(c):
-    return {(0, 0): c} if c else {}
-
-
-def b_add(a, b):
-    out = dict(a)
-    for key, c in b.items():
-        out[key] = out.get(key, 0) + c
-        if out[key] == 0:
-            del out[key]
-    return out
-
-
-def b_sub(a, b):
-    return b_add(a, {k: -c for k, c in b.items()})
-
-
-def b_mul(a, b):
-    out = {}
-    for (i1, j1), c1 in a.items():
-        for (i2, j2), c2 in b.items():
-            key = (i1 + i2, j1 + j2)
-            out[key] = out.get(key, 0) + c1 * c2
-            if out[key] == 0:
-                del out[key]
-    return out
-
-
-def b_eval(a, x_sq, y):
-    """Evaluate at numeric x^2 and y."""
-    acc = 0j
-    for (i, j), c in a.items():
-        acc += c * x_sq**i * y**j
-    return acc
-
-
-def b_compose_S(p: int, u):
-    """S_p(u) for a bivariate argument u, by running the recurrence on polys."""
-    if p == -1:
-        return {}
-    if p < -1:
-        return {k: -c for k, c in b_compose_S(-p - 2, u).items()}
-    prev, cur = b_const(1), dict(u)
-    if p == 0:
-        return prev
-    for _ in range(p - 1):
-        prev, cur = cur, b_sub(b_mul(u, cur), prev)
-    return cur
-
-
-def b_uni_in_y(a, x_sq):
-    """Collapse to a univariate float-coefficient list in y at fixed numeric x^2."""
-    if not a:
-        return []
-    out = [0j] * (max(j for (_, j) in a) + 1)
-    for (i, j), c in a.items():
-        out[j] += c * x_sq**i
-    return p_trim(out)

@@ -22,15 +22,19 @@ depends on the angle only through A^2 = cot^2(alpha/2).  Each lookup is one
 cone-equation solve and a sort, so it cannot depend on earlier lookups.
 
 a_K is set up once per member: the rule picks the root at ALPHA_SEED, the
-matrix oracle certifies it (relation residual <= 1e-9 and |ell| > 1, i.e.
-positive real length), and the angle is marched upward until the least pair
-collides onto the real axis.  Every march node uses the same order rule
-(_least_pair), so nothing is tracked from node to node but the pair's real
-part; a node has collided when no root is non-real.  The march halves its
-step past a collided node, bisects the collision angle, and the collided
-double root is polished on the deflated equation, which gives a_K.  A failed
-polish raises NonConvergenceError; the bisected angle is no fallback.  The
-member keeps only a_K and the double root y*.
+Riley polynomial certifies it (riley.build_phi: its scaled backward error in
+Phi(2cos(alpha/2), .) is at most CERT_PHI_TOL), and the angle is marched
+upward until the least pair collides onto the real axis.  The Im f > 0 rule
+already gives the root positive real length: |ell| > 1 is equivalent to
+Re(-i f tan(alpha/2)) > 0.  The set-up reads no matrix word; of the matrix
+oracle (representation) geometry uses only the longitude eigenvalue, for the
+hyperbolic l_alpha.  Every march node uses the same order rule (_least_pair),
+so nothing is tracked from node to node but the pair's real part; a node has
+collided when no root is non-real.  The march halves its step past a
+collided node, bisects the collision angle, and the collided double root is
+polished on the deflated equation, which gives a_K.  A failed polish raises
+NonConvergenceError; the bisected angle is no fallback.  The member keeps
+only a_K and the double root y*.
 
 _least_pair reads no real root, so the seed, the march and every hyperbolic
 lookup take the cone equation's non-real listing (riley.solve_cone_equation
@@ -51,18 +55,17 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .chebyshev import eval_f
-from .errors import (DegenerateLongitudeError, NonConvergenceError, NotBracketedError,
-                     SelectionAmbiguityError)
+from .errors import NonConvergenceError, NotBracketedError, SelectionAmbiguityError
 from .exactpoly import p_deriv, p_eval
 from .families import ConeManifoldSpec, KnotFamily, validate_twist
-from .representation import longitude_eigenvalue, relation_residual
-from .riley import _cone_parts, build_cone_equation, solve_cone_equation
+from .representation import longitude_eigenvalue
+from .riley import _cone_parts, build_cone_equation, build_phi, solve_cone_equation
 
 ALPHA_SEED = 0.01
 MARCH_STEP = 0.05
 COLLISION_IM_TOL = 1e-9
 BISECT_TOL = 1e-10
-CERT_RELATION_TOL = 1e-9
+CERT_PHI_TOL = 1e-14  # scaled backward error of the seed root in Phi
 REAL_IM_TOL = 1e-7  # a spherical root with |Im y| above this is not real
 PAIR_MARGIN = 1e-3  # least real-part gap between the geometric pair and the next
 _WINDOW_LO = 2.0 * math.pi / 3.0 - 1e-6  # Kojima-Porti lower bound, with slack
@@ -144,28 +147,15 @@ def _spherical_pair(family: KnotFamily, n: int, alpha: float):
     return ((r1, r0) if n > 0 else (r0, r1)), l_alpha
 
 
-def _ell(family: KnotFamily, n: int, alpha: float, y: complex) -> complex:
-    """Longitude eigenvalue of the representation at (alpha, y)."""
-    m = cmath.exp(0.5j * alpha)
-    return longitude_eigenvalue(family, n, m, y)
-
-
 def _length(family: KnotFamily, n: int, alpha: float, y: complex) -> float:
     """Real length 2*log|ell| of the singular geodesic at a hyperbolic root."""
-    return 2.0 * math.log(abs(_ell(family, n, alpha, y)))
+    return 2.0 * math.log(abs(longitude_eigenvalue(family, n, cmath.exp(0.5j * alpha), y)))
 
 
 def _certify(family: KnotFamily, n: int, alpha: float, y: complex) -> bool:
-    """Relation residual and positive real length at the candidate root."""
-    m = cmath.exp(0.5j * alpha)
-    if relation_residual(family, n, m, y) > CERT_RELATION_TOL:
-        return False
-    try:
-        # the residual check above rules out longitude_eigenvalue's ValueError
-        ell = _ell(family, n, alpha, y)
-    except DegenerateLongitudeError:
-        return False
-    return abs(ell) > 1.0
+    """Phi(2cos(alpha/2), y) = 0 to a scaled backward error of CERT_PHI_TOL."""
+    x = 2.0 * math.cos(0.5 * alpha)
+    return build_phi(family, n).backward_error(x, y) <= CERT_PHI_TOL
 
 
 def _march_to_collision(family: KnotFamily, n: int, x: float):
@@ -254,7 +244,7 @@ class _MemberGeometry:
         y_seed = _geometric_root(family, n, ALPHA_SEED, roots)
         if not _certify(family, n, ALPHA_SEED, y_seed):
             raise SelectionAmbiguityError(
-                f"{family.value} n={n}: the seed root failed holonomy "
+                f"{family.value} n={n}: the seed root failed Riley-polynomial "
                 f"certification",
                 [y_seed],
             )

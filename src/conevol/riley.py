@@ -2,10 +2,12 @@
 
 Two exact objects are assembled here with integer arithmetic:
 
-* the Riley polynomial Phi of the family member, a bivariate polynomial in
-  (x^2, y) whose zeros parametrize the nonabelian SL(2,C) representations
-  (for C(2n,-2n) the factor carrying the holonomy component is used, the
-  reducible factor z-2 is dropped);
+* the Riley polynomial Phi of the family member, whose zeros parametrize the
+  nonabelian SL(2,C) representations (for C(2n,-2n) the factor carrying the
+  holonomy component is used, the reducible factor z-2 is dropped).  In all
+  three families it is linear in x^2, Phi = P0(y) + x^2 P1(y), the same shape
+  as the cone equation's C0 + A^2 C1, so a RileyPoly holds the two exact
+  integer lists;
 
 * the cone equation  f_n^2(y) + A^2 = (1+A^2) g_n(y)  with A = cot(alpha/2),
   cleared of denominators with the minimal powers of (y-2) and S_{n-1}.  The
@@ -49,11 +51,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import zip_longest
 
 from . import exactpoly as xp
 from .chebyshev import eval_S, eval_f, kernel
 from .errors import NonConvergenceError, PoleError
-from .families import R_EXPONENTS, KnotFamily, validate_twist
+from .families import R_EXPONENTS, ConeManifoldSpec, KnotFamily, validate_twist
 
 # Proximity threshold to the cleared denominator y = 2.
 SPURIOUS_EPS = 1e-8
@@ -71,78 +74,51 @@ def trace_u(n: int, x, y):
 
 
 @dataclass(frozen=True)
-class BivariatePoly:
-    """Integer polynomial in (x^2, y); coeffs maps (i, j) -> coefficient of (x^2)^i y^j."""
+class RileyPoly:
+    """Phi = P0(y) + x^2 * P1(y), exact integer coefficients ascending in y."""
 
-    coeffs: dict
+    p0: tuple
+    p1: tuple
 
     def eval(self, x, y):
-        return xp.b_eval(self.coeffs, x * x, y)
+        return xp.p_eval(self.p0, y) + x * x * xp.p_eval(self.p1, y)
 
     def univariate_in_y(self, x):
-        """Coefficient list in y at fixed numeric x (ascending)."""
-        return xp.b_uni_in_y(self.coeffs, complex(x) * complex(x))
+        """Complex coefficient list in y at fixed numeric x (ascending)."""
+        x_sq = complex(x) * complex(x)
+        pairs = zip_longest(self.p0, self.p1, fillvalue=0)
+        return xp.p_trim([0j + c0 + c1 * x_sq for c0, c1 in pairs])
 
-
-# y + 2 - x^2, shared by the inner block and both even-family builders
-_Y_PLUS_2_MINUS_X2 = xp.b_sub(xp.b_from_uni([2, 1], "y"), xp.b_from_uni([0, 1], "X"))
-
-
-def _u_block(n: int) -> dict:
-    """u = 2 + (y-2)(y+2-x^2) S_{n-1}^2(y) as an exact bivariate polynomial."""
-    s = xp.b_from_uni(xp.s_poly(n - 1), "y")
-    y_minus_2 = xp.b_from_uni([-2, 1], "y")
-    out = xp.b_mul(xp.b_mul(y_minus_2, _Y_PLUS_2_MINUS_X2), xp.b_mul(s, s))
-    return xp.b_add(xp.b_const(2), out)
+    def backward_error(self, x, y) -> float:
+        """Scaled backward error of y as a root of Phi(x, .) (exactpoly.p_backward_error)."""
+        return xp.p_backward_error(self.p0, self.p1, x * x, y)
 
 
 @lru_cache(maxsize=None)
-def build_phi_odd(n: int, p: int) -> BivariatePoly:
-    """Riley polynomial of C(2n, 2p+1):  (S_n - S_{n-1}) S_p(u) - (S_{n-1} - S_{n-2}) S_{p-1}(u)."""
-    validate_twist(n)
-    u = _u_block(n)
-    sp_u = xp.b_compose_S(p, u)
-    spm1_u = xp.b_compose_S(p - 1, u)
-    a = xp.b_from_uni(xp.p_sub(xp.s_poly(n), xp.s_poly(n - 1)), "y")
-    b = xp.b_from_uni(xp.p_sub(xp.s_poly(n - 1), xp.s_poly(n - 2)), "y")
-    return BivariatePoly(xp.b_sub(xp.b_mul(a, sp_u), xp.b_mul(b, spm1_u)))
+def build_phi(family: KnotFamily, n: int) -> RileyPoly:
+    """The Phi of this member: word exponent p = 1 for C(2n,3) and C(2n,2), the
+    holonomy factor for C(2n,-2n).  With t = y + 2 - x^2 and S_k = S_k(y):
 
+    C(2n,3):   (S_n - S_{n-1}) u - (S_{n-1} - S_{n-2}),  u = 2 + (y-2) t S_{n-1}^2;
+    C(2n,2):   1 + t S_{n-1} (S_n - S_{n-1});
+    C(2n,-2n): -1 + t S_{n-1}^2, whose product with y-2 is u - y: the even
+               Riley polynomial at p = -n has it as a factor, and y-2 carries
+               only reducible representations.
 
-@lru_cache(maxsize=None)
-def build_phi_even(n: int, p: int) -> BivariatePoly:
-    """Riley polynomial of C(2n, 2p):  [1 + (z+2-x^2) S_{n-1}(S_n - S_{n-1})] S_{p-1}(v) - S_{p-2}(v)."""
-    validate_twist(n)
-    v = _u_block(n)  # same shape in the variable z
-    s_nm1 = xp.b_from_uni(xp.s_poly(n - 1), "y")
-    diff = xp.b_from_uni(xp.p_sub(xp.s_poly(n), xp.s_poly(n - 1)), "y")
-    bracket = xp.b_add(xp.b_const(1), xp.b_mul(_Y_PLUS_2_MINUS_X2, xp.b_mul(s_nm1, diff)))
-    return BivariatePoly(
-        xp.b_sub(xp.b_mul(bracket, xp.b_compose_S(p - 1, v)), xp.b_compose_S(p - 2, v))
-    )
-
-
-@lru_cache(maxsize=None)
-def build_phi_hol_minus2n(n: int) -> BivariatePoly:
-    """Holonomy factor for C(2n,-2n):  -1 + (z+2-x^2) S_{n-1}^2(z).
-
-    The full even Riley polynomial at word exponent p = -n contains this as a
-    factor; (z-2) times it equals v - z, with z-2 carrying only reducible
-    representations.
+    Each is linear in x^2: Phi = P0 + x^2 P1, with t = (y+2) - x^2 splitting
+    any term t*q into (y+2)*q and -q.
     """
     validate_twist(n)
-    s = xp.b_from_uni(xp.s_poly(n - 1), "y")
-    return BivariatePoly(
-        xp.b_add(xp.b_const(-1), xp.b_mul(_Y_PLUS_2_MINUS_X2, xp.b_mul(s, s)))
-    )
-
-
-def build_phi(family: KnotFamily, n: int) -> BivariatePoly:
-    """The Phi used for this family member (holonomy factor for C(2n,-2n))."""
-    if family is KnotFamily.C2N3:
-        return build_phi_odd(n, 1)
-    if family is KnotFamily.C2N2:
-        return build_phi_even(n, 1)
-    return build_phi_hol_minus2n(n)
+    s_nm1, s_n = xp.s_poly(n - 1), xp.s_poly(n)
+    if family is KnotFamily.C2N3:  # a u - b = (2a - b) + t a (y-2) S_{n-1}^2
+        a, b = xp.p_sub(s_n, s_nm1), xp.p_sub(s_nm1, xp.s_poly(n - 2))
+        const = xp.p_sub([2 * c for c in a], b)
+        q = xp.p_mul(a, xp.p_mul([-2, 1], xp.p_pow(s_nm1, 2)))
+    elif family is KnotFamily.C2N2:
+        const, q = [1], xp.p_mul(s_nm1, xp.p_sub(s_n, s_nm1))
+    else:
+        const, q = [-1], xp.p_pow(s_nm1, 2)
+    return RileyPoly(tuple(xp.p_add(const, xp.p_mul([2, 1], q))), tuple(-c for c in q))
 
 
 # ------------------------------------------------------------- cone equation
@@ -372,9 +348,8 @@ def check_lemma_cd(
     Away from f^2 = 1 the two vanish simultaneously; the report says whether
     each is below LEMMA_CD_TOL.
     """
-    x = 2.0 * math.cos(0.5 * alpha)
-    A = 1.0 / math.tan(0.5 * alpha)
-    phi = build_phi(family, n).eval(x, complex(y))
+    A = ConeManifoldSpec(family, n, alpha).cot_half  # ValueError outside (0, 2*pi)
+    phi = build_phi(family, n).eval(2.0 * math.cos(0.5 * alpha), complex(y))
     eq = build_cone_equation(family, n, A)
     res = eq.residual(complex(y))
     return LemmaCdReport(

@@ -109,6 +109,12 @@ def sympy_phi_even(n: int, p: int):
     return sp.expand(expr), x, z
 
 
+def sympy_phi_hol(n: int):
+    """-1 + (z+2-x^2) S_{n-1}(z)^2, the holonomy factor of C(2n,-2n), expanded."""
+    x, z = sp.symbols("x y")
+    return sp.expand(-1 + (z + 2 - x**2) * sympy_S(n - 1, z) ** 2), x, z
+
+
 def sympy_S_of(k: int, arg) -> sp.Expr:
     """S_k evaluated at an arbitrary sympy expression."""
     if k == 0:

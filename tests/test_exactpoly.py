@@ -70,23 +70,11 @@ def test_random_gcds_match_sympy():
         assert quotient.is_number and quotient != 0
 
 
-def test_bivariate_roundtrip():
-    # (2 + X*y)^2 evaluated vs direct
-    p = xp.b_add(xp.b_const(2), {(1, 1): 1})
-    sq = xp.b_mul(p, p)
-    for xs, yv in ((0.5, 2.0), (1.5, -1.0)):
-        direct = (2 + xs * yv) ** 2
-        assert xp.b_eval(sq, xs, yv) == pytest.approx(direct)
-
-
-def test_bivariate_chebyshev_composition():
-    # S_3(u) at a bivariate u agrees with numeric recurrence
-    u = xp.b_add(xp.b_const(2), {(1, 0): -1, (0, 1): 1})  # 2 - X + y
-    comp = xp.b_compose_S(3, u)
-    for xs, yv in ((0.3, 1.1), (2.0, -0.4)):
-        uval = 2 - xs + yv
-        expected = uval**3 - 2 * uval
-        assert xp.b_eval(comp, xs, yv) == pytest.approx(expected)
+def test_p_backward_error():
+    # (y-1)(y-2) + s*(y - 3) at y = 1, s = 0.5: value -1, term sizes 2 + 3 + 1 + 0.5 * 4
+    assert xp.p_backward_error([2, -3, 1], [-3, 1], 0.5, 1.0) == pytest.approx(1 / 8)
+    assert xp.p_backward_error([2, -3, 1], [], 0.0, 2.0 + 0j) == 0.0
+    assert xp.p_backward_error([0, 1], [0, 2], 3.0, 0.0) == 0.0  # every term vanishes
 
 
 def test_s_poly_negative_index():

@@ -5,17 +5,18 @@ import cmath
 import inspect
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
 
 from conevol import exactpoly as xp
 from conevol import geometry as ge
+from conevol import representation as rp
 from conevol import riley as ry
 from conevol.chebyshev import eval_f
 from conevol.errors import (
     ConevolError,
-    DegenerateLongitudeError,
     NonConvergenceError,
     NotBracketedError,
     PoleError,
@@ -177,23 +178,6 @@ def test_euclidean_point_classification():
     assert res.regime is ge.Regime.EUCLIDEAN
 
 
-def test_certify_rejects_only_a_degenerate_longitude(monkeypatch):
-    monkeypatch.setattr(ge, "relation_residual", lambda *args: 0.0)
-
-    def degenerate(*args):
-        raise DegenerateLongitudeError("word (1,2)-entry is 0")
-
-    monkeypatch.setattr(ge, "longitude_eigenvalue", degenerate)
-    assert ge._certify(KnotFamily.C2N2, 1, 0.5, 1.0 + 1.0j) is False
-
-    def broken(*args):
-        raise RuntimeError("not a certification outcome")
-
-    monkeypatch.setattr(ge, "longitude_eigenvalue", broken)
-    with pytest.raises(RuntimeError):
-        ge._certify(KnotFamily.C2N2, 1, 0.5, 1.0 + 1.0j)
-
-
 def test_hyperbolic_root_raises_on_an_ambiguous_match(monkeypatch):
     family, n, alpha = KnotFamily.C2N2, 1, 1.0
     member = ge._member(family, n)
@@ -311,7 +295,39 @@ def test_geometric_root_is_the_certified_member_of_its_pair(family, n):
     for alpha in _hyperbolic_grid(a_k):
         y0 = ge.select_hyperbolic_root(ConeManifoldSpec(family, n, alpha))
         assert ge._certify(family, n, alpha, y0)
-        assert not ge._certify(family, n, alpha, y0.conjugate())
+        # the matrix words, an independent oracle: y0 is a representation
+        # point, and of its conjugate pair the one with positive real length
+        m = cmath.exp(0.5j * alpha)
+        assert relation_residual(family, n, m, y0) <= 1e-9
+        assert (abs(longitude_eigenvalue(family, n, m, y0)) > 1.0
+                > abs(longitude_eigenvalue(family, n, m, y0.conjugate())))
+
+
+def test_cold_set_up_reads_no_matrix_word(monkeypatch):
+    def raises(*args, **kwargs):
+        raise AssertionError("the set-up called a representation function")
+
+    modules = [mod for name, mod in sys.modules.items() if name.startswith("conevol")]
+    for mod in modules:
+        for attr, value in list(vars(mod).items()):
+            if inspect.isfunction(value) and value.__module__ == rp.__name__:
+                monkeypatch.setattr(mod, attr, raises)
+    ge.clear_caches()
+    for family, n in MEMBERS_4 + [(KnotFamily.C2N2, 8)]:
+        ge.critical_angle(family, n)
+
+
+def test_geometry_imports_only_the_longitude_eigenvalue_from_representation():
+    tree = ast.parse(inspect.getsource(ge))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names]
+            if getattr(node, "module", None) == "representation":
+                imported += names
+            else:
+                assert not any("representation" in name for name in names)
+    assert imported == ["longitude_eigenvalue"]
 
 
 @pytest.mark.parametrize("family,n", MEMBERS_4)
@@ -442,9 +458,8 @@ MEMBERS_12 = [
     for n in range(-12, 13)
     if n != 0 and not is_torus_member(family, n)
 ]
-# ROADMAP item 2: a Newton polish fails (c2n2 n=-6, c2n3 n=12) or the seed root
-# is no certified representation (c2nm2n n=12)
-STILL_RAISE = {(KnotFamily.C2N2, -6), (KnotFamily.C2N3, 12), (KnotFamily.C2NMINUS2N, 12)}
+# ROADMAP item 2: a Newton polish fails (c2n2 n=-6, c2n3 n=12)
+STILL_RAISE = {(KnotFamily.C2N2, -6), (KnotFamily.C2N3, 12)}
 
 
 # (a_K, y*) of every resolving member, bit for bit: a_K is printed by the CLI
@@ -516,6 +531,7 @@ SET_UP = {
     (KnotFamily.C2NMINUS2N, 9): (3.1263061886817187, -1.969239237409301),
     (KnotFamily.C2NMINUS2N, 10): (3.1292192030523864, -1.9751298351572595),
     (KnotFamily.C2NMINUS2N, 11): (3.131371906424934, -1.9794742968146992),
+    (KnotFamily.C2NMINUS2N, 12): (3.1330077394514873, -1.9827706955028417),
 }
 
 

@@ -10,7 +10,6 @@ import math
 
 import pytest
 
-from conevol.errors import SelectionAmbiguityError
 from conevol.families import ConeManifoldSpec, KnotFamily, is_torus_member
 from conevol.geometry import classify, critical_angle
 from conevol.volume import compute_volume
@@ -67,11 +66,8 @@ def test_schubert_pairs_up_to_twelve():
     assert len(PAIRS_4) == 5
 
 
-@pytest.mark.parametrize("pair", PAIRS_4 + PAIRS_5_11 + [pytest.param(
-    ((KnotFamily.C2NMINUS2N, -12), (KnotFamily.C2NMINUS2N, 12)), id="c2nm2n:-12 ~ c2nm2n:12",
-    marks=pytest.mark.xfail(raises=SelectionAmbiguityError, strict=True, reason=(
-        "ROADMAP items 2 and 12: the seed root of C(24,-24) fails holonomy "
-        "certification")))], ids=_ids)
+@pytest.mark.parametrize("pair", PAIRS_4 + PAIRS_5_11 + [
+    ((KnotFamily.C2NMINUS2N, -12), (KnotFamily.C2NMINUS2N, 12))], ids=_ids)
 def test_presentations_share_the_critical_angle(pair):
     a_k, a_k_other = (critical_angle(*member) for member in pair)
     assert abs(a_k - a_k_other) <= 4 * math.ulp(a_k)

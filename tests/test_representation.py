@@ -13,7 +13,7 @@ from conevol.errors import BranchError
 from conevol.families import ConeManifoldSpec, KnotFamily
 from conevol.geometry import classify, critical_angle
 
-from oracles import eval_letters, letters_even, letters_odd
+from oracles import eval_letters, letters_even, letters_odd, sympy_phi_even
 
 
 def _random_params(rng):
@@ -97,7 +97,9 @@ def test_residual_matrix_structure():
             assert abs(R[0, 0]) < 1e-10 * scale and abs(R[1, 1]) < 1e-10 * scale
             x = m + 1 / m
             if family is KnotFamily.C2NMINUS2N:
-                phi = ry.build_phi_even(n, family.word_exponent(n)).eval(x, t)
+                # the full even Riley polynomial at p = -n, not its holonomy factor
+                expr, sx, sy = sympy_phi_even(n, family.word_exponent(n))
+                phi = complex(expr.subs({sx: x, sy: t}))
             else:
                 phi = ry.build_phi(family, n).eval(x, t)
             kappa = (x * x - 2 - t) if family.is_odd_presentation else (t - 2)

@@ -16,7 +16,8 @@ from conevol.errors import NonConvergenceError, PoleError
 from conevol.families import KnotFamily, is_torus_member
 from conevol.geometry import critical_angle
 
-from oracles import det_k, sympy_cone_polynomial, sympy_phi_even, sympy_phi_odd
+from oracles import (det_k, sympy_cone_polynomial, sympy_phi_even, sympy_phi_hol,
+                     sympy_phi_odd)
 
 ALL_N = (-3, -2, -1, 1, 2, 3)
 
@@ -34,52 +35,47 @@ def test_trace_v_examples():
 
 
 def test_phi_odd_small_cases():
-    assert ry.build_phi_odd(1, 0).coeffs == {(0, 0): -1, (0, 1): 1}  # y - 1
     # at x = 0: (y-1) u - 1 with u = 2 + (y-2)(y+2)
-    phi = ry.build_phi_odd(1, 1)
+    phi = ry.build_phi(KnotFamily.C2N3, 1)
     for y in (0.3, 1.7, -2.2):
         u = 2 + (y - 2) * (y + 2)
         assert phi.eval(0.0, y) == pytest.approx((y - 1) * u - 1, abs=1e-12)
+    # (y-1)(y^2 - 2 - x^2 (y-2)) - 1
+    assert phi == ry.RileyPoly((1, -2, -1, 1), (-2, 3, -1))
 
 
 def test_phi_even_small_cases():
-    phi = ry.build_phi_even(1, 1)
+    phi = ry.build_phi(KnotFamily.C2N2, 1)
     for x, z in ((0.0, 0.5), (1.2, 2.3), (2.0, -1.0)):
         expected = 1 + (z + 2 - x * x) * (z - 1)
         assert phi.eval(x, z) == pytest.approx(expected, abs=1e-12)
     # figure-eight parabolic locus: z^2 - 3z + 3 at x = 2
     root = (3 + 1j * math.sqrt(3)) / 2
     assert abs(phi.eval(2.0, root)) < 1e-12
+    assert phi == ry.RileyPoly((-1, 1, 1), (1, -1))
 
 
 def test_phi_hol_small_cases():
-    phi = ry.build_phi_hol_minus2n(1)
-    assert phi.coeffs == {(0, 0): 1, (0, 1): 1, (1, 0): -1}  # -1 + (z+2-x^2)
+    phi = ry.build_phi(KnotFamily.C2NMINUS2N, 1)
+    assert phi == ry.RileyPoly((1, 1), (-1,))  # -1 + (z+2-x^2)
     assert phi.eval(2.0, 3.0) == pytest.approx(0.0, abs=1e-14)  # z - 3 at x=2
 
 
-@pytest.mark.parametrize("n", ALL_N)
-@pytest.mark.parametrize("p", (-2, -1, 0, 1, 2))
-def test_phi_odd_matches_sympy(n, p):
-    expr, x, y = sympy_phi_odd(n, p)
-    ours = ry.build_phi_odd(n, p)
-    theirs = {}
-    for (px, py), c in sp.Poly(expr, x, y).terms():
+@pytest.mark.parametrize("family", list(KnotFamily), ids=lambda f: f.value)
+@pytest.mark.parametrize("n", [k for k in range(-9, 10) if k])
+def test_phi_matches_sympy(family, n):
+    oracle = {KnotFamily.C2N3: lambda: sympy_phi_odd(n, 1),
+              KnotFamily.C2N2: lambda: sympy_phi_even(n, 1),
+              KnotFamily.C2NMINUS2N: lambda: sympy_phi_hol(n)}
+    expr, x, y = oracle[family]()
+    poly = sp.Poly(expr, x, y)
+    assert poly.degree(x) <= 2  # no x^4 term: Phi is linear in x^2
+    theirs = [[0] * (poly.degree(y) + 1) for _ in range(2)]
+    for (px, py), c in poly.terms():
         assert px % 2 == 0, "odd power of x appeared"
-        theirs[(px // 2, py)] = int(c)
-    assert ours.coeffs == theirs
-
-
-@pytest.mark.parametrize("n", ALL_N)
-@pytest.mark.parametrize("p", (-2, -1, 1, 2))
-def test_phi_even_matches_sympy(n, p):
-    expr, x, z = sympy_phi_even(n, p)
-    ours = ry.build_phi_even(n, p)
-    theirs = {}
-    for (px, pz), c in sp.Poly(expr, x, z).terms():
-        assert px % 2 == 0
-        theirs[(px // 2, pz)] = int(c)
-    assert ours.coeffs == theirs
+        theirs[px // 2][py] = int(c)
+    phi = ry.build_phi(family, n)
+    assert (list(phi.p0), list(phi.p1)) == tuple(xp.p_trim(t) for t in theirs)
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4))
@@ -89,21 +85,29 @@ def test_hol_factor_times_z_minus_2_is_v_minus_z(n):
     from oracles import sympy_S
 
     v = 2 + (z - 2) * (z + 2 - x**2) * sympy_S(n - 1, z) ** 2
-    phi = ry.build_phi_hol_minus2n(n)
-    phi_expr = sum(
-        c * x ** (2 * i) * z**j for (i, j), c in phi.coeffs.items()
-    )
-    assert sp.expand((z - 2) * phi_expr - (v - z)) == 0
+    assert sp.expand((z - 2) * _phi_expr(KnotFamily.C2NMINUS2N, n, x, z) - (v - z)) == 0
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4))
 def test_full_even_riley_divisible_by_hol_factor(n):
     # the word-exponent p = -n Riley polynomial contains the holonomy factor
     expr, x, z = sympy_phi_even(n, -n)
-    phi = ry.build_phi_hol_minus2n(n)
-    phi_expr = sum(c * x ** (2 * i) * z**j for (i, j), c in phi.coeffs.items())
-    _, rem = sp.div(expr, phi_expr, z)
+    _, rem = sp.div(expr, _phi_expr(KnotFamily.C2NMINUS2N, n, x, z), z)
     assert sp.simplify(rem) == 0
+
+
+def _phi_expr(family, n, x, y):
+    """build_phi's P0 + x^2 P1 as a sympy expression."""
+    phi = ry.build_phi(family, n)
+    return (sum(c * y**j for j, c in enumerate(phi.p0))
+            + x**2 * sum(c * y**j for j, c in enumerate(phi.p1)))
+
+
+def test_phi_backward_error_scales_by_the_term_sizes():
+    phi = ry.build_phi(KnotFamily.C2N2, 1)  # (z^2 + z - 1) + x^2 (1 - z)
+    assert phi.backward_error(2.0, (3 + 1j * math.sqrt(3)) / 2) < 1e-16
+    # at z = 2, x = 1: Phi = 4, term sizes 4 + 2 + 1 + 1 + 2 = 10
+    assert phi.backward_error(1.0, 2.0) == pytest.approx(0.4, abs=1e-15)
 
 
 def test_cone_equation_fig8_at_pi():
@@ -395,6 +399,13 @@ def test_lemma_cd_at_roots_and_off_roots():
             rep_off = ry.check_lemma_cd(family, n, alpha, r.y + 0.1)
             if not rep_off.cone_zero and not rep_off.phi_zero:
                 assert abs(rep_off.phi_value) > 1e-4 or abs(rep_off.cone_residual) > 1e-4
+
+
+@pytest.mark.parametrize("alpha", (0.0, -1.0, 7.0, 2 * math.pi, math.nan))
+def test_lemma_cd_rejects_an_angle_outside_the_open_interval(alpha):
+    # alpha = 0 used to leak ZeroDivisionError from 1/tan(0); the others passed
+    with pytest.raises(ValueError, match="cone angle"):
+        ry.check_lemma_cd(KnotFamily.C2N2, 1, alpha, 1 + 1j)
 
 
 def test_unit_f_parasites_are_alpha_independent(monkeypatch):

@@ -15,6 +15,7 @@ from conevol.verify import (
     W12_SEED,
     W12_TOL,
     run_suites,
+    suite_lemma_cd,
     suite_pell,
     suite_representation,
     suite_w12,
@@ -39,6 +40,13 @@ def test_suite_filter():
 def test_pell_metric_is_pinned():
     # (S_{k-1}, S_k) from one walk is the sequence two walks gave, bit for bit
     assert repr(suite_pell().metric) == "4.228706907417768e-16"
+
+
+def test_phi_root_metrics_are_pinned():
+    # np.roots reads Phi's coefficient list in y, so a change to how Phi is
+    # built or collapsed at fixed x shows here first
+    assert repr(suite_lemma_cd().metric) == "1.280377857346985e-14"
+    assert repr(suite_w12().metric) == "1.1071868539771575e-13"
 
 
 def test_suite_registry_names():
