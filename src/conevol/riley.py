@@ -94,7 +94,7 @@ class RileyPoly:
         return xp.p_backward_error(self.p0, self.p1, x * x, y)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def build_phi(family: KnotFamily, n: int) -> RileyPoly:
     """The Phi of this member: word exponent p = 1 for C(2n,3) and C(2n,2), the
     holonomy factor for C(2n,-2n).  With t = y + 2 - x^2 and S_k = S_k(y):

@@ -18,8 +18,9 @@ off any singular point.  Anchoring the real-axis crossing makes the homotopy
 class independent of the cone angle (a straight chord would sweep across
 fixed singular points as the endpoints move, changing the value by a
 monodromy jump).  The spherical contour runs along the real segment from y+
-to y- with small semicircular detours into the upper half-plane around any
-singular point in between.  A path is a tuple of line and arc segments.
+to y- with a small V detour into the upper half-plane over each singular
+point in between.  A path is a tuple of complex vertices joined by straight
+legs.
 
 Both regimes go through one driver, which integrates the one path it is
 given.  The right class is the one in which log(R) returns to 0 at the far
@@ -33,7 +34,7 @@ closure check stays as a certificate that the sampled branch agrees: a path
 failing it raises PathBlockedError and is never replaced by a path of
 another class.  The spherical contour is its regime's one path.
 
-Quadrature is adaptive Gauss 15/7 per segment, absolute tolerance 1e-9, at
+Quadrature is adaptive Gauss 15/7 per leg, absolute tolerance 1e-9, at
 most 2000 subdivisions.  The 7-point Gauss-Legendre rule is a separate rule,
 not an embedded one: it shares only the midpoint node with the 15-point
 rule, and its difference from the 15-point value is the error estimate.
@@ -41,10 +42,11 @@ A node's dispatch (calls, tuples, attribute and table lookups) cost more than
 its arithmetic.  So nodes and weights are Python floats, not leggauss's numpy
 arrays, which would make each parameter, tracker lookup and panel sum a numpy
 scalar operation (same rounding), and the integrand is one closure per path
-(_Integrand): the member's chebyshev.kernel, the segment geometry and A^2 are
-fixed with the path, and a node forms y, walks once and reads the tracked log
-with the tracker's bracket lookup inlined, in the floating-point operations of
-seg.point, seg.deriv and BranchTracker.log_at.
+(_Integrand): the member's chebyshev.kernel, each leg's start p and step
+q - p and A^2 are fixed with the path, and a node at t = k + u on leg k forms
+y = p + (q - p)*u with dy/du = q - p, walks once and reads the tracked log
+with the tracker's bracket lookup inlined, in the floating-point operations
+of BranchTracker.log_at.
 Within 1e-3 of the transition angle the endpoints nearly coincide and the
 contour loses relative accuracy, so the Schlaefli integral is used there
 instead.  It also serves within 1e-5 below the folded angle pi: there the
@@ -84,7 +86,7 @@ R_EXCL = 1e-4
 QUAD_ABS_TOL = 1e-9
 QUAD_MAX_SUBDIV = 2000
 SCHLAFLI_QUAD_TOL = 1e-8
-TRACKER_INIT_STEPS = 32  # initial branch-tracker grid steps per path segment
+TRACKER_INIT_STEPS = 32  # initial branch-tracker grid steps per path leg
 PATH_CLEARANCE = 1e-7  # least distance from a candidate path to a singular point
 IMAG_RESIDUAL_TOL = 1e-7
 TRANSITION_WINDOW = 1e-3
@@ -140,34 +142,6 @@ def real_singular_points(n: int, include_f_zeros: bool = False):
 
 # ------------------------------------------------------------ path geometry
 
-@dataclass(frozen=True)
-class _Line:
-    z0: complex
-    z1: complex
-
-    def point(self, t: float) -> complex:
-        return self.z0 + (self.z1 - self.z0) * t
-
-    def deriv(self, t: float) -> complex:
-        return self.z1 - self.z0
-
-
-@dataclass(frozen=True)
-class _Arc:
-    center: complex
-    radius: float
-    theta0: float
-    theta1: float
-
-    def point(self, t: float) -> complex:
-        th = self.theta0 + (self.theta1 - self.theta0) * t
-        return self.center + self.radius * cmath.exp(1j * th)
-
-    def deriv(self, t: float) -> complex:
-        th = self.theta0 + (self.theta1 - self.theta0) * t
-        return 1j * (self.theta1 - self.theta0) * self.radius * cmath.exp(1j * th)
-
-
 def _dist_point_segment(p: complex, z0: complex, z1: complex) -> float:
     d = z1 - z0
     L2 = abs(d) ** 2
@@ -212,15 +186,14 @@ def _closes(path: tuple, factors) -> bool:
 
     Off the leg p -> q, arg(y - a) turns by exactly phase((q - a)/(p - a)).
     """
-    turn = sum(e * cmath.phase((leg.z1 - a) / (leg.z0 - a))
-               for leg in path for a, e in factors)
+    turn = sum(e * cmath.phase((q - a) / (p - a))
+               for p, q in zip(path, path[1:]) for a, e in factors)
     return round(turn / (2.0 * math.pi)) == 0
 
 
 def _via(y0: complex, *waypoints: complex) -> tuple:
-    """Straight legs conj(y0) -> waypoints -> y0, as a tuple of segments."""
-    pts = (y0.conjugate(), *waypoints, y0)
-    return tuple(_Line(z0, z1) for z0, z1 in zip(pts, pts[1:]))
+    """Straight legs conj(y0) -> waypoints -> y0, as a tuple of vertices."""
+    return (y0.conjugate(), *waypoints, y0)
 
 
 def _candidate_paths(family: KnotFamily, n: int, A: float, y0: complex,
@@ -269,12 +242,13 @@ def _candidate_paths(family: KnotFamily, n: int, A: float, y0: complex,
 
 
 def _path_clear(path: tuple, obstacles) -> bool:
-    return all(_dist_point_segment(complex(s), leg.z0, leg.z1) >= PATH_CLEARANCE
-               for s in obstacles for leg in path)
+    return all(_dist_point_segment(complex(s), p, q) >= PATH_CLEARANCE
+               for s in obstacles for p, q in zip(path, path[1:]))
 
 
 def spherical_path(n: int, y_from: float, y_to: float):
-    """Real segment y_from -> y_to with upper-half-plane arcs over singularities."""
+    """Real segment y_from -> y_to with an upper-half-plane V over each
+    singular point s in between: near -> s + i*r -> far."""
     obstacles = real_singular_points(n)
     lo, hi = min(y_from, y_to), max(y_from, y_to)
     inside = [s for s in obstacles if lo + 1e-12 < s < hi - 1e-12]
@@ -283,27 +257,14 @@ def spherical_path(n: int, y_from: float, y_to: float):
             raise PathBlockedError(
                 f"singular point {s:.8f} within the exclusion radius of an endpoint"
             )
-    inside.sort()
     gaps = [lo] + inside + [hi]
-    min_gap = min(b - a for a, b in zip(gaps, gaps[1:])) if inside else hi - lo
-    radius = min(2.0 * R_EXCL, 0.4 * min_gap)
-    forward = y_to >= y_from
-    pts = sorted(inside, reverse=not forward)
-    segments = []
-    cur = complex(y_from)
-    for s in pts:
-        near = complex(s - radius if forward else s + radius)
-        far = complex(s + radius if forward else s - radius)
-        if abs(near - cur) > 1e-15:
-            segments.append(_Line(cur, near))
-        # semicircle through the upper half-plane
-        th0 = math.pi if forward else 0.0
-        th1 = 0.0 if forward else math.pi
-        segments.append(_Arc(complex(s), radius, th0, th1))
-        cur = far
-    if abs(complex(y_to) - cur) > 1e-15 or not segments:
-        segments.append(_Line(cur, complex(y_to)))
-    return tuple(segments)
+    radius = min(2.0 * R_EXCL, 0.4 * min(b - a for a, b in zip(gaps, gaps[1:])))
+    # r is at most 0.4 of every gap, so no leg between the Vs is degenerate
+    r = radius if y_to >= y_from else -radius
+    path = [complex(y_from)]
+    for s in sorted(inside, reverse=r < 0.0):
+        path += [complex(s - r), complex(s, radius), complex(s + r)]
+    return (*path, complex(y_to))
 
 
 # ------------------------------------------------- branch-tracked integrand
@@ -372,24 +333,22 @@ def _wrap(d: float) -> float:
 
 
 class _Integrand:
-    """log(R(y)) * f'(y) / (f(y)^2 - 1) along a path parameter, by one closure
-    per path (see the module docstring)."""
+    """log(R(y)) * f'(y) / (f(y)^2 - 1) * dy/dt along a path parameter t,
+    which runs over [k, k + 1] on leg k, by one closure per path (see the
+    module docstring)."""
 
     POLE_TOL = 1e-60  # clearance is enforced geometrically on the path
 
     def __init__(self, family: KnotFamily, n: int, A: float, path: tuple):
         fg = kernel(family, n, self.POLE_TOL)
         a2, scale = A * A, 1.0 + A * A  # scale: the 1 + A^2 of R's denominator
-        segs = [(seg.z0, seg.z1 - seg.z0) if isinstance(seg, _Line) else seg for seg in path]
-        ends, last, two_pi = len(path), len(path) - 1, 2.0 * math.pi
+        legs = [(p, q - p) for p, q in zip(path, path[1:])]
+        ends, last, two_pi = len(legs), len(legs) - 1, 2.0 * math.pi
 
         def node(t, prime):
             k = int(t) if t < ends else last
-            u, seg = t - k, segs[k]
-            if type(seg) is tuple:
-                y, dy = seg[0] + seg[1] * u, seg[1]
-            else:  # an arc
-                y, dy = seg.point(u), seg.deriv(u)
+            z0, dy = legs[k]
+            y = z0 + dy * (t - k)
             fv, gv, fp, _ = fg(y, 1 + prime, 1)
             f2 = fv * fv
             val = (f2 + a2) / (scale * gv)
@@ -407,7 +366,7 @@ class _Integrand:
             return (math.log(abs(val)) + 1j * (principal + two_pi * k)) * fp / (f2 - 1.0) * dy
 
         self._node = node
-        tracker = self.tracker = BranchTracker(self._ratio, len(path))
+        tracker = self.tracker = BranchTracker(self._ratio, len(legs))
         ts, unwrapped, top = tracker.ts, tracker.unwrapped, len(tracker.ts) - 2  # node's log
 
     def _ratio(self, t: float) -> complex:
@@ -495,7 +454,7 @@ def _contour(spec: ConeManifoldSpec, path: tuple, rotation: complex):
         )
     total = 0j
     err = 0.0
-    for k in range(len(path)):
+    for k in range(len(path) - 1):
         v, e = adaptive_quad(integrand, float(k), float(k + 1))
         total += v
         err += e
@@ -530,7 +489,7 @@ def volume_hyperbolic(spec: ConeManifoldSpec, y0: complex,
         value.real,
         err,
         abs(value.imag),
-        diagnostics={"y0": y0, "anchor": path[0].z1},
+        diagnostics={"y0": y0, "anchor": path[1]},
     )
 
 
@@ -554,7 +513,7 @@ def volume_spherical(spec: ConeManifoldSpec, y_plus: float,
         diagnostics={
             "y_plus": y_plus,
             "y_minus": y_minus,
-            "deformations": sum(isinstance(seg, _Arc) for seg in path),
+            "deformations": sum(z.imag != 0.0 for z in path),
         },
     )
 

@@ -62,6 +62,16 @@ def test_phi_hol_small_cases():
 
 
 @pytest.mark.parametrize("family", list(KnotFamily), ids=lambda f: f.value)
+def test_build_phi_rejects_a_non_int_twist_equal_to_a_cached_one(family):
+    # True, 1.0 and np.int64(1) hash and compare equal to 1: an untyped cache
+    # served them the cached Phi of n = 1 without reaching validate_twist
+    ry.build_phi(family, 1)
+    for n in (True, 1.0, np.int64(1)):
+        with pytest.raises(ValueError, match="integer"):
+            ry.build_phi(family, n)
+
+
+@pytest.mark.parametrize("family", list(KnotFamily), ids=lambda f: f.value)
 @pytest.mark.parametrize("n", [k for k in range(-9, 10) if k])
 def test_phi_matches_sympy(family, n):
     oracle = {KnotFamily.C2N3: lambda: sympy_phi_odd(n, 1),

@@ -245,8 +245,8 @@ def test_twice_winding_v_of_c_minus8_3_is_not_yielded(monkeypatch):
     assert v in _scan(family, n, A, y0, 0.0, monkeypatch)
     # a dense unwrap of R, 20,000 steps a leg, counts the two turns
     turn = 0.0
-    for leg in v:
-        phases = [cmath.phase(_log_argument(family, n, A, leg.point(k / 20000)))
+    for p, q in zip(v, v[1:]):
+        phases = [cmath.phase(_log_argument(family, n, A, p + (q - p) * (k / 20000)))
                   for k in range(20001)]
         turn += float(np.unwrap(phases)[-1] - phases[0])
     assert round(turn / (2.0 * math.pi)) == 2
@@ -414,6 +414,48 @@ def test_spherical_contour_must_close(monkeypatch):
     monkeypatch.setattr(vo.BranchTracker, "__init__", unclosed)
     with pytest.raises(PathBlockedError):
         vo.compute_volume(spec8(2.6))
+
+
+@pytest.mark.parametrize("family,n", MEMBERS, ids=lambda v: str(v))
+def test_spherical_paths_have_exact_winding_zero(family, n):
+    # a spherical path is straight legs too, so R's winding along it is exact
+    a_k, top = critical_angle(family, n), math.pi - vo.PI_WINDOW
+    for i in range(1, 61):
+        spec = ConeManifoldSpec(family, n, a_k + (top - a_k) * i / 61)
+        path = vo.spherical_path(n, *classify(spec).roots)
+        factors = vo._r_factors(family, n, vo._log_zero_points(n, spec.cot_half))
+        assert vo._closes(path, factors), spec.alpha
+
+
+@pytest.mark.parametrize("family,n", [(FIG8, -2), (KnotFamily.C2N3, -1)],
+                         ids=["C(-4,2)", "C(-2,3)"])
+def test_spherical_detour_volumes_match_schlafli(family, n):
+    # the only resolving members with |n| <= 12 whose spherical pair has a
+    # singular point between them: the contour takes one V over it
+    a_k = critical_angle(family, n)
+    for fraction in (0.2, 0.35, 0.5, 0.65, 0.8):
+        spec = ConeManifoldSpec(family, n, a_k + fraction * (math.pi - a_k))
+        result = vo.volume_spherical(spec, *classify(spec).roots)
+        assert result.diagnostics["deformations"] == 1, fraction
+        assert abs(result.volume - vo.volume_schlafli(spec)) <= 1e-12, fraction
+
+
+def test_every_path_is_a_tuple_of_complex_vertices():
+    paths = []
+    for family, n in [(FIG8, -2), (KnotFamily.C2N3, -1), (FIG8, 8)]:
+        a_k = critical_angle(family, n)
+        spec = ConeManifoldSpec(family, n, a_k + 0.5 * (math.pi - a_k))
+        paths.append(vo.spherical_path(n, *classify(spec).roots))
+    for family, n in [(FIG8, 8), (KnotFamily.C2N3, -4)]:
+        for fraction in (0.05, 0.5, 0.95):
+            spec = ConeManifoldSpec(family, n, fraction * critical_angle(family, n))
+            y0 = classify(spec).roots[0]
+            for shift in (0.0, 0.1j, -0.1j):
+                paths.extend(vo._candidate_paths(family, n, spec.cot_half, y0, shift))
+    assert any(z.imag != 0.0 for z in paths[0])
+    for path in paths:
+        assert type(path) is tuple and len(path) >= 2
+        assert all(type(z) is complex for z in path), path
 
 
 def test_hyperbolic_tracker_veto_raises_instead_of_taking_another_path(monkeypatch):
@@ -704,7 +746,7 @@ NODE_MEMBERS = [
 
 
 def _node_paths(family, n):
-    """(A, path) for an anchored V, a staple and a spherical path with an arc."""
+    """(A, path) for an anchored V, a staple and a spherical path with a detour."""
     a_k = critical_angle(family, n)
     hyp = ConeManifoldSpec(family, n, 0.5 * a_k)
     y0 = classify(hyp).roots[0]
@@ -715,30 +757,32 @@ def _node_paths(family, n):
     y_plus = classify(sph).roots[0]
     # from y+ across its nearest singular point: R = 1 anchors the start
     s = min(vo.real_singular_points(n), key=lambda v: abs(v - y_plus))
-    arc_path = vo.spherical_path(n, y_plus, s + math.copysign(0.05, s - y_plus))
-    assert any(isinstance(seg, vo._Arc) for seg in arc_path)
+    detour_path = vo.spherical_path(n, y_plus, s + math.copysign(0.05, s - y_plus))
+    assert any(z.imag != 0.0 for z in detour_path)
     return [(hyp.cot_half, vo._via(y0, complex(x))),
             (hyp.cot_half, vo._via(y0, complex(x, -h), complex(x, h))),
-            (sph.cot_half, arc_path)]
+            (sph.cot_half, detour_path)]
 
 
 @pytest.mark.parametrize("family,n", NODE_MEMBERS, ids=lambda v: str(v))
 def test_integrand_nodes_equal_the_written_out_expression(family, n):
     # the per-path node closure, bit for bit, against the integrand written
-    # out: R from eval_fg, the log from tracker.log_at, dy/dt from seg.deriv
+    # out: R from eval_fg, the log from tracker.log_at, on leg p -> q
+    # y = p + (q - p)*u and dy/du = q - p
     for A, path in _node_paths(family, n):
         integrand = vo._Integrand(family, n, A, path)
-        # the GL15 and GL7 nodes of each segment's first adaptive panel, and
-        # the path's two ends, where the segment and bracket indices clamp
-        nodes = [k + 0.5 + 0.5 * x for k in range(len(path))
+        legs = len(path) - 1
+        # the GL15 and GL7 nodes of each leg's first adaptive panel, and the
+        # path's two ends, where the leg and bracket indices clamp
+        nodes = [k + 0.5 + 0.5 * x for k in range(legs)
                  for x in vo._GL15[0] + vo._GL7[0]]
-        for t in nodes + [0.0, float(len(path))]:
-            k = min(int(t), len(path) - 1)
-            seg, u = path[k], t - k
-            fv, gv, fp, _ = eval_fg(family, n, seg.point(u), prime=True)
+        for t in nodes + [0.0, float(legs)]:
+            k = min(int(t), legs - 1)
+            p, q, u = path[k], path[k + 1], t - k
+            fv, gv, fp, _ = eval_fg(family, n, p + (q - p) * u, prime=True)
             val = (fv * fv + A * A) / ((1.0 + A * A) * gv)
             want = (integrand.tracker.log_at(t, val) * fp / (fv * fv - 1.0)
-                    * seg.deriv(u))
+                    * (q - p))
             assert repr(integrand._ratio(t)) == repr(val)
             assert repr(integrand(t)) == repr(want)
 
