@@ -31,10 +31,15 @@ contour node, dispatch (helper calls, tuples, hashing the family enum) cost
 more than the arithmetic.  eval_fg, the eval_* views, ConeEquation and the
 contour integrand all call it, with identical floating-point results.  The
 exact coefficients of S_k (s_poly) and their Horner evaluation live in exactpoly.
+
+The real zeros are exact cosines, owned here: s_zeros(m) gives those of S_m
+(the poles of f and g at m = n-1), s_diff_zeros(j) those of S_j - S_{j-1}
+(f = +1 at j = n-1, f = -1 at j = n).
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 from .errors import PoleError
@@ -76,6 +81,18 @@ def eval_S_pair(n: int, y, prime: bool = False):
             d_lo, d_hi = lo + y * d_lo - d_hi, d_lo
             lo, hi = y * lo - hi, lo
     return lo, hi, d_lo, d_hi
+
+
+def s_zeros(m: int):
+    """Real zeros of S_m: 2*cos(k*pi/(m+1)); S_m = -S_{-m-2} for m < -1."""
+    m = max(m, -m - 2)
+    return [2.0 * math.cos(k * math.pi / (m + 1)) for k in range(1, m + 1)]
+
+
+def s_diff_zeros(j: int):
+    """Real zeros of S_j - S_{j-1}: 2*cos((2k+1)*pi/(2j+1)); j < 0 mirrors to -j-1."""
+    j = max(j, -j - 1)
+    return [2.0 * math.cos((2 * k + 1) * math.pi / (2 * j + 1)) for k in range(j)]
 
 
 def eval_S(k: int, y):

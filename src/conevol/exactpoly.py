@@ -7,7 +7,9 @@ Polynomials are plain lists of Python ints (coefficient of y^j at index j),
 so coefficient growth is unbounded and exact.  The Riley polynomial and the
 cleared cone equation are linear in a parameter s (x^2 or A^2), so each is a
 pair p0 + s*p1 of such lists, and p_backward_error scores a root of that
-shape.
+shape.  p_gcd, a rational Euclid, has no caller in the package: riley builds
+the parasite factor gcd(C0, C1) in closed form, and the tests use p_gcd as
+that factor's reference.
 """
 
 from __future__ import annotations

@@ -91,6 +91,8 @@ class ConeManifoldSpec:
         validate_twist(self.n)
         if not (0.0 < self.alpha < 2.0 * math.pi):
             raise ValueError(f"cone angle must lie in (0, 2*pi), got {self.alpha}")
+        if math.tan(0.5 * self.alpha) == 0.0:
+            raise ValueError(f"cone angle {self.alpha} is too small: tan(alpha/2) is 0")
 
     @property
     def cot_half(self) -> float:

@@ -17,7 +17,8 @@ Two exact objects are assembled here with integer arithmetic:
   so one symbolic assembly per (family, n) serves every angle.
 
 A ConeEquation carries the cleared polynomial deflated: the parasite
-gcd(C0, C1) and the moving quotient.  The moving roots come from the
+gcd(C0, C1) in closed form (_cone_parts), whose roots are exact cosines
+(chebyshev.s_diff_zeros), and the moving quotient, whose roots come from the
 companion matrix (exactpoly.p_roots) and are polished by Newton iteration on
 the rational residual itself, which avoids error amplification from the
 cleared factors; roots that fail to polish raise.  Each non-real conjugate
@@ -54,7 +55,7 @@ from functools import lru_cache
 from itertools import zip_longest
 
 from . import exactpoly as xp
-from .chebyshev import eval_S, eval_f, kernel
+from .chebyshev import eval_S, eval_f, kernel, s_diff_zeros
 from .errors import NonConvergenceError, PoleError
 from .families import R_EXPONENTS, ConeManifoldSpec, KnotFamily, validate_twist
 
@@ -64,7 +65,6 @@ RESIDUAL_TOL = 1e-8
 UNIT_F_TOL = 1e-8
 LEMMA_CD_TOL = 1e-8  # |Phi| and |cone residual| below this count as zero
 NEWTON_MAX_STEPS = 100
-NEWTON_POLY_STEPS = 50  # Newton steps polishing a root of the parasite gcd
 
 
 def trace_u(n: int, x, y):
@@ -129,25 +129,26 @@ def _cone_parts(family: KnotFamily, n: int):
 
     With f = N/D (exactpoly.f_parts) and w, r from families.R_EXPONENTS,
     g = -r / (D^2 w); multiplying through by D^2 w gives C0 = N^2 w + r and
-    C1 = D^2 w + r.  The common factor d = gcd(C0, C1) holds exactly the
-    angle-independent f^2 = 1 parasite roots; the deflated pair (C0/d, C1/d)
-    carries the moving roots.  Returns (c0, c1, parasite, c0_red, c1_red).
+    C1 = D^2 w + r = D^2 w (1 - g).  Since N - D = 2(S_{n-1} - S_{n-2}) and
+    N + D = 2(S_n - S_{n-1}), C0 - C1 = 4 (S_n - S_{n-1})(S_{n-1} - S_{n-2}) w,
+    and the common factor d, the angle-independent f^2 = 1 roots with g = 1,
+    is S_{n-1} - S_{n-2} (f = +1) times, when c = 0, S_n - S_{n-1} (f = -1;
+    for c > 0, r and g vanish there).  Each S_j - S_{j-1} is monic, so d is
+    the primitive gcd(C0, C1), which the tests compare with exactpoly.p_gcd;
+    p_divexact certifies that d divides both.  Returns (c0, c1, parasite,
+    c0_red, c1_red), the deflated pair (C0/d, C1/d) carrying the moving roots.
     """
     num, den = xp.f_parts(n)
-    s_nm1 = xp.s_poly(n - 1)
+    s_nm1, s_n = xp.s_poly(n - 1), xp.s_poly(n)
     a, b, c, sign = R_EXPONENTS[family]
     w = xp.p_mul(xp.p_pow([-2, 1], a), xp.p_pow(s_nm1, b))
-    r = [sign * k for k in xp.p_pow(xp.p_sub(xp.s_poly(n), s_nm1), c)]
+    r = [sign * k for k in xp.p_pow(xp.p_sub(s_n, s_nm1), c)]
     c0 = xp.p_add(xp.p_mul(xp.p_pow(num, 2), w), r)
     c1 = xp.p_add(xp.p_mul(xp.p_pow(den, 2), w), r)
-    parasite = xp.p_gcd(c0, c1)
-    if len(parasite) > 1:
-        c0_red = xp.p_divexact(c0, parasite)
-        c1_red = xp.p_divexact(c1, parasite)
-    else:
-        parasite = [1]
-        c0_red, c1_red = c0, c1
-    return c0, c1, parasite, c0_red, c1_red
+    parasite = xp.p_sub(s_nm1, xp.s_poly(n - 2))
+    if c == 0:
+        parasite = xp.p_mul(parasite, xp.p_sub(s_n, s_nm1))
+    return c0, c1, parasite, xp.p_divexact(c0, parasite), xp.p_divexact(c1, parasite)
 
 
 @dataclass(frozen=True)
@@ -178,15 +179,17 @@ def build_cone_equation(family: KnotFamily, n: int, A: float) -> ConeEquation:
     """Clear denominators of f^2 + A^2 = (1+A^2) g and deflate the parasites.
 
     Coefficients depend on the angle only through A^2, so the equation is
-    invariant under A -> -A (hence under alpha -> 2*pi - alpha).
+    invariant under A -> -A (hence under alpha -> 2*pi - alpha).  ValueError
+    at a non-finite A or float coefficient (A^2 overflows below alpha ~ 1.5e-154).
     """
     validate_twist(n)
     if not math.isfinite(A):
         raise ValueError("A = cot(alpha/2) must be finite")
     _, _, parasite, c0_red, c1_red = _cone_parts(family, n)
-    return ConeEquation(
-        family, n, float(A), tuple(parasite), xp.p_float_sum(c0_red, c1_red, A * A)
-    )
+    coeffs = xp.p_float_sum(c0_red, c1_red, A * A)
+    if not all(map(math.isfinite, coeffs)):
+        raise ValueError(f"cone equation coefficients overflow at A = cot(alpha/2) = {A:g}")
+    return ConeEquation(family, n, float(A), tuple(parasite), coeffs)
 
 
 @dataclass
@@ -266,7 +269,7 @@ def solve_cone_equation(eq: ConeEquation, keep_spurious: bool = False,
             if y0.imag != 0.0:
                 twins[y0.conjugate()] = records[-1]
     if keep_spurious:
-        for y0 in _parasite_roots(eq.parasite):
+        for y0 in _parasite_roots(eq.family, eq.n):
             try:
                 res = abs(eq.residual(y0))
             except PoleError:
@@ -286,25 +289,10 @@ def _certified(eq: ConeEquation, y0: complex) -> bool:
         return False
 
 
-@lru_cache(maxsize=None)
-def _parasite_roots(parasite: tuple) -> tuple:
-    """Polished roots of gcd(C0, C1): angle-independent, so solved once per member."""
-    roots = xp.p_roots(parasite)  # none for the constant gcd (1,)
-    return tuple(_newton_on_poly(parasite, y0) for y0 in roots)
-
-
-def _newton_on_poly(coeffs, y: complex) -> complex:
-    deriv = xp.p_deriv(coeffs)
-    for _ in range(NEWTON_POLY_STEPS):
-        pv = xp.p_eval(coeffs, y)
-        dv = xp.p_eval(deriv, y)
-        if dv == 0:
-            break
-        step = pv / dv
-        y -= step
-        if abs(step) <= 1e-16 * max(1.0, abs(y)):
-            break
-    return y
+def _parasite_roots(family: KnotFamily, n: int) -> list:
+    """The parasite factor's roots (_cone_parts): f = +1, and f = -1 for C(2n,-2n)."""
+    f_minus_one = s_diff_zeros(n) if R_EXPONENTS[family][2] == 0 else []
+    return [complex(y) for y in s_diff_zeros(n - 1) + f_minus_one]
 
 
 def _unit_f(n: int, y: complex) -> bool:

@@ -214,8 +214,10 @@ def run_suites(names=None, n_values=DEFAULT_N):
     """Run the requested suites (all by default); returns list of SuiteResult.
 
     A suite that raises a ConevolError fails with metric inf, and the rest
-    of the battery still runs.
+    of the battery still runs.  An unknown name raises ValueError (no empty battery).
     """
+    if unknown := sorted(set(names or ()) - set(ALL_SUITES)):
+        raise ValueError(f"unknown suites {unknown}; expected some of {sorted(ALL_SUITES)}")
     results = []
     for name, fn in ALL_SUITES.items():
         if names and name not in names:

@@ -77,7 +77,7 @@ import numpy as np
 
 from . import exactpoly as xp
 # eval_f_prime is not called here, but perfbench's tracer test reads this name
-from .chebyshev import eval_f_prime, kernel  # noqa: F401
+from .chebyshev import eval_f_prime, kernel, s_diff_zeros, s_zeros  # noqa: F401
 from .errors import PathBlockedError, QuadratureError
 from .families import R_EXPONENTS, ConeManifoldSpec, KnotFamily
 from .geometry import Regime, _fold, classify, collision_root, critical_angle, regime_of
@@ -98,24 +98,6 @@ _GL7 = tuple(a.tolist() for a in np.polynomial.legendre.leggauss(7))
 
 # ------------------------------------------------------------- singular set
 
-def _s_zeros(m: int):
-    """Real zeros of S_m: 2*cos(k*pi/(m+1)); S_m = -S_{-m-2} for m < -1."""
-    if m in (-1, 0):
-        return []
-    if m < -1:
-        return _s_zeros(-m - 2)
-    return [2.0 * math.cos(k * math.pi / (m + 1)) for k in range(1, m + 1)]
-
-
-def _s_diff_zeros(j: int):
-    """Real zeros of S_j - S_{j-1}: 2*cos((2k+1)*pi/(2j+1))."""
-    if j == 0:
-        return []
-    if j < 0:
-        return _s_diff_zeros(-j - 1)
-    return [2.0 * math.cos((2 * k + 1) * math.pi / (2 * j + 1)) for k in range(j)]
-
-
 def real_singular_points(n: int, include_f_zeros: bool = False):
     """Real singularities of the integrand: poles of f and g, f = +/-1, g = 0.
 
@@ -131,9 +113,9 @@ def real_singular_points(n: int, include_f_zeros: bool = False):
     is kept away from them.
     """
     pts = {2.0}
-    pts.update(_s_zeros(n - 1))
-    pts.update(_s_diff_zeros(n))
-    pts.update(_s_diff_zeros(n - 1))
+    pts.update(s_zeros(n - 1))
+    pts.update(s_diff_zeros(n))
+    pts.update(s_diff_zeros(n - 1))
     if include_f_zeros:
         m = abs(n)
         pts.update(2.0 * math.cos((2 * k + 1) * math.pi / (2 * m)) for k in range(m))
@@ -177,8 +159,8 @@ def _r_factors(family: KnotFamily, n: int, log_zeros):
     """R = c * prod (y - a)^e as (a, e): the log zeros, then the exact cosines."""
     a, b, c, _ = R_EXPONENTS[family]
     return ([(z, 1) for z in log_zeros] + [(2.0, a)]
-            + [(s, b) for s in _s_zeros(n - 1)]
-            + [(s, -c) for s in _s_diff_zeros(n)])
+            + [(s, b) for s in s_zeros(n - 1)]
+            + [(s, -c) for s in s_diff_zeros(n)])
 
 
 def _closes(path: tuple, factors) -> bool:

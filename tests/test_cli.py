@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from conevol import cli, verify
+from conevol.chebyshev import s_diff_zeros
 from conevol.cli import main
 from conevol.errors import NonConvergenceError
 
@@ -196,6 +197,21 @@ def test_roots_flags_the_root_at_y_equal_2(family, n, det_k, capsys):
     assert "2,0,nan,nan,inf,true,false" in out.splitlines()
 
 
+@pytest.mark.parametrize("n", (-12, -11, -10, -9, 9, 10, 11, 12))
+def test_roots_prints_the_exact_cosine_of_every_parasite(n, capsys):
+    # the f^2 = 1 parasites of C(2n,-2n) are the zeros of S_{n-1} - S_{n-2} and
+    # S_n - S_{n-1}; a companion solve of their product printed 44 of these
+    # rows wrong in the 12th digit or earlier
+    code, out, _ = run_cli(
+        "roots", "--family", "c2nm2n", "--n", str(n), "--alpha", "1.0", capsys=capsys
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    flagged = sorted((r[0], r[1]) for r in rows if r[5] == "true")
+    cosines = s_diff_zeros(n - 1) + s_diff_zeros(n)
+    assert flagged == sorted((format(c, ".12g"), "0") for c in cosines)
+
+
 def test_roots_conjugate_pairing_visible(capsys):
     code, out, _ = run_cli(
         "roots", "--family", "c2n3", "--n", "2", "--alpha", "1.0", capsys=capsys
@@ -318,6 +334,27 @@ def test_library_errors_become_one_typed_stderr_line(argv, kind, capsys):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith(f"error: {kind}: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["volume", "--family", "c2n2", "--n", "1", "--alpha", "5e-324"],
+    ["sweep", "--family", "c2n2", "--n", "1", "--alpha-start", "5e-324",
+     "--alpha-stop", "1.0", "--count", "3"],
+    ["volume", "--family", "c2n2", "--n", "1", "--alpha", "1e-160"],
+], ids=("tan-underflow", "sweep-tan-underflow", "coefficient-overflow"))
+def test_a_tiny_cone_angle_ends_in_one_stderr_line(argv):
+    # tan(alpha/2) = 0 raised ZeroDivisionError; A^2 = inf reached np.roots,
+    # which warned and raised LinAlgError
+    path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "conevol.cli", *argv],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: cone ")
 
 
 def test_verify_turns_a_raised_error_into_one_typed_stderr_line(monkeypatch, capsys):

@@ -4,6 +4,7 @@ import ast
 import math
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 import sympy as sp
@@ -213,6 +214,36 @@ def test_zeros_of_s_nm1_are_never_roots_of_the_moving_polynomial(family):
 
 
 @pytest.mark.parametrize("family", list(KnotFamily))
+def test_closed_form_parasite_is_the_gcd_of_c0_and_c1(family):
+    # S_{n-1} - S_{n-2}, times S_n - S_{n-1} for C(2n,-2n): the primitive gcd
+    # that the rational Euclid of exactpoly.p_gcd finds
+    for n in [m for m in range(-24, 25) if m]:
+        c0, c1, parasite = ry._cone_parts(family, n)[:3]
+        assert parasite == xp.p_gcd(c0, c1), n
+
+
+@pytest.mark.parametrize("family", list(KnotFamily))
+def test_parasite_roots_are_the_cosines_to_30_digits(family):
+    # every root of the parasite factor, as an exact cosine 2cos((2k+1)pi/(2j+1))
+    # with j = n - 1 (f = +1) and, for C(2n,-2n), j = n (f = -1)
+    with mpmath.workdps(30):
+        for n in [m for m in range(-24, 25) if m]:
+            parasite = ry._cone_parts(family, n)[2]
+            js = (n - 1, n) if family is KnotFamily.C2NMINUS2N else (n - 1,)
+            cosines = sorted(2 * mpmath.cos((2 * k + 1) * mpmath.pi / (2 * j + 1))
+                             for j in (j if j > 0 else -j - 1 for j in js)
+                             for k in range(j))
+            assert len(cosines) == len(parasite) - 1
+            for c in cosines:  # each cosine is a root of the exact factor
+                scale = sum(abs(a) * abs(c) ** i for i, a in enumerate(parasite))
+                assert abs(mpmath.polyval(parasite[::-1], c)) <= 1e-25 * scale
+            roots = sorted(ry._parasite_roots(family, n), key=lambda y: y.real)
+            assert all(y.imag == 0.0 for y in roots)
+            assert max((abs(mpmath.mpf(y.real) - c) for y, c in zip(roots, cosines)),
+                       default=0) <= 2e-15, n
+
+
+@pytest.mark.parametrize("family", list(KnotFamily))
 def test_y_equal_2_is_a_cleared_root_exactly_where_a_squared_is_det_k(family):
     # C0(2) + A^2 C1(2) = 0 needs A^2 = -C0(2)/C1(2): det K for C(2n,2) with
     # n <= -1 and for every C(2n,-2n), negative otherwise
@@ -292,7 +323,7 @@ def _listing_polishing_every_start(eq, keep_spurious, keep_real):
         if keep_real or y0.imag != 0.0:
             records.append(ry.RootRecord(y_pol, res, False, ry._unit_f(eq.n, y_pol)))
     if keep_spurious:
-        for y0 in ry._parasite_roots(eq.parasite):
+        for y0 in ry._parasite_roots(eq.family, eq.n):
             try:
                 res = abs(eq.residual(y0))
             except PoleError:
@@ -376,16 +407,6 @@ def test_polish_is_called_only_by_solve_cone_equation():
     assert users == [("riley.py", "solve_cone_equation")]
 
 
-def test_newton_polish_on_constructed_polynomial():
-    # (y^2 - 2y + 2)(y + 1): roots 1 +/- i and -1
-    coeffs = [2.0, 0.0, -1.0, 1.0]
-    roots = sorted(np.roots(list(reversed(coeffs))), key=lambda z: (z.real, z.imag))
-    polished = [ry._newton_on_poly(coeffs, complex(z)) for z in roots]
-    expected = [(-1 + 0j), (1 - 1j), (1 + 1j)]
-    for got, want in zip(polished, expected):
-        assert got == pytest.approx(want, abs=1e-12)
-
-
 @pytest.mark.parametrize("n", (13, 14))
 def test_diverging_newton_polish_raises_a_typed_error(n):
     # Newton in _polish diverges on these members until S_{n-1}^4 overflows in
@@ -418,12 +439,20 @@ def test_lemma_cd_rejects_an_angle_outside_the_open_interval(alpha):
         ry.check_lemma_cd(KnotFamily.C2N2, 1, alpha, 1 + 1j)
 
 
-def test_unit_f_parasites_are_alpha_independent(monkeypatch):
-    # parasite roots of C(4,3): zeros of S_1 - S_0 = y - 1
-    eqs = [
-        ry.build_cone_equation(KnotFamily.C2N3, 2, A) for A in (0.0, 0.5, 2.0)
-    ]
-    for eq in eqs:
+def test_a_tiny_angle_raises_value_error():
+    # tan(alpha/2) underflows to 0 (cot_half divided by it), and A^2 overflows
+    # the float coefficients (np.roots raised LinAlgError on them)
+    with pytest.raises(ValueError, match="tan"):
+        ry.check_lemma_cd(KnotFamily.C2N2, 1, 5e-324, 1 + 1j)
+    with pytest.raises(ValueError, match="overflow"):
+        ry.solve_cone_equation(ry.build_cone_equation(KnotFamily.C2N2, 1, 1e200))
+
+
+def test_unit_f_parasites_are_alpha_independent():
+    # parasite roots of C(4,3): zeros of S_1 - S_0 = y - 1, the exact cosine
+    # 2cos(pi/3) at every angle
+    for A in (0.0, 0.5, 2.0, 1.3):
+        eq = ry.build_cone_equation(KnotFamily.C2N3, 2, A)
         paras = [
             r.y for r in ry.solve_cone_equation(eq, keep_spurious=True) if r.unit_f
         ]
@@ -431,16 +460,7 @@ def test_unit_f_parasites_are_alpha_independent(monkeypatch):
         assert paras[0] == pytest.approx(1.0, abs=1e-12)
         fv = eval_f(2, paras[0])
         assert abs(fv * fv - 1.0) < 1e-12
-    # the parasites are solved once per member: another angle polishes none
-    calls = []
-    newton = ry._newton_on_poly
-    monkeypatch.setattr(
-        ry, "_newton_on_poly", lambda *args: calls.append(args) or newton(*args)
-    )
-    eq = ry.build_cone_equation(KnotFamily.C2N3, 2, 1.3)
-    recs = ry.solve_cone_equation(eq, keep_spurious=True)
-    assert [r.y for r in recs if r.unit_f] == paras
-    assert calls == []
+        assert paras == chebyshev.s_diff_zeros(1)
 
 
 def test_zero_sets_coincide_small_grid():

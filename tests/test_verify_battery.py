@@ -37,6 +37,12 @@ def test_suite_filter():
     assert results[0].passed
 
 
+def test_an_unknown_suite_name_raises():
+    # an empty result list would read as a passing battery: all([]) is True
+    with pytest.raises(ValueError, match=r"unknown suites \['nope'\]"):
+        run_suites(["nope", "pell-identity"])
+
+
 def test_pell_metric_is_pinned():
     # (S_{k-1}, S_k) from one walk is the sequence two walks gave, bit for bit
     assert repr(suite_pell().metric) == "4.228706907417768e-16"
