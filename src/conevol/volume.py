@@ -25,14 +25,16 @@ legs.
 Both regimes go through one driver, which integrates the one path it is
 given.  The right class is the one in which log(R) returns to 0 at the far
 endpoint, where R = 1 again.  R is c * prod (y - a)^e over the roots of
-N^2 + A^2 D^2 and the exact cosines of families.R_EXPONENTS, so its winding
-along a straight leg is an exact sum, and the hyperbolic candidates (the
-anchored V, then Vs through other real anchors and staples threading the
-pinch corridors beside higher-order zeros of the log argument) are yielded
-only in that class; the first one is integrated.  The branch tracker's
-closure check stays as a certificate that the sampled branch agrees: a path
-failing it raises PathBlockedError and is never replaced by a path of
-another class.  The spherical contour is its regime's one path.
+N^2 + A^2 D^2 and the exact cosines of families.R_EXPONENTS (_r_factors,
+once per volume), and on a straight leg p -> q each factor turns by exactly
+e * phase((y - a)/(p - a)).  So R's winding along a path is an exact sum:
+the hyperbolic candidates (the anchored V, then Vs through other real
+anchors and staples threading the pinch corridors beside higher-order zeros
+of the log argument) are yielded only in that class, and the first one is
+integrated.  The same sums give the branch of log(R) at every node
+(BranchTracker, no evaluation of R) and its exact closure check, the
+spherical path's class certificate: a path failing it raises
+PathBlockedError and is never replaced by a path of another class.
 
 Quadrature is adaptive Gauss 15/7 per leg, absolute tolerance 1e-9, at
 most 2000 subdivisions.  The 7-point Gauss-Legendre rule is a separate rule,
@@ -46,7 +48,8 @@ scalar operation (same rounding), and the integrand is one closure per path
 q - p and A^2 are fixed with the path, and a node at t = k + u on leg k forms
 y = p + (q - p)*u with dy/du = q - p, walks once and reads the tracked log
 with the tracker's bracket lookup inlined, in the floating-point operations
-of BranchTracker.log_at.
+of BranchTracker.log_at.  One more evaluation of R, at the start vertex,
+checks that the branch is anchored there.
 Within 1e-3 of the transition angle the endpoints nearly coincide and the
 contour loses relative accuracy, so the Schlaefli integral is used there
 instead.  It also serves within 1e-5 below the folded angle pi: there the
@@ -71,7 +74,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import add, mul
+from operator import add, mul, sub
 
 import numpy as np
 
@@ -86,7 +89,6 @@ R_EXCL = 1e-4
 QUAD_ABS_TOL = 1e-9
 QUAD_MAX_SUBDIV = 2000
 SCHLAFLI_QUAD_TOL = 1e-8
-TRACKER_INIT_STEPS = 32  # initial branch-tracker grid steps per path leg
 PATH_CLEARANCE = 1e-7  # least distance from a candidate path to a singular point
 IMAG_RESIDUAL_TOL = 1e-7
 TRANSITION_WINDOW = 1e-3
@@ -144,32 +146,33 @@ def _nudge_anchor(x: float, obstacles, keepout: float) -> float:
     raise PathBlockedError(f"could not place the real anchor away from {clash}")
 
 
-def _log_zero_points(n: int, A: float):
-    """All zeros of f^2 + A^2 in the plane: roots of N_f^2 + A^2 D_f^2.
-
-    These are the points where the log argument of the integrand vanishes;
-    they come in conjugate pairs hugging the real f-poles for large A.
-    """
-    num, den = xp.f_parts(n)
-    coeffs = xp.p_float_sum(xp.p_mul(num, num), xp.p_mul(den, den), A * A)
-    return xp.p_roots(coeffs)
-
-
-def _r_factors(family: KnotFamily, n: int, log_zeros):
-    """R = c * prod (y - a)^e as (a, e): the log zeros, then the exact cosines."""
+def _r_factors(family: KnotFamily, n: int, A: float):
+    """R = c * prod (y - a)^e as (a, e): the zeros of f^2 + A^2 (the roots of
+    N_f^2 + A^2 D_f^2, conjugate pairs hugging the real f-poles for large A),
+    then the exact cosines."""
     a, b, c, _ = R_EXPONENTS[family]
+    num, den = xp.f_parts(n)
+    log_zeros = xp.p_roots(xp.p_float_sum(xp.p_mul(num, num), xp.p_mul(den, den), A * A))
     return ([(z, 1) for z in log_zeros] + [(2.0, a)]
             + [(s, b) for s in s_zeros(n - 1)]
             + [(s, -c) for s in s_diff_zeros(n)])
 
 
-def _closes(path: tuple, factors) -> bool:
-    """True when R's exact winding along the path's straight legs is zero.
+def _leg_phases(p: complex, y: complex, factors) -> list:
+    """e * arg change of each factor (y - a)^e along the straight leg p -> y.
 
-    Off the leg p -> q, arg(y - a) turns by exactly phase((q - a)/(p - a)).
+    (y - a)/(p - a) runs on a straight line from 1 that meets (-inf, 0] only
+    when a is on the leg, so its principal phase is the continuous change:
+    monotone along the leg and below pi in size.
     """
-    turn = sum(e * cmath.phase((q - a) / (p - a))
-               for p, q in zip(path, path[1:]) for a, e in factors)
+    return [e * cmath.phase((y - a) / (p - a)) for a, e in factors]
+
+
+def _closes(path: tuple, factors) -> bool:
+    """True when R's exact winding along the path's straight legs is zero
+    (summed leg by leg from 0.0, as BranchTracker sums its last sample)."""
+    turn = reduce(add, (sum(_leg_phases(p, q, factors))
+                        for p, q in zip(path, path[1:])), 0.0)
     return round(turn / (2.0 * math.pi)) == 0
 
 
@@ -178,25 +181,22 @@ def _via(y0: complex, *waypoints: complex) -> tuple:
     return (y0.conjugate(), *waypoints, y0)
 
 
-def _candidate_paths(family: KnotFamily, n: int, A: float, y0: complex,
+def _candidate_paths(family: KnotFamily, n: int, factors, y0: complex,
                      shift: complex = 0.0):
     """Deterministic contour candidates, collision-anchored V first.
 
     The correct class has log(R) returning to zero at the far endpoint.  A
-    candidate is made of straight legs, so its winding of R is exact and is
-    decided before any sampling: only paths of winding 0 (_closes) and clear
-    of the real singular set are yielded.  The caller integrates the first;
-    its branch tracker's closure check certifies that the sampled branch
-    agrees with the exact class.  Straight two-leg Vs handle simple real
+    candidate is made of straight legs, so its winding of R (factors, from
+    _r_factors) is exact and is decided before any integration: only paths
+    of winding 0 (_closes) and clear of the real singular set are yielded.
+    The caller integrates the first.  Straight two-leg Vs handle simple real
     zeros of the log argument (side selection by anchor interval); staple
     paths thread the pinch corridors next to higher-order zeros, whose
     conjugate companion pair squeezes onto the axis as the angle shrinks.
     """
     reals = real_singular_points(n, include_f_zeros=True)
     y_star = collision_root(family, n)
-    log_zeros = _log_zero_points(n, A)
-    factors = _r_factors(family, n, log_zeros)
-    zeros = [z for z in log_zeros if z.imag > 1e-9]
+    zeros = [a for a, _ in factors if a.imag > 1e-9]
     verticals = sorted(
         set(reals)
         | {z.real for z in zeros if abs(z.real) < abs(reals[-1]) + 1.0}
@@ -252,48 +252,41 @@ def spherical_path(n: int, y_from: float, y_to: float):
 # ------------------------------------------------- branch-tracked integrand
 
 class BranchTracker:
-    """Continuous branch of log(R) along a path, anchored to 0 at the start.
+    """Continuous arg R along a path of straight legs, 0 at the start.
 
-    Samples the argument of R along the path, refines until adjacent
-    unwrapped steps are small, and serves the winding offset at any
-    parameter, making the tracked logarithm a pure function of position
-    (safe for out-of-order adaptive quadrature).
+    The samples carry R's exact continuation, the sum of _leg_phases from
+    each leg's start, so R is neither evaluated nor unwrapped.  A sample
+    interval is bisected until its factors turn by at most 1.5 in all,
+    sum |e * delta_a|.  Each factor turns monotonically along a leg, so its
+    linear interpolant stays within |e * delta_a| of it, and the interpolated
+    arg within 1.5 of R's.  With the start anchored to 1e-5 and R equal to
+    its factor product to 1e-9, that is less than pi: log_at's rounding of
+    (est - principal) / 2pi is proven to pick the node's 2*pi*k.  The last
+    sample is R's exact winding, the sum _closes rounds.
     """
 
     MAX_SAMPLES = 200_000
 
-    def __init__(self, ratio, n_segments: int):
-        grid: list = []
-        for k in range(n_segments):
-            grid.extend(k + i / TRACKER_INIT_STEPS for i in range(TRACKER_INIT_STEPS))
-        grid.append(float(n_segments))
-        args = [cmath.phase(ratio(t)) for t in grid]
-        ts = [grid[0]]
-        unwrapped = [args[0]]
-
-        def refine(t0, a0, t1, a1):
-            """Append the samples of (t0, t1], bisecting while the step is large."""
-            d = _wrap(a1 - a0)
-            if abs(d) > 0.5 and t1 - t0 > 1e-13:
-                tm = 0.5 * (t0 + t1)
-                am = cmath.phase(ratio(tm))
-                refine(t0, a0, tm, am)
-                refine(tm, am, t1, a1)
-                return
-            ts.append(t1)
-            unwrapped.append(unwrapped[-1] + d)
-            if len(ts) > self.MAX_SAMPLES:
-                raise QuadratureError("branch tracking exceeded the sample budget")
-
-        for i in range(len(grid) - 1):
-            refine(grid[i], args[i], grid[i + 1], args[i + 1])
-        self.ts = ts
-        self.unwrapped = unwrapped
-        if abs(unwrapped[0]) > 1e-5:
-            raise QuadratureError(
-                f"log argument not anchored at the start endpoint "
-                f"(arg = {unwrapped[0]:.3e})"
-            )
+    def __init__(self, path: tuple, factors):
+        ts, unwrapped = [0.0], [0.0]
+        for k, (p, q) in enumerate(zip(path, path[1:])):
+            base, t0, a0 = unwrapped[-1], float(k), [0.0] * len(factors)
+            # right ends of the intervals still to append, nearest last
+            pending = [(float(k + 1), _leg_phases(p, q, factors))]
+            while pending:
+                t1, a1 = pending[-1]
+                if sum(map(abs, map(sub, a1, a0))) > 1.5:
+                    tm = 0.5 * (t0 + t1)
+                    if not t0 < tm < t1:
+                        raise QuadratureError(f"a zero or pole of R lies on the path at t={tm!r}")
+                    pending.append((tm, _leg_phases(p, p + (q - p) * (tm - k), factors)))
+                    continue
+                t0, a0 = pending.pop()
+                ts.append(t0)
+                unwrapped.append(base + sum(a0))
+                if len(ts) > self.MAX_SAMPLES:
+                    raise QuadratureError("branch tracking exceeded the sample budget")
+        self.ts, self.unwrapped = ts, unwrapped
 
     def log_at(self, t: float, value: complex) -> complex:
         i = bisect.bisect_right(self.ts, t) - 1
@@ -306,14 +299,6 @@ class BranchTracker:
         return math.log(abs(value)) + 1j * (principal + 2.0 * math.pi * k)
 
 
-def _wrap(d: float) -> float:
-    while d > math.pi:
-        d -= 2.0 * math.pi
-    while d <= -math.pi:
-        d += 2.0 * math.pi
-    return d
-
-
 class _Integrand:
     """log(R(y)) * f'(y) / (f(y)^2 - 1) * dy/dt along a path parameter t,
     which runs over [k, k + 1] on leg k, by one closure per path (see the
@@ -321,23 +306,27 @@ class _Integrand:
 
     POLE_TOL = 1e-60  # clearance is enforced geometrically on the path
 
-    def __init__(self, family: KnotFamily, n: int, A: float, path: tuple):
+    def __init__(self, family: KnotFamily, n: int, A: float, path: tuple, factors):
         fg = kernel(family, n, self.POLE_TOL)
         a2, scale = A * A, 1.0 + A * A  # scale: the 1 + A^2 of R's denominator
         legs = [(p, q - p) for p, q in zip(path, path[1:])]
         ends, last, two_pi = len(legs), len(legs) - 1, 2.0 * math.pi
+        fv, gv, _, _ = fg(path[0], 1, 1)
+        if abs(start := cmath.phase((fv * fv + a2) / (scale * gv))) > 1e-5:
+            raise QuadratureError(
+                f"log argument not anchored at the start endpoint (arg = {start:.3e})")
+        tracker = self.tracker = BranchTracker(path, factors)
+        ts, unwrapped, top = tracker.ts, tracker.unwrapped, len(tracker.ts) - 2
 
-        def node(t, prime):
+        def node(t):
             k = int(t) if t < ends else last
             z0, dy = legs[k]
             y = z0 + dy * (t - k)
-            fv, gv, fp, _ = fg(y, 1 + prime, 1)
+            fv, gv, fp, _ = fg(y, 2, 1)
             f2 = fv * fv
             val = (f2 + a2) / (scale * gv)
             if abs(val) < 1e-100:
                 raise QuadratureError(f"log argument vanishes on the path at y = {y:.8f}")
-            if not prime:
-                return val
             i = bisect.bisect_right(ts, t) - 1
             i = top if i > top else 0 if i < 0 else i
             t0, t1 = ts[i], ts[i + 1]
@@ -348,14 +337,9 @@ class _Integrand:
             return (math.log(abs(val)) + 1j * (principal + two_pi * k)) * fp / (f2 - 1.0) * dy
 
         self._node = node
-        tracker = self.tracker = BranchTracker(self._ratio, len(legs))
-        ts, unwrapped, top = tracker.ts, tracker.unwrapped, len(tracker.ts) - 2  # node's log
-
-    def _ratio(self, t: float) -> complex:
-        return self._node(t, False)
 
     def __call__(self, t: float) -> complex:
-        return self._node(t, True)
+        return self._node(t)
 
 
 # ----------------------------------------------------------- adaptive quad
@@ -417,16 +401,17 @@ class VolumeResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _contour(spec: ConeManifoldSpec, path: tuple, rotation: complex):
+def _contour(spec: ConeManifoldSpec, path: tuple, rotation: complex, factors):
     """rotation * INT over path; returns (value, error estimate).
 
     R = 1 at both endpoints, so on a path of the right class the tracked log
-    returns to 0.  The tracker's closure check certifies that: where it does
-    not close, or branch tracking fails, the call raises PathBlockedError.
+    returns to 0.  The tracker's closure check certifies that exactly: where
+    it does not close, or branch tracking fails, the call raises
+    PathBlockedError.
     """
     family, n = spec.family, spec.n
     try:
-        integrand = _Integrand(family, n, spec.cot_half, path)
+        integrand = _Integrand(family, n, spec.cot_half, path, factors)
     except QuadratureError as exc:
         raise PathBlockedError(f"branch tracking failed on the contour: {exc}") from exc
     if abs(integrand.tracker.unwrapped[-1]) > 1e-5:
@@ -458,13 +443,14 @@ def volume_hyperbolic(spec: ConeManifoldSpec, y0: complex,
     singular set leaves the value unchanged.  l_alpha is left to classify.
     """
     family, n = spec.family, spec.n
-    path = next(_candidate_paths(family, n, spec.cot_half, y0, anchor_shift), None)
+    factors = _r_factors(family, n, spec.cot_half)
+    path = next(_candidate_paths(family, n, factors, y0, anchor_shift), None)
     if path is None:
         raise PathBlockedError(
             f"no contour of winding 0 clear of the singular set for "
             f"{family.value} n={n} at alpha={spec.alpha:.6f}"
         )
-    value, err = _contour(spec, path, 1j)
+    value, err = _contour(spec, path, 1j, factors)
     return VolumeResult(
         spec,
         Regime.HYPERBOLIC,
@@ -482,7 +468,7 @@ def volume_spherical(spec: ConeManifoldSpec, y_plus: float,
     The pair's longitude-phase order alone fixes the sign: a negative volume raises.
     """
     path = spherical_path(spec.n, y_plus, y_minus)
-    value, err = _contour(spec, path, 1)
+    value, err = _contour(spec, path, 1, _r_factors(spec.family, spec.n, spec.cot_half))
     if value.real < 0.0:
         raise QuadratureError(f"spherical volume {value.real:.3e} < 0: the pair "
                               f"({y_plus:.8f}, {y_minus:.8f}) is not in phase order")

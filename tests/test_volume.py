@@ -2,13 +2,14 @@
 
 import ast
 import cmath
+import inspect
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conevol import geometry
+from conevol import chebyshev, geometry
 from conevol import volume as vo
 from conevol.chebyshev import eval_fg
 from conevol.cli import main
@@ -148,7 +149,7 @@ def test_candidate_paths_are_clear_of_the_singular_set():
     spec = ConeManifoldSpec(FIG8, 8, 0.95 * critical_angle(FIG8, 8))
     y0 = classify(spec).roots[0]
     reals = vo.real_singular_points(8, include_f_zeros=True)
-    paths = list(vo._candidate_paths(FIG8, 8, spec.cot_half, y0))
+    paths = list(vo._candidate_paths(FIG8, 8, vo._r_factors(FIG8, 8, spec.cot_half), y0))
     assert len(paths) > 1
     assert all(vo._path_clear(path, reals) for path in paths)
 
@@ -158,10 +159,13 @@ def test_integrand_vanishes_at_endpoints():
     res = classify(spec)
     y0 = res.roots[0]
     path = vo._via(y0, complex(vo.collision_root(FIG8, 1)))
-    integrand = vo._Integrand(FIG8, 1, spec.cot_half, path)
+    A = spec.cot_half
+    integrand = vo._Integrand(FIG8, 1, A, path, vo._r_factors(FIG8, 1, A))
     # the log factor is anchored to zero where the endpoints solve the equation
     for t in (1e-9, 2.0 - 1e-9):
-        log_term = integrand.tracker.log_at(t, integrand._ratio(t))
+        k = min(int(t), 1)
+        y = path[k] + (path[k + 1] - path[k]) * (t - k)
+        log_term = integrand.tracker.log_at(t, _log_argument(FIG8, 1, A, y))
         assert abs(log_term) < 1e-6
 
 
@@ -186,14 +190,15 @@ def _log_argument(family, n, A, y):
 def test_log_argument_is_a_constant_times_its_factor_product(family):
     # R = c * prod (y - a)^e over the zeros of N^2 + A^2 D^2 and the exact
     # cosines of families.R_EXPONENTS: the premise of the exact winding filter
+    # and of every node's branch
     rng = np.random.default_rng(12)
     ys = [complex(x, s * h) for x, s, h in zip(
         rng.uniform(-2.5, 2.5, 12), rng.choice((-1.0, 1.0), 12),
         rng.uniform(0.05, 1.0, 12))]
-    for n in [k for m in range(1, 9) for k in (m, -m)]:
-        for alpha in (0.3, 1.5, 2.5, 3.0):
+    for n in [k for m in range(1, 13) for k in (m, -m)]:
+        for alpha in (0.05, 0.3, 1.5, 2.5, 3.0, 3.1):
             A = 1.0 / math.tan(0.5 * alpha)
-            factors = vo._r_factors(family, n, vo._log_zero_points(n, A))
+            factors = vo._r_factors(family, n, A)
             c = []
             for y in ys:
                 prod = 1.0
@@ -208,12 +213,12 @@ def _scan(family, n, A, y0, shift, monkeypatch):
     """Every candidate of the generator with the exact class filter off."""
     with monkeypatch.context() as m:
         m.setattr(vo, "_closes", lambda path, factors: True)
-        return list(vo._candidate_paths(family, n, A, y0, shift))
+        return list(vo._candidate_paths(family, n, vo._r_factors(family, n, A), y0, shift))
 
 
 def _tracker_closes(family, n, A, path):
     try:
-        tracker = vo._Integrand(family, n, A, path).tracker
+        tracker = vo._Integrand(family, n, A, path, vo._r_factors(family, n, A)).tracker
     except QuadratureError:
         return False
     return abs(tracker.unwrapped[-1]) <= 1e-5
@@ -231,7 +236,8 @@ def test_filter_yields_first_the_path_the_sampled_scan_accepts(family, n,
             # test_path_independence_at_small_angles
             accepted = next((path for path in _scan(family, n, A, y0, shift, monkeypatch)
                              if _tracker_closes(family, n, A, path)), None)
-            first = next(vo._candidate_paths(family, n, A, y0, shift), None)
+            factors = vo._r_factors(family, n, A)
+            first = next(vo._candidate_paths(family, n, factors, y0, shift), None)
             assert first == accepted, (fraction, shift)
 
 
@@ -250,20 +256,19 @@ def test_twice_winding_v_of_c_minus8_3_is_not_yielded(monkeypatch):
                   for k in range(20001)]
         turn += float(np.unwrap(phases)[-1] - phases[0])
     assert round(turn / (2.0 * math.pi)) == 2
-    factors = vo._r_factors(family, n, vo._log_zero_points(n, A))
+    factors = vo._r_factors(family, n, A)
     assert not vo._closes(v, factors)
-    assert v not in list(vo._candidate_paths(family, n, A, y0))
+    assert v not in list(vo._candidate_paths(family, n, factors, y0))
 
 
-@pytest.mark.xfail(raises=AssertionError, strict=True, reason=(
-    "ROADMAP Open item 5: the sampled tracker misses a full turn on the V "
-    "through 0.6052 +/- 0.1i, whose exact winding is 0"))
 def test_every_yielded_path_of_c_minus8_3_has_a_closing_tracker():
+    # the sampled tracker missed a full turn on the V through 0.6052 +/- 0.1i,
+    # whose exact winding is 0
     family, n = KnotFamily.C2N3, -4
     spec = ConeManifoldSpec(family, n, 0.05 * critical_angle(family, n))
     A, y0 = spec.cot_half, classify(spec).roots[0]
     for shift in (0.1j, -0.1j):
-        for path in vo._candidate_paths(family, n, A, y0, shift):
+        for path in vo._candidate_paths(family, n, vo._r_factors(family, n, A), y0, shift):
             assert _tracker_closes(family, n, A, path), (shift, path)
 
 
@@ -278,9 +283,9 @@ def test_one_branch_tracker_per_hyperbolic_volume(family, n, monkeypatch):
     trackers = []
     init = vo.BranchTracker.__init__
 
-    def counted_init(self, ratio, n_segments):
+    def counted_init(self, path, factors):
         trackers[-1] += 1
-        init(self, ratio, n_segments)
+        init(self, path, factors)
 
     monkeypatch.setattr(vo.BranchTracker, "__init__", counted_init)
     for spec, y0 in zip(specs, roots):
@@ -291,76 +296,89 @@ def test_one_branch_tracker_per_hyperbolic_volume(family, n, monkeypatch):
 
 # ----------------------------------------------------------- branch tracker
 
-def _breadth_first_tracker(ratio, n_segments, init_per_segment=33):
-    """Reference: refine every level of the sample grid before the next."""
-    ts = []
-    for k in range(n_segments):
-        ts.extend(k + i / (init_per_segment - 1) for i in range(init_per_segment - 1))
-    ts.append(float(n_segments))
-    args = [cmath.phase(ratio(t)) for t in ts]
-    work = list(range(len(ts) - 1))
-    while work:
-        if len(ts) > vo.BranchTracker.MAX_SAMPLES:
-            raise QuadratureError("branch tracking exceeded the sample budget")
-        nxt = []
-        insertions = []
-        for i in work:
-            d = vo._wrap(args[i + 1] - args[i])
-            if abs(d) > 0.5 and ts[i + 1] - ts[i] > 1e-13:
-                insertions.append((i, 0.5 * (ts[i] + ts[i + 1])))
-        if not insertions:
-            break
-        offset = 0
-        for i, tm in insertions:
-            ts.insert(i + 1 + offset, tm)
-            args.insert(i + 1 + offset, cmath.phase(ratio(tm)))
-            nxt.extend((i + offset, i + offset + 1))
-            offset += 1
-        work = nxt
-    unwrapped = [args[0]]
-    for i in range(1, len(ts)):
-        unwrapped.append(unwrapped[-1] + vo._wrap(args[i] - args[i - 1]))
-    return ts, unwrapped
+def _tracked_paths():
+    """(family, n, A, path): every candidate _candidate_paths yields for MEMBERS
+    at 0.05, 0.2 and 0.8 a_K with shift 0 and +/-0.1i, and the spherical
+    path at two spherical angles per member."""
+    for family, n in MEMBERS:
+        a_k = critical_angle(family, n)
+        for fraction in (0.05, 0.2, 0.8):
+            spec = ConeManifoldSpec(family, n, fraction * a_k)
+            A, y0 = spec.cot_half, classify(spec).roots[0]
+            factors = vo._r_factors(family, n, A)
+            for shift in (0.0, 0.1j, -0.1j):
+                for path in vo._candidate_paths(family, n, factors, y0, shift):
+                    yield family, n, A, path
+        for fraction in (0.3, 0.7):
+            spec = ConeManifoldSpec(family, n, a_k + fraction * (math.pi - a_k))
+            yield family, n, spec.cot_half, vo.spherical_path(n, *classify(spec).roots)
 
 
-# a fast-turning phase, and a zero 1e-9 off the path at t = 0.5 (both are 1 at t = 0)
-DEEP_RATIOS = {
-    "fast-phase": lambda t: cmath.exp(100j * t),
-    "near-zero": lambda t: (t - 0.5 - 1e-9j) / (-0.5 - 1e-9j),
-}
+def _winding(path, factors):
+    """The sum _closes rounds, leg by leg."""
+    turn = 0.0
+    for p, q in zip(path, path[1:]):
+        turn += sum(vo._leg_phases(p, q, factors))
+    return turn
 
 
-@pytest.mark.parametrize("name", sorted(DEEP_RATIOS))
-def test_tracker_matches_breadth_first_refinement(name, monkeypatch):
-    ratio = DEEP_RATIOS[name]
-    ts, unwrapped = _breadth_first_tracker(ratio, 2)
-    assert len(ts) > 100 or min(b - a for a, b in zip(ts, ts[1:])) < 1e-9
-    tracker = vo.BranchTracker(ratio, 2)
-    assert repr(tracker.ts) == repr(ts)
-    assert repr(tracker.unwrapped) == repr(unwrapped)
-    # the budget binds exactly when the fully refined set exceeds it
-    monkeypatch.setattr(vo.BranchTracker, "MAX_SAMPLES", len(ts))
-    assert vo.BranchTracker(ratio, 2).ts == ts
-    monkeypatch.setattr(vo.BranchTracker, "MAX_SAMPLES", len(ts) - 1)
+def test_tracked_arg_is_within_the_proven_bound_of_the_factor_continuation():
+    # at 2,001 points a leg the interpolated arg is within 1.5 of R's arg
+    # continued per factor, so each node's 2*pi*k is the right one; the last
+    # sample is the exact winding
+    u = np.linspace(0.0, 1.0, 2001)
+    paths = spherical = 0
+    for family, n, A, path in _tracked_paths():
+        factors = vo._r_factors(family, n, A)
+        tracker = vo.BranchTracker(path, factors)
+        base = 0.0
+        for k, (p, q) in enumerate(zip(path, path[1:])):
+            y = p + (q - p) * u
+            turn = sum(e * np.angle((y - a) / (p - a)) for a, e in factors)
+            est = np.interp(k + u, tracker.ts, tracker.unwrapped)
+            gap = float(np.max(np.abs(est - (base + turn))))
+            assert gap <= 1.5 + 1e-12, (family, n, path, k, gap)
+            base += float(turn[-1])
+        winding = _winding(path, factors)
+        assert tracker.unwrapped[-1] == winding
+        assert abs(winding - base) <= 1e-9
+        assert vo._closes(path, factors), path
+        paths += 1
+        spherical += path[0].imag == 0.0
+    assert spherical == 2 * len(MEMBERS) and paths > 10 * len(MEMBERS)
+
+
+def test_the_sample_budget_binds_exactly(monkeypatch):
+    # a zero 1e-9 off the middle of the leg turns by pi within a few 1e-9 of it
+    path, factors = (0j, 1 + 0j), [(0.5 + 1e-9j, 1)]
+    count = len(vo.BranchTracker(path, factors).ts)
+    assert count > 50
+    monkeypatch.setattr(vo.BranchTracker, "MAX_SAMPLES", count)
+    assert len(vo.BranchTracker(path, factors).ts) == count
+    monkeypatch.setattr(vo.BranchTracker, "MAX_SAMPLES", count - 1)
     with pytest.raises(QuadratureError, match="sample budget"):
-        _breadth_first_tracker(ratio, 2)
-    with pytest.raises(QuadratureError, match="sample budget"):
-        vo.BranchTracker(ratio, 2)
+        vo.BranchTracker(path, factors)
 
 
-def test_tracker_raises_at_the_first_failing_grid_point():
-    # the phases of the whole grid come first: t = 1.5 fails before the
-    # refinement reaches the failing midpoints between grid points 0.5 and 0.53125
-    def ratio(t):
-        if t == 1.5 or 0.5 < t < 0.52:
-            raise QuadratureError(f"log argument vanishes at t = {t!r}")
-        return DEEP_RATIOS["fast-phase"](t)
+def test_a_factor_on_the_path_raises():
+    # R's arg jumps by pi across a zero on the leg: no bisection bounds it
+    with pytest.raises(QuadratureError, match="lies on the path"):
+        vo.BranchTracker((0j, 1 + 0j), [(0.5 + 0j, 1)])
 
-    with pytest.raises(QuadratureError) as reference:
-        _breadth_first_tracker(ratio, 2)
-    with pytest.raises(QuadratureError) as tracked:
-        vo.BranchTracker(ratio, 2)
-    assert str(tracked.value) == str(reference.value) == "log argument vanishes at t = 1.5"
+
+def test_r_branch_has_one_source_the_factor_list():
+    # the tracker and the class filter call no Chebyshev evaluation and no
+    # kernel: R's branch comes from the factor list alone
+    evaluators = {name for name, obj in vars(chebyshev).items()
+                  if callable(obj) and getattr(obj, "__module__", None) == chebyshev.__name__}
+    assert {"kernel", "eval_fg", "eval_S_pair"} <= evaluators
+    for fn in (vo.BranchTracker, vo._closes, vo._leg_phases):
+        tree = ast.parse(inspect.getsource(fn))
+        called = {getattr(node.func, "attr", getattr(node.func, "id", None))
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert not (called | named) & (evaluators | {"chebyshev", "fg", "_Integrand"}), fn
+        assert "phase" in called or "_leg_phases" in called, fn
 
 
 # -------------------------------------------------------------- spherical
@@ -405,7 +423,7 @@ def test_spherical_contour_must_close(monkeypatch):
     init = vo.BranchTracker.__init__
 
     def unclosed(self, *args, **kwargs):
-        # a repeated last sample whose log ends at 2*pi*i; log_at never reads it,
+        # a repeated last sample whose log ends at 2*pi*i; no node reads it,
         # so only the closure test can see that the path is in the wrong class
         init(self, *args, **kwargs)
         self.ts.append(self.ts[-1])
@@ -423,7 +441,7 @@ def test_spherical_paths_have_exact_winding_zero(family, n):
     for i in range(1, 61):
         spec = ConeManifoldSpec(family, n, a_k + (top - a_k) * i / 61)
         path = vo.spherical_path(n, *classify(spec).roots)
-        factors = vo._r_factors(family, n, vo._log_zero_points(n, spec.cot_half))
+        factors = vo._r_factors(family, n, spec.cot_half)
         assert vo._closes(path, factors), spec.alpha
 
 
@@ -451,7 +469,8 @@ def test_every_path_is_a_tuple_of_complex_vertices():
             spec = ConeManifoldSpec(family, n, fraction * critical_angle(family, n))
             y0 = classify(spec).roots[0]
             for shift in (0.0, 0.1j, -0.1j):
-                paths.extend(vo._candidate_paths(family, n, spec.cot_half, y0, shift))
+                factors = vo._r_factors(family, n, spec.cot_half)
+                paths.extend(vo._candidate_paths(family, n, factors, y0, shift))
     assert any(z.imag != 0.0 for z in paths[0])
     for path in paths:
         assert type(path) is tuple and len(path) >= 2
@@ -460,10 +479,12 @@ def test_every_path_is_a_tuple_of_complex_vertices():
 
 def test_hyperbolic_tracker_veto_raises_instead_of_taking_another_path(monkeypatch):
     # the first path of the exact class is the only one integrated: a veto by
-    # the sampled tracker raises, it does not move on to a path of another class
+    # the tracker's closure check raises, it does not move on to a path of
+    # another class
     spec = ConeManifoldSpec(KnotFamily.C2N3, 2, 0.5 * critical_angle(KnotFamily.C2N3, 2))
     y0 = classify(spec).roots[0]
-    assert len(list(vo._candidate_paths(spec.family, spec.n, spec.cot_half, y0))) > 1
+    factors = vo._r_factors(spec.family, spec.n, spec.cot_half)
+    assert len(list(vo._candidate_paths(spec.family, spec.n, factors, y0))) > 1
     trackers = []
     init = vo.BranchTracker.__init__
 
@@ -727,8 +748,7 @@ def test_hot_loop_runs_on_python_scalars(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(vo, "kernel", typed_kernel)
-    for name in ("__call__", "_ratio"):
-        monkeypatch.setattr(vo._Integrand, name, typed(getattr(vo._Integrand, name)))
+    monkeypatch.setattr(vo._Integrand, "__call__", typed(vo._Integrand.__call__))
     hyperbolic = ConeManifoldSpec(FIG8, 8, 0.6 * critical_angle(FIG8, 8))
     for spec, regime in ((hyperbolic, Regime.HYPERBOLIC), (C43, Regime.SPHERICAL)):
         assert vo.compute_volume(spec).regime is regime
@@ -770,7 +790,7 @@ def test_integrand_nodes_equal_the_written_out_expression(family, n):
     # out: R from eval_fg, the log from tracker.log_at, on leg p -> q
     # y = p + (q - p)*u and dy/du = q - p
     for A, path in _node_paths(family, n):
-        integrand = vo._Integrand(family, n, A, path)
+        integrand = vo._Integrand(family, n, A, path, vo._r_factors(family, n, A))
         legs = len(path) - 1
         # the GL15 and GL7 nodes of each leg's first adaptive panel, and the
         # path's two ends, where the leg and bracket indices clamp
@@ -783,15 +803,14 @@ def test_integrand_nodes_equal_the_written_out_expression(family, n):
             val = (fv * fv + A * A) / ((1.0 + A * A) * gv)
             want = (integrand.tracker.log_at(t, val) * fp / (fv * fv - 1.0)
                     * (q - p))
-            assert repr(integrand._ratio(t)) == repr(val)
             assert repr(integrand(t)) == repr(want)
 
 
 @pytest.mark.parametrize("spec, evals, trackers, samples", [
-    (ConeManifoldSpec(FIG8, 8, 0.6 * critical_angle(FIG8, 8)), 294, 1, 65),
+    (ConeManifoldSpec(FIG8, 8, 0.6 * critical_angle(FIG8, 8)), 294, 1, 11),
     (ConeManifoldSpec(KnotFamily.C2NMINUS2N, 4,
-                      0.6 * critical_angle(KnotFamily.C2NMINUS2N, 4)), 651, 1, 105),
-    (C43, 1407, 1, 33),
+                      0.6 * critical_angle(KnotFamily.C2NMINUS2N, 4)), 651, 1, 19),
+    (C43, 1407, 1, 30),
 ], ids=["C(16,2)", "C(8,-8)", "C(4,3)"])
 def test_contour_work_counts_are_pinned(spec, evals, trackers, samples, monkeypatch):
     # integrand evaluations must not fall: a faster contour must come from
@@ -804,9 +823,9 @@ def test_contour_work_counts_are_pinned(spec, evals, trackers, samples, monkeypa
         counts["evals"] += 1
         return call(self, t)
 
-    def counted_init(self, ratio, n_segments):
+    def counted_init(self, path, factors):
         counts["trackers"] += 1
-        init(self, ratio, n_segments)
+        init(self, path, factors)
         counts["samples"] += len(self.ts)
 
     monkeypatch.setattr(vo._Integrand, "__call__", counted_call)
