@@ -22,15 +22,16 @@ s = (y +/- sqrt(y^2-4))/2, which needs a branch choice); it is exact for
 integer arguments and stable for the moderate |k| <= ~50 used here.
 
 One walk, eval_S_pair, runs the recurrence once per point from (S_0, S_1)
-to S_{n-1} and S_n, with S'_{n-1} and S'_n carried along when asked; a Python
-complex y, the contour's and Newton polish's case, is seeded without type
-dispatch.  One factory, kernel(family, n, pole tolerance), fixes the
-R_EXPONENTS row and the guard once per member and returns the closure that
-assembles f_n, g_n, f'_n and (where Newton reads it) g'_n from that walk: at a
-contour node, dispatch (helper calls, tuples, hashing the family enum) cost
-more than the arithmetic.  eval_fg, the eval_* views, ConeEquation and the
-contour integrand all call it, with identical floating-point results.  The
-exact coefficients of S_k (s_poly) and their Horner evaluation live in exactpoly.
+to S_{n-1} and S_n, always carrying S'_{n-1} and S'_n along (a copy of the
+loops without them saved under 1% of a sweep); a Python complex y, the
+contour's and Newton polish's case, is seeded without type dispatch.  One
+factory, kernel(family, n, pole tolerance), fixes the R_EXPONENTS row and the
+guard once per member and returns the closure that assembles f_n, g_n, f'_n
+and (where Newton reads it) g'_n from that walk: at a contour node, dispatch
+(helper calls, tuples, hashing the family enum) cost more than the
+arithmetic.  The eval_* views, ConeEquation and the contour integrand all
+call it, with identical floating-point results.  The exact coefficients of
+S_k (s_poly) and their Horner evaluation live in exactpoly.
 
 The real zeros are exact cosines, owned here: s_zeros(m) gives those of S_m
 (the poles of f and g at m = n-1), s_diff_zeros(j) those of S_j - S_{j-1}
@@ -44,34 +45,24 @@ from functools import lru_cache
 
 from .errors import PoleError
 from .exactpoly import _zero_like
-from .families import R_EXPONENTS, KnotFamily
+from .families import R_EXPONENTS, KnotFamily, validate_twist
 
 # Denominator guard: |den| below this times the numerator scale is a pole.
 POLE_TOL = 1e-14
 
 
-def eval_S_pair(n: int, y, prime: bool = False):
+def eval_S_pair(n: int, y):
     """(S_{n-1}, S_n, S'_{n-1}, S'_n) at y from one walk of the recurrence.
 
     Starts at (S_0, S_1) and runs forward for n >= 1, backward for n <= 0
-    (S_{k-2} = y*S_{k-1} - S_k).  With prime the derivatives ride along
-    (S'_k = S_{k-1} + y*S'_{k-1} - S'_{k-2}); without it they are None.
-    Python scalar arithmetic throughout, so integer input stays exact.  A
-    Python complex y, the contour's and Newton's case, is seeded with 1+0j and
-    0j directly; other types take _zero_like's isinstance chain (one is its
-    zero plus 1).
+    (S_{k-2} = y*S_{k-1} - S_k), the derivatives riding along (S'_k = S_{k-1}
+    + y*S'_{k-1} - S'_{k-2}).  Python scalar arithmetic throughout, so integer
+    input stays exact.  A Python complex y, the contour's and Newton's case,
+    is seeded with 1+0j and 0j directly; other types take _zero_like's
+    isinstance chain (one is its zero plus 1).
     """
     one, zero = (1 + 0j, 0j) if type(y) is complex else (_zero_like(y) + 1, _zero_like(y))
-    lo, hi = one, y  # S_0, S_1
-    if not prime:
-        if n >= 1:
-            for _ in range(n - 1):
-                lo, hi = hi, y * hi - lo
-        else:
-            for _ in range(1 - n):
-                lo, hi = y * lo - hi, lo
-        return lo, hi, None, None
-    d_lo, d_hi = zero, one  # S'_0, S'_1
+    lo, hi, d_lo, d_hi = one, y, zero, one  # S_0, S_1, S'_0, S'_1
     if n >= 1:
         for _ in range(n - 1):
             d_lo, d_hi = d_hi, hi + y * d_hi - d_lo
@@ -102,10 +93,10 @@ def eval_S(k: int, y):
 
 def eval_S_prime(k: int, y):
     """d/dy S_k(y)."""
-    return eval_S_pair(k, y, True)[3]
+    return eval_S_pair(k, y)[3]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def kernel(family: KnotFamily | None, n: int, pole_tol: float = POLE_TOL):
     """fg(y, f=1, g=1) -> (f_n, g_n, f'_n, g'_n) for one member and guard.
 
@@ -113,13 +104,15 @@ def kernel(family: KnotFamily | None, n: int, pole_tol: float = POLE_TOL):
     not asked is None.  The R_EXPONENTS row is looked up here once (hashing the
     family enum runs Python code); f is guarded before g, and a pole raises
     PoleError.  g' is the quotient rule on the unreduced -sign (S_n -
-    S_{n-1})^c over (y-2)^(a+2) S_{n-1}^(b+2).  family None: f only.
+    S_{n-1})^c over (y-2)^(a+2) S_{n-1}^(b+2).  family None: f only.  The
+    cache is typed, so 1.0 or True never reaches the closure cached for n = 1.
     """
+    validate_twist(n)
     a, b, c, sign = R_EXPONENTS[family] if family is not None else (0, 0, 0, 0)
     p, q = a + 2, b + 2
 
     def fg(y, f=1, g=1):
-        s_nm1, s_n, d_nm1, d_n = eval_S_pair(n, y, f > 1 or g > 1)
+        s_nm1, s_n, d_nm1, d_n = eval_S_pair(n, y)
         ym2 = y - 2
         fv = gv = fp = gp = None
         if f:
@@ -143,12 +136,6 @@ def kernel(family: KnotFamily | None, n: int, pole_tol: float = POLE_TOL):
         return fv, gv, fp, gp
 
     return fg
-
-
-def eval_fg(family: KnotFamily, n: int, y, prime: bool = False):
-    """(f_n, g_n, f'_n, g'_n) at y from one walk; the derivatives are None
-    unless prime.  PoleError where f_n or g_n has a pole (f_n checked first)."""
-    return kernel(family, n)(y, 1 + prime, 1 + prime)
 
 
 def eval_f(n: int, y):

@@ -228,7 +228,6 @@ class _MemberGeometry:
     """Per-(family, n) set-up: a_K and the collided double root y*."""
 
     def __init__(self, family: KnotFamily, n: int):
-        validate_twist(n)
         self.family = family
         self.n = n
         self._resolve()
@@ -270,6 +269,7 @@ class _MemberGeometry:
 
 
 def _member(family: KnotFamily, n: int) -> _MemberGeometry:
+    validate_twist(n)  # before the lookup: 1.0 or True must not find n = 1
     with _LOCK:
         key = (family, n)
         member = _MEMBERS.get(key)

@@ -26,10 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import eval_S, eval_f
+from .chebyshev import eval_S, eval_S_pair, eval_f
 from .errors import BranchError, DegenerateLongitudeError
 from .families import KnotFamily
-from .riley import trace_u
 
 _IMAG_WINDOW = 2.0 * math.pi  # lifted holonomy angle lives in [-2*pi, 2*pi)
 
@@ -139,14 +138,15 @@ def w12_closed_form(family: KnotFamily, n: int, m: complex, y: complex) -> compl
     even:  (m (S_n - S_{n-1}) - m^-1 (S_{n-1} - S_{n-2})) * S_{n-1}(y) * S_{p-1}(u)
     """
     p = family.word_exponent(n)
-    u = trace_u(n, m + 1.0 / m, y)
+    s_nm2, s_nm1, _, _ = eval_S_pair(n - 1, y)  # two walks of y in all
+    s_n = eval_S_pair(n, y)[1]
+    x = m + 1.0 / m
+    u = 2 + (y - 2) * (y + 2 - x * x) * s_nm1 * s_nm1  # riley.trace_u, from this walk
     if family.is_odd_presentation:
-        ratio = (eval_S(n, y) - eval_S(n - 1, y)) / (eval_S(n - 1, y) - eval_S(n - 2, y))
-        return (1.0 / m - m * ratio) * eval_S(p, u) * eval_S(n - 1, y)
-    lead = m * (eval_S(n, y) - eval_S(n - 1, y)) - (1.0 / m) * (
-        eval_S(n - 1, y) - eval_S(n - 2, y)
-    )
-    return lead * eval_S(n - 1, y) * eval_S(p - 1, u)
+        ratio = (s_n - s_nm1) / (s_nm1 - s_nm2)
+        return (1.0 / m - m * ratio) * eval_S(p, u) * s_nm1
+    lead = m * (s_n - s_nm1) - (1.0 / m) * (s_nm1 - s_nm2)
+    return lead * s_nm1 * eval_S(p - 1, u)
 
 
 def longitude_eigenvalue(family: KnotFamily, n: int, m: complex, t: complex) -> complex:

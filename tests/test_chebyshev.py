@@ -267,8 +267,7 @@ def test_kernel_and_views_match_the_plain_recurrence_exactly(y):
         assert repr(ch.eval_S_prime(k, y)) == repr(d[k])
     for n in [m for m in range(-14, 15) if m]:
         walk = (s[n - 1], s[n], d[n - 1], d[n])
-        assert repr(ch.eval_S_pair(n, y, True)) == repr(walk)
-        assert repr(ch.eval_S_pair(n, y)) == repr(walk[:2] + (None, None))
+        assert repr(ch.eval_S_pair(n, y)) == repr(walk)
         tol = ch.POLE_TOL
         ref_f = _outcome(_ref_f, n, y, s, d, tol)
         assert _outcome(lambda: ch.eval_f(n, y)) == _outcome(
@@ -283,12 +282,12 @@ def test_kernel_and_views_match_the_plain_recurrence_exactly(y):
                 lambda: _ref_g(family, n, y, s, d, tol)[1])
             if "PoleError" in (ref_f, ref_g):
                 with pytest.raises(PoleError):
-                    ch.eval_fg(family, n, y, prime=True)
+                    ch.kernel(family, n)(y, 2, 2)
                 continue
             fv, fp = _ref_f(n, y, s, d, tol)
             gv, gp = _ref_g(family, n, y, s, d, tol)
-            assert repr(ch.eval_fg(family, n, y, prime=True)) == repr((fv, gv, fp, gp))
-            assert repr(ch.eval_fg(family, n, y)) == repr((fv, gv, None, None))
+            assert repr(ch.kernel(family, n)(y, 2, 2)) == repr((fv, gv, fp, gp))
+            assert repr(ch.kernel(family, n)(y, 1, 1)) == repr((fv, gv, None, None))
         # the factory itself, in every mode, under Newton's guard and the
         # contour integrand's own, 1e-60
         for tol in (ch.POLE_TOL, 1e-60):
@@ -296,6 +295,23 @@ def test_kernel_and_views_match_the_plain_recurrence_exactly(y):
                 fg = ch.kernel(family, n, tol)
                 for f, g in _MODES if family is not None else _MODES[:2]:
                     assert _outcome(fg, y, f, g) == _kernel_ref(family, n, y, s, d, tol, f, g)
+
+
+def test_kernel_rejects_a_non_int_twist_equal_to_a_cached_one():
+    # True, 1.0 and np.int64(1) hash and compare equal to 1: an untyped cache
+    # served them the closure of n = 1, and a float n reaching the walk first
+    # cached a closure that raised TypeError for n = 1 ever after
+    y = 0.5 + 0.5j
+    ch.kernel.cache_clear()
+    for n in (1.0, True, np.int64(1)):
+        with pytest.raises(ValueError, match="integer"):
+            ch.eval_f(n, y)
+        with pytest.raises(ValueError, match="integer"):
+            ch.kernel(KnotFamily.C2N2, n)
+    assert ch.eval_f(1, y) == pytest.approx(y / (y - 2), rel=1e-15)  # f_1 = y/(y-2)
+    for n in (1.0, True, np.int64(1)):
+        with pytest.raises(ValueError, match="integer"):
+            ch.eval_f(n, y)
 
 
 # (f, g) modes of chebyshev.kernel: 0 skip, 1 value, 2 value and derivative
@@ -375,3 +391,8 @@ def test_the_recurrence_step_is_written_only_in_eval_s_pair():
                                 and {_base(node.left.left), _base(node.left.right)} & targets):
                             steps.add((path.name, fn.name))
     assert steps == {("chebyshev.py", "eval_S_pair")}
+    # and it is one walk: (n, y) only, one loop per direction, so a second,
+    # derivative-free copy of the loops cannot come back behind an option
+    walk = ast.parse(inspect.getsource(ch.eval_S_pair)).body[0]
+    assert ast.dump(walk.args) == ast.dump(ast.parse("def f(n: int, y): pass").body[0].args)
+    assert sum(isinstance(node, (ast.For, ast.While)) for node in ast.walk(walk)) == 2

@@ -223,6 +223,16 @@ def test_critical_angle_of_c2n_minus2n_increases_with_n():
     assert all(a < b for a, b in zip(angles, angles[1:]))
 
 
+@pytest.mark.parametrize("lookup", [ge.critical_angle, ge.collision_root])
+def test_member_lookups_reject_a_non_int_twist_equal_to_a_cached_one(lookup):
+    # True, 1.0 and np.int64(1) hash and compare equal to 1: the member cache
+    # answered them with the set-up of n = 1 before any validation ran
+    lookup(KnotFamily.C2N2, 1)
+    for n in (True, 1.0, np.int64(1)):
+        with pytest.raises(ValueError, match="integer"):
+            lookup(KnotFamily.C2N2, n)
+
+
 def test_spherical_length_at_a_hyperbolic_angle_raises_value_error():
     # it raised SelectionAmbiguityError ("could not isolate the split real pair")
     with pytest.raises(ValueError):

@@ -12,7 +12,7 @@ import sympy as sp
 from conevol import chebyshev, geometry
 from conevol import exactpoly as xp
 from conevol import riley as ry
-from conevol.chebyshev import eval_f, eval_fg
+from conevol.chebyshev import eval_f, kernel
 from conevol.errors import NonConvergenceError, PoleError
 from conevol.families import KnotFamily, is_torus_member
 from conevol.geometry import critical_angle
@@ -197,7 +197,7 @@ def test_residual_prime_is_the_residual_and_its_slope_bit_for_bit(family):
         for A in (0.0, 0.37, 2.5):
             eq = ry.build_cone_equation(family, n, A)
             for y in (0.3 + 0.8j, -1.7 + 0.05j, 2.6 - 0.4j, 1.1 + 0j):
-                fv, _, fp, gp = eval_fg(family, n, y, prime=True)
+                fv, _, fp, gp = kernel(family, n)(y, 2, 2)
                 slope = 2.0 * fv * fp - (1.0 + A * A) * gp
                 assert repr(eq.residual_prime(y)) == repr((eq.residual(y), slope))
 
@@ -274,6 +274,20 @@ def test_default_listing_leaves_out_the_parasites():
     default = ry.solve_cone_equation(eq)
     assert [r for r in full if not r.unit_f] == default
     assert [r.y for r in full if r.unit_f] == [pytest.approx(1.0, abs=1e-12)]
+
+
+def test_a_start_on_a_pole_is_spurious_and_only_in_the_full_listing(monkeypatch):
+    # y = 0 is the zero of S_1, a pole of f and g at n = 2: the companion
+    # solve never returns it, so it is added to the starts by hand
+    eq = ry.build_cone_equation(KnotFamily.C2N2, 2, 0.5)
+    starts = xp.p_roots(eq.moving_coeffs)
+    monkeypatch.setattr(xp, "p_roots", lambda coeffs: starts + [0j])
+    assert not ry._certified(eq, 0j)
+    full = ry.solve_cone_equation(eq, keep_spurious=True)
+    assert [r for r in full if r.spurious] == [ry.RootRecord(0j, math.inf, True)]
+    for keep_real in (True, False):
+        listing = ry.solve_cone_equation(eq, keep_real=keep_real)
+        assert listing and all(r.y != 0 for r in listing)
 
 
 @pytest.mark.parametrize("family, n, walks", [

@@ -11,7 +11,6 @@ import pytest
 
 from conevol import chebyshev, geometry
 from conevol import volume as vo
-from conevol.chebyshev import eval_fg
 from conevol.cli import main
 from conevol.errors import (ConevolError, NonConvergenceError, PathBlockedError,
                             QuadratureError, SelectionAmbiguityError)
@@ -182,7 +181,7 @@ def test_spherical_volume_of_the_reversed_pair_raises():
 
 def _log_argument(family, n, A, y):
     """R = (f^2 + A^2) / ((1 + A^2) g) from the recurrence kernel."""
-    fv, gv, _, _ = eval_fg(family, n, y)
+    fv, gv, _, _ = chebyshev.kernel(family, n)(y, 1, 1)
     return (fv * fv + A * A) / ((1.0 + A * A) * gv)
 
 
@@ -371,7 +370,7 @@ def test_r_branch_has_one_source_the_factor_list():
     # kernel: R's branch comes from the factor list alone
     evaluators = {name for name, obj in vars(chebyshev).items()
                   if callable(obj) and getattr(obj, "__module__", None) == chebyshev.__name__}
-    assert {"kernel", "eval_fg", "eval_S_pair"} <= evaluators
+    assert {"kernel", "eval_S_pair"} <= evaluators
     for fn in (vo.BranchTracker, vo._closes, vo._leg_phases):
         tree = ast.parse(inspect.getsource(fn))
         called = {getattr(node.func, "attr", getattr(node.func, "id", None))
@@ -475,6 +474,19 @@ def test_every_path_is_a_tuple_of_complex_vertices():
     for path in paths:
         assert type(path) is tuple and len(path) >= 2
         assert all(type(z) is complex for z in path), path
+
+
+def test_a_path_not_starting_at_the_conjugate_root_raises():
+    # R = 1 at conj(y0); a start 1e-3 off it fails the anchored-start check
+    # before any branch is tracked
+    spec = ConeManifoldSpec(FIG8, 1, 1.0)
+    y0 = classify(spec).roots[0]
+    factors = vo._r_factors(spec.family, spec.n, spec.cot_half)
+    path = next(vo._candidate_paths(spec.family, spec.n, factors, y0))
+    assert vo._contour(spec, path, 1j, factors)[0].real > 0.0
+    for offset in (1e-3, 1e-3j):
+        with pytest.raises(PathBlockedError, match="not anchored"):
+            vo._contour(spec, (path[0] + offset, *path[1:]), 1j, factors)
 
 
 def test_hyperbolic_tracker_veto_raises_instead_of_taking_another_path(monkeypatch):
@@ -787,7 +799,7 @@ def _node_paths(family, n):
 @pytest.mark.parametrize("family,n", NODE_MEMBERS, ids=lambda v: str(v))
 def test_integrand_nodes_equal_the_written_out_expression(family, n):
     # the per-path node closure, bit for bit, against the integrand written
-    # out: R from eval_fg, the log from tracker.log_at, on leg p -> q
+    # out: R from the kernel, the log from tracker.log_at, on leg p -> q
     # y = p + (q - p)*u and dy/du = q - p
     for A, path in _node_paths(family, n):
         integrand = vo._Integrand(family, n, A, path, vo._r_factors(family, n, A))
@@ -799,7 +811,7 @@ def test_integrand_nodes_equal_the_written_out_expression(family, n):
         for t in nodes + [0.0, float(legs)]:
             k = min(int(t), legs - 1)
             p, q, u = path[k], path[k + 1], t - k
-            fv, gv, fp, _ = eval_fg(family, n, p + (q - p) * u, prime=True)
+            fv, gv, fp, _ = chebyshev.kernel(family, n)(p + (q - p) * u, 2, 2)
             val = (fv * fv + A * A) / ((1.0 + A * A) * gv)
             want = (integrand.tracker.log_at(t, val) * fp / (fv * fv - 1.0)
                     * (q - p))
