@@ -59,10 +59,11 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _add_common(p):
+def _add_common(p, angles=True):
     p.add_argument("--family", required=True, help="c2n2 | c2n3 | c2nm2n")
     p.add_argument("--n", type=int, required=True, help="nonzero twist parameter")
-    p.add_argument("--degrees", action="store_true", help="angles given in degrees")
+    if angles:  # critical-angle reads no angle
+        p.add_argument("--degrees", action="store_true", help="angles given in degrees")
 
 
 def build_parser() -> _Parser:
@@ -90,7 +91,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("critical-angle", help="transition angle of a family member")
-    _add_common(p)
+    _add_common(p, angles=False)
     p.set_defaults(func=cmd_critical_angle)
 
     p = sub.add_parser("roots", help="cone-equation roots at a single angle")

@@ -23,7 +23,7 @@ cone-equation solve and a sort, so it cannot depend on earlier lookups.
 
 a_K is set up once per member: the rule picks the root at ALPHA_SEED, the
 Riley polynomial certifies it (riley.build_phi: its scaled backward error in
-Phi(2cos(alpha/2), .) is at most CERT_PHI_TOL), and the angle is marched
+Phi(2cos(alpha/2), .) is at most PHI_ROOT_TOL), and the angle is marched
 upward until the least pair collides onto the real axis.  The Im f > 0 rule
 already gives the root positive real length: |ell| > 1 is equivalent to
 Re(-i f tan(alpha/2)) > 0.  The set-up reads no matrix word; of the matrix
@@ -59,13 +59,13 @@ from .errors import NonConvergenceError, NotBracketedError, SelectionAmbiguityEr
 from .exactpoly import p_deriv, p_eval
 from .families import ConeManifoldSpec, KnotFamily, validate_twist
 from .representation import longitude_eigenvalue
-from .riley import _cone_parts, build_cone_equation, build_phi, solve_cone_equation
+from .riley import (PHI_ROOT_TOL, _cone_parts, build_cone_equation, build_phi,
+                    solve_cone_equation)
 
 ALPHA_SEED = 0.01
 MARCH_STEP = 0.05
 COLLISION_IM_TOL = 1e-9
 BISECT_TOL = 1e-10
-CERT_PHI_TOL = 1e-14  # scaled backward error of the seed root in Phi
 REAL_IM_TOL = 1e-7  # a spherical root with |Im y| above this is not real
 PAIR_MARGIN = 1e-3  # least real-part gap between the geometric pair and the next
 _WINDOW_LO = 2.0 * math.pi / 3.0 - 1e-6  # Kojima-Porti lower bound, with slack
@@ -153,9 +153,9 @@ def _length(family: KnotFamily, n: int, alpha: float, y: complex) -> float:
 
 
 def _certify(family: KnotFamily, n: int, alpha: float, y: complex) -> bool:
-    """Phi(2cos(alpha/2), y) = 0 to a scaled backward error of CERT_PHI_TOL."""
+    """Phi(2cos(alpha/2), y) = 0 to a scaled backward error of riley.PHI_ROOT_TOL."""
     x = 2.0 * math.cos(0.5 * alpha)
-    return build_phi(family, n).backward_error(x, y) <= CERT_PHI_TOL
+    return build_phi(family, n).backward_error(x, y) <= PHI_ROOT_TOL
 
 
 def _march_to_collision(family: KnotFamily, n: int, x: float):

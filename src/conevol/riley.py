@@ -63,7 +63,7 @@ from .families import R_EXPONENTS, ConeManifoldSpec, KnotFamily, validate_twist
 SPURIOUS_EPS = 1e-8
 RESIDUAL_TOL = 1e-8
 UNIT_F_TOL = 1e-8
-LEMMA_CD_TOL = 1e-8  # |Phi| and |cone residual| below this count as zero
+PHI_ROOT_TOL = 1e-14  # Phi's one root test: RileyPoly.backward_error at most this
 NEWTON_MAX_STEPS = 100
 
 
@@ -333,14 +333,14 @@ def check_lemma_cd(
 ) -> LemmaCdReport:
     """Evaluate Phi and the rational cone residual at the same point.
 
-    Away from f^2 = 1 the two vanish simultaneously; the report says whether
-    each is below LEMMA_CD_TOL.
+    Away from f^2 = 1 the two vanish simultaneously; the report applies Phi's
+    root test (PHI_ROOT_TOL) and the cone equation's (|residual| <= RESIDUAL_TOL).
     """
     A = ConeManifoldSpec(family, n, alpha).cot_half  # ValueError outside (0, 2*pi)
-    phi = build_phi(family, n).eval(2.0 * math.cos(0.5 * alpha), complex(y))
-    eq = build_cone_equation(family, n, A)
-    res = eq.residual(complex(y))
+    x, y = 2.0 * math.cos(0.5 * alpha), complex(y)
+    phi = build_phi(family, n)
+    res = build_cone_equation(family, n, A).residual(y)
     return LemmaCdReport(
-        phi, res, abs(phi) <= LEMMA_CD_TOL, abs(res) <= LEMMA_CD_TOL,
-        _unit_f(n, complex(y)),
+        phi.eval(x, y), res, phi.backward_error(x, y) <= PHI_ROOT_TOL,
+        abs(res) <= RESIDUAL_TOL, _unit_f(n, y),
     )

@@ -10,22 +10,23 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .chebyshev import eval_S_pair
 from .errors import ConevolError
-from .exactpoly import p_roots
 from .families import ConeManifoldSpec, KnotFamily, is_torus_member
-from .geometry import critical_angle, select_hyperbolic_root, select_spherical_roots
+from .geometry import (_moving_roots, critical_angle, select_hyperbolic_root,
+                       select_spherical_roots)
 from .representation import relation_residual, w12_closed_form, word_12
-from .riley import build_cone_equation, build_phi, solve_cone_equation
+from .riley import PHI_ROOT_TOL, build_phi
 from .volume import compute_volume
 
 # Each suite's tolerance, sample counts and seed; `conevol verify --tol`
 # re-grades the measured metric instead of changing these.
 PELL_TOL, PELL_SAMPLES, PELL_SEED = 1e-10, 200, 7
-LEMMA_CD_ANGLES, LEMMA_CD_TOL, LEMMA_CD_SEED = 20, 1e-7, 11
+LEMMA_CD_ANGLES, LEMMA_CD_TOL, LEMMA_CD_SEED = 20, 1e-7, 11  # TOL: root separation
 REPRESENTATION_ANGLES, REPRESENTATION_TOL = 6, 1e-9
 W12_TOL, W12_SEED = 1e-9, 13
 SCHLAFLI_TOL = 1e-6
@@ -72,7 +73,9 @@ def suite_pell() -> SuiteResult:
 
 
 def suite_lemma_cd(n_values=DEFAULT_N) -> SuiteResult:
-    """Zero sets of Phi(2cos(alpha/2), .) and of the cone equation coincide."""
+    """Zero sets of Phi(2cos(alpha/2), .) and of the cone equation coincide: the
+    moving cone roots number deg_y Phi, lie more than LEMMA_CD_TOL apart and pass
+    Phi's root test (riley.PHI_ROOT_TOL), so they are all of Phi's roots."""
     rng = np.random.default_rng(LEMMA_CD_SEED)
     worst = 0.0
     checked = 0
@@ -81,29 +84,19 @@ def suite_lemma_cd(n_values=DEFAULT_N) -> SuiteResult:
             phi = build_phi(family, n)
             for _ in range(LEMMA_CD_ANGLES):
                 alpha = rng.uniform(0.2, math.pi - 0.2)
-                A = 1.0 / math.tan(0.5 * alpha)
                 x = 2.0 * math.cos(0.5 * alpha)
-                eq = build_cone_equation(family, n, A)
-                cone_roots = [
-                    r.y for r in solve_cone_equation(eq) if not r.unit_f
-                ]
-                phi_roots = p_roots(phi.univariate_in_y(x))
-                if len(cone_roots) != len(phi_roots):
-                    return SuiteResult(
-                        "lemma-cd",
-                        False,
-                        f"{family.value} n={n} alpha={alpha:.4f}: "
-                        f"{len(cone_roots)} cone roots vs {len(phi_roots)} Phi roots",
-                        math.inf,
-                    )
-                for z in phi_roots:
-                    worst = max(worst, min(abs(z - w) for w in cone_roots))
-                for w in cone_roots:
-                    worst = max(worst, min(abs(w - z) for z in phi_roots))
+                ys = _moving_roots(family, n, alpha)
+                degree = len(phi.univariate_in_y(x)) - 1
+                gap = min((abs(a - b) for a, b in combinations(ys, 2)), default=math.inf)
+                if len(ys) != degree or gap <= LEMMA_CD_TOL:
+                    return SuiteResult("lemma-cd", False, f"{family.value} n={n} "
+                                       f"alpha={alpha:.4f}: {len(ys)} cone roots for deg "
+                                       f"Phi {degree}, least separation {gap:.2e}", math.inf)
+                worst = max([worst] + [phi.backward_error(x, y) for y in ys])
                 checked += 1
     return SuiteResult(
-        "lemma-cd", worst <= LEMMA_CD_TOL,
-        f"{checked} angle sets, max matching gap {worst:.2e}", worst,
+        "lemma-cd", worst <= PHI_ROOT_TOL,
+        f"{checked} angle sets, max Phi backward error {worst:.2e}", worst,
     )
 
 
@@ -123,11 +116,13 @@ def suite_representation(n_values=DEFAULT_N) -> SuiteResult:
 
         selected = [(a, (select_hyperbolic_root(spec(a)),))
                     for a in np.linspace(0.1, a_k - 0.05, REPRESENTATION_ANGLES)]
+        # a_K + 0.05 passes pi for C(2n,-2n) from |n| = 5 on; the midpoint does not
+        start = min(a_k + 0.05, 0.5 * (a_k + math.pi))
         selected += [(a, select_spherical_roots(spec(a)))
-                     for a in np.linspace(a_k + 0.05, math.pi, REPRESENTATION_ANGLES)]
-        for alpha, roots in selected:
+                     for a in np.linspace(start, math.pi, REPRESENTATION_ANGLES)]
+        for alpha, ys in selected:
             m = cmath.exp(0.5j * alpha)
-            for y in roots:
+            for y in ys:
                 worst = max(worst, relation_residual(family, n, m, complex(y)))
                 checked += 1
     return SuiteResult(
@@ -139,18 +134,17 @@ def suite_representation(n_values=DEFAULT_N) -> SuiteResult:
 
 
 def suite_w12(n_values=DEFAULT_N) -> SuiteResult:
-    """Closed-form word (1,2)-entries match literal products at Riley roots."""
+    """Closed-form word (1,2)-entries match literal products at Phi's roots:
+    the moving cone roots, which lemma-cd certifies as all of them."""
     rng = np.random.default_rng(W12_SEED)
     worst = 0.0
     checked = 0
     for family in KnotFamily:
         for n in n_values:
-            phi = build_phi(family, n)
             for _ in range(6):
                 alpha = rng.uniform(0.3, math.pi - 0.3)
                 m = cmath.exp(0.5j * alpha)
-                x = 2.0 * math.cos(0.5 * alpha)
-                for z in p_roots(phi.univariate_in_y(x)):
+                for z in _moving_roots(family, n, alpha):
                     lit = word_12(family, n, m, z)
                     worst = max(worst, abs(lit - w12_closed_form(family, n, m, z)))
                     checked += 1

@@ -80,6 +80,14 @@ def test_critical_angle_output(capsys):
     assert out.startswith("alpha_K=2.0943951024")
 
 
+def test_critical_angle_takes_no_degrees_flag(capsys):
+    # critical-angle reads no angle, so --degrees is an unknown flag there
+    with pytest.raises(SystemExit) as exc:
+        main(["critical-angle", "--family", "c2n2", "--n", "1", "--degrees"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --degrees" in capsys.readouterr().err
+
+
 def test_critical_angle_torus_member_exit_1(capsys):
     code, _, err = run_cli(
         "critical-angle", "--family", "c2nm2n", "--n", "1", capsys=capsys

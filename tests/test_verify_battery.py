@@ -1,14 +1,17 @@
 """The built-in verification battery: the default run passes end to end."""
 
+import ast
 import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conevol import geometry
+from conevol import geometry, verify
 from conevol.families import KnotFamily, is_torus_member
 from conevol.representation import w12_closed_form, word_12
+from conevol.riley import PHI_ROOT_TOL, build_phi
 from conevol.verify import (
     ALL_SUITES,
     DEFAULT_N,
@@ -49,10 +52,11 @@ def test_pell_metric_is_pinned():
 
 
 def test_phi_root_metrics_are_pinned():
-    # np.roots reads Phi's coefficient list in y, so a change to how Phi is
-    # built or collapsed at fixed x shows here first
-    assert repr(suite_lemma_cd().metric) == "1.280377857346985e-14"
-    assert repr(suite_w12().metric) == "1.1071868539771575e-13"
+    # both suites read the polished cone roots and lemma-cd scores them by
+    # Phi's backward error, so a change to the cone solve or to how Phi is
+    # built or evaluated shows here first
+    assert repr(suite_lemma_cd().metric) == "8.658352797442317e-16"
+    assert repr(suite_w12().metric) == "4.112398564494648e-14"
 
 
 def test_suite_registry_names():
@@ -84,7 +88,7 @@ def test_representation_suite_computes_no_singular_length(monkeypatch):
 
 def test_w12_closed_form_of_c12_minus3_at_60_digit_roots():
     # at exact roots of Phi the literal word and the closed form agree (gap
-    # about 4e-13); the suite's gap comes from the np.roots roots.
+    # about 4e-13), and at the polished cone roots the suite reads (6.4e-13).
     # suite_w12(n_values=(-6,)) draws six angles per family in KnotFamily
     # order, so C(-12,3) gets the second six
     rng = np.random.default_rng(W12_SEED)
@@ -99,10 +103,90 @@ def test_w12_closed_form_of_c12_minus3_at_60_digit_roots():
     assert worst <= W12_TOL
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 2: the np.roots roots of Phi for C(-12,3) are off "
-    "enough that the word and its closed form differ by 1.33e-8",
-)
 def test_w12_suite_passes_at_n_minus_6():
     assert suite_w12(n_values=(-6,)).passed
+
+
+def _lemma_cd_with(monkeypatch, edit):
+    """suite_lemma_cd at n = 2 with each angle's cone roots passed through edit."""
+    solve = verify._moving_roots
+    monkeypatch.setattr(verify, "_moving_roots", lambda *args: edit(solve(*args)))
+    return suite_lemma_cd(n_values=(2,))
+
+
+def test_lemma_cd_fails_when_a_root_is_missing(monkeypatch):
+    r = _lemma_cd_with(monkeypatch, lambda ys: ys[1:])
+    assert not r.passed and r.metric == math.inf
+    assert "n=2 alpha=" in r.detail and "cone roots for deg Phi" in r.detail
+
+
+def test_lemma_cd_fails_when_a_root_is_repeated(monkeypatch):
+    # the count holds, but a double listing leaves one root of Phi unmatched
+    r = _lemma_cd_with(monkeypatch, lambda ys: ys[:-1] + ys[:1])
+    assert not r.passed and r.metric == math.inf
+    assert "least separation 0.00e+00" in r.detail
+
+
+def test_lemma_cd_fails_when_a_root_is_off_by_1e_minus_6(monkeypatch):
+    r = _lemma_cd_with(monkeypatch, lambda ys: [ys[0] + 1e-6] + ys[1:])
+    assert not r.passed
+    assert PHI_ROOT_TOL < r.metric < math.inf
+
+
+@pytest.mark.parametrize("n", (-8, -6, 6, 8))
+def test_phi_root_suites_pass_beyond_n_5(n):
+    # a second np.roots solve of Phi missed the cone roots by 4.5e-7 from
+    # |n| = 9 on, and the word gap at its roots passed W12_TOL from |n| = 6 on
+    results = run_suites(["lemma-cd", "w12-closed-form"], n_values=(n,))
+    assert [r.name for r in results] == ["lemma-cd", "w12-closed-form"]
+    for r in results:
+        assert r.passed, f"{r.name}: {r.detail}"
+
+
+def test_representation_grid_stays_in_the_spherical_band():
+    # for C(16,-16), a_K + 0.05 lies past 2*pi - a_K: the grid raised ValueError
+    results = run_suites(["representation-oracle"], n_values=(8,))
+    assert len(results) == 1
+    assert results[0].passed, results[0].detail
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: a start polishes onto the f = +1 parasite "
+    "1.98137189207266 and is dropped as unit_f, so Phi's root near "
+    "1.98101 + 3.7e-7i has no cone root",
+)
+def test_c24_3_lists_a_cone_root_for_each_root_of_phi():
+    family, n, alpha = KnotFamily.C2N3, 12, 1.547383605066063
+    phi = build_phi(family, n)
+    degree = len(phi.univariate_in_y(2.0 * math.cos(0.5 * alpha))) - 1
+    assert degree == 36
+    assert len(geometry._moving_roots(family, n, alpha)) == degree
+
+
+def _names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.asname or node.name.split(".")[-1]
+
+
+def test_phi_is_solved_once_and_tested_by_one_tolerance():
+    src = Path(verify.__file__).parent
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
+    # verify reads the polished cone roots: no second solve of Phi
+    assert {"p_roots", "roots"}.isdisjoint(_names(trees["verify.py"]))
+    assigned = [
+        name for name, tree in trees.items() for node in ast.walk(tree)
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        for leaf in ast.walk(target)
+        if isinstance(leaf, ast.Name) and leaf.id == "PHI_ROOT_TOL"
+    ]
+    assert assigned == ["riley.py"]
+    for name in ("geometry.py", "riley.py"):
+        text = (src / name).read_text()
+        assert "CERT_PHI_TOL" not in text and "LEMMA_CD_TOL" not in text, name
