@@ -30,9 +30,14 @@ Re(-i f tan(alpha/2)) > 0.  The set-up reads no matrix word; of the matrix
 oracle (representation) geometry uses only the longitude eigenvalue, for the
 hyperbolic l_alpha.  Every march node uses the same order rule (_least_pair),
 so nothing is tracked from node to node but the pair's real part; a node has
-collided when no root is non-real.  The march halves its step past a
-collided node, bisects the collision angle, and the collided double root is
-polished on the deflated equation, which gives a_K.  A failed polish raises
+collided when no root is non-real.  No member collides below the
+Kojima-Porti floor 2*pi/3 (_WINDOW_LO), so the march passes its lattice
+nodes below the floor without a solve; it keeps the lattice of a march from
+ALPHA_SEED, since a_K and y* depend on the bracket's exact bits.  The first
+solved node, less than one step below the floor, must hold a non-real pair,
+else NotBracketedError.  The march halves its step past a collided node,
+bisects the collision angle, and the collided double root is polished on
+the deflated equation, which gives a_K.  A failed polish raises
 NonConvergenceError; the bisected angle is no fallback.  The member keeps
 only a_K and the double root y*.
 
@@ -158,15 +163,22 @@ def _certify(family: KnotFamily, n: int, alpha: float, y: complex) -> bool:
     return build_phi(family, n).backward_error(x, y) <= PHI_ROOT_TOL
 
 
-def _march_to_collision(family: KnotFamily, n: int, x: float):
+def _march_to_collision(family: KnotFamily, n: int):
     """(angle, x) where the least pair, of real part x, lands on the real axis.
 
-    The march starts at ALPHA_SEED with x the seed root's real part; a node
-    has collided when _least_pair finds no non-real root.  None if the pair
-    is still off the axis at pi.
+    The march walks the lattice ALPHA_SEED + k*MARCH_STEP, built by the float
+    additions of its step rule; a node has collided when _least_pair finds no
+    non-real root.  No member collides below _WINDOW_LO (Kojima-Porti), so a
+    lattice node is passed without a solve when the node after it is still
+    below the floor, and the first solved node must hold a non-real pair,
+    else NotBracketedError.  The lattice starts at ALPHA_SEED, not at the
+    floor, because a_K and y* hang on the bracket's exact bits (the polish
+    starts from the bisected angle and x).  None if the pair is still off
+    the axis at pi.
     """
-    a = ALPHA_SEED
-    step = MARCH_STEP
+    a, step, x = ALPHA_SEED, MARCH_STEP, None
+    while a + step + step < _WINDOW_LO:
+        a += step
     while True:
         if a >= math.pi - 1e-12:
             return None
@@ -175,6 +187,9 @@ def _march_to_collision(family: KnotFamily, n: int, x: float):
         if pair is not None:
             a, x = cand, pair[0].real
             step = min(MARCH_STEP, step * 1.6)
+        elif x is None:
+            raise NotBracketedError(f"{_where(family, n, cand)}: the least pair has "
+                                    f"collided below 2*pi/3")
         elif step > 1e-4:
             step *= 0.5
         else:
@@ -247,7 +262,7 @@ class _MemberGeometry:
                 f"certification",
                 [y_seed],
             )
-        collision = _march_to_collision(family, n, y_seed.real)
+        collision = _march_to_collision(family, n)
         if collision is None or not _WINDOW_LO <= collision[0] < math.pi:
             raise NotBracketedError(
                 f"{family.value} n={n}: the geometric root collides outside "

@@ -328,8 +328,8 @@ def test_a_failed_sweep_row_keeps_its_place(monkeypatch, capsys):
 
 @pytest.mark.parametrize("argv,kind", [
     (["critical-angle", "--family", "c2nm2n", "--n", "1"], "NotBracketedError"),
-    (["critical-angle", "--family", "c2n2", "--n", "-6"], "NonConvergenceError"),
-    (["volume", "--family", "c2n2", "--n", "-6", "--alpha", "1.0"],
+    (["critical-angle", "--family", "c2n3", "--n", "12"], "NonConvergenceError"),
+    (["volume", "--family", "c2n2", "--n", "-3", "--alpha", "0.5855"],
      "NonConvergenceError"),
     (["roots", "--family", "c2nm2n", "--n", "1", "--alpha", "1.0"],
      "NotBracketedError"),
@@ -375,10 +375,10 @@ def test_verify_turns_a_raised_error_into_one_typed_stderr_line(monkeypatch, cap
 
 
 def test_verify_reports_a_raising_suite_as_failed_and_goes_on(capsys):
-    # C(-12,2) does not solve to RESIDUAL_TOL (ROADMAP item 2); the battery
-    # grades that suite as failed instead of ending in a traceback
+    # the double-root polish of C(24,3) leaves its bracket (ROADMAP item 2);
+    # the battery grades that suite as failed instead of ending in a traceback
     code, out, err = run_cli(
-        "verify", "--n", "-6", "--suite", "pell-identity",
+        "verify", "--n", "12", "--suite", "pell-identity",
         "--suite", "representation-oracle", capsys=capsys,
     )
     assert code == 3
@@ -387,7 +387,7 @@ def test_verify_reports_a_raising_suite_as_failed_and_goes_on(capsys):
     assert lines[0].startswith("pell-identity") and "PASS" in lines[0]
     assert lines[1].startswith("representation-oracle  FAIL  NonConvergenceError: ")
     assert err == ""
-    failed = verify.run_suites(["representation-oracle"], n_values=(-6,))
+    failed = verify.run_suites(["representation-oracle"], n_values=(12,))
     assert [(r.name, r.passed, r.metric) for r in failed] == [
         ("representation-oracle", False, math.inf)
     ]

@@ -6,6 +6,7 @@ import inspect
 import math
 import random
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +28,9 @@ from conevol.representation import longitude_eigenvalue, relation_residual
 from conevol.riley import build_cone_equation
 
 from oracles import critical_angle_exact, singular_length_60
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads as wl  # noqa: E402
 
 MEMBERS = [
     (family, n)
@@ -437,6 +441,87 @@ def test_set_up_raises_when_the_march_tangles(monkeypatch):
         ge._MemberGeometry(*FIG8)
 
 
+def _solved_angles(monkeypatch):
+    """The angles of every cone-equation solve of geometry, in call order."""
+    angles = []
+    solve = ge._moving_roots
+    monkeypatch.setattr(ge, "_moving_roots", lambda family, n, alpha, *mode: (
+        angles.append(alpha) or solve(family, n, alpha, *mode)))
+    return angles
+
+
+def _march_from_the_seed(family, n):
+    """A reference march that solves every lattice node from ALPHA_SEED on.
+    Returns ((angle, x), the solved angles)."""
+    angles = []
+
+    def pair_at(alpha):
+        angles.append(alpha)
+        return ge._least_pair(family, n, alpha, ge._moving_roots(family, n, alpha, False))
+
+    a, step = ge.ALPHA_SEED, ge.MARCH_STEP
+    x = pair_at(a)[0].real
+    while True:
+        cand = min(a + step, math.pi)
+        pair = pair_at(cand)
+        if pair is not None:
+            a, x = cand, pair[0].real
+            step = min(ge.MARCH_STEP, step * 1.6)
+        elif step > 1e-4:
+            step *= 0.5
+        else:
+            break
+    lo, hi = a, cand
+    while hi - lo > ge.BISECT_TOL:
+        mid = 0.5 * (lo + hi)
+        pair = pair_at(mid)
+        if pair is not None:
+            lo, x = mid, pair[0].real
+        else:
+            hi = mid
+    return (0.5 * (lo + hi), x), angles
+
+
+@pytest.mark.parametrize("family,n", wl.CURVE_MEMBERS)
+def test_the_march_solves_no_lattice_node_below_the_floor(family, n, monkeypatch):
+    # the floor rule leaves out the lattice nodes below 2*pi/3 - MARCH_STEP
+    # and nothing else: the bracket, and so a_K and y*, keep their bits
+    collision, old = _march_from_the_seed(family, n)
+    lattice = [ge.ALPHA_SEED]
+    while lattice[-1] + ge.MARCH_STEP < ge._WINDOW_LO - ge.MARCH_STEP:
+        lattice.append(lattice[-1] + ge.MARCH_STEP)
+    assert old[:len(lattice)] == lattice
+    ge.clear_caches()
+    new = _solved_angles(monkeypatch)
+    ge.critical_angle(family, n)
+    assert new == [ge.ALPHA_SEED] + old[len(lattice):]
+    assert min(new[1:]) >= ge._WINDOW_LO - ge.MARCH_STEP
+    assert ge._march_to_collision(family, n) == collision
+
+
+def test_set_up_raises_when_the_first_solved_node_has_collided(monkeypatch):
+    # a pair that is real at the first node past the skipped lattice has
+    # collided below 2*pi/3, which no member does
+    seed_roots = ge._moving_roots(*FIG8, ge.ALPHA_SEED)
+    angles = []
+    monkeypatch.setattr(ge, "_moving_roots", lambda family, n, alpha, *mode: (
+        angles.append(alpha)
+        or (seed_roots if alpha == ge.ALPHA_SEED else [-1.0 + 0j, 0.5 + 0j])))
+    with pytest.raises(NotBracketedError, match="below 2"):
+        ge._MemberGeometry(*FIG8)
+    assert angles[0] == ge.ALPHA_SEED and len(angles) == 2
+    assert ge._WINDOW_LO - ge.MARCH_STEP <= angles[1] < ge._WINDOW_LO
+
+
+def test_cold_set_up_of_the_curve_members_solves_a_pinned_count(monkeypatch):
+    # solving every march lattice node from the seed on took 367
+    ge.clear_caches()
+    angles = _solved_angles(monkeypatch)
+    for family, n in wl.CURVE_MEMBERS:
+        ge.critical_angle(family, n)
+    assert len(angles) == 207
+
+
 def test_c18_3_just_above_its_a_k_is_still_hyperbolic():
     # a_K of C(18,3) is 1.7e-9 below the exact value (ROADMAP item 12), so a
     # conjugate pair is still the least at a_K + 1e-10; the continued split
@@ -448,14 +533,15 @@ def test_c18_3_just_above_its_a_k_is_still_hyperbolic():
 
 # a_K past 4 ulp of the exact double root (ROADMAP item 12)
 _AK_OFF = {(KnotFamily.C2N3, 4): 8.9e-15, (KnotFamily.C2NMINUS2N, 4): 8.9e-15,
-           (KnotFamily.C2NMINUS2N, -4): 8.9e-15, (KnotFamily.C2N2, 8): 1.65e-12}
+           (KnotFamily.C2NMINUS2N, -4): 8.9e-15, (KnotFamily.C2N2, 8): 1.65e-12,
+           (KnotFamily.C2N2, -6): 4.13e-14}
 
 
 @pytest.mark.parametrize("family,n", [
     pytest.param(f, n, marks=pytest.mark.xfail(
         strict=True, reason=f"ROADMAP item 12: a_K {_AK_OFF[f, n]:.3g} off"))
     if (f, n) in _AK_OFF else (f, n)
-    for f, n in MEMBERS_4 + [(KnotFamily.C2N2, 8)]
+    for f, n in MEMBERS_4 + [(KnotFamily.C2N2, 8), (KnotFamily.C2N2, -6)]
 ])
 def test_critical_angle_is_within_4_ulp_of_the_exact_double_root(family, n):
     exact = critical_angle_exact(family.value, n)
@@ -468,8 +554,8 @@ MEMBERS_12 = [
     for n in range(-12, 13)
     if n != 0 and not is_torus_member(family, n)
 ]
-# ROADMAP item 2: a Newton polish fails (c2n2 n=-6, c2n3 n=12)
-STILL_RAISE = {(KnotFamily.C2N2, -6), (KnotFamily.C2N3, 12)}
+# ROADMAP item 2: the double-root polish of c2n3 n=12 leaves its bracket
+STILL_RAISE = {(KnotFamily.C2N3, 12)}
 
 
 # (a_K, y*) of every resolving member, bit for bit: a_K is printed by the CLI
@@ -481,6 +567,7 @@ SET_UP = {
     (KnotFamily.C2N2, -9): (2.996942972120213, -1.951165846788154),
     (KnotFamily.C2N2, -8): (2.9782520273563975, -1.937813486452331),
     (KnotFamily.C2N2, -7): (2.9540084319003492, -1.9181456088816045),
+    (KnotFamily.C2N2, -6): (2.9213020906794864, -1.8874629580601558),
     (KnotFamily.C2N2, -5): (2.8747536839035672, -1.8357460520498199),
     (KnotFamily.C2N2, -4): (2.803178746393895, -1.738453600919772),
     (KnotFamily.C2N2, -3): (2.678787547805059, -1.522005488471306),
@@ -559,7 +646,10 @@ def test_every_member_up_to_twelve_resolves_or_raises_a_typed_error(family, n):
 # ------------------------------------- the non-real listing below a_K
 
 def _non_real_angles(a_k):
-    """The march's forward nodes below a_K and a 16-point hyperbolic grid."""
+    """The march's lattice nodes below a_K and a 16-point hyperbolic grid.
+
+    The set-up solves only the lattice nodes past 2*pi/3 - MARCH_STEP; the
+    rest stay here as coverage of the non-real listing."""
     march, a = [], ge.ALPHA_SEED
     while a < a_k:
         march.append(a)

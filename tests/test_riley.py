@@ -291,13 +291,14 @@ def test_a_start_on_a_pole_is_spurious_and_only_in_the_full_listing(monkeypatch)
 
 
 @pytest.mark.parametrize("family, n, walks", [
+    # solving the march's lattice nodes below 2*pi/3 took 598, 2,277 and 901;
     # polishing both members of each conjugate pair took 867, 3,454 and 1,421
     # walks; polishing the exactly real roots too, 1,411, 5,520 and 3,143;
     # marching every seed pair, 2,613, 34,732 and 7,292; before that, residual
     # and slope walked apart: 4,392, 64,035 and 14,603
-    (KnotFamily.C2N3, 2, 598),
-    (KnotFamily.C2N2, 8, 2277),
-    (KnotFamily.C2NMINUS2N, 4, 901),
+    (KnotFamily.C2N3, 2, 305),
+    (KnotFamily.C2N2, 8, 1146),
+    (KnotFamily.C2NMINUS2N, 4, 426),
 ])
 def test_cold_critical_angle_recurrence_walks_are_pinned(family, n, walks, monkeypatch):
     geometry.clear_caches()
@@ -361,7 +362,8 @@ def test_listings_equal_polishing_every_start_bit_for_bit(family, n):
     # the conjugate twin of a polished non-real start gets the conjugate
     # record: conjugate inputs give conjugate outputs in the polish and _unit_f
     a_k = critical_angle(family, n)
-    # the set-up march's forward nodes below a_K, a hyperbolic and a spherical grid
+    # the march's lattice nodes below a_K (the set-up solves those past
+    # 2*pi/3 - MARCH_STEP), a hyperbolic and a spherical grid
     march = [geometry.ALPHA_SEED + k * geometry.MARCH_STEP
              for k in range(int((a_k - geometry.ALPHA_SEED) / geometry.MARCH_STEP) + 1)]
     fractions = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -421,11 +423,17 @@ def test_polish_is_called_only_by_solve_cone_equation():
     assert users == [("riley.py", "solve_cone_equation")]
 
 
-@pytest.mark.parametrize("n", (13, 14))
-def test_diverging_newton_polish_raises_a_typed_error(n):
-    # Newton in _polish diverges on these members until S_{n-1}^4 overflows in
-    # the residual; the best point so far fails the residual tolerance
+@pytest.mark.parametrize("n, alpha", [(13, 0.51), (14, 0.060000000000000005)],
+                         ids=("13", "14"))
+def test_diverging_newton_polish_raises_a_typed_error(n, alpha):
+    # Newton in _polish diverges on these members at these march lattice
+    # nodes until S_{n-1}^4 overflows in the residual; the best point so far
+    # fails the residual tolerance.  The set-up solves no node below 2*pi/3;
+    # both members still end in a typed error there
+    eq = ry.build_cone_equation(KnotFamily.C2N3, n, 1.0 / math.tan(0.5 * alpha))
     with pytest.raises(NonConvergenceError, match="failed to polish"):
+        ry.solve_cone_equation(eq, False, False)
+    with pytest.raises(NonConvergenceError):
         critical_angle(KnotFamily.C2N3, n)
 
 
