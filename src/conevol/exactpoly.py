@@ -2,7 +2,8 @@
 
 Every exact polynomial of the package is built here: the S_k coefficient
 lists, the numerator and denominator of f_n, the Riley and cone-equation
-pieces; p_eval is the only Horner loop and p_roots the only root finder.
+pieces; p_eval is the only Horner loop and p_roots_many the only root finder
+(p_roots is its one-polynomial call).
 Polynomials are plain lists of Python ints (coefficient of y^j at index j),
 so coefficient growth is unbounded and exact.  The Riley polynomial and the
 cleared cone equation are linear in a parameter s (x^2 or A^2), so each is a
@@ -88,7 +89,43 @@ def p_backward_error(p0, p1, s, y) -> float:
 
 def p_roots(a):
     """All complex roots of a (ascending coefficients), from the companion matrix."""
-    return [complex(z) for z in np.roots(list(reversed(a)))]
+    return p_roots_many([a])[0]
+
+
+def p_roots_many(polys) -> list:
+    """The roots of each polynomial (ascending coefficients), bit for bit as
+    np.roots finds them, from one np.linalg.eigvals call per companion size.
+
+    Each companion matrix is built as np.roots builds it from the descending
+    coefficients: leading and trailing zeros stripped, non-float coefficients
+    made float, ones on the subdiagonal and -p[1:] / p[0] in the first row.
+    Matrices of one size and dtype are stacked, and LAPACK solves each one as
+    it would alone.  eigvals returns a real array only when every eigenvalue
+    of the stack is real, so that test is made per matrix, as np.roots makes
+    it; then each stripped trailing zero appends an exact root 0.  A
+    polynomial of degree 0 (or all zeros) has no roots.
+    """
+    out, groups = [], {}
+    for i, a in enumerate(polys):
+        p = np.asarray(list(reversed(a)))
+        nonzero = np.flatnonzero(p)
+        out.append([0j] * (len(p) - 1 - nonzero[-1]) if len(nonzero) else [])
+        if len(nonzero) == 0 or nonzero[-1] == nonzero[0]:
+            continue
+        p = p[nonzero[0]:nonzero[-1] + 1]
+        if not issubclass(p.dtype.type, (np.floating, np.complexfloating)):
+            p = p.astype(float)
+        groups.setdefault((len(p), p.dtype), []).append((i, p))
+    for (size, dtype), members in groups.items():
+        coeffs = np.array([p for _, p in members])
+        companions = np.zeros((len(members), size - 1, size - 1), dtype)
+        companions.reshape(len(members), -1)[:, size - 1::size] = 1  # the subdiagonal
+        companions[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
+        for (i, _), w in zip(members, np.linalg.eigvals(companions)):
+            if w.dtype.kind == "c" and dtype.kind == "f" and not w.imag.any():
+                w = w.real
+            out[i] = list(map(complex, w.tolist())) + out[i]
+    return out
 
 
 def p_deriv(a):

@@ -20,6 +20,11 @@ longitude eigenvalue is -exp(-2i atan F), so l = 2|atan F(r1) - atan F(r0)|.
 Angles above pi reuse the pair at 2*pi - alpha, since the cone equation
 depends on the angle only through A^2 = cot^2(alpha/2).  Each lookup is one
 cone-equation solve and a sort, so it cannot depend on earlier lookups.
+classify_panel classifies the angles of one member together (a Schlaefli
+quadrature panel): each angle still gets its own solve, but the companion
+roots of all come from one stacked eigenvalue call (_panel_roots) and the
+hyperbolic lengths from one stacked walk of the longitude words, each bit
+for bit its single value; classify is its one-angle call.
 
 a_K is set up once per member: the rule picks the root at ALPHA_SEED, the
 Riley polynomial certifies it (riley.build_phi: its scaled backward error in
@@ -61,9 +66,9 @@ from enum import Enum
 
 from .chebyshev import eval_f
 from .errors import NonConvergenceError, NotBracketedError, SelectionAmbiguityError
-from .exactpoly import p_deriv, p_eval
+from .exactpoly import p_deriv, p_eval, p_roots_many
 from .families import ConeManifoldSpec, KnotFamily, validate_twist
-from .representation import longitude_eigenvalue
+from .representation import longitude_eigenvalues
 from .riley import (PHI_ROOT_TOL, _cone_parts, build_cone_equation, build_phi,
                     solve_cone_equation)
 
@@ -100,12 +105,35 @@ _LOCK = threading.RLock()
 _MEMBERS: dict = {}
 
 
-def _moving_roots(family: KnotFamily, n: int, alpha: float, keep_real: bool = True) -> list:
+def _moving_roots(family: KnotFamily, n: int, alpha: float, keep_real: bool = True,
+                  solved=None) -> list:
     """The moving roots at alpha; keep_real=False leaves out the exactly real
-    ones (solve_cone_equation's non-real listing), which _least_pair never reads."""
-    A = 1.0 / math.tan(0.5 * alpha)
-    eq = build_cone_equation(family, n, A)
-    return [r.y for r in solve_cone_equation(eq, False, keep_real) if not r.unit_f]
+    ones (solve_cone_equation's non-real listing), which _least_pair never reads.
+    solved is alpha's (cone equation, companion roots) when a panel has them."""
+    eq, starts = solved or (build_cone_equation(family, n, 1.0 / math.tan(0.5 * alpha)), None)
+    return [r.y for r in solve_cone_equation(eq, False, keep_real, starts) if not r.unit_f]
+
+
+def _panel_roots(family: KnotFamily, n: int, alphas, keep_reals):
+    """Yield _moving_roots at each angle in turn, with the companion roots of
+    every angle from one stacked solve (exactpoly.p_roots_many).
+
+    Each angle is polished only when its turn comes, and an equation that
+    cannot be built (build_cone_equation's ValueError) raises in its turn, so
+    a failure surfaces after the angles before it, as in a loop of solves.
+    """
+    eqs, failure = [], None
+    for alpha in alphas:
+        try:
+            eqs.append(build_cone_equation(family, n, 1.0 / math.tan(0.5 * alpha)))
+        except ValueError as exc:
+            failure = exc
+            break
+    starts = p_roots_many([eq.moving_coeffs for eq in eqs])
+    for alpha, keep_real, solved in zip(alphas, keep_reals, zip(eqs, starts)):
+        yield _moving_roots(family, n, alpha, keep_real, solved)
+    if failure is not None:
+        raise failure
 
 
 def _least_pair(family: KnotFamily, n: int, alpha: float, roots):
@@ -135,13 +163,14 @@ def _geometric_root(family: KnotFamily, n: int, alpha: float, roots) -> complex:
     return pair[0] if eval_f(n, pair[0]).imag > 0.0 else pair[1]
 
 
-def _spherical_pair(family: KnotFamily, n: int, alpha: float):
-    """((y_plus, y_minus), l_alpha) at a folded spherical angle in (a_K, pi].
+def _spherical_pair(family: KnotFamily, n: int, alpha: float, roots):
+    """((y_plus, y_minus), l_alpha) at a folded spherical angle in (a_K, pi],
+    from its moving roots (the full listing).
 
     The two least real roots r0 < r1, as (r1, r0) for n > 0 and (r0, r1)
     for n < 0, and l = 2|atan F(r1) - atan F(r0)| with F = f(r) tan(alpha/2).
     """
-    ys = sorted(_moving_roots(family, n, alpha), key=lambda y: y.real)
+    ys = sorted(roots, key=lambda y: y.real)
     if len(ys) < 2 or max(abs(ys[0].imag), abs(ys[1].imag)) > REAL_IM_TOL:
         raise SelectionAmbiguityError(
             f"{family.value} n={n}: the two least roots at alpha={alpha:.8f} are "
@@ -152,9 +181,10 @@ def _spherical_pair(family: KnotFamily, n: int, alpha: float):
     return ((r1, r0) if n > 0 else (r0, r1)), l_alpha
 
 
-def _length(family: KnotFamily, n: int, alpha: float, y: complex) -> float:
-    """Real length 2*log|ell| of the singular geodesic at a hyperbolic root."""
-    return 2.0 * math.log(abs(longitude_eigenvalue(family, n, cmath.exp(0.5j * alpha), y)))
+def _lengths(family: KnotFamily, n: int, alphas, ys) -> list:
+    """Real length 2*log|ell| of the singular geodesic at each hyperbolic root."""
+    ms = [cmath.exp(0.5j * alpha) for alpha in alphas]
+    return [2.0 * math.log(abs(ell)) for ell in longitude_eigenvalues(family, n, ms, ys)]
 
 
 def _certify(family: KnotFamily, n: int, alpha: float, y: complex) -> bool:
@@ -353,21 +383,49 @@ def classify(spec: ConeManifoldSpec) -> RegimeResult:
     """Regime, selected geometric root(s) and l_alpha (its one source).
 
     l_alpha is 2*log|ell| at the hyperbolic root, from the matrix words, or
-    the spherical pair's closed-form length (_spherical_pair).
+    the spherical pair's closed-form length (_spherical_pair).  The one-angle
+    call of classify_panel.
     """
-    member = _member(spec.family, spec.n)
+    return classify_panel([spec])[0]
+
+
+def classify_panel(specs) -> list:
+    """classify at each spec of one member, as one panel (module docstring).
+
+    The specs are solved and selected in order (_panel_roots), then the
+    hyperbolic lengths are found together.  The error raised is that of the
+    first failing spec: the lengths of the specs selected before a failing
+    selection are found before it propagates.
+    """
+    family, n = specs[0].family, specs[0].n
+    member = _member(family, n)
     a_k = member.alpha_k
-    alpha = spec.alpha
-    regime = regime_of(alpha, a_k)
-    if regime is Regime.OUT_OF_RANGE:
-        return RegimeResult(regime, a_k, (), None)
-    if regime is Regime.EUCLIDEAN:
-        return RegimeResult(regime, a_k, (member.y_star,), None)
-    if regime is Regime.HYPERBOLIC:
-        y0 = member.hyperbolic_root(alpha)
-        return RegimeResult(regime, a_k, (y0,), _length(spec.family, spec.n, alpha, y0))
-    pair, l_alpha = _spherical_pair(spec.family, spec.n, _fold(alpha))
-    return RegimeResult(regime, a_k, pair, l_alpha)
+    regimes = [regime_of(spec.alpha, a_k) for spec in specs]
+    solved = [(_fold(spec.alpha), regime) for spec, regime in zip(specs, regimes)
+              if regime in (Regime.HYPERBOLIC, Regime.SPHERICAL)]
+    alphas = [alpha for alpha, _ in solved]
+    keep_reals = [regime is Regime.SPHERICAL for _, regime in solved]
+    picks = []  # the hyperbolic root, or the spherical (pair, l_alpha)
+    try:
+        for (alpha, regime), roots in zip(solved, _panel_roots(family, n, alphas, keep_reals)):
+            picks.append(_geometric_root(family, n, alpha, roots) if regime is Regime.HYPERBOLIC
+                         else _spherical_pair(family, n, alpha, roots))
+    finally:
+        hyperbolic = [(alpha, y) for (alpha, regime), y in zip(solved, picks)
+                      if regime is Regime.HYPERBOLIC]
+        lengths = iter(_lengths(family, n, *zip(*hyperbolic)) if hyperbolic else ())
+    picks = iter(picks)
+    out = []
+    for regime in regimes:
+        if regime is Regime.OUT_OF_RANGE:
+            out.append(RegimeResult(regime, a_k, (), None))
+        elif regime is Regime.EUCLIDEAN:
+            out.append(RegimeResult(regime, a_k, (member.y_star,), None))
+        elif regime is Regime.HYPERBOLIC:
+            out.append(RegimeResult(regime, a_k, (next(picks),), next(lengths)))
+        else:
+            out.append(RegimeResult(regime, a_k, *next(picks)))
+    return out
 
 
 def clear_caches():

@@ -16,6 +16,11 @@ evaluated by binary exponentiation of the repeated blocks.  The longitude is
 w w* a^{-4n} for odd families and w w* for even ones (w* = letters of w
 reversed); its upper-left eigenvalue comes out of the (1,2)-entry trick
 ell = -W~_12 / W_12, where W~ re-evaluates the word at m -> 1/m.
+
+The words of many points are walked as one (k, 2, 2) stack
+(longitude_eigenvalues).  numpy's stacked 2x2 products round as its single
+ones do; products written with Python complex scalars would not, since the
+BLAS product uses fused multiply-adds.
 """
 
 from __future__ import annotations
@@ -33,16 +38,16 @@ from .families import KnotFamily
 _IMAG_WINDOW = 2.0 * math.pi  # lifted holonomy angle lives in [-2*pi, 2*pi)
 
 
-def mat(a, b, c, d) -> np.ndarray:
-    return np.array([[a, b], [c, d]], dtype=complex)
-
-
 def mat_inv(M: np.ndarray) -> np.ndarray:
-    """Inverse of a determinant-1 matrix, explicitly."""
-    return np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]], dtype=complex)
+    """Inverse of a determinant-1 matrix, or of each in a (k, 2, 2) stack, explicitly."""
+    out = np.empty_like(M)
+    out[..., 0, 0], out[..., 0, 1] = M[..., 1, 1], -M[..., 0, 1]
+    out[..., 1, 0], out[..., 1, 1] = -M[..., 1, 0], M[..., 0, 0]
+    return out
 
 
 def mat_pow(M: np.ndarray, k: int) -> np.ndarray:
+    """M^k by binary exponentiation; a (k, 2, 2) stack is powered matrix by matrix."""
     if k < 0:
         return mat_pow(mat_inv(M), -k)
     out = np.eye(2, dtype=complex)
@@ -57,14 +62,20 @@ def mat_pow(M: np.ndarray, k: int) -> np.ndarray:
 
 def build_matrices(family: KnotFamily, m: complex, t: complex):
     """Generator images (A, B) with tr(AB) = t (odd) or tr(A B^-1) = t (even)."""
-    if m == 0:
+    A, B = _generator_stacks(family, [m], [t])
+    return A[0], B[0]
+
+
+def _generator_stacks(family: KnotFamily, ms, ts):
+    """build_matrices at each (m, t), as two (k, 2, 2) stacks."""
+    if 0 in ms:
         raise ValueError("meridian eigenvalue m must be nonzero")
-    A = mat(m, 1.0, 0.0, 1.0 / m)
     if family.is_odd_presentation:
-        low = t - m * m - 1.0 / (m * m)
+        lows = [t - m * m - 1.0 / (m * m) for m, t in zip(ms, ts)]
     else:
-        low = 2.0 - t
-    B = mat(m, 0.0, low, 1.0 / m)
+        lows = [2.0 - t for t in ts]
+    A = np.array([[[m, 1.0], [0.0, 1.0 / m]] for m in ms], dtype=complex)
+    B = np.array([[[m, 0.0], [low, 1.0 / m]] for m, low in zip(ms, lows)], dtype=complex)
     return A, B
 
 
@@ -154,20 +165,38 @@ def longitude_eigenvalue(family: KnotFamily, n: int, m: complex, t: complex) -> 
 
     For odd families this equals l * m^{4n} with l the longitude eigenvalue
     proper; for even families it is l itself.  Requires representation
-    parameters (relation residual <= 1e-8).
+    parameters (relation residual <= 1e-8).  The one-point call of
+    longitude_eigenvalues.
     """
-    A, B = build_matrices(family, m, t)
-    W = word_value(family, n, A, B)
-    res = float(np.linalg.norm(W @ A - B @ W))  # relation_residual, from this W
-    if res > 1e-8:
-        raise ValueError(
-            f"longitude eigenvalue needs a representation point (residual {res:.3e})"
-        )
-    w12 = complex(W[0, 1])
-    if abs(w12) <= 1e-12:
-        raise DegenerateLongitudeError(f"word (1,2)-entry is {w12!r}")
-    w12_tilde = word_12(family, n, 1.0 / m, t)
-    return -w12_tilde / w12
+    return longitude_eigenvalues(family, n, [m], [t])[0]
+
+
+def longitude_eigenvalues(family: KnotFamily, n: int, ms, ts) -> list:
+    """longitude_eigenvalue at each (m, t), from one walk of the stacked words.
+
+    The words at every (m, t) and (1/m, t) are one (2k, 2, 2) stack, walked
+    by the literal products above; stacked 2x2 products round as the single
+    ones do, so each ell is the one-point value bit for bit.  The points are
+    checked in order, each for its relation residual and then its W_12, and
+    the first failure raises.
+    """
+    k = len(ms)
+    A, B = _generator_stacks(family, [*ms, *(1.0 / m for m in ms)], [*ts, *ts])
+    words = word_value(family, n, A, B)
+    W = words[:k]
+    residuals = W @ A[:k] - B[:k] @ W  # relation_residual_matrix, from this W
+    out = []
+    for i in range(k):
+        res = float(np.linalg.norm(residuals[i]))
+        if res > 1e-8:
+            raise ValueError(
+                f"longitude eigenvalue needs a representation point (residual {res:.3e})"
+            )
+        w12 = complex(W[i, 0, 1])
+        if abs(w12) <= 1e-12:
+            raise DegenerateLongitudeError(f"word (1,2)-entry is {w12!r}")
+        out.append(-complex(words[k + i, 0, 1]) / w12)
+    return out
 
 
 def f_identity_gap(

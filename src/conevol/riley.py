@@ -19,10 +19,11 @@ Two exact objects are assembled here with integer arithmetic:
 A ConeEquation carries the cleared polynomial deflated: the parasite
 gcd(C0, C1) in closed form (_cone_parts), whose roots are exact cosines
 (chebyshev.s_diff_zeros), and the moving quotient, whose roots come from the
-companion matrix (exactpoly.p_roots) and are polished by Newton iteration on
-the rational residual itself, which avoids error amplification from the
-cleared factors; roots that fail to polish raise.  Each non-real conjugate
-pair is polished once: LAPACK returns the companion roots of a real
+companion matrix (exactpoly.p_roots_many: one stacked call serves every angle
+of a geometry panel) and are polished by Newton iteration on the rational
+residual itself, which avoids error amplification from the cleared factors;
+roots that fail to polish raise.  Each non-real conjugate pair is polished
+once: LAPACK returns the companion roots of a real
 polynomial in exact conjugate pairs, and every operation of the polish and
 of _unit_f (complex +, -, *, division, abs and integer powers, all with real
 coefficients) maps conjugate inputs to conjugate outputs, so the twin's
@@ -225,7 +226,7 @@ def _polish(eq: ConeEquation, y: complex):
 
 
 def solve_cone_equation(eq: ConeEquation, keep_spurious: bool = False,
-                        keep_real: bool = True):
+                        keep_real: bool = True, starts=None):
     """All roots of the cone equation, polished and flagged.
 
     Returns RootRecords sorted by (real, imag); unit_f marks f^2 = 1.  A root
@@ -243,9 +244,13 @@ def solve_cone_equation(eq: ConeEquation, keep_spurious: bool = False,
     takes the conjugate of that record (module docstring); a start whose
     twin is missing or was not polished is polished itself, and a failing
     pair raises at its first member.
+
+    starts are the companion roots of eq.moving_coeffs when the caller has
+    them from a stacked solve (exactpoly.p_roots_many); by default they are
+    found here.
     """
     records, twins = [], {}
-    for y0 in xp.p_roots(eq.moving_coeffs):
+    for y0 in xp.p_roots(eq.moving_coeffs) if starts is None else starts:
         if abs(y0 - 2.0) <= SPURIOUS_EPS:
             records.append(RootRecord(y0, float("inf"), True))
             continue

@@ -17,7 +17,7 @@ import numpy as np
 from .chebyshev import eval_S_pair
 from .errors import ConevolError
 from .families import ConeManifoldSpec, KnotFamily, is_torus_member
-from .geometry import (_moving_roots, critical_angle, select_hyperbolic_root,
+from .geometry import (_panel_roots, critical_angle, select_hyperbolic_root,
                        select_spherical_roots)
 from .representation import relation_residual, w12_closed_form, word_12
 from .riley import PHI_ROOT_TOL, build_phi
@@ -75,17 +75,17 @@ def suite_pell() -> SuiteResult:
 def suite_lemma_cd(n_values=DEFAULT_N) -> SuiteResult:
     """Zero sets of Phi(2cos(alpha/2), .) and of the cone equation coincide: the
     moving cone roots number deg_y Phi, lie more than LEMMA_CD_TOL apart and pass
-    Phi's root test (riley.PHI_ROOT_TOL), so they are all of Phi's roots."""
+    Phi's root test (riley.PHI_ROOT_TOL), so they are all of Phi's roots.
+    Each member's angles are solved as one panel (geometry._panel_roots)."""
     rng = np.random.default_rng(LEMMA_CD_SEED)
     worst = 0.0
     checked = 0
     for family in KnotFamily:
         for n in n_values:
             phi = build_phi(family, n)
-            for _ in range(LEMMA_CD_ANGLES):
-                alpha = rng.uniform(0.2, math.pi - 0.2)
+            alphas = [rng.uniform(0.2, math.pi - 0.2) for _ in range(LEMMA_CD_ANGLES)]
+            for alpha, ys in zip(alphas, _panel_roots(family, n, alphas, [True] * len(alphas))):
                 x = 2.0 * math.cos(0.5 * alpha)
-                ys = _moving_roots(family, n, alpha)
                 degree = len(phi.univariate_in_y(x)) - 1
                 gap = min((abs(a - b) for a, b in combinations(ys, 2)), default=math.inf)
                 if len(ys) != degree or gap <= LEMMA_CD_TOL:
@@ -135,16 +135,17 @@ def suite_representation(n_values=DEFAULT_N) -> SuiteResult:
 
 def suite_w12(n_values=DEFAULT_N) -> SuiteResult:
     """Closed-form word (1,2)-entries match literal products at Phi's roots:
-    the moving cone roots, which lemma-cd certifies as all of them."""
+    the moving cone roots, which lemma-cd certifies as all of them.  Each
+    member's six angles are solved as one panel (geometry._panel_roots)."""
     rng = np.random.default_rng(W12_SEED)
     worst = 0.0
     checked = 0
     for family in KnotFamily:
         for n in n_values:
-            for _ in range(6):
-                alpha = rng.uniform(0.3, math.pi - 0.3)
+            alphas = [rng.uniform(0.3, math.pi - 0.3) for _ in range(6)]
+            for alpha, zs in zip(alphas, _panel_roots(family, n, alphas, [True] * 6)):
                 m = cmath.exp(0.5j * alpha)
-                for z in _moving_roots(family, n, alpha):
+                for z in zs:
                     lit = word_12(family, n, m, z)
                     worst = max(worst, abs(lit - w12_closed_form(family, n, m, z)))
                     checked += 1

@@ -83,7 +83,8 @@ from . import exactpoly as xp
 from .chebyshev import eval_f_prime, kernel, s_diff_zeros, s_zeros  # noqa: F401
 from .errors import PathBlockedError, QuadratureError
 from .families import R_EXPONENTS, ConeManifoldSpec, KnotFamily
-from .geometry import Regime, _fold, classify, collision_root, critical_angle, regime_of
+from .geometry import (Regime, _fold, classify, classify_panel, collision_root,
+                       critical_angle, regime_of)
 
 R_EXCL = 1e-4
 QUAD_ABS_TOL = 1e-9
@@ -344,14 +345,19 @@ class _Integrand:
 
 # ----------------------------------------------------------- adaptive quad
 
+# GL15 node 7 and GL7 node 3 are both exactly 0.0: the midpoint is evaluated
+# once, so a panel has 21 nodes, the 15 of GL15 and then GL7's other 6
+_PANEL = (*_GL15[0], *(x for x in _GL7[0] if x))
+
+
 def _gauss_pair(f, a: float, b: float):
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    v15 = [f(mid + half * x) for x in _GL15[0]]
+    values = f([mid + half * x for x in _PANEL])
+    v15 = values[:15]
     # 0 + w0*v0 + w1*v1 + ... left to right on every Python version: sum() of
     # Python floats compensates its rounding from 3.12 on, changing the bits
     i15 = half * reduce(add, map(mul, _GL15[1], v15), 0)
-    # GL15 node 7 and GL7 node 3 are both exactly 0.0: evaluate the midpoint once
-    v7 = [f(mid + half * x) if x else v15[7] for x in _GL7[0]]
+    v7 = [*values[15:18], v15[7], *values[18:]]
     i7 = half * reduce(add, map(mul, _GL7[1], v7), 0)
     return i15, abs(i15 - i7)
 
@@ -359,7 +365,9 @@ def _gauss_pair(f, a: float, b: float):
 def adaptive_quad(f, a: float, b: float, abs_tol: float = QUAD_ABS_TOL):
     """Adaptive Gauss 15/7 on [a, b]; returns (integral, error estimate).
 
-    Raises QuadratureError after QUAD_MAX_SUBDIV subdivisions.
+    f is a panel function: it takes the list of a panel's 21 nodes (_PANEL)
+    and returns their values in that order.  Raises QuadratureError after
+    QUAD_MAX_SUBDIV subdivisions.
     """
     val, err = _gauss_pair(f, a, b)
     heap = [(-err, 0, a, b, val, err)]
@@ -422,7 +430,7 @@ def _contour(spec: ConeManifoldSpec, path: tuple, rotation: complex, factors):
     total = 0j
     err = 0.0
     for k in range(len(path) - 1):
-        v, e = adaptive_quad(integrand, float(k), float(k + 1))
+        v, e = adaptive_quad(lambda ts: [integrand(t) for t in ts], float(k), float(k + 1))
         total += v
         err += e
     value = rotation * total
@@ -502,10 +510,11 @@ def volume_schlafli(spec: ConeManifoldSpec) -> float:
         return 0.0
     side = -1.0 if regime is Regime.HYPERBOLIC else 1.0
 
-    def integrand(t):
-        node = classify(ConeManifoldSpec(family, n, a_k + side * t * t))
+    def integrand(ts):
+        nodes = classify_panel([ConeManifoldSpec(family, n, a_k + side * t * t) for t in ts])
         # a node with t*t under half an ulp of a_K lands on it, where l = 0
-        return 0.0 if node.regime is Regime.EUCLIDEAN else node.l_alpha * t
+        return [0.0 if node.regime is Regime.EUCLIDEAN else node.l_alpha * t
+                for node, t in zip(nodes, ts)]
 
     val, _ = adaptive_quad(integrand, 0.0, math.sqrt(abs(_fold(spec.alpha) - a_k)),
                            SCHLAFLI_QUAD_TOL)

@@ -1,6 +1,8 @@
 """Exact integer polynomial helpers against sympy."""
 
 import ast
+import inspect
+import math
 from pathlib import Path
 
 import numpy as np
@@ -90,8 +92,64 @@ def test_p_roots_takes_ascending_coefficients():
     assert xp.p_roots([7]) == []
 
 
+def _hex_roots(roots):
+    """Each root as the float.hex of its real and imaginary parts (signed zeros kept)."""
+    return [(complex(z).real.hex(), complex(z).imag.hex()) for z in roots]
+
+
+def _np_roots(a):
+    """The reference: np.roots of the descending coefficients."""
+    return _hex_roots(np.roots(list(reversed(a))))
+
+
+def _cone_polys():
+    # the moving polynomial of every member with |n| <= 12 on an angle grid:
+    # one call then stacks many degrees, each from many angles
+    from conevol.families import KnotFamily
+    from conevol.riley import build_cone_equation
+
+    return [build_cone_equation(family, n, 1.0 / math.tan(0.5 * alpha)).moving_coeffs
+            for family in KnotFamily for n in range(-12, 13) if n
+            for alpha in (0.05, 0.7, 1.9, 2.4, 2.9, math.pi)]
+
+
+def test_p_roots_many_equals_np_roots_bit_for_bit_on_the_cone_equations():
+    polys = _cone_polys()
+    assert len({len(a) for a in polys}) > 20
+    got = xp.p_roots_many(polys)
+    assert [_hex_roots(r) for r in got] == [_np_roots(a) for a in polys]
+    assert all(type(z) is complex for roots in got for z in roots)
+
+
+@pytest.mark.parametrize("polys", [
+    [[-6, 11, -6, 1], [1, 0, 0, 1], [2, 0, 1, 0, 1]],  # all real next to non-real, one size
+    [[0, 2, -3, 1], [0, 0, 1.5, 1], [1, 0, 0, 1]],  # zero constant terms: exact roots 0
+    [[2, -3, 1, 0, 0], [-6, 11, -6, 1]],  # a vanished leading coefficient
+    [[], [0], [7], [0, 0], [0, 5], [3, 2], [0.5, -0.25], [0, 0, 4.0]],  # degree <= 1
+    [[1, 2j, 3, 1], [-6, 11, -6, 1], [2 + 1j, 1]],  # complex next to real coefficients
+    [[2**70, -(2**70), 3], [1, 2, 1], [1, -2.0, 1]],  # ints past int64, double roots
+])
+def test_p_roots_many_equals_np_roots_on_edge_cases(polys):
+    assert [_hex_roots(r) for r in xp.p_roots_many(polys)] == [_np_roots(a) for a in polys]
+    assert [_hex_roots(xp.p_roots(a)) for a in polys] == \
+        [_hex_roots(r) for r in xp.p_roots_many(polys)]
+
+
+def test_a_stack_is_real_only_per_matrix():
+    # eigvals returns a real array only when the whole stack is real; np.roots
+    # of one polynomial with real roots gives them imaginary part +0.0
+    real, mixed = [-6, 11, -6, 1], [1, 0, 0, 1]
+    roots = xp.p_roots_many([real, mixed])
+    assert [z.imag for z in roots[0]] == [0.0] * 3
+    assert all(math.copysign(1.0, z.imag) == 1.0 for z in roots[0])
+    assert sum(z.imag != 0.0 for z in roots[1]) == 2
+    assert xp.p_roots_many([]) == []
+
+
 def test_p_roots_is_the_only_numpy_root_finder_in_src():
-    # a change of root finder then touches one function
+    # a change of root finder then touches one function: the companion
+    # eigenvalues of p_roots_many; np.roots itself is left to the tests
+    finders = ("roots", "eigvals")
     callers = []
     for path in sorted(Path(xp.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -102,11 +160,13 @@ def test_p_roots_is_the_only_numpy_root_finder_in_src():
         }
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
-                callers += [path.name for a in node.names if a.name.endswith("roots")]
-            elif isinstance(node, ast.Attribute) and node.attr.endswith("roots"):
+                callers += [(path.name, a.name) for a in node.names if a.name.endswith(finders)]
+            elif isinstance(node, ast.Attribute) and node.attr.endswith(finders):
                 base = node.value
                 while isinstance(base, ast.Attribute):
                     base = base.value
                 if isinstance(base, ast.Name) and base.id in numpy_names:
-                    callers.append(path.name)
-    assert callers == ["exactpoly.py"]
+                    callers.append((path.name, node.attr))
+    assert callers == [("exactpoly.py", "eigvals")]
+    tree = ast.parse(inspect.getsource(xp.p_roots_many))
+    assert "eigvals" in {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}

@@ -341,7 +341,7 @@ def test_geometry_imports_only_the_longitude_eigenvalue_from_representation():
                 imported += names
             else:
                 assert not any("representation" in name for name in names)
-    assert imported == ["longitude_eigenvalue"]
+    assert imported == ["longitude_eigenvalues"]
 
 
 @pytest.mark.parametrize("family,n", MEMBERS_4)
@@ -369,6 +369,49 @@ def test_classify_does_not_depend_on_query_order(family, n):
     ge.clear_caches()
     shuffled = {i: repr(ge.classify(ConeManifoldSpec(family, n, grid[i]))) for i in order}
     assert [shuffled[i] for i in range(len(grid))] == ascending
+
+
+# constructed moving roots per angle of the figure-eight (a_K = 2*pi/3): at
+# 0.6 a conjugate pair that is no representation point, so its length
+# raises; at 0.7 no conjugate pair to select; at 2.7 no real spherical pair.
+# At 1e-160 the cone equation's coefficients overflow as it is built.
+_PANEL_ROOTS = {0.6: [1.0 - 1.0j, 1.0 + 1.0j], 0.7: [1.5 + 1.0j, 0.5 + 1.0j],
+                2.7: [-1.0 - 1e-3j, -1.0 + 1e-3j, 0.5 + 0j]}
+_LENGTH = (ValueError, "representation point")
+_SELECT = (SelectionAmbiguityError, "")
+_BUILD = (ValueError, "overflow")
+
+
+def _outcome(call):
+    try:
+        return [repr(r) for r in call()]
+    except Exception as exc:  # the error is the outcome compared
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("alphas, error", [
+    ((0.5, 0.6, 0.7), _LENGTH),  # a later selection failure hides no length failure
+    ((0.5, 0.7, 0.6), _SELECT),
+    ((0.6, 1e-160), _LENGTH),
+    ((1e-160, 0.7), _BUILD),
+    ((0.7, 1e-160), _SELECT),
+    ((2.7, 0.6), _SELECT),
+    ((0.6, 2.7), _LENGTH),
+    ((0.5, 2.6, 2 * math.pi / 3, 4.3, 3.0), None),  # every regime, nothing fails
+])
+def test_a_panel_raises_the_error_of_its_first_failing_angle(alphas, error, monkeypatch):
+    a_k = ge.critical_angle(*FIG8)
+    solve = ge._moving_roots
+    monkeypatch.setattr(ge, "_moving_roots", lambda family, n, alpha, *mode: (
+        list(_PANEL_ROOTS[alpha]) if alpha in _PANEL_ROOTS else solve(family, n, alpha, *mode)))
+    specs = [ConeManifoldSpec(*FIG8, a_k if a == 2 * math.pi / 3 else a) for a in alphas]
+    panel = _outcome(lambda: ge.classify_panel(specs))
+    # the same outcome as classifying the angles one by one, in order
+    assert panel == _outcome(lambda: [ge.classify(spec) for spec in specs])
+    if error is None:
+        assert len(panel) == len(specs)
+    else:
+        assert panel[0] is error[0] and error[1] in panel[1]
 
 
 @pytest.mark.parametrize("roots", [

@@ -9,7 +9,7 @@ import pytest
 from conevol import representation as rp
 from conevol import riley as ry
 from conevol.chebyshev import eval_f
-from conevol.errors import BranchError
+from conevol.errors import BranchError, DegenerateLongitudeError
 from conevol.families import ConeManifoldSpec, KnotFamily
 from conevol.geometry import classify, critical_angle
 
@@ -141,6 +141,64 @@ def test_w12_closed_forms_at_riley_roots():
 def test_longitude_requires_representation_point():
     with pytest.raises(ValueError):
         rp.longitude_eigenvalue(KnotFamily.C2N2, 1, cmath.exp(0.3j), 2.5 + 1.0j)
+
+
+def _one_point_longitude(family, n, m, t):
+    """longitude_eigenvalue as one point's 2x2 products: the word and the word
+    at 1/m, each built and walked alone."""
+    A, B = rp.build_matrices(family, m, t)
+    W = rp.word_value(family, n, A, B)
+    assert np.linalg.norm(W @ A - B @ W) <= 1e-8
+    return -rp.word_12(family, n, 1.0 / m, t) / complex(W[0, 1])
+
+
+CURVE_MEMBERS = [(KnotFamily.C2N2, 1), (KnotFamily.C2N3, 2), (KnotFamily.C2NMINUS2N, 4),
+                 (KnotFamily.C2N2, 8)]
+
+
+@pytest.mark.parametrize("family,n", CURVE_MEMBERS)
+def test_stacked_longitudes_equal_the_one_point_products_bit_for_bit(family, n):
+    a_k = critical_angle(family, n)
+    alphas = [a_k * k / 12.0 for k in range(1, 12)]
+    ms = [cmath.exp(0.5j * alpha) for alpha in alphas]
+    ys = [_selected(family, n, alpha).roots[0] for alpha in alphas]
+    want = [repr(_one_point_longitude(family, n, m, y)) for m, y in zip(ms, ys)]
+    assert [repr(ell) for ell in rp.longitude_eigenvalues(family, n, ms, ys)] == want
+    assert [repr(rp.longitude_eigenvalue(family, n, m, y)) for m, y in zip(ms, ys)] == want
+
+
+def _zero_word_at(index, monkeypatch):
+    """Make the word of the point at index the zero matrix: relation residual
+    0 and W_12 = 0."""
+    word = rp.word_value
+
+    def zeroed(family, n, A, B):
+        W = word(family, n, A, B).copy()
+        W[index] = 0.0
+        return W
+
+    monkeypatch.setattr(rp, "word_value", zeroed)
+
+
+def test_stacked_longitudes_keep_both_checks_in_point_order(monkeypatch):
+    family, n = KnotFamily.C2N2, 1
+    ms = [cmath.exp(0.45j), cmath.exp(0.5j)]
+    good = [_selected(family, n, 2.0 * cmath.phase(m)).roots[0] for m in ms]
+    off = 2.5 + 1.0j  # no representation point
+    with pytest.raises(ValueError, match="representation point"):
+        rp.longitude_eigenvalues(family, n, ms, [good[0], off])
+    _zero_word_at(1, monkeypatch)
+    with pytest.raises(DegenerateLongitudeError):
+        rp.longitude_eigenvalues(family, n, ms, good)
+    # the first failing point raises, whichever check it fails
+    with pytest.raises(ValueError, match="representation point"):
+        rp.longitude_eigenvalues(family, n, ms, [off, good[1]])
+    monkeypatch.undo()
+    _zero_word_at(0, monkeypatch)
+    with pytest.raises(DegenerateLongitudeError):
+        rp.longitude_eigenvalues(family, n, ms, [good[0], off])
+    with pytest.raises(DegenerateLongitudeError):
+        rp.longitude_eigenvalue(family, n, ms[0], good[0])
 
 
 def _selected(family, n, alpha):

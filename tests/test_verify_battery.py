@@ -78,9 +78,9 @@ def test_representation_suite_computes_no_singular_length(monkeypatch):
             if not is_torus_member(family, n):
                 geometry.critical_angle(family, n)
     calls = []
-    length = geometry._length
+    lengths = geometry._lengths
     monkeypatch.setattr(
-        geometry, "_length", lambda *args: calls.append(args) or length(*args)
+        geometry, "_lengths", lambda *args: calls.append(args) or lengths(*args)
     )
     assert suite_representation().passed
     assert calls == []
@@ -109,8 +109,9 @@ def test_w12_suite_passes_at_n_minus_6():
 
 def _lemma_cd_with(monkeypatch, edit):
     """suite_lemma_cd at n = 2 with each angle's cone roots passed through edit."""
-    solve = verify._moving_roots
-    monkeypatch.setattr(verify, "_moving_roots", lambda *args: edit(solve(*args)))
+    # the suite's panel (geometry._panel_roots) lists each angle by _moving_roots
+    solve = geometry._moving_roots
+    monkeypatch.setattr(geometry, "_moving_roots", lambda *args: edit(solve(*args)))
     return suite_lemma_cd(n_values=(2,))
 
 

@@ -39,16 +39,17 @@ def spec8(alpha):
 # ------------------------------------------------------------- quadrature
 
 def test_adaptive_quad_exact_smooth():
-    val, err = vo.adaptive_quad(lambda t: math.exp(t), 0.0, 1.0)
+    val, err = vo.adaptive_quad(lambda ts: [math.exp(t) for t in ts], 0.0, 1.0)
     assert val == pytest.approx(math.e - 1.0, abs=1e-13)
     assert err < 1e-9
 
 
 def test_adaptive_quad_complex_and_log_singularity():
-    val, _ = vo.adaptive_quad(lambda t: (1 + 2j) * t * t, 0.0, 1.0)
+    val, _ = vo.adaptive_quad(lambda ts: [(1 + 2j) * t * t for t in ts], 0.0, 1.0)
     assert val == pytest.approx((1 + 2j) / 3, abs=1e-12)
     # integrable log singularity at an interior point
-    val, _ = vo.adaptive_quad(lambda t: math.log(abs(t - 0.37) + 1e-300), 0.0, 1.0)
+    val, _ = vo.adaptive_quad(
+        lambda ts: [math.log(abs(t - 0.37) + 1e-300) for t in ts], 0.0, 1.0)
     exact = 0.37 * (math.log(0.37) - 1) + 0.63 * (math.log(0.63) - 1)
     assert val == pytest.approx(exact, abs=1e-8)
 
@@ -57,7 +58,8 @@ def test_adaptive_quad_subdivision_cap(monkeypatch):
     monkeypatch.setattr(vo, "QUAD_MAX_SUBDIV", 5)
     with pytest.raises(QuadratureError):
         vo.adaptive_quad(
-            lambda t: math.log(abs(t - 0.3) + 1e-300), 0.0, 1.0, abs_tol=1e-14
+            lambda ts: [math.log(abs(t - 0.3) + 1e-300) for t in ts], 0.0, 1.0,
+            abs_tol=1e-14
         )
 
 
@@ -665,6 +667,36 @@ def test_schlafli_node_landing_on_a_k_has_zero_length(side):
     # Euclidean (no l_alpha); their length is the limit 0, not a raw error
     alpha = critical_angle(FIG8, 1) + side * 1e-14
     assert 0.0 <= vo.volume_schlafli(spec8(alpha)) < 1e-18
+
+
+# volume_schlafli recorded before each Gauss panel's nodes were solved as one
+# stack (float.hex, or the typed error): (family, n, alpha, value or error)
+SCHLAFLI_PINS = [
+    (FIG8, 1, "0x1.41b2f769cf0e1p+0", "0x1.dfd993ad91225p-1"),  # 0.6 a_K
+    (FIG8, 1, "0x1.5c81e15d4af9ep+1", "0x1.b5f32cab17cc1p-1"),  # spherical
+    (FIG8, 1, "0x1.0c152382d734fp+1", "0x1.d0c44b57fe2c3p-70"),  # a_K - 1e-14
+    (FIG8, 1, "0x1.0c152382d737dp+1", "0x1.e13aa8ed94e69p-70"),  # a_K + 1e-14
+    (FIG8, 1, "0x1.921fb54442d18p+1", "0x1.f952e0f96d62dp+0"),  # pi
+    (FIG8, 1, "0x1.eff3e818748aep+1", "0x1.24380b4ca5beep-2"),  # past pi, folded
+    (KnotFamily.C2N3, 2, "0x1.a72f5bdd20407p+0", "0x1.3660a209a69e7p+1"),  # 3 panels
+    (KnotFamily.C2N3, -2, "0x1.9c448f864fea4p+0", "0x1.1c82ec83cc91bp+1"),
+    (KnotFamily.C2NMINUS2N, -2, "0x1.810dfe7fd20c6p+1", "0x1.2e39df5874807p-2"),
+    (KnotFamily.C2NMINUS2N, 4, "0x1.0000000000000p-2", "0x1.aca1e34fb7521p+2"),  # 9 panels
+    # C(8,-8) below its pole crossing: a real root beside y = 2 (ROADMAP item 2)
+    (KnotFamily.C2NMINUS2N, 4, "0x1.a66f7fb6522a4p-3", (NonConvergenceError, "failed to polish")),
+    # C(16,2) at a_K - 1e-9: a node past the bisected a_K (ROADMAP item 12)
+    (FIG8, 8, "0x1.7e7c310a39eedp+1", (SelectionAmbiguityError, "no non-real root")),
+]
+
+
+@pytest.mark.parametrize("family, n, alpha, want", SCHLAFLI_PINS)
+def test_schlafli_values_are_pinned_bit_for_bit(family, n, alpha, want):
+    spec = ConeManifoldSpec(family, n, float.fromhex(alpha))
+    if isinstance(want, str):
+        assert vo.volume_schlafli(spec).hex() == want
+    else:
+        with pytest.raises(want[0], match=want[1]):
+            vo.volume_schlafli(spec)
 
 
 def test_euclidean_volume_zero():
