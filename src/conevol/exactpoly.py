@@ -101,9 +101,10 @@ def p_roots_many(polys) -> list:
     made float, ones on the subdiagonal and -p[1:] / p[0] in the first row.
     Matrices of one size and dtype are stacked, and LAPACK solves each one as
     it would alone.  eigvals returns a real array only when every eigenvalue
-    of the stack is real, so that test is made per matrix, as np.roots makes
-    it; then each stripped trailing zero appends an exact root 0.  A
-    polynomial of degree 0 (or all zeros) has no roots.
+    of the stack is real, but LAPACK gives a real eigenvalue the imaginary
+    part +0.0, so each converts to the complex that np.roots gives.  Each
+    stripped trailing zero appends an exact root 0.  A polynomial of degree
+    0 (or all zeros) has no roots.
     """
     out, groups = [], {}
     for i, a in enumerate(polys):
@@ -122,8 +123,6 @@ def p_roots_many(polys) -> list:
         companions.reshape(len(members), -1)[:, size - 1::size] = 1  # the subdiagonal
         companions[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
         for (i, _), w in zip(members, np.linalg.eigvals(companions)):
-            if w.dtype.kind == "c" and dtype.kind == "f" and not w.imag.any():
-                w = w.real
             out[i] = list(map(complex, w.tolist())) + out[i]
     return out
 

@@ -23,11 +23,11 @@ companion matrix (exactpoly.p_roots_many: one stacked call serves every angle
 of a geometry panel) and are polished by Newton iteration on the rational
 residual itself, which avoids error amplification from the cleared factors;
 roots that fail to polish raise.  Each non-real conjugate pair is polished
-once: LAPACK returns the companion roots of a real
-polynomial in exact conjugate pairs, and every operation of the polish and
-of _unit_f (complex +, -, *, division, abs and integer powers, all with real
-coefficients) maps conjugate inputs to conjugate outputs, so the twin's
-record is the conjugate of the first member's, bit for bit.  Each Newton
+once: LAPACK returns the companion roots of a real polynomial in exact
+conjugate pairs, and every operation of the polish and of _unit_f (complex
++, -, *, division, abs and integer powers, all with real coefficients) maps
+conjugate inputs to conjugate outputs, so the twin's record is the
+conjugate of the first member's, bit for bit.  Each Newton
 point costs one recurrence walk: ConeEquation.residual_prime returns
 (residual, slope), and keeps its name because perfbench's tracer counts
 riley.newton.steps by it.  Of the cleared denominators only y = 2 can be a

@@ -40,6 +40,9 @@ Quadrature is adaptive Gauss 15/7 per leg, absolute tolerance 1e-9, at
 most 2000 subdivisions.  The 7-point Gauss-Legendre rule is a separate rule,
 not an embedded one: it shares only the midpoint node with the 15-point
 rule, and its difference from the 15-point value is the error estimate.
+The integrand is a panel function: it gets a panel's 21 nodes at once (the
+15 of the 15-point rule, then the 7-point rule's other 6), so the Schlaefli
+oracle can solve them together; the contour evaluates them one by one.
 A node's dispatch (calls, tuples, attribute and table lookups) cost more than
 its arithmetic.  So nodes and weights are Python floats, not leggauss's numpy
 arrays, which would make each parameter, tracker lookup and panel sum a numpy
@@ -64,6 +67,9 @@ folded about pi by the A^2 symmetry).  The substitution beta = a_K -/+ t^2
 absorbs the square-root behaviour of l at the transition.  Both lengths come
 from classify, as does the l_alpha of every volume result: 2*log|ell| at the
 selected root, or the closed form 2|atan F(r1) - atan F(r0)| at the pair.
+The oracle classifies each panel's 21 angles in one geometry.classify_panel
+call: one stacked companion solve and one stacked walk of the longitude
+words serve them all, and each length is classify's, bit for bit.
 """
 
 from __future__ import annotations
@@ -430,7 +436,7 @@ def _contour(spec: ConeManifoldSpec, path: tuple, rotation: complex, factors):
     total = 0j
     err = 0.0
     for k in range(len(path) - 1):
-        v, e = adaptive_quad(lambda ts: [integrand(t) for t in ts], float(k), float(k + 1))
+        v, e = adaptive_quad(lambda ts: list(map(integrand, ts)), float(k), float(k + 1))
         total += v
         err += e
     value = rotation * total
@@ -498,7 +504,7 @@ def volume_schlafli(spec: ConeManifoldSpec) -> float:
     """Volume by integrating the singular geodesic length from the transition.
 
     Independent of the contour machinery: only classify's l_alpha enters, at
-    each node.  The substitution beta = a_K -/+ t^2 removes the square-root
+    each node, from one classify_panel call per Gauss panel.  The substitution beta = a_K -/+ t^2 removes the square-root
     vanishing of the length at the transition.  Raises ValueError beyond the
     spherical band, from 2*pi - a_K on.
     """

@@ -135,7 +135,7 @@ def test_p_roots_many_equals_np_roots_on_edge_cases(polys):
         [_hex_roots(r) for r in xp.p_roots_many(polys)]
 
 
-def test_a_stack_is_real_only_per_matrix():
+def test_real_roots_in_a_stack_with_non_real_ones_keep_imaginary_part_plus_zero():
     # eigvals returns a real array only when the whole stack is real; np.roots
     # of one polynomial with real roots gives them imaginary part +0.0
     real, mixed = [-6, 11, -6, 1], [1, 0, 0, 1]
