@@ -390,7 +390,8 @@ def classify(spec: ConeManifoldSpec) -> RegimeResult:
 
 
 def classify_panel(specs) -> list:
-    """classify at each spec of one member, as one panel (module docstring).
+    """classify at each of one member's specs (at least one), as one panel
+    (module docstring).
 
     The specs are solved and selected in order (_panel_roots), then the
     hyperbolic lengths are found together.  The error raised is that of the
