@@ -21,7 +21,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 
 from . import __version__
 from .chebyshev import eval_f
@@ -105,8 +104,6 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, action="append",
                    help="twist value(s) to verify (default: "
                         f"{' '.join(map(str, DEFAULT_N))})")
-    p.add_argument("--tol", type=float,
-                   help="override every suite tolerance (failure injection)")
     p.set_defaults(func=cmd_verify)
     return parser
 
@@ -252,9 +249,6 @@ def cmd_verify(args) -> int:
     if any(v == 0 for v in n_values):
         raise ValueError("n must be nonzero")
     results = run_suites(args.suite, n_values=n_values)
-    if args.tol is not None:
-        # failure-injection override: re-grade every suite at the given tolerance
-        results = [replace(r, passed=r.metric <= args.tol) for r in results]
     width = max(len(r.name) for r in results)
     all_pass = True
     for r in results:

@@ -93,33 +93,32 @@ def p_roots(a):
 
 
 def p_roots_many(polys) -> list:
-    """The roots of each polynomial (ascending coefficients), bit for bit as
-    np.roots finds them, from one np.linalg.eigvals call per companion size.
+    """The roots of each real polynomial (ascending coefficients), bit for bit
+    as np.roots finds them, from one np.linalg.eigvals call per companion size.
 
     Each companion matrix is built as np.roots builds it from the descending
-    coefficients: leading and trailing zeros stripped, non-float coefficients
-    made float, ones on the subdiagonal and -p[1:] / p[0] in the first row.
-    Matrices of one size and dtype are stacked, and LAPACK solves each one as
-    it would alone.  eigvals returns a real array only when every eigenvalue
-    of the stack is real, but LAPACK gives a real eigenvalue the imaginary
-    part +0.0, so each converts to the complex that np.roots gives.  Each
+    coefficients: made float (Python ints convert as np.roots converts them,
+    and a Python complex coefficient raises TypeError), leading and trailing
+    zeros stripped, ones on the subdiagonal and -p[1:] / p[0] in the first
+    row.  Matrices of one size are stacked, and LAPACK solves each one as it
+    would alone.  eigvals returns a real array only when every eigenvalue of
+    the stack is real, but LAPACK gives a real eigenvalue the imaginary part
+    +0.0, so each converts to the complex that np.roots gives.  Each
     stripped trailing zero appends an exact root 0.  A polynomial of degree
     0 (or all zeros) has no roots.
     """
     out, groups = [], {}
     for i, a in enumerate(polys):
-        p = np.asarray(list(reversed(a)))
+        p = np.asarray(list(reversed(a)), dtype=float)
         nonzero = np.flatnonzero(p)
         out.append([0j] * (len(p) - 1 - nonzero[-1]) if len(nonzero) else [])
         if len(nonzero) == 0 or nonzero[-1] == nonzero[0]:
             continue
         p = p[nonzero[0]:nonzero[-1] + 1]
-        if not issubclass(p.dtype.type, (np.floating, np.complexfloating)):
-            p = p.astype(float)
-        groups.setdefault((len(p), p.dtype), []).append((i, p))
-    for (size, dtype), members in groups.items():
+        groups.setdefault(len(p), []).append((i, p))
+    for size, members in groups.items():
         coeffs = np.array([p for _, p in members])
-        companions = np.zeros((len(members), size - 1, size - 1), dtype)
+        companions = np.zeros((len(members), size - 1, size - 1))
         companions.reshape(len(members), -1)[:, size - 1::size] = 1  # the subdiagonal
         companions[:, 0, :] = -coeffs[:, 1:] / coeffs[:, :1]
         for (i, _), w in zip(members, np.linalg.eigvals(companions)):

@@ -24,7 +24,9 @@ classify_panel classifies the angles of one member together (a Schlaefli
 quadrature panel): each angle still gets its own solve, but the companion
 roots of all come from one stacked eigenvalue call (_panel_roots) and the
 hyperbolic lengths from one stacked walk of the longitude words, each bit
-for bit its single value; classify is its one-angle call.
+for bit its single value; classify is its one-angle call.  A panel raises
+its first build failure (a cone equation that cannot be built), else its
+first solve or selection failure, else its first length failure.
 
 a_K is set up once per member: the rule picks the root at ALPHA_SEED, the
 Riley polynomial certifies it (riley.build_phi: its scaled backward error in
@@ -115,25 +117,17 @@ def _moving_roots(family: KnotFamily, n: int, alpha: float, keep_real: bool = Tr
 
 
 def _panel_roots(family: KnotFamily, n: int, alphas, keep_reals):
-    """Yield _moving_roots at each angle in turn, with the companion roots of
-    every angle from one stacked solve (exactpoly.p_roots_many).
+    """_moving_roots at each angle, with the companion roots of every angle
+    from one stacked solve (exactpoly.p_roots_many).
 
-    Each angle is polished only when its turn comes, and an equation that
-    cannot be built (build_cone_equation's ValueError) raises in its turn, so
-    a failure surfaces after the angles before it, as in a loop of solves.
+    Every cone equation is built first, so an equation that cannot be built
+    (build_cone_equation's ValueError) raises before any angle is polished;
+    the angles are then polished lazily, each when its turn comes.
     """
-    eqs, failure = [], None
-    for alpha in alphas:
-        try:
-            eqs.append(build_cone_equation(family, n, 1.0 / math.tan(0.5 * alpha)))
-        except ValueError as exc:
-            failure = exc
-            break
+    eqs = [build_cone_equation(family, n, 1.0 / math.tan(0.5 * alpha)) for alpha in alphas]
     starts = p_roots_many([eq.moving_coeffs for eq in eqs])
-    for alpha, keep_real, solved in zip(alphas, keep_reals, zip(eqs, starts)):
-        yield _moving_roots(family, n, alpha, keep_real, solved)
-    if failure is not None:
-        raise failure
+    return (_moving_roots(family, n, alpha, keep_real, solved)
+            for alpha, keep_real, solved in zip(alphas, keep_reals, zip(eqs, starts)))
 
 
 def _least_pair(family: KnotFamily, n: int, alpha: float, roots):
@@ -390,31 +384,31 @@ def classify(spec: ConeManifoldSpec) -> RegimeResult:
 
 
 def classify_panel(specs) -> list:
-    """classify at each of one member's specs (at least one), as one panel
-    (module docstring).
+    """classify at each of one member's specs, as one panel (module docstring).
 
-    The specs are solved and selected in order (_panel_roots), then the
-    hyperbolic lengths are found together.  The error raised is that of the
-    first failing spec: the lengths of the specs selected before a failing
-    selection are found before it propagates.
+    ValueError unless there is at least one spec and every spec is of one
+    member.  Every angle's cone equation is built (_panel_roots), then each
+    angle is solved and selected in order, then the hyperbolic lengths are
+    found together: a panel raises its first build failure, else its first
+    solve or selection failure, else its first length failure.
     """
+    if len({(spec.family, spec.n) for spec in specs}) != 1:
+        raise ValueError("a panel takes at least one spec, all of one member")
     family, n = specs[0].family, specs[0].n
     member = _member(family, n)
     a_k = member.alpha_k
     regimes = [regime_of(spec.alpha, a_k) for spec in specs]
     solved = [(_fold(spec.alpha), regime) for spec, regime in zip(specs, regimes)
               if regime in (Regime.HYPERBOLIC, Regime.SPHERICAL)]
-    alphas = [alpha for alpha, _ in solved]
-    keep_reals = [regime is Regime.SPHERICAL for _, regime in solved]
-    picks = []  # the hyperbolic root, or the spherical (pair, l_alpha)
-    try:
-        for (alpha, regime), roots in zip(solved, _panel_roots(family, n, alphas, keep_reals)):
-            picks.append(_geometric_root(family, n, alpha, roots) if regime is Regime.HYPERBOLIC
-                         else _spherical_pair(family, n, alpha, roots))
-    finally:
-        hyperbolic = [(alpha, y) for (alpha, regime), y in zip(solved, picks)
-                      if regime is Regime.HYPERBOLIC]
-        lengths = iter(_lengths(family, n, *zip(*hyperbolic)) if hyperbolic else ())
+    roots = _panel_roots(family, n, [alpha for alpha, _ in solved],
+                         [regime is Regime.SPHERICAL for _, regime in solved])
+    # the hyperbolic root, or the spherical (pair, l_alpha)
+    picks = [_geometric_root(family, n, alpha, ys) if regime is Regime.HYPERBOLIC
+             else _spherical_pair(family, n, alpha, ys)
+             for (alpha, regime), ys in zip(solved, roots)]
+    hyperbolic = [(alpha, y) for (alpha, regime), y in zip(solved, picks)
+                  if regime is Regime.HYPERBOLIC]
+    lengths = iter(_lengths(family, n, *zip(*hyperbolic)) if hyperbolic else ())
     picks = iter(picks)
     out = []
     for regime in regimes:

@@ -227,7 +227,9 @@ def complex_length(
 
     Inverts i*coth((gamma + i*shift)/4) * cot(alpha/2) = f_n(y) with the
     branch fixed by Re(gamma) > 0 and Im(gamma) in [-2*pi, 2*pi), then
-    cross-checks e^{(gamma + i*shift)/2} against the matrix-derived ell.
+    cross-checks e^{(gamma + i*shift)/2} against the matrix-derived ell.  The
+    4*pi*i shift that lands Im(gamma) in the window is found in closed form:
+    the odd-family shift 4*n*alpha reaches about 120 rad at |n| = 12.
     """
     f = eval_f(n, complex(y))
     c = -1j * f * math.tan(0.5 * alpha)
@@ -238,13 +240,16 @@ def complex_length(
         raise BranchError(
             f"no branch with positive real length (Re gamma = {base.real:.3e})"
         )
-    gamma = None
-    for k in range(-8, 9):
-        cand = base + 4.0j * math.pi * k
-        if -_IMAG_WINDOW <= cand.imag < _IMAG_WINDOW:
-            gamma = cand
-            break
-    if gamma is None:
+    k = math.ceil((-_IMAG_WINDOW - base.imag) / (4.0 * math.pi))
+    # the quotient can round across an integer where Im(gamma) lies on the
+    # window's edge, as the figure-eight's does (+/-2*pi): step k to the least
+    # shift that lands at or above -2*pi
+    if (base + 4.0j * math.pi * (k - 1)).imag >= -_IMAG_WINDOW:
+        k -= 1
+    elif (base + 4.0j * math.pi * k).imag < -_IMAG_WINDOW:
+        k += 1
+    gamma = base + 4.0j * math.pi * k
+    if not -_IMAG_WINDOW <= gamma.imag < _IMAG_WINDOW:
         raise BranchError("no 2*pi*i shift lands the holonomy angle in [-2*pi, 2*pi)")
     predicted = cmath.exp(0.5 * (gamma + 1j * shift))
     if abs(predicted - ell) > 1e-6 * max(1.0, abs(ell)):

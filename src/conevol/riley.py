@@ -28,7 +28,8 @@ conjugate pairs, and every operation of the polish and of _unit_f (complex
 +, -, *, division, abs and integer powers, all with real coefficients) maps
 conjugate inputs to conjugate outputs, so the twin's record is the
 conjugate of the first member's, bit for bit.  Each Newton
-point costs one recurrence walk: ConeEquation.residual_prime returns
+point costs one recurrence walk of the member's kernel closure, which the
+equation holds (ConeEquation.fg): ConeEquation.residual_prime returns
 (residual, slope), and keeps its name because perfbench's tracer counts
 riley.newton.steps by it.  Of the cleared denominators only y = 2 can be a
 root, exactly where cot^2(alpha/2) = det K (C(2n,2) with n <= -1, every
@@ -51,7 +52,7 @@ or raises exactly as there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import zip_longest
 
@@ -161,16 +162,17 @@ class ConeEquation:
     A: float
     parasite: tuple  # gcd(C0, C1): exact minimal polynomial of the f^2 = 1 roots
     moving_coeffs: tuple  # deflated (C0 + A^2*C1)/parasite, float ascending
+    fg: object = field(repr=False, compare=False)  # the member's chebyshev.kernel
 
     def residual(self, y):
         """The rational residual f^2 + A^2 - (1+A^2) g at y."""
-        fv, gv, _, _ = kernel(self.family, self.n)(y)
+        fv, gv, _, _ = self.fg(y)
         a2 = self.A * self.A
         return fv * fv + a2 - (1.0 + a2) * gv
 
     def residual_prime(self, y):
         """(residual(y), its derivative in y) from one recurrence walk."""
-        fv, gv, fp, gp = kernel(self.family, self.n)(y, 2, 2)
+        fv, gv, fp, gp = self.fg(y, 2, 2)
         a2 = self.A * self.A
         one_a2 = 1.0 + a2
         return fv * fv + a2 - one_a2 * gv, 2.0 * fv * fp - one_a2 * gp
@@ -190,7 +192,7 @@ def build_cone_equation(family: KnotFamily, n: int, A: float) -> ConeEquation:
     coeffs = xp.p_float_sum(c0_red, c1_red, A * A)
     if not all(map(math.isfinite, coeffs)):
         raise ValueError(f"cone equation coefficients overflow at A = cot(alpha/2) = {A:g}")
-    return ConeEquation(family, n, float(A), tuple(parasite), coeffs)
+    return ConeEquation(family, n, float(A), tuple(parasite), coeffs, kernel(family, n))
 
 
 @dataclass

@@ -23,8 +23,7 @@ from .representation import relation_residual, w12_closed_form, word_12
 from .riley import PHI_ROOT_TOL, build_phi
 from .volume import compute_volume
 
-# Each suite's tolerance, sample counts and seed; `conevol verify --tol`
-# re-grades the measured metric instead of changing these.
+# Each suite's tolerance, sample counts and seed.
 PELL_TOL, PELL_SAMPLES, PELL_SEED = 1e-10, 200, 7
 LEMMA_CD_ANGLES, LEMMA_CD_TOL, LEMMA_CD_SEED = 20, 1e-7, 11  # TOL: root separation
 REPRESENTATION_ANGLES, REPRESENTATION_TOL = 6, 1e-9

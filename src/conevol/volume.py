@@ -504,9 +504,10 @@ def volume_schlafli(spec: ConeManifoldSpec) -> float:
     """Volume by integrating the singular geodesic length from the transition.
 
     Independent of the contour machinery: only classify's l_alpha enters, at
-    each node, from one classify_panel call per Gauss panel.  The substitution beta = a_K -/+ t^2 removes the square-root
-    vanishing of the length at the transition.  Raises ValueError beyond the
-    spherical band, from 2*pi - a_K on.
+    each node, from one classify_panel call per Gauss panel.  The
+    substitution beta = a_K -/+ t^2 removes the square-root vanishing of the
+    length at the transition.  Raises ValueError beyond the spherical band,
+    from 2*pi - a_K on.
     """
     family, n = spec.family, spec.n
     a_k = critical_angle(family, n)

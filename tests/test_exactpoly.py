@@ -125,14 +125,21 @@ def test_p_roots_many_equals_np_roots_bit_for_bit_on_the_cone_equations():
     [[-6, 11, -6, 1], [1, 0, 0, 1], [2, 0, 1, 0, 1]],  # all real next to non-real, one size
     [[0, 2, -3, 1], [0, 0, 1.5, 1], [1, 0, 0, 1]],  # zero constant terms: exact roots 0
     [[2, -3, 1, 0, 0], [-6, 11, -6, 1]],  # a vanished leading coefficient
+    [[1, 2.5, 3, 1], [-6, 11, -6, 1], [2.0, 1]],  # ints next to floats in one stack
     [[], [0], [7], [0, 0], [0, 5], [3, 2], [0.5, -0.25], [0, 0, 4.0]],  # degree <= 1
-    [[1, 2j, 3, 1], [-6, 11, -6, 1], [2 + 1j, 1]],  # complex next to real coefficients
     [[2**70, -(2**70), 3], [1, 2, 1], [1, -2.0, 1]],  # ints past int64, double roots
 ])
 def test_p_roots_many_equals_np_roots_on_edge_cases(polys):
     assert [_hex_roots(r) for r in xp.p_roots_many(polys)] == [_np_roots(a) for a in polys]
     assert [_hex_roots(xp.p_roots(a)) for a in polys] == \
         [_hex_roots(r) for r in xp.p_roots_many(polys)]
+
+
+@pytest.mark.parametrize("polys", [[[1, 2j, 3, 1]], [[-6, 11, -6, 1], [2 + 0j, 1]]])
+def test_p_roots_many_takes_real_coefficients_only(polys):
+    # every caller passes p_float_sum tuples; a complex coefficient is refused
+    with pytest.raises(TypeError):
+        xp.p_roots_many(polys)
 
 
 def test_real_roots_in_a_stack_with_non_real_ones_keep_imaginary_part_plus_zero():

@@ -390,28 +390,41 @@ def _outcome(call):
 
 
 @pytest.mark.parametrize("alphas, error", [
-    ((0.5, 0.6, 0.7), _LENGTH),  # a later selection failure hides no length failure
+    ((0.5, 0.6, 0.7), _SELECT),  # a selection failure comes before a length failure
     ((0.5, 0.7, 0.6), _SELECT),
-    ((0.6, 1e-160), _LENGTH),
+    ((0.6, 1e-160), _BUILD),  # a build failure comes before either
     ((1e-160, 0.7), _BUILD),
-    ((0.7, 1e-160), _SELECT),
+    ((0.7, 1e-160), _BUILD),
     ((2.7, 0.6), _SELECT),
-    ((0.6, 2.7), _LENGTH),
+    ((0.6, 2.7), _SELECT),
     ((0.5, 2.6, 2 * math.pi / 3, 4.3, 3.0), None),  # every regime, nothing fails
 ])
 def test_a_panel_raises_the_error_of_its_first_failing_angle(alphas, error, monkeypatch):
+    # the first failing angle of the earliest kind: build, then solve or
+    # selection, then length
     a_k = ge.critical_angle(*FIG8)
     solve = ge._moving_roots
     monkeypatch.setattr(ge, "_moving_roots", lambda family, n, alpha, *mode: (
         list(_PANEL_ROOTS[alpha]) if alpha in _PANEL_ROOTS else solve(family, n, alpha, *mode)))
     specs = [ConeManifoldSpec(*FIG8, a_k if a == 2 * math.pi / 3 else a) for a in alphas]
     panel = _outcome(lambda: ge.classify_panel(specs))
-    # the same outcome as classifying the angles one by one, in order
-    assert panel == _outcome(lambda: [ge.classify(spec) for spec in specs])
+    alone = [_outcome(lambda: [ge.classify(spec)]) for spec in specs]
     if error is None:
-        assert len(panel) == len(specs)
+        assert panel == [r for one in alone for r in one]
     else:
-        assert panel[0] is error[0] and error[1] in panel[1]
+        # the error of the first angle that fails alone by this kind of failure
+        assert panel == next(one for one in alone
+                             if one[0] is error[0] and error[1] in one[1])
+
+
+@pytest.mark.parametrize("specs", [
+    [],
+    [ConeManifoldSpec(*FIG8, 1.0), ConeManifoldSpec(KnotFamily.C2N3, 2, 1.0)],
+    [ConeManifoldSpec(*FIG8, 1.0), ConeManifoldSpec(FIG8, 2, 1.0)],
+])
+def test_a_panel_takes_at_least_one_spec_all_of_one_member(specs):
+    with pytest.raises(ValueError, match="one member"):
+        ge.classify_panel(specs)
 
 
 @pytest.mark.parametrize("roots", [

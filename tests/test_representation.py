@@ -267,6 +267,37 @@ def test_complex_length_branch_and_crosscheck():
             rp.complex_length(family, n, alpha, y0.conjugate(), ell_bar)
 
 
+@pytest.mark.parametrize("family, n, frac", [
+    (KnotFamily.C2N3, 10, 0.95),  # C(20,3)
+    (KnotFamily.C2N3, 11, 0.9),  # C(22,3)
+    (KnotFamily.C2N3, -11, 0.9),  # C(-22,3)
+])
+def test_complex_length_shifts_a_large_odd_family_angle_into_the_window(family, n, frac):
+    # the shift 4*n*alpha passes 110 rad here: a search over 4*pi*i*k with
+    # |k| <= 8 found no k and raised BranchError at these valid roots
+    alpha = frac * critical_angle(family, n)
+    y0 = _selected(family, n, alpha).roots[0]
+    data = rp.holonomy_data(family, n, alpha, y0, with_length=True)
+    gamma = data.complex_length
+    assert -2 * math.pi <= gamma.imag < 2 * math.pi
+    assert gamma.real == pytest.approx(data.real_length, abs=1e-9)
+
+
+@pytest.mark.parametrize("alpha, gamma", [
+    ("0x1.197c987c952c5p+0", ("0x1.573b44b3d9f6cp+1", "0x1.921fb54442d17p+2")),
+    ("0x1.0c152382d7366p+0", ("0x1.5124271980434p+1", "-0x1.921fb54442d17p+2")),
+    ("0x1.921fb54442d19p+0", ("0x1.5124271980434p+1", "-0x1.921fb54442d18p+2")),
+])
+def test_complex_length_of_the_figure_eight_on_the_window_edge(alpha, gamma):
+    # the figure-eight's Im(gamma) lies on the edge +/-2*pi, one ulp inside
+    # or on it, where the quotient that gives the 4*pi*i shift rounds across
+    # an integer; gamma keeps the bits of the k a search upward finds
+    alpha = float.fromhex(alpha)
+    y0 = _selected(KnotFamily.C2N2, 1, alpha).roots[0]
+    got = rp.holonomy_data(KnotFamily.C2N2, 1, alpha, y0, with_length=True).complex_length
+    assert (got.real.hex(), got.imag.hex()) == gamma
+
+
 def test_length_vanishes_at_transition():
     # l ~ c * sqrt(a_K - alpha): check the vanishing at its actual rate
     for family, n in ((KnotFamily.C2N2, 1), (KnotFamily.C2N3, 1)):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conevol import geometry, verify
+from conevol.errors import NonConvergenceError
 from conevol.families import KnotFamily, is_torus_member
 from conevol.representation import w12_closed_form, word_12
 from conevol.riley import PHI_ROOT_TOL, build_phi
@@ -149,6 +150,18 @@ def test_representation_grid_stays_in_the_spherical_band():
     results = run_suites(["representation-oracle"], n_values=(8,))
     assert len(results) == 1
     assert results[0].passed, results[0].detail
+
+
+@pytest.mark.xfail(
+    strict=True, raises=NonConvergenceError,
+    reason="ROADMAP items 2(a) and 18: the first grid angle 0.1 is the pole-crossing "
+    "angle of C(20,-20) and C(-20,20), where the real root 2.000006263767758 beside "
+    "y = 2 is left with residual 2.48e-5",
+)
+@pytest.mark.parametrize("n", [10, -10])
+def test_representation_oracle_at_the_pole_crossing_of_c20_minus20(n):
+    result = suite_representation(n_values=(n,))
+    assert result.passed, result.detail
 
 
 @pytest.mark.xfail(

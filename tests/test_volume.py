@@ -575,6 +575,25 @@ def test_volume_just_below_a_k_of_c16_2():
     assert 0.0 < vol < 1e-10
 
 
+@pytest.mark.parametrize("family, n", [(FIG8, 3), (KnotFamily.C2NMINUS2N, 2)],
+                         ids=["C(6,2)", "C(4,-4)"])
+def test_volume_a_hair_above_a_k(family, n):
+    a_k = critical_angle(family, n)
+    vol = vo.compute_volume(ConeManifoldSpec(family, n, a_k + 1e-14)).volume
+    assert 0.0 < vol < 1e-18
+
+
+@pytest.mark.xfail(strict=True, raises=SelectionAmbiguityError,
+                   reason="ROADMAP items 2 and 12: a Schlaefli node between the true "
+                          "collision and the bisected a_K has no non-real root")
+@pytest.mark.parametrize("family, n", [(FIG8, 3), (KnotFamily.C2NMINUS2N, 2)],
+                         ids=["C(6,2)", "C(4,-4)"])
+def test_volume_a_hair_below_a_k(family, n):
+    a_k = critical_angle(family, n)
+    vol = vo.compute_volume(ConeManifoldSpec(family, n, a_k - 1e-14)).volume
+    assert 0.0 < vol < 1e-18
+
+
 def test_contour_layer_imports_nothing_from_representation():
     # the singular length comes from geometry; volume never builds a holonomy
     tree = ast.parse(Path(vo.__file__).read_text())
