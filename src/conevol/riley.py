@@ -27,17 +27,17 @@ once: LAPACK returns the companion roots of a real polynomial in exact
 conjugate pairs, and every operation of the polish and of _unit_f (complex
 +, -, *, division, abs and integer powers, all with real coefficients) maps
 conjugate inputs to conjugate outputs, so the twin's record is the
-conjugate of the first member's, bit for bit.  Each Newton
-point costs one recurrence walk of the member's kernel closure, which the
-equation holds (ConeEquation.fg): ConeEquation.residual_prime returns
-(residual, slope), and keeps its name because perfbench's tracer counts
-riley.newton.steps by it.  Of the cleared denominators only y = 2 can be a
-root, exactly where cot^2(alpha/2) = det K (C(2n,2) with n <= -1, every
-C(2n,-2n)); it is marked spurious.  (S_{n-1} divides w and D, so at its
-zeros C0 = C1 = r != 0 by the Pell identity.)  Roots with f_n(y)^2 = 1,
-where the equivalence with Phi = 0 breaks down, are marked unit_f; the
-angle-independent ones, roots of gcd(C0, C1), and the spurious roots appear
-only in the full flagged listing (keep_spurious).
+conjugate of the first member's, bit for bit.  Each Newton point costs one
+recurrence walk of the member's kernel closure, which the equation looks up
+once when it is made (ConeEquation.fg, not a constructor argument):
+ConeEquation.residual_prime returns (residual, slope), and keeps its name
+because perfbench's tracer counts riley.newton.steps by it.  Of the cleared
+denominators only y = 2 can be a root, exactly where cot^2(alpha/2) = det K
+(C(2n,2) with n <= -1, every C(2n,-2n)); it is marked spurious.  (S_{n-1}
+divides w and D, so at its zeros C0 = C1 = r != 0 by the Pell identity.)
+Roots with f_n(y)^2 = 1, where the equivalence with Phi = 0 breaks down,
+are marked unit_f; the angle-independent ones, roots of gcd(C0, C1), and the
+spurious roots appear only in the full flagged listing (keep_spurious).
 
 A third listing, the non-real one (keep_real=False), serves callers that
 read no real root: below a_K geometry selects the least non-real conjugate
@@ -162,7 +162,10 @@ class ConeEquation:
     A: float
     parasite: tuple  # gcd(C0, C1): exact minimal polynomial of the f^2 = 1 roots
     moving_coeffs: tuple  # deflated (C0 + A^2*C1)/parasite, float ascending
-    fg: object = field(repr=False, compare=False)  # the member's chebyshev.kernel
+    fg: object = field(init=False, repr=False, compare=False)  # the member's chebyshev.kernel
+
+    def __post_init__(self):
+        object.__setattr__(self, "fg", kernel(self.family, self.n))
 
     def residual(self, y):
         """The rational residual f^2 + A^2 - (1+A^2) g at y."""
@@ -192,7 +195,7 @@ def build_cone_equation(family: KnotFamily, n: int, A: float) -> ConeEquation:
     coeffs = xp.p_float_sum(c0_red, c1_red, A * A)
     if not all(map(math.isfinite, coeffs)):
         raise ValueError(f"cone equation coefficients overflow at A = cot(alpha/2) = {A:g}")
-    return ConeEquation(family, n, float(A), tuple(parasite), coeffs, kernel(family, n))
+    return ConeEquation(family, n, float(A), tuple(parasite), coeffs)
 
 
 @dataclass

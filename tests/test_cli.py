@@ -231,7 +231,7 @@ def test_roots_conjugate_pairing_visible(capsys):
         assert any(abs(v + w) < 1e-9 for w in ims)
 
 
-def test_verify_subset_and_failure_injection(capsys):
+def test_verify_subset_and_no_tol_flag(capsys):
     code, out, _ = run_cli(
         "verify", "--suite", "pell-identity", "--suite", "w12-closed-form",
         capsys=capsys,
@@ -359,6 +359,16 @@ def test_verify_turns_a_raised_error_into_one_typed_stderr_line(monkeypatch, cap
     monkeypatch.setattr(cli, "run_suites", broken)
     code, out, err = run_cli("verify", capsys=capsys)
     assert (code, out, err) == (1, "", "error: NonConvergenceError: no root\n")
+
+
+def test_verify_exits_3_on_a_failing_suite_result(monkeypatch, capsys):
+    results = [verify.SuiteResult("pell-identity", True, "max 0", 0.0),
+               verify.SuiteResult("w12-closed-form", False, "max 1 > 1e-10", 1.0)]
+    monkeypatch.setattr(cli, "run_suites", lambda names, n_values: results)
+    code, out, err = run_cli("verify", capsys=capsys)
+    assert (code, err) == (3, "")
+    assert out.splitlines() == ["pell-identity    PASS  max 0",
+                                "w12-closed-form  FAIL  max 1 > 1e-10"]
 
 
 def test_verify_reports_a_raising_suite_as_failed_and_goes_on(capsys):

@@ -420,7 +420,7 @@ def test_a_panel_raises_the_error_of_its_first_failing_angle(alphas, error, monk
 @pytest.mark.parametrize("specs", [
     [],
     [ConeManifoldSpec(*FIG8, 1.0), ConeManifoldSpec(KnotFamily.C2N3, 2, 1.0)],
-    [ConeManifoldSpec(*FIG8, 1.0), ConeManifoldSpec(FIG8, 2, 1.0)],
+    [ConeManifoldSpec(*FIG8, 1.0), ConeManifoldSpec(FIG8[0], 2, 1.0)],  # C(2,2), C(4,2)
 ])
 def test_a_panel_takes_at_least_one_spec_all_of_one_member(specs):
     with pytest.raises(ValueError, match="one member"):

@@ -202,6 +202,15 @@ def test_residual_prime_is_the_residual_and_its_slope_bit_for_bit(family):
                 assert repr(eq.residual_prime(y)) == repr((eq.residual(y), slope))
 
 
+def test_a_cone_equation_looks_up_its_own_members_kernel():
+    # fg is no constructor argument, so it cannot disagree with (family, n)
+    eq = ry.build_cone_equation(KnotFamily.C2N3, 2, 0.5)
+    assert eq.fg is kernel(KnotFamily.C2N3, 2)
+    with pytest.raises(TypeError):
+        ry.ConeEquation(KnotFamily.C2N3, 2, 0.5, eq.parasite, eq.moving_coeffs,
+                        kernel(KnotFamily.C2N2, 1))
+
+
 @pytest.mark.parametrize("family", list(KnotFamily))
 def test_zeros_of_s_nm1_are_never_roots_of_the_moving_polynomial(family):
     # S_{n-1} divides D and w, so at its zeros C0 = C1 = r with S_n = +/-1:
