@@ -15,6 +15,8 @@ that factor's reference.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 
@@ -97,19 +99,24 @@ def p_roots_many(polys) -> list:
     as np.roots finds them, from one np.linalg.eigvals call per companion size.
 
     Each companion matrix is built as np.roots builds it from the descending
-    coefficients: made float (Python ints convert as np.roots converts them,
-    and a Python complex coefficient raises TypeError), leading and trailing
-    zeros stripped, ones on the subdiagonal and -p[1:] / p[0] in the first
-    row.  Matrices of one size are stacked, and LAPACK solves each one as it
-    would alone.  eigvals returns a real array only when every eigenvalue of
-    the stack is real, but LAPACK gives a real eigenvalue the imaginary part
-    +0.0, so each converts to the complex that np.roots gives.  Each
-    stripped trailing zero appends an exact root 0.  A polynomial of degree
-    0 (or all zeros) has no roots.
+    coefficients: made float (Python ints convert as np.roots converts them),
+    leading and trailing zeros stripped, ones on the subdiagonal and
+    -p[1:] / p[0] in the first row.  Matrices of one size are stacked, and
+    LAPACK solves each one as it would alone.  eigvals returns a real array
+    only when every eigenvalue of the stack is real, but LAPACK gives a real
+    eigenvalue the imaginary part +0.0, so each converts to the complex that
+    np.roots gives.  Each stripped trailing zero appends an exact root 0.  A
+    polynomial of degree 0 (or all zeros) has no roots.  A complex
+    coefficient, Python or numpy, raises TypeError: a cast would drop its
+    imaginary part.
     """
     out, groups = [], {}
     for i, a in enumerate(polys):
-        p = np.asarray(list(reversed(a)), dtype=float)
+        p = np.asarray(list(reversed(a)))
+        # a complex dtype, or an object array (ints past int64) holding one
+        if p.dtype.kind in "cO" and not all(isinstance(c, numbers.Real) for c in a):
+            raise TypeError(f"p_roots_many takes real coefficients, got {a!r}")
+        p = p.astype(float, copy=False)
         nonzero = np.flatnonzero(p)
         out.append([0j] * (len(p) - 1 - nonzero[-1]) if len(nonzero) else [])
         if len(nonzero) == 0 or nonzero[-1] == nonzero[0]:

@@ -20,13 +20,14 @@ longitude eigenvalue is -exp(-2i atan F), so l = 2|atan F(r1) - atan F(r0)|.
 Angles above pi reuse the pair at 2*pi - alpha, since the cone equation
 depends on the angle only through A^2 = cot^2(alpha/2).  Each lookup is one
 cone-equation solve and a sort, so it cannot depend on earlier lookups.
-classify_panel classifies the angles of one member together (a Schlaefli
-quadrature panel): each angle still gets its own solve, but the companion
-roots of all come from one stacked eigenvalue call (_panel_roots) and the
-hyperbolic lengths from one stacked walk of the longitude words, each bit
-for bit its single value; classify is its one-angle call.  A panel raises
-its first build failure (a cone equation that cannot be built), else its
-first solve or selection failure, else its first length failure.
+_select_panel selects at many folded angles of one member, all in one solved
+regime (a Schlaefli quadrature panel stays on one side of a_K): each angle
+still gets its own solve, but the companion roots of all come from one stacked
+eigenvalue call (_panel_roots) and the hyperbolic lengths from one stacked
+walk of the longitude words, each bit for bit its single value; classify sends
+a solved angle as a panel of one.  A panel raises its first build failure (a
+cone equation that cannot be built), else its first solve or selection
+failure, else its first length failure.
 
 a_K is set up once per member: the rule picks the root at ALPHA_SEED, the
 Riley polynomial certifies it (riley.build_phi: its scaled backward error in
@@ -116,9 +117,9 @@ def _moving_roots(family: KnotFamily, n: int, alpha: float, keep_real: bool = Tr
     return [r.y for r in solve_cone_equation(eq, False, keep_real, starts) if not r.unit_f]
 
 
-def _panel_roots(family: KnotFamily, n: int, alphas, keep_reals):
-    """_moving_roots at each angle, with the companion roots of every angle
-    from one stacked solve (exactpoly.p_roots_many).
+def _panel_roots(family: KnotFamily, n: int, alphas, keep_real: bool):
+    """_moving_roots at each angle, all in one listing, with the companion
+    roots of every angle from one stacked solve (exactpoly.p_roots_many).
 
     Every cone equation is built first, so an equation that cannot be built
     (build_cone_equation's ValueError) raises before any angle is polished;
@@ -127,7 +128,7 @@ def _panel_roots(family: KnotFamily, n: int, alphas, keep_reals):
     eqs = [build_cone_equation(family, n, 1.0 / math.tan(0.5 * alpha)) for alpha in alphas]
     starts = p_roots_many([eq.moving_coeffs for eq in eqs])
     return (_moving_roots(family, n, alpha, keep_real, solved)
-            for alpha, keep_real, solved in zip(alphas, keep_reals, zip(eqs, starts)))
+            for alpha, solved in zip(alphas, zip(eqs, starts)))
 
 
 def _least_pair(family: KnotFamily, n: int, alpha: float, roots):
@@ -377,50 +378,36 @@ def classify(spec: ConeManifoldSpec) -> RegimeResult:
     """Regime, selected geometric root(s) and l_alpha (its one source).
 
     l_alpha is 2*log|ell| at the hyperbolic root, from the matrix words, or
-    the spherical pair's closed-form length (_spherical_pair).  The one-angle
-    call of classify_panel.
+    the spherical pair's closed-form length (_spherical_pair).  A solved
+    angle is a panel of one (_select_panel).
     """
-    return classify_panel([spec])[0]
-
-
-def classify_panel(specs) -> list:
-    """classify at each of one member's specs, as one panel (module docstring).
-
-    ValueError unless there is at least one spec and every spec is of one
-    member.  Every angle's cone equation is built (_panel_roots), then each
-    angle is solved and selected in order, then the hyperbolic lengths are
-    found together: a panel raises its first build failure, else its first
-    solve or selection failure, else its first length failure.
-    """
-    if len({(spec.family, spec.n) for spec in specs}) != 1:
-        raise ValueError("a panel takes at least one spec, all of one member")
-    family, n = specs[0].family, specs[0].n
-    member = _member(family, n)
+    member = _member(spec.family, spec.n)
     a_k = member.alpha_k
-    regimes = [regime_of(spec.alpha, a_k) for spec in specs]
-    solved = [(_fold(spec.alpha), regime) for spec, regime in zip(specs, regimes)
-              if regime in (Regime.HYPERBOLIC, Regime.SPHERICAL)]
-    roots = _panel_roots(family, n, [alpha for alpha, _ in solved],
-                         [regime is Regime.SPHERICAL for _, regime in solved])
-    # the hyperbolic root, or the spherical (pair, l_alpha)
-    picks = [_geometric_root(family, n, alpha, ys) if regime is Regime.HYPERBOLIC
-             else _spherical_pair(family, n, alpha, ys)
-             for (alpha, regime), ys in zip(solved, roots)]
-    hyperbolic = [(alpha, y) for (alpha, regime), y in zip(solved, picks)
-                  if regime is Regime.HYPERBOLIC]
-    lengths = iter(_lengths(family, n, *zip(*hyperbolic)) if hyperbolic else ())
-    picks = iter(picks)
-    out = []
-    for regime in regimes:
-        if regime is Regime.OUT_OF_RANGE:
-            out.append(RegimeResult(regime, a_k, (), None))
-        elif regime is Regime.EUCLIDEAN:
-            out.append(RegimeResult(regime, a_k, (member.y_star,), None))
-        elif regime is Regime.HYPERBOLIC:
-            out.append(RegimeResult(regime, a_k, (next(picks),), next(lengths)))
-        else:
-            out.append(RegimeResult(regime, a_k, *next(picks)))
-    return out
+    regime = regime_of(spec.alpha, a_k)
+    if regime is Regime.OUT_OF_RANGE:
+        return RegimeResult(regime, a_k, (), None)
+    if regime is Regime.EUCLIDEAN:
+        return RegimeResult(regime, a_k, (member.y_star,), None)
+    return RegimeResult(regime, a_k,
+                        *_select_panel(spec.family, spec.n, [_fold(spec.alpha)], regime)[0])
+
+
+def _select_panel(family: KnotFamily, n: int, alphas, regime: Regime) -> list:
+    """(roots, l_alpha) at each folded angle of one member, as classify gives
+    them; every angle is of regime, HYPERBOLIC or SPHERICAL.
+
+    Every angle's cone equation is built (_panel_roots), then each angle is
+    solved and selected in order, then the hyperbolic lengths are found
+    together: a panel raises its first build failure, else its first solve
+    or selection failure, else its first length failure.
+    """
+    if not alphas:
+        return []  # no word to walk
+    roots = _panel_roots(family, n, alphas, regime is Regime.SPHERICAL)
+    if regime is Regime.SPHERICAL:
+        return [_spherical_pair(family, n, alpha, ys) for alpha, ys in zip(alphas, roots)]
+    picks = [_geometric_root(family, n, alpha, ys) for alpha, ys in zip(alphas, roots)]
+    return [((y,), l_alpha) for y, l_alpha in zip(picks, _lengths(family, n, alphas, picks))]
 
 
 def clear_caches():

@@ -83,7 +83,7 @@ def suite_lemma_cd(n_values=DEFAULT_N) -> SuiteResult:
         for n in n_values:
             phi = build_phi(family, n)
             alphas = [rng.uniform(0.2, math.pi - 0.2) for _ in range(LEMMA_CD_ANGLES)]
-            for alpha, ys in zip(alphas, _panel_roots(family, n, alphas, [True] * len(alphas))):
+            for alpha, ys in zip(alphas, _panel_roots(family, n, alphas, True)):
                 x = 2.0 * math.cos(0.5 * alpha)
                 degree = len(phi.univariate_in_y(x)) - 1
                 gap = min((abs(a - b) for a, b in combinations(ys, 2)), default=math.inf)
@@ -142,7 +142,7 @@ def suite_w12(n_values=DEFAULT_N) -> SuiteResult:
     for family in KnotFamily:
         for n in n_values:
             alphas = [rng.uniform(0.3, math.pi - 0.3) for _ in range(6)]
-            for alpha, zs in zip(alphas, _panel_roots(family, n, alphas, [True] * 6)):
+            for alpha, zs in zip(alphas, _panel_roots(family, n, alphas, True)):
                 m = cmath.exp(0.5j * alpha)
                 for z in zs:
                     lit = word_12(family, n, m, z)

@@ -67,9 +67,10 @@ folded about pi by the A^2 symmetry).  The substitution beta = a_K -/+ t^2
 absorbs the square-root behaviour of l at the transition.  Both lengths come
 from classify, as does the l_alpha of every volume result: 2*log|ell| at the
 selected root, or the closed form 2|atan F(r1) - atan F(r0)| at the pair.
-The oracle classifies each panel's 21 angles in one geometry.classify_panel
-call: one stacked companion solve and one stacked walk of the longitude
-words serve them all, and each length is classify's, bit for bit.
+A panel's 21 angles lie on one side of a_K, so the oracle selects them in
+one geometry._select_panel call of that regime: one stacked companion solve
+and one stacked walk of the longitude words serve them all, and each length
+is classify's, bit for bit.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ from . import exactpoly as xp
 from .chebyshev import eval_f_prime, kernel, s_diff_zeros, s_zeros  # noqa: F401
 from .errors import PathBlockedError, QuadratureError
 from .families import R_EXPONENTS, ConeManifoldSpec, KnotFamily
-from .geometry import (Regime, _fold, classify, classify_panel, collision_root,
+from .geometry import (Regime, _fold, _select_panel, classify, collision_root,
                        critical_angle, regime_of)
 
 R_EXCL = 1e-4
@@ -504,10 +505,10 @@ def volume_schlafli(spec: ConeManifoldSpec) -> float:
     """Volume by integrating the singular geodesic length from the transition.
 
     Independent of the contour machinery: only classify's l_alpha enters, at
-    each node, from one classify_panel call per Gauss panel.  The
-    substitution beta = a_K -/+ t^2 removes the square-root vanishing of the
-    length at the transition.  Raises ValueError beyond the spherical band,
-    from 2*pi - a_K on.
+    each node, from one _select_panel call per Gauss panel in the regime of
+    spec.  The substitution beta = a_K -/+ t^2 removes the square-root
+    vanishing of the length at the transition.  Raises ValueError beyond the
+    spherical band, from 2*pi - a_K on.
     """
     family, n = spec.family, spec.n
     a_k = critical_angle(family, n)
@@ -518,10 +519,10 @@ def volume_schlafli(spec: ConeManifoldSpec) -> float:
     side = -1.0 if regime is Regime.HYPERBOLIC else 1.0
 
     def integrand(ts):
-        nodes = classify_panel([ConeManifoldSpec(family, n, a_k + side * t * t) for t in ts])
+        alphas = [a_k + side * t * t for t in ts]
         # a node with t*t under half an ulp of a_K lands on it, where l = 0
-        return [0.0 if node.regime is Regime.EUCLIDEAN else node.l_alpha * t
-                for node, t in zip(nodes, ts)]
+        nodes = iter(_select_panel(family, n, [a for a in alphas if a != a_k], regime))
+        return [next(nodes)[1] * t if alpha != a_k else 0.0 for alpha, t in zip(alphas, ts)]
 
     val, _ = adaptive_quad(integrand, 0.0, math.sqrt(abs(_fold(spec.alpha) - a_k)),
                            SCHLAFLI_QUAD_TOL)

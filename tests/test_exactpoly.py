@@ -135,10 +135,16 @@ def test_p_roots_many_equals_np_roots_on_edge_cases(polys):
         [_hex_roots(r) for r in xp.p_roots_many(polys)]
 
 
-@pytest.mark.parametrize("polys", [[[1, 2j, 3, 1]], [[-6, 11, -6, 1], [2 + 0j, 1]]])
+@pytest.mark.parametrize("polys", [
+    [[1, 2j, 3, 1]],
+    [[-6, 11, -6, 1], [2 + 0j, 1]],
+    [[1, np.complex128(2j), 1]],  # a cast to float gave the roots of y^2 + 1
+    [[2**70, np.complex64(1j), 1]],  # an object array: ints past int64
+])
 def test_p_roots_many_takes_real_coefficients_only(polys):
     # every caller passes p_float_sum tuples; a complex coefficient is refused
-    with pytest.raises(TypeError):
+    # with no ComplexWarning on the way (warnings are errors in this suite)
+    with pytest.raises(TypeError, match="real coefficients"):
         xp.p_roots_many(polys)
 
 

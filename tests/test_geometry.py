@@ -380,6 +380,7 @@ _PANEL_ROOTS = {0.6: [1.0 - 1.0j, 1.0 + 1.0j], 0.7: [1.5 + 1.0j, 0.5 + 1.0j],
 _LENGTH = (ValueError, "representation point")
 _SELECT = (SelectionAmbiguityError, "")
 _BUILD = (ValueError, "overflow")
+_HYP, _SPH = ge.Regime.HYPERBOLIC, ge.Regime.SPHERICAL
 
 
 def _outcome(call):
@@ -389,42 +390,45 @@ def _outcome(call):
         return type(exc), str(exc)
 
 
-@pytest.mark.parametrize("alphas, error", [
-    ((0.5, 0.6, 0.7), _SELECT),  # a selection failure comes before a length failure
-    ((0.5, 0.7, 0.6), _SELECT),
-    ((0.6, 1e-160), _BUILD),  # a build failure comes before either
-    ((1e-160, 0.7), _BUILD),
-    ((0.7, 1e-160), _BUILD),
-    ((2.7, 0.6), _SELECT),
-    ((0.6, 2.7), _SELECT),
-    ((0.5, 2.6, 2 * math.pi / 3, 4.3, 3.0), None),  # every regime, nothing fails
+@pytest.mark.parametrize("alphas, regime, error", [
+    ((0.5, 0.6, 0.7), _HYP, _SELECT),  # a selection failure comes before a length failure
+    ((0.5, 0.7, 0.6), _HYP, _SELECT),
+    ((0.6, 1e-160), _HYP, _BUILD),  # a build failure comes before either
+    ((1e-160, 0.7), _HYP, _BUILD),
+    ((0.7, 1e-160), _HYP, _BUILD),
+    ((0.5, 0.6), _HYP, _LENGTH),
+    ((2.6, 2.7), _SPH, _SELECT),
+    ((0.5, 1.0, 2.0), _HYP, None),  # nothing fails
+    ((2.6, 3.0, math.pi), _SPH, None),
 ])
-def test_a_panel_raises_the_error_of_its_first_failing_angle(alphas, error, monkeypatch):
+def test_a_panel_raises_the_error_of_its_first_failing_angle(alphas, regime, error,
+                                                             monkeypatch):
     # the first failing angle of the earliest kind: build, then solve or
     # selection, then length
-    a_k = ge.critical_angle(*FIG8)
     solve = ge._moving_roots
     monkeypatch.setattr(ge, "_moving_roots", lambda family, n, alpha, *mode: (
         list(_PANEL_ROOTS[alpha]) if alpha in _PANEL_ROOTS else solve(family, n, alpha, *mode)))
-    specs = [ConeManifoldSpec(*FIG8, a_k if a == 2 * math.pi / 3 else a) for a in alphas]
-    panel = _outcome(lambda: ge.classify_panel(specs))
-    alone = [_outcome(lambda: [ge.classify(spec)]) for spec in specs]
+    panel = _outcome(lambda: ge._select_panel(*FIG8, list(alphas), regime))
+    alone = [_outcome(lambda: ge._select_panel(*FIG8, [a], regime)) for a in alphas]
     if error is None:
         assert panel == [r for one in alone for r in one]
+        # classify sends a solved angle as a panel of one
+        classified = [ge.classify(ConeManifoldSpec(*FIG8, a)) for a in alphas]
+        assert panel == [repr((r.roots, r.l_alpha)) for r in classified]
+        assert {r.regime for r in classified} == {regime}
     else:
         # the error of the first angle that fails alone by this kind of failure
         assert panel == next(one for one in alone
                              if one[0] is error[0] and error[1] in one[1])
 
 
-@pytest.mark.parametrize("specs", [
-    [],
-    [ConeManifoldSpec(*FIG8, 1.0), ConeManifoldSpec(KnotFamily.C2N3, 2, 1.0)],
-    [ConeManifoldSpec(*FIG8, 1.0), ConeManifoldSpec(FIG8[0], 2, 1.0)],  # C(2,2), C(4,2)
-])
-def test_a_panel_takes_at_least_one_spec_all_of_one_member(specs):
-    with pytest.raises(ValueError, match="one member"):
-        ge.classify_panel(specs)
+@pytest.mark.parametrize("regime", [_HYP, _SPH])
+def test_an_empty_panel_walks_no_word(regime, monkeypatch):
+    def walk(*args):
+        raise AssertionError("a longitude word was walked")
+
+    monkeypatch.setattr(ge, "longitude_eigenvalues", walk)
+    assert ge._select_panel(*FIG8, [], regime) == []
 
 
 @pytest.mark.parametrize("roots", [
@@ -748,10 +752,12 @@ def test_non_real_listing_skips_only_the_polish_of_certified_real_roots(
     ge.clear_caches()
     member = ge._member(family, n)  # the seed and march of the set-up
     for alpha in _non_real_angles(a_k):
-        try:
-            member.hyperbolic_root(alpha)
-        except NonConvergenceError:
-            pass  # a real root beside y = 2 fails its polish (ROADMAP item 2)
+        for lookup in (member.hyperbolic_root,  # and a hyperbolic panel of one:
+                       lambda a: ge.classify(ConeManifoldSpec(family, n, a))):
+            try:
+                lookup(alpha)
+            except NonConvergenceError:
+                pass  # a real root beside y = 2 fails its polish (ROADMAP item 2)
     assert polished == []
 
 

@@ -2,6 +2,7 @@
 
 import ast
 import cmath
+import functools
 import inspect
 import math
 from pathlib import Path
@@ -24,16 +25,23 @@ FIG8 = KnotFamily.C2N2
 
 
 # the non-torus members with |n| <= 4, and C(16,2)
-MEMBERS = [
+MEMBERS_4 = [
     (family, n)
     for family in KnotFamily
     for n in (-4, -3, -2, -1, 1, 2, 3, 4)
     if not is_torus_member(family, n)
-] + [(FIG8, 8)]
+]
+MEMBERS = MEMBERS_4 + [(FIG8, 8)]
 
 
 def spec8(alpha):
     return ConeManifoldSpec(FIG8, 1, alpha)
+
+
+def knot_id(family, n):
+    """The member's two-bridge name: C(2n,2), C(2n,3) or C(2n,-2n)."""
+    second = {FIG8: 2, KnotFamily.C2N3: 3}.get(family, -2 * n)
+    return f"C({2 * n},{second})"
 
 
 # ------------------------------------------------------------- quadrature
@@ -108,6 +116,42 @@ def test_volume_monotone_decreasing_hyperbolic():
     grid = np.arange(0.1, a_k - 0.02, 0.05)
     vols = [vo.compute_volume(spec8(float(a))).volume for a in grid]
     assert all(v1 > v2 for v1, v2 in zip(vols, vols[1:]))
+
+
+V8 = 3.663862376708876  # the Whitehead link's volume, a regular ideal octahedron's
+BOUND_FRACTIONS = (0.1, 0.3, 0.6, 0.9)
+
+
+@functools.cache
+def _volume_at(family, n, fraction):
+    alpha = fraction * critical_angle(family, n)
+    return vo.compute_volume(ConeManifoldSpec(family, n, alpha)).volume
+
+
+def _bound_cell(family, n, bound, k):
+    marks = []
+    if (family, n, k) == (FIG8, -11, 0):
+        marks = [pytest.mark.xfail(
+            strict=True, raises=NonConvergenceError,
+            reason="ROADMAP items 2 and 18: 0.1 a_K = 0.30239 lies beside the "
+                   "pole-crossing angle 2 atan(1/sqrt(43)) = 0.30267")]
+    return pytest.param(family, n, bound, k, marks=marks,
+                        id=f"{knot_id(family, n)}-{BOUND_FRACTIONS[k]}")
+
+
+@pytest.mark.parametrize("family, n, bound, k", [
+    _bound_cell(family, n, bound, k)
+    for family, bound in ((FIG8, V8), (KnotFamily.C2NMINUS2N, 2.0 * V8))
+    for n in range(-12, 13) if n and not is_torus_member(family, n)
+    for k in range(len(BOUND_FRACTIONS))])
+def test_volume_is_below_the_filled_link_and_decreases(family, n, bound, k):
+    # C(2n,2) is a Dehn filling of the Whitehead link and C(2n,-2n) one of the
+    # Borromean rings (2 v8); a filling has less volume than the link it fills
+    # (Thurston), and the cone-manifold's volume falls as alpha grows (Schlaefli)
+    vol = _volume_at(family, n, BOUND_FRACTIONS[k])
+    assert 0.0 < vol < bound
+    if k + 1 < len(BOUND_FRACTIONS):
+        assert vol > _volume_at(family, n, BOUND_FRACTIONS[k + 1])
 
 
 def test_vanishing_at_transition_both_sides():
@@ -575,19 +619,23 @@ def test_volume_just_below_a_k_of_c16_2():
     assert 0.0 < vol < 1e-10
 
 
-@pytest.mark.parametrize("family, n", [(FIG8, 3), (KnotFamily.C2NMINUS2N, 2)],
-                         ids=["C(6,2)", "C(4,-4)"])
+@pytest.mark.parametrize("family, n", [pytest.param(*m, id=knot_id(*m)) for m in MEMBERS_4])
 def test_volume_a_hair_above_a_k(family, n):
     a_k = critical_angle(family, n)
     vol = vo.compute_volume(ConeManifoldSpec(family, n, a_k + 1e-14)).volume
     assert 0.0 < vol < 1e-18
 
 
-@pytest.mark.xfail(strict=True, raises=SelectionAmbiguityError,
-                   reason="ROADMAP items 2 and 12: a Schlaefli node between the true "
-                          "collision and the bisected a_K has no non-real root")
-@pytest.mark.parametrize("family, n", [(FIG8, 3), (KnotFamily.C2NMINUS2N, 2)],
-                         ids=["C(6,2)", "C(4,-4)"])
+def _hair_below(family, n):
+    # c2n2 and c2n3 from |n| = 3 on, and every c2nm2n member
+    fails = family is KnotFamily.C2NMINUS2N or abs(n) >= 3
+    return pytest.param(family, n, id=knot_id(family, n), marks=[pytest.mark.xfail(
+        strict=True, raises=SelectionAmbiguityError,
+        reason="ROADMAP items 2 and 12: a Schlaefli node between the true collision "
+               "and the bisected a_K has no non-real root")] if fails else [])
+
+
+@pytest.mark.parametrize("family, n", [_hair_below(*m) for m in MEMBERS_4])
 def test_volume_a_hair_below_a_k(family, n):
     a_k = critical_angle(family, n)
     vol = vo.compute_volume(ConeManifoldSpec(family, n, a_k - 1e-14)).volume
@@ -686,6 +734,18 @@ def test_schlafli_node_landing_on_a_k_has_zero_length(side):
     # Euclidean (no l_alpha); their length is the limit 0, not a raw error
     alpha = critical_angle(FIG8, 1) + side * 1e-14
     assert 0.0 <= vo.volume_schlafli(spec8(alpha)) < 1e-18
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.5])
+def test_schlafli_panels_take_angles_not_specs(alpha, monkeypatch):
+    # each panel goes to geometry in the regime of spec, as its nodes' angles
+    panels = []
+    select = geometry._select_panel
+    monkeypatch.setattr(vo, "_select_panel", lambda family, n, alphas, regime: (
+        panels.append(regime) or select(family, n, alphas, regime)))
+    monkeypatch.setattr(vo, "ConeManifoldSpec", None)  # no spec is built per node
+    vo.volume_schlafli(spec8(alpha))
+    assert panels and set(panels) == {classify(spec8(alpha)).regime}
 
 
 # volume_schlafli recorded before each Gauss panel's nodes were solved as one
