@@ -45,7 +45,7 @@ from functools import lru_cache
 
 from .errors import PoleError
 from .exactpoly import _zero_like
-from .families import R_EXPONENTS, KnotFamily, validate_twist
+from .families import R_EXPONENTS, KnotFamily, validate_family, validate_twist
 
 # Denominator guard: |den| below this times the numerator scale is a pole.
 POLE_TOL = 1e-14
@@ -108,7 +108,8 @@ def kernel(family: KnotFamily | None, n: int, pole_tol: float = POLE_TOL):
     cache is typed, so 1.0 or True never reaches the closure cached for n = 1.
     """
     validate_twist(n)
-    a, b, c, sign = R_EXPONENTS[family] if family is not None else (0, 0, 0, 0)
+    a, b, c, sign = (R_EXPONENTS[validate_family(family)] if family is not None
+                     else (0, 0, 0, 0))
     p, q = a + 2, b + 2
 
     def fg(y, f=1, g=1):
@@ -150,9 +151,9 @@ def eval_f_prime(n: int, y):
 
 def eval_g(family: KnotFamily, n: int, y):
     """Family-specific g_n(y); raises PoleError on the shared denominator zeros."""
-    return kernel(family, n)(y, 0, 1)[1]
+    return kernel(validate_family(family), n)(y, 0, 1)[1]  # None would be f-only
 
 
 def eval_g_prime(family: KnotFamily, n: int, y):
     """d/dy g_n(y) by the quotient rule (needed by Newton polish, not an integrand)."""
-    return kernel(family, n)(y, 0, 2)[3]
+    return kernel(validate_family(family), n)(y, 0, 2)[3]

@@ -26,10 +26,10 @@ from . import __version__
 from .chebyshev import eval_f
 from .errors import ConevolError, PoleError
 from .families import ConeManifoldSpec, parse_family
-from .geometry import Regime, classify, collision_root, critical_angle
+from .geometry import Regime, classify, collision_root, critical_angle, regime_of
 from .riley import build_cone_equation, solve_cone_equation
 from .verify import ALL_SUITES, DEFAULT_N, run_suites
-from .volume import QUAD_ABS_TOL, _volume_for
+from .volume import QUAD_ABS_TOL, compute_volume
 
 CSV_HEADER = "alpha,regime,volume,error_estimate,l_alpha,alpha_K,status"
 _TEXT_COLUMNS = ("regime", "status")
@@ -120,17 +120,15 @@ def _blank_row(alpha: float, a_k: float, status: str) -> dict:
 
 
 def _volume_row(spec: ConeManifoldSpec, cross_check: bool) -> dict:
-    """Classify, then integrate: one angle's sweep columns plus schlafli_volume."""
-    classified = classify(spec)
-    if classified.regime is Regime.OUT_OF_RANGE:
-        row = _blank_row(spec.alpha, classified.critical_angle, "out_of_range")
-        return {**row, "regime": classified.regime.value}
-    r = _volume_for(spec, classified, cross_check)
+    """One angle's sweep columns plus schlafli_volume (compute_volume classifies)."""
+    a_k = critical_angle(spec.family, spec.n)
+    if (regime := regime_of(spec.alpha, a_k)) is Regime.OUT_OF_RANGE:
+        return {**_blank_row(spec.alpha, a_k, "out_of_range"), "regime": regime.value}
+    r = compute_volume(spec, cross_check)
     return {
         "alpha": spec.alpha, "regime": r.regime.value, "volume": r.volume,
         "error_estimate": r.error_estimate, "l_alpha": r.l_alpha,
-        "alpha_K": classified.critical_angle, "schlafli_volume": r.schlafli_volume,
-        "status": "ok",
+        "alpha_K": a_k, "schlafli_volume": r.schlafli_volume, "status": "ok",
     }
 
 

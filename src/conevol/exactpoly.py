@@ -15,7 +15,9 @@ that factor's reference.
 
 from __future__ import annotations
 
+import math
 import numbers
+from fractions import Fraction
 
 import numpy as np
 
@@ -138,64 +140,44 @@ def p_deriv(a):
     return [i * c for i, c in enumerate(a)][1:]
 
 
+def _divmod(a, d):
+    """(q, r) with a = q*d + r and deg r < deg d, over the rationals: Fraction
+    lists, r trimmed.  d's leading coefficient must be nonzero."""
+    r = [Fraction(c) for c in a]
+    q = [Fraction(0)] * (len(a) - len(d) + 1)
+    for i in range(len(q) - 1, -1, -1):
+        q[i] = c = r[i + len(d) - 1] / d[-1]
+        if c:
+            for j, dc in enumerate(d):
+                r[i + j] -= c * dc
+    return q, p_trim(r)
+
+
 def p_gcd(a, b):
     """Primitive gcd of two integer polynomials, positive leading coefficient.
 
     Euclid over the rationals, then denominators cleared and content divided
     out (Gauss's lemma keeps everything integral).
     """
-    from fractions import Fraction
-    from math import gcd as int_gcd
-
-    fa = [Fraction(c) for c in a]
-    fb = [Fraction(c) for c in b]
-    fa, fb = p_trim(fa), p_trim(fb)
+    fa, fb = p_trim([Fraction(c) for c in a]), p_trim([Fraction(c) for c in b])
     while fb:
-        da, db = len(fa) - 1, len(fb) - 1
-        if da < db:
-            fa, fb = fb, fa
-            continue
-        r = fa[-1] / fb[-1]
-        for i in range(db + 1):
-            fa[da - db + i] -= r * fb[i]
-        p_trim(fa)
-        if len(fa) - 1 < db:
-            fa, fb = fb, fa
+        fa, fb = fb, _divmod(fa, fb)[1]
     if not fa:
         return []
-    lcm = 1
-    for c in fa:
-        lcm = lcm * c.denominator // int_gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in fa]
-    content = 0
-    for c in ints:
-        content = int_gcd(content, abs(c))
-    ints = [c // content for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return ints
+    scale = math.lcm(*(c.denominator for c in fa))
+    ints = [int(c * scale) for c in fa]
+    content = math.gcd(*ints) if ints[-1] > 0 else -math.gcd(*ints)
+    return [c // content for c in ints]
 
 
 def p_divexact(a, d):
     """Exact quotient a / d for integer polynomials; raises if not exact/integral."""
-    from fractions import Fraction
-
-    rem = [Fraction(c) for c in a]
-    q = [Fraction(0)] * (len(a) - len(d) + 1)
-    for i in range(len(q) - 1, -1, -1):
-        c = rem[i + len(d) - 1] / d[-1]
-        q[i] = c
-        if c:
-            for j, dc in enumerate(d):
-                rem[i + j] -= c * dc
-    if any(c != 0 for c in rem):
+    q, r = _divmod(a, d)
+    if r:
         raise ValueError("polynomial division not exact")
-    out = []
-    for c in q:
-        if c.denominator != 1:
-            raise ValueError("quotient not integral")
-        out.append(int(c))
-    return p_trim(out)
+    if any(c.denominator != 1 for c in q):
+        raise ValueError("quotient not integral")
+    return p_trim([int(c) for c in q])
 
 
 def s_poly(k: int):

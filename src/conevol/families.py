@@ -68,7 +68,15 @@ _DEGENERATE = {
 
 def is_torus_member(family: KnotFamily, n: int) -> bool:
     """True if C(family, n) is a torus knot (trefoil) with no hyperbolic structure."""
-    return (family, n) in _DEGENERATE
+    return (validate_family(family), n) in _DEGENERATE
+
+
+def validate_family(family: KnotFamily) -> KnotFamily:
+    """family itself; ValueError for anything that is not a KnotFamily (a
+    token such as "c2n2" goes through parse_family first)."""
+    if not isinstance(family, KnotFamily):
+        raise ValueError(f"family must be a KnotFamily, got {family!r}")
+    return family
 
 
 def validate_twist(n: int) -> int:
@@ -88,6 +96,7 @@ class ConeManifoldSpec:
     alpha: float
 
     def __post_init__(self):
+        validate_family(self.family)
         validate_twist(self.n)
         if not (0.0 < self.alpha < 2.0 * math.pi):
             raise ValueError(f"cone angle must lie in (0, 2*pi), got {self.alpha}")

@@ -70,7 +70,7 @@ from enum import Enum
 from .chebyshev import eval_f
 from .errors import NonConvergenceError, NotBracketedError, SelectionAmbiguityError
 from .exactpoly import p_deriv, p_eval, p_roots_many
-from .families import ConeManifoldSpec, KnotFamily, validate_twist
+from .families import ConeManifoldSpec, KnotFamily, validate_family, validate_twist
 from .representation import longitude_eigenvalues
 from .riley import (PHI_ROOT_TOL, _cone_parts, build_cone_equation, build_phi,
                     solve_cone_equation)
@@ -309,6 +309,7 @@ class _MemberGeometry:
 
 
 def _member(family: KnotFamily, n: int) -> _MemberGeometry:
+    validate_family(family)
     validate_twist(n)  # before the lookup: 1.0 or True must not find n = 1
     with _LOCK:
         key = (family, n)

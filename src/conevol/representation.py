@@ -33,7 +33,7 @@ import numpy as np
 
 from .chebyshev import eval_S, eval_S_pair, eval_f
 from .errors import BranchError, DegenerateLongitudeError
-from .families import KnotFamily
+from .families import KnotFamily, validate_family
 
 _IMAG_WINDOW = 2.0 * math.pi  # lifted holonomy angle lives in [-2*pi, 2*pi)
 
@@ -68,6 +68,7 @@ def build_matrices(family: KnotFamily, m: complex, t: complex):
 
 def _generator_stacks(family: KnotFamily, ms, ts):
     """build_matrices at each (m, t), as two (k, 2, 2) stacks."""
+    validate_family(family)
     if 0 in ms:
         raise ValueError("meridian eigenvalue m must be nonzero")
     if family.is_odd_presentation:
@@ -217,7 +218,7 @@ def _longitude_shift(family: KnotFamily, n: int, alpha: float) -> float:
     The odd-family longitude carries the a^{-4n} correction, so
     ell = e^{(gamma + 4*n*i*alpha)/2}; the even-family longitude is bare.
     """
-    return 4.0 * n * alpha if family.is_odd_presentation else 0.0
+    return 4.0 * n * alpha if validate_family(family).is_odd_presentation else 0.0
 
 
 def complex_length(

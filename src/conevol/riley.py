@@ -59,7 +59,8 @@ from itertools import zip_longest
 from . import exactpoly as xp
 from .chebyshev import eval_S, eval_f, kernel, s_diff_zeros
 from .errors import NonConvergenceError, PoleError
-from .families import R_EXPONENTS, ConeManifoldSpec, KnotFamily, validate_twist
+from .families import (R_EXPONENTS, ConeManifoldSpec, KnotFamily, validate_family,
+                       validate_twist)
 
 # Proximity threshold to the cleared denominator y = 2.
 SPURIOUS_EPS = 1e-8
@@ -110,6 +111,7 @@ def build_phi(family: KnotFamily, n: int) -> RileyPoly:
     Each is linear in x^2: Phi = P0 + x^2 P1, with t = (y+2) - x^2 splitting
     any term t*q into (y+2)*q and -q.
     """
+    validate_family(family)
     validate_twist(n)
     s_nm1, s_n = xp.s_poly(n - 1), xp.s_poly(n)
     if family is KnotFamily.C2N3:  # a u - b = (2a - b) + t a (y-2) S_{n-1}^2
@@ -188,6 +190,7 @@ def build_cone_equation(family: KnotFamily, n: int, A: float) -> ConeEquation:
     invariant under A -> -A (hence under alpha -> 2*pi - alpha).  ValueError
     at a non-finite A or float coefficient (A^2 overflows below alpha ~ 1.5e-154).
     """
+    validate_family(family)
     validate_twist(n)
     if not math.isfinite(A):
         raise ValueError("A = cot(alpha/2) must be finite")

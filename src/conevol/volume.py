@@ -22,8 +22,10 @@ to y- with a small V detour into the upper half-plane over each singular
 point in between.  A path is a tuple of complex vertices joined by straight
 legs.
 
-Both regimes go through one driver, which integrates the one path it is
-given.  The right class is the one in which log(R) returns to 0 at the far
+Both regimes go through one driver (_contour), which integrates the one path
+it is given, times i for a hyperbolic volume, and builds the VolumeResult that
+each regime's entry completes with its diagnostics.
+The right class is the one in which log(R) returns to 0 at the far
 endpoint, where R = 1 again.  R is c * prod (y - a)^e over the roots of
 N^2 + A^2 D^2 and the exact cosines of families.R_EXPONENTS (_r_factors,
 once per volume), and on a straight leg p -> q each factor turns by exactly
@@ -416,8 +418,9 @@ class VolumeResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _contour(spec: ConeManifoldSpec, path: tuple, rotation: complex, factors):
-    """rotation * INT over path; returns (value, error estimate).
+def _contour(spec: ConeManifoldSpec, path: tuple, regime: Regime, factors) -> VolumeResult:
+    """The volume of regime (HYPERBOLIC or SPHERICAL) over path: the real part
+    of i * INT, or of INT, with the error estimate and imaginary residual.
 
     R = 1 at both endpoints, so on a path of the right class the tracked log
     returns to 0.  The tracker's closure check certifies that exactly: where
@@ -440,13 +443,13 @@ def _contour(spec: ConeManifoldSpec, path: tuple, rotation: complex, factors):
         v, e = adaptive_quad(lambda ts: list(map(integrand, ts)), float(k), float(k + 1))
         total += v
         err += e
-    value = rotation * total
+    value = (1j if regime is Regime.HYPERBOLIC else 1) * total
     if abs(value.imag) > IMAG_RESIDUAL_TOL:
         raise QuadratureError(
             f"volume has imaginary residual {value.imag:.3e} (branch tracking "
             f"inconsistent)"
         )
-    return value, err
+    return VolumeResult(spec, regime, value.real, err, abs(value.imag))
 
 
 def volume_hyperbolic(spec: ConeManifoldSpec, y0: complex,
@@ -465,15 +468,9 @@ def volume_hyperbolic(spec: ConeManifoldSpec, y0: complex,
             f"no contour of winding 0 clear of the singular set for "
             f"{family.value} n={n} at alpha={spec.alpha:.6f}"
         )
-    value, err = _contour(spec, path, 1j, factors)
-    return VolumeResult(
-        spec,
-        Regime.HYPERBOLIC,
-        value.real,
-        err,
-        abs(value.imag),
-        diagnostics={"y0": y0, "anchor": path[1]},
-    )
+    out = _contour(spec, path, Regime.HYPERBOLIC, factors)
+    out.diagnostics.update(y0=y0, anchor=path[1])
+    return out
 
 
 def volume_spherical(spec: ConeManifoldSpec, y_plus: float,
@@ -483,22 +480,14 @@ def volume_spherical(spec: ConeManifoldSpec, y_plus: float,
     The pair's longitude-phase order alone fixes the sign: a negative volume raises.
     """
     path = spherical_path(spec.n, y_plus, y_minus)
-    value, err = _contour(spec, path, 1, _r_factors(spec.family, spec.n, spec.cot_half))
-    if value.real < 0.0:
-        raise QuadratureError(f"spherical volume {value.real:.3e} < 0: the pair "
+    out = _contour(spec, path, Regime.SPHERICAL,
+                   _r_factors(spec.family, spec.n, spec.cot_half))
+    if out.volume < 0.0:
+        raise QuadratureError(f"spherical volume {out.volume:.3e} < 0: the pair "
                               f"({y_plus:.8f}, {y_minus:.8f}) is not in phase order")
-    return VolumeResult(
-        spec,
-        Regime.SPHERICAL,
-        value.real,
-        err,
-        abs(value.imag),
-        diagnostics={
-            "y_plus": y_plus,
-            "y_minus": y_minus,
-            "deformations": sum(z.imag != 0.0 for z in path),
-        },
-    )
+    out.diagnostics.update(y_plus=y_plus, y_minus=y_minus,
+                           deformations=sum(z.imag != 0.0 for z in path))
+    return out
 
 
 def volume_schlafli(spec: ConeManifoldSpec) -> float:
@@ -530,12 +519,9 @@ def volume_schlafli(spec: ConeManifoldSpec) -> float:
 
 
 def compute_volume(spec: ConeManifoldSpec, cross_check: bool = False) -> VolumeResult:
-    """Classify the angle and evaluate the volume (Schlaefli near a_K and pi)."""
-    return _volume_for(spec, classify(spec), cross_check)
-
-
-def _volume_for(spec: ConeManifoldSpec, result, cross_check: bool) -> VolumeResult:
-    """compute_volume for an angle already classified as result."""
+    """Classify the angle and evaluate its volume: 0 at a_K, Schlaefli near a_K
+    and pi, else the contour of its regime; ValueError beyond the spherical band."""
+    result = classify(spec)
     if result.regime is Regime.OUT_OF_RANGE:
         raise ValueError(
             f"cone angle {spec.alpha} is beyond the spherical band "

@@ -288,14 +288,14 @@ def test_sweep_rows_run_in_order_on_the_calling_thread(monkeypatch, capsys):
 
 
 def test_a_failed_sweep_row_keeps_its_place(monkeypatch, capsys):
-    volume_for = cli._volume_for
+    compute_volume = cli.compute_volume
 
-    def failing_middle(spec, classified, cross_check):
+    def failing_middle(spec, cross_check):
         if spec.alpha == 1.0:
             raise NonConvergenceError("no root")
-        return volume_for(spec, classified, cross_check)
+        return compute_volume(spec, cross_check)
 
-    monkeypatch.setattr(cli, "_volume_for", failing_middle)
+    monkeypatch.setattr(cli, "compute_volume", failing_middle)
     code, out, err = run_cli(
         "sweep", "--family", "c2n2", "--n", "1", "--alpha-start", "0.5",
         "--alpha-stop", "1.5", "--count", "3", capsys=capsys,

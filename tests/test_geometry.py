@@ -15,7 +15,7 @@ from conevol import exactpoly as xp
 from conevol import geometry as ge
 from conevol import representation as rp
 from conevol import riley as ry
-from conevol.chebyshev import eval_f
+from conevol.chebyshev import eval_f, eval_g, kernel
 from conevol.errors import (
     ConevolError,
     NonConvergenceError,
@@ -235,6 +235,32 @@ def test_member_lookups_reject_a_non_int_twist_equal_to_a_cached_one(lookup):
     for n in (True, 1.0, np.int64(1)):
         with pytest.raises(ValueError, match="integer"):
             lookup(KnotFamily.C2N2, n)
+
+
+_FAMILY_ENTRIES = {
+    "spec": lambda family: ConeManifoldSpec(family, 1, 1.0),  # compute_volume's input
+    "build_phi": lambda family: ry.build_phi(family, 1),
+    "build_cone_equation": lambda family: build_cone_equation(family, 1, 1.0),
+    "critical_angle": lambda family: ge.critical_angle(family, 1),
+    "kernel": lambda family: kernel(family, 1),
+    "build_matrices": lambda family: rp.build_matrices(family, 2.0, 1.0),
+    "complex_length": lambda family: rp.complex_length(family, 1, 1.0, 0.5 + 0.8j, 1.5),
+    "eval_g": lambda family: eval_g(family, 1, 1.3 + 0.4j),
+    "is_torus_member": lambda family: is_torus_member(family, -1),
+}
+
+
+@pytest.mark.parametrize("entry,family", [
+    (entry, family) for entry in _FAMILY_ENTRIES
+    for family in ("c2n2", None, (KnotFamily.C2N2, 1))
+    if (entry, family) != ("kernel", None)  # kernel's None is the f-only closure
+], ids=lambda v: "tuple" if isinstance(v, tuple) else str(v))
+def test_entry_points_reject_a_family_that_is_not_a_knot_family(entry, family):
+    # a token raised a raw KeyError or AttributeError, build_phi answered any
+    # non-enum family with the Phi of C(2n,-2n), eval_g(None, ...) with 0,
+    # is_torus_member with False, and the spec took a (family, n) tuple
+    with pytest.raises(ValueError, match="must be a KnotFamily"):
+        _FAMILY_ENTRIES[entry](family)
 
 
 def test_spherical_length_at_a_hyperbolic_angle_raises_value_error():

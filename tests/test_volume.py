@@ -529,10 +529,10 @@ def test_a_path_not_starting_at_the_conjugate_root_raises():
     y0 = classify(spec).roots[0]
     factors = vo._r_factors(spec.family, spec.n, spec.cot_half)
     path = next(vo._candidate_paths(spec.family, spec.n, factors, y0))
-    assert vo._contour(spec, path, 1j, factors)[0].real > 0.0
+    assert vo._contour(spec, path, Regime.HYPERBOLIC, factors).volume > 0.0
     for offset in (1e-3, 1e-3j):
         with pytest.raises(PathBlockedError, match="not anchored"):
-            vo._contour(spec, (path[0] + offset, *path[1:]), 1j, factors)
+            vo._contour(spec, (path[0] + offset, *path[1:]), Regime.HYPERBOLIC, factors)
 
 
 def test_hyperbolic_tracker_veto_raises_instead_of_taking_another_path(monkeypatch):
@@ -1026,12 +1026,34 @@ def test_cross_check_below_the_pole_crossing_of_c8_minus8():
     vo.compute_volume(spec, cross_check=True)
 
 
-@pytest.mark.xfail(raises=NonConvergenceError, strict=True,
-                   reason="ROADMAP item 2: a real root beside y = 2 misses RESIDUAL_TOL "
-                          "where cot^2(alpha/2) = det K = 11 puts a cone root at the pole")
-@pytest.mark.parametrize("alpha", [0.5855, 0.58598, 0.586])
-def test_volume_of_c_minus6_2_near_the_pole_crossing(alpha):
-    vo.compute_volume(ConeManifoldSpec(FIG8, -3, alpha))
+def _pole_cell(family, n, alpha, raises):
+    marks = [pytest.mark.xfail(
+        raises=NonConvergenceError, strict=True,
+        reason="ROADMAP item 2: a real root beside y = 2 misses RESIDUAL_TOL where "
+               "cot^2(alpha/2) = det K puts a cone root at the pole")] if raises else []
+    return pytest.param(family, n, alpha, marks=marks, id=f"{knot_id(family, n)}-{alpha!r}")
+
+
+def _pole_cells(family, n):
+    # det K = |ab + 1| for C(a, b); alpha_det is hyperbolic for these nine
+    # members, the c2n2 ones with n <= -2 and the C(2n,-2n) ones with |n| >= 2
+    a, b = 2 * n, 2 if family is FIG8 else -2 * n
+    alpha_det = 2.0 * math.atan(1.0 / math.sqrt(abs(a * b + 1)))
+    return [_pole_cell(family, n, alpha_det * (1.0 + s),
+                       abs(s) == 1e-5 or family is not FIG8 and abs(n) >= 3)
+            for s in (-1e-3, -1e-5, 1e-5, 1e-3)]
+
+
+@pytest.mark.parametrize("family, n, alpha", [
+    *(cell for n in (-4, -3, -2) for cell in _pole_cells(FIG8, n)),
+    *(cell for n in (-4, -3, -2, 2, 3, 4) for cell in _pole_cells(KnotFamily.C2NMINUS2N, n)),
+    *(_pole_cell(FIG8, -3, alpha, True) for alpha in (0.5855, 0.58598, 0.586)),
+])
+def test_volume_near_the_pole_crossing(family, n, alpha):
+    # every pole-crossing cell with |n| <= 4 (ROADMAP item 18), with the
+    # bounds of test_volume_is_below_the_filled_link_and_decreases
+    vol = vo.compute_volume(ConeManifoldSpec(family, n, alpha)).volume
+    assert 0.0 < vol < (V8 if family is FIG8 else 2.0 * V8)
 
 
 def test_volume_of_c_minus6_2_past_the_pole_crossing():
