@@ -62,6 +62,7 @@ from .riley import (
 from .volume import (
     VolumeResult,
     compute_volume,
+    compute_volumes,
     real_singular_points,
     volume_hyperbolic,
     volume_schlafli,

@@ -27,11 +27,13 @@ loops without them saved under 1% of a sweep); a Python complex y, the
 contour's and Newton polish's case, is seeded without type dispatch.  One
 factory, kernel(family, n, pole tolerance), fixes the R_EXPONENTS row and the
 guard once per member and returns the closure that assembles f_n, g_n, f'_n
-and (where Newton reads it) g'_n from that walk: at a contour node, dispatch
-(helper calls, tuples, hashing the family enum) cost more than the
-arithmetic.  The eval_* views, ConeEquation and the contour integrand all
-call it, with identical floating-point results.  The exact coefficients of
-S_k (s_poly) and their Horner evaluation live in exactpoly.
+and (where Newton reads it) g'_n from that walk: dispatch (helper calls,
+tuples, hashing the family enum) costs more than the arithmetic.  The eval_*
+views and ConeEquation call it; the contour integrand's node
+(volume._Integrand) calls eval_S_pair itself and forms f, f' and g in the
+floating-point operations of its (y, 2, 1) mode, with identical results.
+The exact coefficients of S_k (s_poly) and their Horner evaluation live in
+exactpoly.
 
 The real zeros are exact cosines, owned here: s_zeros(m) gives those of S_m
 (the poles of f and g at m = n-1), s_diff_zeros(j) those of S_j - S_{j-1}

@@ -5,8 +5,11 @@ in radians unless --degrees is given (converted at parse time and recorded in
 the output metadata).  Floats print with 12 significant digits; identical
 configurations produce bitwise-identical output.
 
-Sweep rows are computed in order on the calling thread; --jobs is accepted
-and ignored.  A failure ends in one stderr line: "error: <Type>: <message>"
+A sweep hands its whole angle grid to volume.compute_volumes, which selects
+the roots of each regime's angles in one stacked panel and then computes the
+rows in order on the calling thread; --jobs is accepted and ignored.  An
+angle that fails keeps its row, with the error's type as its status.  A
+failure of the command ends in one stderr line: "error: <Type>: <message>"
 for a library error, "error: <message>" for bad input or I/O.
 
 Exit codes: 0 success, 1 validation/numerical/I-O failure, 2 a volume angle
@@ -29,7 +32,7 @@ from .families import ConeManifoldSpec, parse_family
 from .geometry import Regime, classify, collision_root, critical_angle, regime_of
 from .riley import build_cone_equation, solve_cone_equation
 from .verify import ALL_SUITES, DEFAULT_N, run_suites
-from .volume import QUAD_ABS_TOL, compute_volume
+from .volume import QUAD_ABS_TOL, compute_volume, compute_volumes
 
 CSV_HEADER = "alpha,regime,volume,error_estimate,l_alpha,alpha_K,status"
 _TEXT_COLUMNS = ("regime", "status")
@@ -119,14 +122,15 @@ def _blank_row(alpha: float, a_k: float, status: str) -> dict:
             "l_alpha": None, "alpha_K": a_k, "schlafli_volume": None, "status": status}
 
 
-def _volume_row(spec: ConeManifoldSpec, cross_check: bool) -> dict:
-    """One angle's sweep columns plus schlafli_volume (compute_volume classifies)."""
-    a_k = critical_angle(spec.family, spec.n)
-    if (regime := regime_of(spec.alpha, a_k)) is Regime.OUT_OF_RANGE:
-        return {**_blank_row(spec.alpha, a_k, "out_of_range"), "regime": regime.value}
-    r = compute_volume(spec, cross_check)
+def _row(alpha: float, a_k: float, r) -> dict:
+    """One angle's sweep columns plus schlafli_volume, from its compute_volumes
+    outcome r: out_of_range beyond the band, error:<Type> where r is an error."""
+    if (regime := regime_of(alpha, a_k)) is Regime.OUT_OF_RANGE:
+        return {**_blank_row(alpha, a_k, "out_of_range"), "regime": regime.value}
+    if isinstance(r, Exception):
+        return _blank_row(alpha, a_k, f"error:{type(r).__name__}")
     return {
-        "alpha": spec.alpha, "regime": r.regime.value, "volume": r.volume,
+        "alpha": alpha, "regime": r.regime.value, "volume": r.volume,
         "error_estimate": r.error_estimate, "l_alpha": r.l_alpha,
         "alpha_K": a_k, "schlafli_volume": r.schlafli_volume, "status": "ok",
     }
@@ -134,13 +138,14 @@ def _volume_row(spec: ConeManifoldSpec, cross_check: bool) -> dict:
 
 def cmd_volume(args) -> int:
     spec = _validated_spec(args)
-    row = _volume_row(spec, args.cross_check)
-    if row["status"] == "out_of_range":
+    a_k = critical_angle(spec.family, spec.n)
+    if regime_of(spec.alpha, a_k) is Regime.OUT_OF_RANGE:
         print(
             f"error: alpha={_fmt(spec.alpha)} is beyond the spherical band",
             file=sys.stderr,
         )
         return 2
+    row = _row(spec.alpha, a_k, compute_volume(spec, args.cross_check))
     record = {"family": spec.family.value, "n": spec.n}
     for c in ("alpha", "regime", "volume", "error_estimate", "alpha_K",
               "schlafli_volume"):
@@ -150,14 +155,6 @@ def cmd_volume(args) -> int:
         record["input_degrees"] = True
     print(json.dumps(record))
     return 0
-
-
-def _sweep_row(spec: ConeManifoldSpec, a_k: float, cross_check: bool) -> dict:
-    """_volume_row; a failed angle keeps its place, with the error as its status."""
-    try:
-        return _volume_row(spec, cross_check)
-    except (ConevolError, ValueError) as exc:
-        return _blank_row(spec.alpha, a_k, f"error:{type(exc).__name__}")
 
 
 def cmd_sweep(args) -> int:
@@ -170,10 +167,10 @@ def cmd_sweep(args) -> int:
     if start > stop:
         raise ValueError("need start <= stop")
     step = (stop - start) / (args.count - 1) if args.count > 1 else 0.0
-    specs = [ConeManifoldSpec(family, args.n, start + i * step)
-             for i in range(args.count)]
+    alphas = [start + i * step for i in range(args.count)]
+    outcomes = compute_volumes(family, args.n, alphas, args.cross_check)
     a_k = critical_angle(family, args.n)
-    rows = [_sweep_row(spec, a_k, args.cross_check) for spec in specs]
+    rows = [_row(alpha, a_k, r) for alpha, r in zip(alphas, outcomes)]
 
     columns = CSV_HEADER.split(",") + (["schlafli_volume"] if args.cross_check else [])
     if args.format == "csv":

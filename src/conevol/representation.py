@@ -207,7 +207,9 @@ def f_identity_gap(
 
     The square-root form of the identity is invariant under the branch flip
     ell^(1/2) -> -ell^(1/2); multiplying through gives this branch-free form.
+    The identity is the same for every family; family is validated only.
     """
+    validate_family(family)
     rhs = -((ell + 1.0) / (ell - 1.0)) * ((m + 1.0 / m) / (m - 1.0 / m))
     return abs(eval_f(n, t) - rhs)
 

@@ -49,11 +49,15 @@ A node's dispatch (calls, tuples, attribute and table lookups) cost more than
 its arithmetic.  So nodes and weights are Python floats, not leggauss's numpy
 arrays, which would make each parameter, tracker lookup and panel sum a numpy
 scalar operation (same rounding), and the integrand is one closure per path
-(_Integrand): the member's chebyshev.kernel, each leg's start p and step
+(_Integrand): the member's R_EXPONENTS row, each leg's start p and step
 q - p and A^2 are fixed with the path, and a node at t = k + u on leg k forms
-y = p + (q - p)*u with dy/du = q - p, walks once and reads the tracked log
-with the tracker's bracket lookup inlined, in the floating-point operations
-of BranchTracker.log_at.  One more evaluation of R, at the start vertex,
+y = p + (q - p)*u with dy/du = q - p.  It calls eval_S_pair once and forms
+f, f', g, both pole guards and R in its own frame, in the floating-point
+operations of chebyshev.kernel's (y, 2, 1) mode and with its PoleError, so
+no kernel closure, mode flags or 4-tuple are paid per node; it takes |R|
+once, for the vanishing check and the log, and reads the tracked log with
+the tracker's bracket lookup inlined, in the floating-point operations of
+BranchTracker.log_at.  One kernel evaluation of R, at the start vertex,
 checks that the branch is anchored there.
 Within 1e-3 of the transition angle the endpoints nearly coincide and the
 contour loses relative accuracy, so the Schlaefli integral is used there
@@ -67,12 +71,21 @@ kappa * dVol = (1/2) l_alpha d(alpha) with Vol -> 0 at the transition, i.e.
 Vol = INT_alpha^{a_K} l/2 (hyperbolic) and INT_{a_K}^alpha l/2 (spherical,
 folded about pi by the A^2 symmetry).  The substitution beta = a_K -/+ t^2
 absorbs the square-root behaviour of l at the transition.  Both lengths come
-from classify, as does the l_alpha of every volume result: 2*log|ell| at the
-selected root, or the closed form 2|atan F(r1) - atan F(r0)| at the pair.
-A panel's 21 angles lie on one side of a_K, so the oracle selects them in
-one geometry._select_panel call of that regime: one stacked companion solve
-and one stacked walk of the longitude words serve them all, and each length
-is classify's, bit for bit.
+from classify's selection, as does the l_alpha of every volume result:
+2*log|ell| at the selected root, or the closed form 2|atan F(r1) - atan F(r0)|
+at the pair.  A panel's 21 angles lie on one side of a_K, so the oracle
+selects them in one geometry._select_panel call of that regime: one stacked
+companion solve and one stacked walk of the longitude words serve them all,
+and each length is classify's, bit for bit.
+
+compute_volumes is the entry for many angles of one member (a CLI sweep);
+compute_volume is its one-angle case.  The angles of each solved regime that
+holds two or more are selected the same way, in one _select_panel call, and
+each angle is then evaluated in order by _volume_at; a regime whose panel
+raises has its angles classified one by one, so each failing angle keeps its
+own error.  What depends on the member only is computed once per member in
+functools caches: N_f^2, D_f^2 and R's exact-cosine factors (_r_parts) and the
+real singular set (_singular_points).
 """
 
 from __future__ import annotations
@@ -82,18 +95,18 @@ import cmath
 import heapq
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import add, mul, sub
 
 import numpy as np
 
 from . import exactpoly as xp
 # eval_f_prime is not called here, but perfbench's tracer test reads this name
-from .chebyshev import eval_f_prime, kernel, s_diff_zeros, s_zeros  # noqa: F401
-from .errors import PathBlockedError, QuadratureError
+from .chebyshev import eval_f_prime, eval_S_pair, kernel, s_diff_zeros, s_zeros  # noqa: F401
+from .errors import ConevolError, PathBlockedError, PoleError, QuadratureError
 from .families import R_EXPONENTS, ConeManifoldSpec, KnotFamily
-from .geometry import (Regime, _fold, _select_panel, classify, collision_root,
-                       critical_angle, regime_of)
+from .geometry import (Regime, RegimeResult, _fold, _select_panel, classify,
+                       collision_root, critical_angle, regime_of)
 
 R_EXCL = 1e-4
 QUAD_ABS_TOL = 1e-9
@@ -122,8 +135,14 @@ def real_singular_points(n: int, include_f_zeros: bool = False):
     argument vanishes there, pinching the contour; real paths must pass
     straight through them (the ratio stays positive, so there is no branch
     jump and the log singularity is integrable), but the hyperbolic anchor
-    is kept away from them.
+    is kept away from them.  A fresh list of _singular_points.
     """
+    return list(_singular_points(n, include_f_zeros))
+
+
+@lru_cache(maxsize=None, typed=True)
+def _singular_points(n: int, include_f_zeros: bool) -> tuple:
+    """real_singular_points as a tuple, once per (n, include_f_zeros)."""
     pts = {2.0}
     pts.update(s_zeros(n - 1))
     pts.update(s_diff_zeros(n))
@@ -131,7 +150,7 @@ def real_singular_points(n: int, include_f_zeros: bool = False):
     if include_f_zeros:
         m = abs(n)
         pts.update(2.0 * math.cos((2 * k + 1) * math.pi / (2 * m)) for k in range(m))
-    return sorted(pts)
+    return tuple(sorted(pts))
 
 
 # ------------------------------------------------------------ path geometry
@@ -159,13 +178,19 @@ def _nudge_anchor(x: float, obstacles, keepout: float) -> float:
 def _r_factors(family: KnotFamily, n: int, A: float):
     """R = c * prod (y - a)^e as (a, e): the zeros of f^2 + A^2 (the roots of
     N_f^2 + A^2 D_f^2, conjugate pairs hugging the real f-poles for large A),
-    then the exact cosines."""
+    then the exact cosines; a fresh list, from the member's _r_parts."""
+    num2, den2, cosines = _r_parts(family, n)
+    return [(z, 1) for z in xp.p_roots(xp.p_float_sum(num2, den2, A * A))] + list(cosines)
+
+
+@lru_cache(maxsize=None, typed=True)
+def _r_parts(family: KnotFamily, n: int) -> tuple:
+    """(N_f^2, D_f^2, the exact-cosine factors of R), once per member."""
     a, b, c, _ = R_EXPONENTS[family]
     num, den = xp.f_parts(n)
-    log_zeros = xp.p_roots(xp.p_float_sum(xp.p_mul(num, num), xp.p_mul(den, den), A * A))
-    return ([(z, 1) for z in log_zeros] + [(2.0, a)]
-            + [(s, b) for s in s_zeros(n - 1)]
-            + [(s, -c) for s in s_diff_zeros(n)])
+    return (tuple(xp.p_mul(num, num)), tuple(xp.p_mul(den, den)),
+            ((2.0, a), *((s, b) for s in s_zeros(n - 1)),
+             *((s, -c) for s in s_diff_zeros(n))))
 
 
 def _leg_phases(p: complex, y: complex, factors) -> list:
@@ -204,7 +229,7 @@ def _candidate_paths(family: KnotFamily, n: int, factors, y0: complex,
     paths thread the pinch corridors next to higher-order zeros, whose
     conjugate companion pair squeezes onto the axis as the angle shrinks.
     """
-    reals = real_singular_points(n, include_f_zeros=True)
+    reals = _singular_points(n, True)
     y_star = collision_root(family, n)
     zeros = [a for a, _ in factors if a.imag > 1e-9]
     verticals = sorted(
@@ -234,14 +259,24 @@ def _candidate_paths(family: KnotFamily, n: int, factors, y0: complex,
 
 
 def _path_clear(path: tuple, obstacles) -> bool:
-    return all(_dist_point_segment(complex(s), p, q) >= PATH_CLEARANCE
-               for s in obstacles for p, q in zip(path, path[1:]))
+    """Every obstacle at least PATH_CLEARANCE from every leg.  An obstacle
+    outside a leg's real and imaginary bounds widened by 1e-6 is farther than
+    1e-6 from it, so its distance is not computed."""
+    for p, q in zip(path, path[1:]):
+        re_lo, re_hi = min(p.real, q.real) - 1e-6, max(p.real, q.real) + 1e-6
+        im_lo, im_hi = min(p.imag, q.imag) - 1e-6, max(p.imag, q.imag) + 1e-6
+        for s in map(complex, obstacles):
+            if s.real < re_lo or s.real > re_hi or s.imag < im_lo or s.imag > im_hi:
+                continue
+            if not _dist_point_segment(s, p, q) >= PATH_CLEARANCE:
+                return False
+    return True
 
 
 def spherical_path(n: int, y_from: float, y_to: float):
     """Real segment y_from -> y_to with an upper-half-plane V over each
     singular point s in between: near -> s + i*r -> far."""
-    obstacles = real_singular_points(n)
+    obstacles = _singular_points(n, False)
     lo, hi = min(y_from, y_to), max(y_from, y_to)
     inside = [s for s in obstacles if lo + 1e-12 < s < hi - 1e-12]
     for s in obstacles:
@@ -281,15 +316,21 @@ class BranchTracker:
         ts, unwrapped = [0.0], [0.0]
         for k, (p, q) in enumerate(zip(path, path[1:])):
             base, t0, a0 = unwrapped[-1], float(k), [0.0] * len(factors)
+            # _leg_phases from p with each p - a formed once per leg
+            starts = [(a, e, p - a) for a, e in factors]
+
+            def phases(y):
+                return [e * cmath.phase((y - a) / pa) for a, e, pa in starts]
+
             # right ends of the intervals still to append, nearest last
-            pending = [(float(k + 1), _leg_phases(p, q, factors))]
+            pending = [(float(k + 1), phases(q))]
             while pending:
                 t1, a1 = pending[-1]
                 if sum(map(abs, map(sub, a1, a0))) > 1.5:
                     tm = 0.5 * (t0 + t1)
                     if not t0 < tm < t1:
                         raise QuadratureError(f"a zero or pole of R lies on the path at t={tm!r}")
-                    pending.append((tm, _leg_phases(p, p + (q - p) * (tm - k), factors)))
+                    pending.append((tm, phases(p + (q - p) * (tm - k))))
                     continue
                 t0, a0 = pending.pop()
                 ts.append(t0)
@@ -317,34 +358,47 @@ class _Integrand:
     POLE_TOL = 1e-60  # clearance is enforced geometrically on the path
 
     def __init__(self, family: KnotFamily, n: int, A: float, path: tuple, factors):
-        fg = kernel(family, n, self.POLE_TOL)
+        tol = self.POLE_TOL
         a2, scale = A * A, 1.0 + A * A  # scale: the 1 + A^2 of R's denominator
         legs = [(p, q - p) for p, q in zip(path, path[1:])]
         ends, last, two_pi = len(legs), len(legs) - 1, 2.0 * math.pi
-        fv, gv, _, _ = fg(path[0], 1, 1)
+        fv, gv, _, _ = kernel(family, n, tol)(path[0], 1, 1)
         if abs(start := cmath.phase((fv * fv + a2) / (scale * gv))) > 1e-5:
             raise QuadratureError(
                 f"log argument not anchored at the start endpoint (arg = {start:.3e})")
         tracker = self.tracker = BranchTracker(path, factors)
         ts, unwrapped, top = tracker.ts, tracker.unwrapped, len(tracker.ts) - 2
+        a, b, c, sign = R_EXPONENTS[family]
+        p, q, neg = a + 2, b + 2, -sign  # g = -sign (S_n - S_{n-1})^c / ((y-2)^p S_{n-1}^q)
+        walk, bisect_right, phase, log = eval_S_pair, bisect.bisect_right, cmath.phase, math.log
 
         def node(t):
             k = int(t) if t < ends else last
             z0, dy = legs[k]
             y = z0 + dy * (t - k)
-            fv, gv, fp, _ = fg(y, 2, 1)
+            # f, f' and g as kernel(family, n, tol)(y, 2, 1) forms them
+            s_nm1, s_n, d_nm1, d_n = walk(n, y)
+            ym2 = y - 2
+            num, den = 2 * s_n - y * s_nm1, ym2 * s_nm1
+            if (d := abs(den)) <= tol or d <= tol * abs(num):
+                raise PoleError(f"denominator {den!r} vanishes relative to numerator {num!r}")
+            fv = num / den
+            fp = ((2 * d_n - s_nm1 - y * d_nm1) * den - num * (s_nm1 + ym2 * d_nm1)) / (den * den)
+            num, den = neg * (s_n - s_nm1) ** c, ym2 ** p * s_nm1 ** q
+            if (d := abs(den)) <= tol or d <= tol * abs(num):
+                raise PoleError(f"denominator {den!r} vanishes relative to numerator {num!r}")
             f2 = fv * fv
-            val = (f2 + a2) / (scale * gv)
-            if abs(val) < 1e-100:
+            val = (f2 + a2) / (scale * (num / den))
+            if (r := abs(val)) < 1e-100:
                 raise QuadratureError(f"log argument vanishes on the path at y = {y:.8f}")
-            i = bisect.bisect_right(ts, t) - 1
+            i = bisect_right(ts, t) - 1
             i = top if i > top else 0 if i < 0 else i
             t0, t1 = ts[i], ts[i + 1]
             w = (t - t0) / (t1 - t0) if t1 > t0 else 0.0
             est = unwrapped[i] * (1 - w) + unwrapped[i + 1] * w
-            principal = cmath.phase(val)
+            principal = phase(val)
             k = round((est - principal) / two_pi)
-            return (math.log(abs(val)) + 1j * (principal + two_pi * k)) * fp / (f2 - 1.0) * dy
+            return (log(r) + 1j * (principal + two_pi * k)) * fp / (f2 - 1.0) * dy
 
         self._node = node
 
@@ -518,10 +572,47 @@ def volume_schlafli(spec: ConeManifoldSpec) -> float:
     return float(val)
 
 
-def compute_volume(spec: ConeManifoldSpec, cross_check: bool = False) -> VolumeResult:
-    """Classify the angle and evaluate its volume: 0 at a_K, Schlaefli near a_K
-    and pi, else the contour of its regime; ValueError beyond the spherical band."""
-    result = classify(spec)
+def compute_volumes(family: KnotFamily, n: int, alphas, cross_check: bool = False) -> list:
+    """compute_volume at each angle of one member, in order: its VolumeResult,
+    or the ConevolError or ValueError that compute_volume raises there.
+
+    Every spec is made and the member resolved first, so a bad angle or a
+    member without a_K raises.  The angles of a solved regime that holds two
+    or more are selected in one geometry._select_panel call, each result bit
+    for bit classify's.  An angle alone in its regime, in a regime whose
+    panel raised (so that each failing angle keeps its own error), at a_K or
+    beyond the band is classified alone (_volume_at).
+    """
+    specs = [ConeManifoldSpec(family, n, alpha) for alpha in alphas]
+    a_k = critical_angle(family, n)
+    regimes = [regime_of(spec.alpha, a_k) for spec in specs]
+    classified = [None] * len(specs)
+    for regime in (Regime.HYPERBOLIC, Regime.SPHERICAL):
+        rows = [i for i, r in enumerate(regimes) if r is regime]
+        if len(rows) < 2:
+            continue
+        try:
+            panel = _select_panel(family, n, [_fold(specs[i].alpha) for i in rows], regime)
+        except (ConevolError, ValueError):
+            continue
+        for i, (roots, l_alpha) in zip(rows, panel):
+            classified[i] = RegimeResult(regime, a_k, roots, l_alpha)
+    outcomes = []
+    for spec, result in zip(specs, classified):
+        try:
+            outcomes.append(_volume_at(spec, result, cross_check))
+        except (ConevolError, ValueError) as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def _volume_at(spec: ConeManifoldSpec, result: RegimeResult | None,
+               cross_check: bool) -> VolumeResult:
+    """The volume at spec from its classify result (None: classify it here):
+    0 at a_K, Schlaefli near a_K and pi, else the contour of its regime;
+    ValueError beyond the spherical band."""
+    if result is None:
+        result = classify(spec)
     if result.regime is Regime.OUT_OF_RANGE:
         raise ValueError(
             f"cone angle {spec.alpha} is beyond the spherical band "
@@ -551,4 +642,14 @@ def compute_volume(spec: ConeManifoldSpec, cross_check: bool = False) -> VolumeR
     out.l_alpha = result.l_alpha
     if cross_check:
         out.schlafli_volume = volume_schlafli(spec)
+    return out
+
+
+def compute_volume(spec: ConeManifoldSpec, cross_check: bool = False) -> VolumeResult:
+    """Classify the angle and evaluate its volume: 0 at a_K, Schlaefli near a_K
+    and pi, else the contour of its regime; ValueError beyond the spherical
+    band.  compute_volumes' one-angle case, raising the error it returns."""
+    out, = compute_volumes(spec.family, spec.n, [spec.alpha], cross_check)
+    if isinstance(out, Exception):
+        raise out
     return out

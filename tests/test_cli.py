@@ -1,5 +1,7 @@
 """Command-line surface: exit codes, formats, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -10,10 +12,13 @@ from pathlib import Path
 
 import pytest
 
-from conevol import cli, verify
+from conevol import cli, geometry, verify
+from conevol import volume as vo
 from conevol.chebyshev import s_diff_zeros
 from conevol.cli import main
-from conevol.errors import NonConvergenceError
+from conevol.errors import ConevolError, NonConvergenceError
+from conevol.families import ConeManifoldSpec, KnotFamily, is_torus_member
+from conevol.geometry import Regime, critical_angle, regime_of
 
 SRC = Path(cli.__file__).resolve().parents[1]
 GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text("utf-8"))
@@ -271,14 +276,15 @@ def test_golden_stdout_and_exit_code(case, capsys):
 
 
 def test_sweep_rows_run_in_order_on_the_calling_thread(monkeypatch, capsys):
+    # compute_volumes computes each row by vo._volume_at
     seen = []
-    row = cli._sweep_row
+    row = vo._volume_at
 
     def recorded(spec, *args):
         seen.append((threading.get_ident(), spec.alpha))
         return row(spec, *args)
 
-    monkeypatch.setattr(cli, "_sweep_row", recorded)
+    monkeypatch.setattr(vo, "_volume_at", recorded)
     assert main([
         "sweep", "--family", "c2n2", "--n", "1", "--alpha-start", "0.5",
         "--alpha-stop", "3.5", "--count", "4", "--jobs", "2",
@@ -288,14 +294,14 @@ def test_sweep_rows_run_in_order_on_the_calling_thread(monkeypatch, capsys):
 
 
 def test_a_failed_sweep_row_keeps_its_place(monkeypatch, capsys):
-    compute_volume = cli.compute_volume
+    row = vo._volume_at
 
-    def failing_middle(spec, cross_check):
+    def failing_middle(spec, *args):
         if spec.alpha == 1.0:
             raise NonConvergenceError("no root")
-        return compute_volume(spec, cross_check)
+        return row(spec, *args)
 
-    monkeypatch.setattr(cli, "compute_volume", failing_middle)
+    monkeypatch.setattr(vo, "_volume_at", failing_middle)
     code, out, err = run_cli(
         "sweep", "--family", "c2n2", "--n", "1", "--alpha-start", "0.5",
         "--alpha-stop", "1.5", "--count", "3", capsys=capsys,
@@ -311,6 +317,89 @@ def test_a_failed_sweep_row_keeps_its_place(monkeypatch, capsys):
     assert (regime, volume, error, l_alpha) == ("", "", "", "")
     assert float(alpha_k) == pytest.approx(2 * math.pi / 3, abs=1e-6)
     assert alpha_k == rows[0].split(",")[5]
+
+
+# every non-torus member with |n| <= 4, and C(16,2)
+SWEEP_MEMBERS = [(family, n) for family in KnotFamily for n in (-4, -3, -2, -1, 1, 2, 3, 4)
+                 if not is_torus_member(family, n)] + [(KnotFamily.C2N2, 8)]
+
+
+def _sweep_outcomes(monkeypatch, family, n, start, stop, count, cross_check):
+    """The CSV rows of one sweep and the (alpha, outcome) each was printed from."""
+    seen, row = [], cli._row
+    monkeypatch.setattr(cli, "_row", lambda alpha, a_k, r: seen.append((alpha, r))
+                        or row(alpha, a_k, r))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["sweep", "--family", family.value, f"--n={n}",
+                     "--alpha-start", repr(start), "--alpha-stop", repr(stop),
+                     "--count", str(count)] + ["--cross-check"] * cross_check) == 0
+    rows = out.getvalue().splitlines()[1:]
+    assert len(rows) == len(seen) == count
+    return rows, seen
+
+
+def _hex(x):
+    return None if x is None else float(x).hex()
+
+
+def _assert_rows_are_the_per_angle_volumes(family, n, rows, seen, cross_check):
+    a_k = critical_angle(family, n)
+    for line, (alpha, r) in zip(rows, seen):
+        status = line.split(",")[6]
+        try:
+            want = vo.compute_volume(ConeManifoldSpec(family, n, alpha), cross_check)
+        except (ConevolError, ValueError) as exc:
+            if regime_of(alpha, a_k) is Regime.OUT_OF_RANGE:
+                assert status == "out_of_range"
+            else:
+                assert status == f"error:{type(exc).__name__}"
+                assert type(r) is type(exc) and str(r) == str(exc)
+            continue
+        assert status == "ok"
+        assert [r.regime] + [_hex(getattr(r, k)) for k in _RESULT_FIELDS] == \
+            [want.regime] + [_hex(getattr(want, k)) for k in _RESULT_FIELDS]
+
+
+_RESULT_FIELDS = ("volume", "error_estimate", "l_alpha", "schlafli_volume")
+
+
+@pytest.mark.parametrize("cross_check", [False, True], ids=["plain", "cross-check"])
+@pytest.mark.parametrize("family,n", SWEEP_MEMBERS, ids=lambda v: str(v))
+def test_sweep_rows_are_the_per_angle_volumes_bit_for_bit(family, n, cross_check,
+                                                           monkeypatch):
+    # a sweep selects each regime's angles in one stacked panel; every row
+    # must be compute_volume's at its angle: both regimes and beyond the band,
+    # alpha = pi, and the transition window on both sides of a_K
+    a_k = critical_angle(family, n)
+    band = 2.0 * math.pi - 2.0 * a_k
+    grids = [(0.3, 6.0, 7),  # hyperbolic, spherical when the band is wide, out of range
+             (a_k + 0.05 * band, 2.0 * math.pi - a_k - 0.05 * band, 5),  # pi in the middle
+             (a_k - 6e-4, a_k + 6e-4, 4)]
+    seen = []
+    for start, stop, count in grids:
+        rows, grid_seen = _sweep_outcomes(monkeypatch, family, n, start, stop, count,
+                                          cross_check)
+        _assert_rows_are_the_per_angle_volumes(family, n, rows, grid_seen, cross_check)
+        seen += grid_seen
+    # the band grid's middle row and every transition row take the Schlaefli window
+    alpha, r = seen[-7]
+    assert abs(alpha - math.pi) < vo.PI_WINDOW and r.diagnostics["regularized"]
+    assert all(r.diagnostics["regularized"] for _, r in seen[-4:])
+    assert [r.regime for _, r in seen[-4:]] == [Regime.HYPERBOLIC] * 2 + [Regime.SPHERICAL] * 2
+
+
+def test_a_failing_panel_is_swept_row_by_row(monkeypatch):
+    # C(-6,2) fails its root solve at 0.5855: the stacked panel of the grid
+    # raises, and each angle is then selected alone, so only that row fails
+    family, n, grid = KnotFamily.C2N2, -3, (0.5855, 0.6855, 3)
+    with pytest.raises(NonConvergenceError):
+        geometry._select_panel(family, n, [0.5855, 0.6355, 0.6855], Regime.HYPERBOLIC)
+    for cross_check in (False, True):
+        rows, seen = _sweep_outcomes(monkeypatch, family, n, *grid, cross_check)
+        assert [line.split(",")[6] for line in rows] == [
+            "error:NonConvergenceError", "ok", "ok"]
+        _assert_rows_are_the_per_angle_volumes(family, n, rows, seen, cross_check)
 
 
 @pytest.mark.parametrize("argv,kind", [

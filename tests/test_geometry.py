@@ -247,6 +247,8 @@ _FAMILY_ENTRIES = {
     "complex_length": lambda family: rp.complex_length(family, 1, 1.0, 0.5 + 0.8j, 1.5),
     "eval_g": lambda family: eval_g(family, 1, 1.3 + 0.4j),
     "is_torus_member": lambda family: is_torus_member(family, -1),
+    "f_identity_gap": lambda family: rp.f_identity_gap(family, 1, 1.2 + 0.3j, 0.5 + 0.8j,
+                                                       1.5 + 0.2j),
 }
 
 
@@ -258,7 +260,8 @@ _FAMILY_ENTRIES = {
 def test_entry_points_reject_a_family_that_is_not_a_knot_family(entry, family):
     # a token raised a raw KeyError or AttributeError, build_phi answered any
     # non-enum family with the Phi of C(2n,-2n), eval_g(None, ...) with 0,
-    # is_torus_member with False, and the spec took a (family, n) tuple
+    # is_torus_member with False, f_identity_gap with its value, and the spec
+    # took a (family, n) tuple
     with pytest.raises(ValueError, match="must be a KnotFamily"):
         _FAMILY_ENTRIES[entry](family)
 

@@ -5,6 +5,7 @@ import cmath
 import functools
 import inspect
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from conevol import chebyshev, geometry
 from conevol import volume as vo
 from conevol.cli import main
 from conevol.errors import (ConevolError, NonConvergenceError, PathBlockedError,
-                            QuadratureError, SelectionAmbiguityError)
+                            PoleError, QuadratureError, SelectionAmbiguityError)
 from conevol.families import ConeManifoldSpec, KnotFamily, is_torus_member
 from conevol.geometry import Regime, classify, critical_angle
 from conevol.representation import holonomy_data, longitude_eigenvalue, word_12
@@ -92,6 +93,35 @@ def test_singular_points_are_actual_zeros():
         for s in set(with_f) - set(pts):
             assert abs(eval_f(n, s)) < 1e-12
 
+
+
+def test_a_returned_singular_list_is_the_callers_own():
+    # the set is cached per member; the caller gets a fresh list each time
+    want = vo.real_singular_points(3, include_f_zeros=True)
+    for include_f_zeros in (False, True):
+        pts = vo.real_singular_points(3, include_f_zeros)
+        pts.append(99.0)
+        pts[0] = -99.0
+        again = vo.real_singular_points(3, include_f_zeros)
+        assert 99.0 not in again and -99.0 not in again
+    assert vo.real_singular_points(3, include_f_zeros=True) == want
+    factors = vo._r_factors(FIG8, 3, 0.7)
+    factors.clear()
+    assert len(vo._r_factors(FIG8, 3, 0.7)) > 0
+
+
+def test_cold_empties_the_member_caches_of_the_contour():
+    # perfbench's cold() finds every functools cache of the package: setup_s
+    # and the battery's cold passes stay cold with the contour's member caches
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads as wl
+
+    spec = ConeManifoldSpec(FIG8, 2, 1.0)
+    vo.compute_volume(spec)
+    caches = (vo._singular_points, vo._r_parts)
+    assert all(cache.cache_info().currsize > 0 for cache in caches)
+    wl.cold()
+    assert [cache.cache_info().currsize for cache in caches] == [0, 0]
 
 # ------------------------------------------------------------- hyperbolic
 
@@ -927,6 +957,22 @@ def test_integrand_nodes_equal_the_written_out_expression(family, n):
             want = (integrand.tracker.log_at(t, val) * fp / (fv * fv - 1.0)
                     * (q - p))
             assert repr(integrand(t)) == repr(want)
+    # a node on a pole raises the kernel's PoleError: the last node of a leg
+    # w -> s lands on s exactly.  f's guard fires at y = 2; at n = 2 the
+    # double 1e-25 is a zero of S_1 = y that only g's guard sees.  The
+    # tracker is not asked to pass a factor of R at the path's end
+    hyp = ConeManifoldSpec(family, n, 0.5 * critical_angle(family, n))
+    y0 = classify(hyp).roots[0]
+    for w, s in [(complex(1.5, 0.5), 2.0)] + [(0.5j, 1e-25)] * (n == 2):
+        path = (y0, w, complex(s))
+        factors = [(a, e) for a, e in vo._r_factors(family, n, hyp.cot_half) if a != s]
+        integrand = vo._Integrand(family, n, hyp.cot_half, path, factors)
+        assert w + (s - w) * 1.0 == s
+        with pytest.raises(PoleError) as got:
+            integrand(2.0)
+        with pytest.raises(PoleError) as want:
+            chebyshev.kernel(family, n, vo._Integrand.POLE_TOL)(complex(s), 2, 1)
+        assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("spec, evals, trackers, samples", [
