@@ -6,8 +6,9 @@ the output metadata).  Floats print with 12 significant digits; identical
 configurations produce bitwise-identical output.
 
 A sweep hands its whole angle grid to volume.compute_volumes, which selects
-the roots of each regime's angles in one stacked panel and then computes the
-rows in order on the calling thread; --jobs is accepted and ignored.  An
+the roots of each regime's angles in one stacked panel and then integrates
+the rows' contours together on the calling thread; --jobs is accepted and
+ignored.  The parser is built once per process.  An
 angle that fails keeps its row, with the error's type as its status.  A
 failure of the command ends in one stderr line: "error: <Type>: <message>"
 for a library error, "error: <message>" for bad input or I/O.
@@ -21,6 +22,7 @@ roots with none selected (as it also does at exactly a_K).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -69,6 +71,7 @@ def _add_common(p, angles=True):
 
 
 def build_parser() -> _Parser:
+    """The CLI's parser; main builds it once per process (_parser)."""
     parser = _Parser(prog="conevol", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -78,7 +81,6 @@ def build_parser() -> _Parser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--cross-check", action="store_true",
                    help="also compute the Schlaefli volume")
-    p.set_defaults(func=cmd_volume)
 
     p = sub.add_parser("sweep", help="volumes over an angle grid, to CSV or JSON")
     _add_common(p)
@@ -90,16 +92,13 @@ def build_parser() -> _Parser:
     p.add_argument("--cross-check", action="store_true")
     p.add_argument("--jobs", type=int, default=0,
                    help="accepted and ignored: rows run in order")
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("critical-angle", help="transition angle of a family member")
     _add_common(p, angles=False)
-    p.set_defaults(func=cmd_critical_angle)
 
     p = sub.add_parser("roots", help="cone-equation roots at a single angle")
     _add_common(p)
     p.add_argument("--alpha", type=float, required=True)
-    p.set_defaults(func=cmd_roots)
 
     p = sub.add_parser("verify", help="run the built-in verification suites")
     p.add_argument("--suite", action="append", choices=sorted(ALL_SUITES),
@@ -107,8 +106,10 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, action="append",
                    help="twist value(s) to verify (default: "
                         f"{' '.join(map(str, DEFAULT_N))})")
-    p.set_defaults(func=cmd_verify)
     return parser
+
+
+_parser = functools.lru_cache(maxsize=None)(build_parser)
 
 
 def _validated_spec(args) -> ConeManifoldSpec:
@@ -254,10 +255,15 @@ def cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; a ConevolError, ValueError or OSError becomes exit 1."""
-    args = build_parser().parse_args(argv)
+    """Run one subcommand; a ConevolError, ValueError or OSError becomes exit 1.
+
+    The subcommand's cmd_* function is looked up by its module-level name
+    when it runs, so a wrapper bound to that name is called."""
+    args = _parser().parse_args(argv)
+    run = {"volume": cmd_volume, "sweep": cmd_sweep, "critical-angle": cmd_critical_angle,
+           "roots": cmd_roots, "verify": cmd_verify}[args.command]
     try:
-        return args.func(args)
+        return run(args)
     except ConevolError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
     except (ValueError, OSError) as exc:

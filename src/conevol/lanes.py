@@ -1,0 +1,184 @@
+"""Complex lanes: many complex numbers in float64 arrays, computed with
+CPython's complex arithmetic bit for bit.
+
+numpy's complex ufuncs may fuse a multiply and an add, and its log and
+arctan2 differ from libm's in the last bits, so a numpy complex array does
+not reproduce what a loop over Python complex numbers gives.  Lanes keeps
+the real and imaginary parts as two float64 arrays and spells out each
+operation as CPython 3.10 to 3.13 does it in C (Objects/complexobject.c),
+so an expression written for a Python complex gives the same bits in every
+lane.  node_values runs the contour's node (volume._Integrand) on it.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .chebyshev import eval_S_pair
+from .families import R_EXPONENTS
+
+
+class Lanes:
+    """Complex lanes: float64 arrays (re, im) whose operators do CPython's
+    complex arithmetic (3.10 to 3.13) step by step, so each lane holds the
+    bits that a Python complex gets from the same expression.  A real operand
+    is promoted to (x, 0.0), * is _Py_c_prod, / is _Py_c_quot, ** a
+    nonnegative int is c_powu and abs is hypot.  An operand may be a Python
+    int, float or complex, a float64 array (real lanes) or Lanes."""
+
+    __slots__ = ("re", "im")
+    __array_ufunc__ = None  # an ndarray operand defers to these operators
+
+    def __init__(self, re, im):
+        self.re, self.im = re, im
+
+    def __add__(self, other):
+        b_re, b_im = _parts(other)
+        return Lanes(self.re + b_re, self.im + b_im)
+
+    __radd__ = __add__  # IEEE addition commutes
+
+    def __sub__(self, other):
+        b_re, b_im = _parts(other)
+        return Lanes(self.re - b_re, self.im - b_im)
+
+    def __rsub__(self, other):
+        a_re, a_im = _parts(other)
+        return Lanes(a_re - self.re, a_im - self.im)
+
+    def __mul__(self, other):
+        b_re, b_im = _parts(other)
+        a_re, a_im = self.re, self.im
+        return Lanes(a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re)
+
+    __rmul__ = __mul__  # _Py_c_prod gives the same bits either way round
+
+    def __truediv__(self, other):
+        return _quot(self.re, self.im, *_parts(other))
+
+    def __rtruediv__(self, other):
+        return _quot(*_parts(other), self.re, self.im)
+
+    def __pow__(self, e: int):
+        # c_powu: squares p, multiplying r by it at each set bit of e; the
+        # last squaring, whose value c_powu never reads, is left out.  e = 0
+        # gives 1+0j, as c_powi's 1 / c_powu(x, 0) does
+        r, p, mask = 1 + 0j, self, 1
+        while True:
+            if e & mask:
+                r = r * p
+            mask <<= 1
+            if mask > e:
+                return r
+            p = p * p
+
+    def __abs__(self):
+        return np.hypot(self.re, self.im)
+
+
+def _parts(x):
+    if type(x) is Lanes:
+        return x.re, x.im
+    if type(x) is complex:
+        return x.real, x.imag
+    return x, 0.0
+
+
+def _quot(a_re, a_im, b_re, b_im) -> Lanes:
+    """_Py_c_quot: Smith's division, by b's real part where it is at least
+    its imaginary part in size, else by the imaginary part.  A scalar b
+    divides as an array does: by zero to inf or nan, with no exception."""
+    b_re, b_im = np.asarray(b_re, float), np.asarray(b_im, float)
+    by_re = np.abs(b_re) >= np.abs(b_im)
+    ratio = b_im / b_re
+    denom = b_re + b_im * ratio
+    x_re, x_im = (a_re + a_im * ratio) / denom, (a_im - a_re * ratio) / denom
+    if by_re.all():
+        return Lanes(x_re, x_im)
+    ratio = b_re / b_im
+    denom = b_re * ratio + b_im
+    y_re, y_im = (a_re * ratio + a_im) / denom, (a_im * ratio - a_re) / denom
+    return Lanes(np.where(by_re, x_re, y_re), np.where(by_re, x_im, y_im))
+
+
+def node_values(integrands, tables: dict, jobs):
+    """The nodes of every job (path index, ts) as volume._Integrand's node forms
+    them, on Lanes: (re, im, ok) arrays over the nodes of all jobs in order;
+    tables are the paths' node_tables.
+
+    Line for line the scalar node's arithmetic, its branches as masks: a lane
+    is ok unless it trips a pole guard, finds |R| below 1e-100, takes an abs
+    that overflows (hypot, where CPython raises) or ends not finite.  The
+    phase and the log go through math.atan2 and math.log lane by lane (numpy's
+    own differ in the last bits), the tracker's bracket is searchsorted on
+    (path index, t) keys and round is np.rint (both round half to even).
+    """
+    first = integrands[jobs[0][0]]
+    n, tol, two_pi = first.n, first.POLE_TOL, 2.0 * math.pi
+    a, b, c, sign = R_EXPONENTS[first.family]
+    p, q, neg = a + 2, b + 2, -sign
+    counts = [len(ts) for _, ts in jobs]
+    t = np.array([t for _, ts in jobs for t in ts])
+    j = np.repeat(np.array([j for j, _ in jobs]), counts)
+    ends = tables["ends"][j]
+    k = np.where(t < ends, np.trunc(t), ends - 1.0)
+    leg = tables["leg_start"][j] + k.astype(np.intp)
+    dy = Lanes(tables["dy_re"][leg], tables["dy_im"][leg])
+    y = Lanes(tables["z0_re"][leg], tables["z0_im"][leg]) + dy * (t - k)
+    s_nm1, s_n, d_nm1, d_n = eval_S_pair(n, y)
+    ym2 = y - 2
+    num, den = 2 * s_n - y * s_nm1, ym2 * s_nm1
+    d, scale_f = abs(den), abs(num)
+    ok = (d > tol) & (d > tol * scale_f) & np.isfinite(d + scale_f)
+    fv = num / den
+    fp = ((2 * d_n - s_nm1 - y * d_nm1) * den - num * (s_nm1 + ym2 * d_nm1)) / (den * den)
+    num, den = neg * (s_n - s_nm1) ** c, ym2 ** p * s_nm1 ** q
+    d, scale_g = abs(den), abs(num)
+    ok &= (d > tol) & (d > tol * scale_g) & np.isfinite(d + scale_g)
+    f2 = fv * fv
+    val = (f2 + tables["a2"][j]) / (tables["scale"][j] * (num / den))
+    r = abs(val)
+    ok &= (r >= 1e-100) & np.isfinite(r)
+    # bisect_right(ts, t) - 1, clamped to the path's brackets
+    key = np.empty(len(t), complex)
+    key.real, key.imag = j, t
+    start = tables["sample_start"][j]
+    i = start + np.minimum(np.maximum(np.searchsorted(tables["keys"], key, "right") - 1 - start, 0),
+                           tables["top"][j])
+    t0, t1 = tables["ts"][i], tables["ts"][i + 1]
+    w = np.where(t1 > t0, (t - t0) / (t1 - t0), 0.0)
+    est = tables["unwrapped"][i] * (1 - w) + tables["unwrapped"][i + 1] * w
+    principal = np.array(list(map(math.atan2, val.im.tolist(), val.re.tolist())))
+    k = np.rint((est - principal) / two_pi)
+    log_r = np.array(list(map(math.log, np.where(ok, r, 1.0).tolist())))
+    out = (log_r + 1j * Lanes(principal + two_pi * k, 0.0)) * fp / (f2 - 1.0) * dy
+    ok &= np.isfinite(out.re) & np.isfinite(out.im)
+    return out.re, out.im, ok
+
+
+def node_tables(integrands) -> dict:
+    """The per-path constants of the lanes as float64 and index tables: each
+    path's legs and tracker samples, numbered across the paths, and its A^2,
+    1 + A^2, leg count and last bracket.  The tracker keys are complex
+    (path index, t): numpy orders complex numbers by real, then imaginary
+    part, so one searchsorted finds each node's bracket in its own path."""
+    legs = [leg for f in integrands for leg in f.legs]
+    ts = [t for f in integrands for t in f.tracker.ts]
+    counts = [len(f.tracker.ts) for f in integrands]
+    return {
+        "z0_re": np.array([z0.real for z0, _ in legs]),
+        "z0_im": np.array([z0.imag for z0, _ in legs]),
+        "dy_re": np.array([dy.real for _, dy in legs]),
+        "dy_im": np.array([dy.imag for _, dy in legs]),
+        "leg_start": np.cumsum([0] + [len(f.legs) for f in integrands])[:-1],
+        "ends": np.array([float(len(f.legs)) for f in integrands]),
+        "a2": np.array([f.a2 for f in integrands]),
+        "scale": np.array([f.scale for f in integrands]),
+        "keys": np.array([complex(j, t) for j, f in enumerate(integrands) for t in f.tracker.ts]),
+        "ts": np.array(ts),
+        "unwrapped": np.array([u for f in integrands for u in f.tracker.unwrapped]),
+        "sample_start": np.cumsum([0] + counts)[:-1],
+        "top": np.array(counts) - 2,
+    }

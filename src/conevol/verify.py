@@ -21,7 +21,7 @@ from .geometry import (_panel_roots, critical_angle, select_hyperbolic_root,
                        select_spherical_roots)
 from .representation import relation_residual, w12_closed_form, word_12
 from .riley import PHI_ROOT_TOL, build_phi
-from .volume import compute_volume
+from .volume import compute_volumes
 
 # Each suite's tolerance, sample counts and seed.
 PELL_TOL, PELL_SAMPLES, PELL_SEED = 1e-10, 200, 7
@@ -154,16 +154,24 @@ def suite_w12(n_values=DEFAULT_N) -> SuiteResult:
     )
 
 
+def _volumes(family, n, alphas, cross_check=False) -> list:
+    """The member's volumes at alphas from one compute_volumes call; the first
+    error, in angle order, raises as compute_volume would raise it."""
+    outcomes = compute_volumes(family, n, alphas, cross_check)
+    for r in outcomes:
+        if isinstance(r, Exception):
+            raise r
+    return outcomes
+
+
 def suite_schlafli(n_values=DEFAULT_N) -> SuiteResult:
     """Contour volumes match the Schlaefli length integral."""
     worst = 0.0
     checked = 0
     for family, n in _default_members(n_values):
         a_k = critical_angle(family, n)
-        for alpha in (0.6 * a_k, a_k + 0.6 * (math.pi - a_k)):
-            r = compute_volume(
-                ConeManifoldSpec(family, n, float(alpha)), cross_check=True
-            )
+        alphas = [float(alpha) for alpha in (0.6 * a_k, a_k + 0.6 * (math.pi - a_k))]
+        for r in _volumes(family, n, alphas, cross_check=True):
             worst = max(worst, abs(r.volume - r.schlafli_volume))
             checked += 1
     return SuiteResult(
@@ -180,13 +188,13 @@ def suite_symmetry(n_values=DEFAULT_N) -> SuiteResult:
     checked = 0
     for family, n in _default_members(n_values):
         a_k = critical_angle(family, n)
+        alphas = []
         for frac in (0.25, 0.6):
             alpha = a_k + frac * (math.pi - a_k)
-            v1 = compute_volume(ConeManifoldSpec(family, n, alpha)).volume
-            v2 = compute_volume(
-                ConeManifoldSpec(family, n, 2.0 * math.pi - alpha)
-            ).volume
-            worst = max(worst, abs(v1 - v2))
+            alphas += [alpha, 2.0 * math.pi - alpha]
+        volumes = _volumes(family, n, alphas)
+        for r1, r2 in zip(volumes[::2], volumes[1::2]):
+            worst = max(worst, abs(r1.volume - r2.volume))
             checked += 1
     return SuiteResult(
         "symmetry", worst <= SYMMETRY_TOL,

@@ -22,9 +22,9 @@ to y- with a small V detour into the upper half-plane over each singular
 point in between.  A path is a tuple of complex vertices joined by straight
 legs.
 
-Both regimes go through one driver (_contour), which integrates the one path
-it is given, times i for a hyperbolic volume, and builds the VolumeResult that
-each regime's entry completes with its diagnostics.
+Both regimes go through one driver (_Contour): it sets up the one path it is
+given and turns the path's integral, times i for a hyperbolic volume, into
+the VolumeResult with the regime's diagnostics.
 The right class is the one in which log(R) returns to 0 at the far
 endpoint, where R = 1 again.  R is c * prod (y - a)^e over the roots of
 N^2 + A^2 D^2 and the exact cosines of families.R_EXPONENTS (_r_factors,
@@ -44,21 +44,29 @@ not an embedded one: it shares only the midpoint node with the 15-point
 rule, and its difference from the 15-point value is the error estimate.
 The integrand is a panel function: it gets a panel's 21 nodes at once (the
 15 of the 15-point rule, then the 7-point rule's other 6), so the Schlaefli
-oracle can solve them together; the contour evaluates them one by one.
-A node's dispatch (calls, tuples, attribute and table lookups) cost more than
-its arithmetic.  So nodes and weights are Python floats, not leggauss's numpy
-arrays, which would make each parameter, tracker lookup and panel sum a numpy
-scalar operation (same rounding), and the integrand is one closure per path
-(_Integrand): the member's R_EXPONENTS row, each leg's start p and step
-q - p and A^2 are fixed with the path, and a node at t = k + u on leg k forms
-y = p + (q - p)*u with dy/du = q - p.  It calls eval_S_pair once and forms
-f, f', g, both pole guards and R in its own frame, in the floating-point
-operations of chebyshev.kernel's (y, 2, 1) mode and with its PoleError, so
-no kernel closure, mode flags or 4-tuple are paid per node; it takes |R|
-once, for the vanishing check and the log, and reads the tracked log with
-the tracker's bracket lookup inlined, in the floating-point operations of
-BranchTracker.log_at.  One kernel evaluation of R, at the start vertex,
-checks that the branch is anchored there.
+oracle can solve them together.  The contours of one compute_volumes call
+are integrated together (_integrate): every leg of every path keeps its own
+adaptive heap, split order and left-to-right panel sums (_quad_steps, the
+steps of adaptive_quad), and the legs go in lock-step rounds, each round
+evaluating every node that the legs ask for in one batch (_Nodes).  The node
+is one closure per path (_Integrand): the member's R_EXPONENTS row, each
+leg's start p and step q - p and A^2 are fixed with the path, and a node at
+t = k + u on leg k forms y = p + (q - p)*u with dy/du = q - p.  It calls
+eval_S_pair once and forms f, f', g, both pole guards and R in its own frame,
+in the floating-point operations of chebyshev.kernel's (y, 2, 1) mode and
+with its PoleError; it takes |R| once, for the vanishing check and the log,
+and reads the tracked log with the tracker's bracket lookup inlined, in the
+floating-point operations of BranchTracker.log_at.  One kernel evaluation of
+R, at the start vertex, checks that the branch is anchored there.  A node's
+dispatch costs more than its arithmetic, so a round of LANES_MIN nodes or
+more runs the same arithmetic on all its nodes at once, on float64 lanes
+that follow CPython's complex arithmetic bit for bit (lanes.node_values);
+a node that trips a guard or is not finite sends its leg's request back
+through the scalar node, which raises that node's error or returns its
+values.  A smaller round runs the scalar node, and so does a contour
+integrated alone (volume_hyperbolic, volume_spherical) whenever its legs ask
+for fewer nodes.  Every value, error estimate and raised error is the one
+that integrating each leg alone through the scalar node gives.
 Within 1e-3 of the transition angle the endpoints nearly coincide and the
 contour loses relative accuracy, so the Schlaefli integral is used there
 instead.  It also serves within 1e-5 below the folded angle pi: there the
@@ -81,11 +89,13 @@ and each length is classify's, bit for bit.
 compute_volumes is the entry for many angles of one member (a CLI sweep);
 compute_volume is its one-angle case.  The angles of each solved regime that
 holds two or more are selected the same way, in one _select_panel call, and
-each angle is then evaluated in order by _volume_at; a regime whose panel
+each angle is then classified in order by _volume_at; a regime whose panel
 raises has its angles classified one by one, so each failing angle keeps its
-own error.  What depends on the member only is computed once per member in
-functools caches: N_f^2, D_f^2 and R's exact-cosine factors (_r_parts) and the
-real singular set (_singular_points).
+own error.  The angles that need a contour get the zeros of N^2 + A^2 D^2
+from one stacked solve (_r_factors_many), their paths are set up, and all
+their legs are integrated together.  What depends on the member only is
+computed once per member in functools caches: N_f^2, D_f^2 and R's
+exact-cosine factors (_r_parts) and the real singular set (_singular_points).
 """
 
 from __future__ import annotations
@@ -107,6 +117,7 @@ from .errors import ConevolError, PathBlockedError, PoleError, QuadratureError
 from .families import R_EXPONENTS, ConeManifoldSpec, KnotFamily
 from .geometry import (Regime, RegimeResult, _fold, _select_panel, classify,
                        collision_root, critical_angle, regime_of)
+from .lanes import node_tables, node_values
 
 R_EXCL = 1e-4
 QUAD_ABS_TOL = 1e-9
@@ -179,8 +190,15 @@ def _r_factors(family: KnotFamily, n: int, A: float):
     """R = c * prod (y - a)^e as (a, e): the zeros of f^2 + A^2 (the roots of
     N_f^2 + A^2 D_f^2, conjugate pairs hugging the real f-poles for large A),
     then the exact cosines; a fresh list, from the member's _r_parts."""
+    return _r_factors_many(family, n, [A])[0]
+
+
+def _r_factors_many(family: KnotFamily, n: int, As) -> list:
+    """_r_factors at each A, all zeros from one exactpoly.p_roots_many call
+    (p_roots is its case of one polynomial, so the bits are the same)."""
     num2, den2, cosines = _r_parts(family, n)
-    return [(z, 1) for z in xp.p_roots(xp.p_float_sum(num2, den2, A * A))] + list(cosines)
+    polys = [xp.p_float_sum(num2, den2, A * A) for A in As]
+    return [[(z, 1) for z in zeros] + list(cosines) for zeros in xp.p_roots_many(polys)]
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -361,6 +379,8 @@ class _Integrand:
         tol = self.POLE_TOL
         a2, scale = A * A, 1.0 + A * A  # scale: the 1 + A^2 of R's denominator
         legs = [(p, q - p) for p, q in zip(path, path[1:])]
+        # what lanes.node_values reads of the path
+        self.family, self.n, self.a2, self.scale, self.legs = family, n, a2, scale, legs
         ends, last, two_pi = len(legs), len(legs) - 1, 2.0 * math.pi
         fv, gv, _, _ = kernel(family, n, tol)(path[0], 1, 1)
         if abs(start := cmath.phase((fv * fv + a2) / (scale * gv))) > 1e-5:
@@ -412,10 +432,18 @@ class _Integrand:
 # once, so a panel has 21 nodes, the 15 of GL15 and then GL7's other 6
 _PANEL = (*_GL15[0], *(x for x in _GL7[0] if x))
 
+# nodes in a round from which the lanes beat the scalar node (ROADMAP aim 1)
+LANES_MIN = 100
 
-def _gauss_pair(f, a: float, b: float):
+
+def _panel_nodes(a: float, b: float) -> list:
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    values = f([mid + half * x for x in _PANEL])
+    return [mid + half * x for x in _PANEL]
+
+
+def _gauss_pair(values, a: float, b: float):
+    """(15-point value, |15-point - 7-point|) of a panel from its node values."""
+    half = 0.5 * (b - a)
     v15 = values[:15]
     # 0 + w0*v0 + w1*v1 + ... left to right on every Python version: sum() of
     # Python floats compensates its rounding from 3.12 on, changing the bits
@@ -425,14 +453,12 @@ def _gauss_pair(f, a: float, b: float):
     return i15, abs(i15 - i7)
 
 
-def adaptive_quad(f, a: float, b: float, abs_tol: float = QUAD_ABS_TOL):
-    """Adaptive Gauss 15/7 on [a, b]; returns (integral, error estimate).
-
-    f is a panel function: it takes the list of a panel's 21 nodes (_PANEL)
-    and returns their values in that order.  Raises QuadratureError after
-    QUAD_MAX_SUBDIV subdivisions.
-    """
-    val, err = _gauss_pair(f, a, b)
+def _quad_steps(a: float, b: float, abs_tol: float):
+    """adaptive_quad on [a, b] as a generator: it yields the panels (lo, hi)
+    of each round, first one, then the two halves of the worst panel, is
+    sent their 21 node values each, one panel after the other, and returns
+    (integral, error estimate)."""
+    val, err = _gauss_pair((yield ((a, b),)), a, b)
     heap = [(-err, 0, a, b, val, err)]
     total_val, total_err = val, err
     count = 0
@@ -445,8 +471,9 @@ def adaptive_quad(f, a: float, b: float, abs_tol: float = QUAD_ABS_TOL):
             )
         _, _, lo, hi, v_old, e_old = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
-        v1, e1 = _gauss_pair(f, lo, mid)
-        v2, e2 = _gauss_pair(f, mid, hi)
+        values = yield ((lo, mid), (mid, hi))
+        v1, e1 = _gauss_pair(values[:21], lo, mid)
+        v2, e2 = _gauss_pair(values[21:], mid, hi)
         total_val += v1 + v2 - v_old
         total_err += e1 + e2 - e_old
         heapq.heappush(heap, (-e1, serial, lo, mid, v1, e1))
@@ -454,6 +481,104 @@ def adaptive_quad(f, a: float, b: float, abs_tol: float = QUAD_ABS_TOL):
         serial += 2
         count += 1
     return total_val, total_err
+
+
+def adaptive_quad(f, a: float, b: float, abs_tol: float = QUAD_ABS_TOL):
+    """Adaptive Gauss 15/7 on [a, b]; returns (integral, error estimate).
+
+    f is a panel function: it takes the list of a panel's 21 nodes (_PANEL)
+    and returns their values in that order.  Raises QuadratureError after
+    QUAD_MAX_SUBDIV subdivisions.
+    """
+    steps = _quad_steps(a, b, abs_tol)
+    panels = next(steps)
+    while True:
+        try:
+            panels = steps.send([v for lo, hi in panels for v in f(_panel_nodes(lo, hi))])
+        except StopIteration as done:
+            return done.value
+
+
+class _Nodes:
+    """The node values of _integrate's rounds, all paths of one member.
+
+    A job is (path index, ts), the nodes one leg asks for in a round.  A
+    round of fewer than LANES_MIN nodes runs each job through the scalar node
+    (_Integrand.__call__); a larger one runs all of them at once on complex
+    lanes (lanes.node_values) and sends each job with a lane that is not ok
+    back through the scalar node, which raises that node's error or returns
+    its values.
+    """
+
+    def __init__(self, integrands):
+        self.integrands, self.tables = integrands, None
+
+    def evaluate(self, jobs) -> list:
+        """Each job's node values, or the error its scalar evaluation raised."""
+        if sum(len(ts) for _, ts in jobs) < LANES_MIN:
+            return [self._scalar(j, ts) for j, ts in jobs]
+        if self.tables is None:
+            self.tables = node_tables(self.integrands)
+        with np.errstate(all="ignore"):
+            re, im, ok = node_values(self.integrands, self.tables, jobs)
+        values = list(map(complex, re.tolist(), im.tolist()))
+        bounds = np.cumsum([0] + [len(ts) for _, ts in jobs])
+        failed = set((np.searchsorted(bounds, np.flatnonzero(~ok), "right") - 1).tolist())
+        bounds = bounds.tolist()
+        return [self._scalar(j, ts) if m in failed else values[bounds[m]:bounds[m + 1]]
+                for m, (j, ts) in enumerate(jobs)]
+
+    def _scalar(self, j: int, ts):
+        try:
+            return list(map(self.integrands[j], ts))
+        except Exception as exc:  # the leg's error, whatever its type
+            return exc
+
+
+def _integrate(integrands) -> list:
+    """Each integrand's integral over its path and error estimate, summed leg
+    by leg, or the error of its first failing leg, as _Integrand's legs give
+    them one at a time through adaptive_quad.
+
+    Every leg runs its own _quad_steps, with its own heap, split order and
+    sums; the legs of all paths go in lock-step rounds, one _Nodes.evaluate
+    per round for every panel they ask for.  A leg stops at its first error,
+    and the legs after a failed one on its path are dropped.
+    """
+    nodes = _Nodes(integrands)
+    legs = [[None] * len(f.legs) for f in integrands]
+    live = []
+    for j, f in enumerate(integrands):
+        for k in range(len(f.legs)):
+            steps = _quad_steps(float(k), float(k + 1), QUAD_ABS_TOL)
+            live.append((j, k, steps, next(steps)))
+    first_failed = [len(f.legs) for f in integrands]
+    while live:
+        live = [leg for leg in live if leg[1] < first_failed[leg[0]]]
+        jobs = [(j, [t for lo, hi in panels for t in _panel_nodes(lo, hi)])
+                for j, _, _, panels in live]
+        asked, live = live, []
+        for (j, k, steps, _), values in zip(asked, nodes.evaluate(jobs)):
+            try:
+                if isinstance(values, Exception):
+                    raise values
+                live.append((j, k, steps, steps.send(values)))
+            except StopIteration as done:
+                legs[j][k] = done.value
+            except Exception as exc:
+                legs[j][k] = exc
+                first_failed[j] = min(first_failed[j], k)
+    out = []
+    for j, sums in enumerate(legs):
+        if first_failed[j] < len(sums):
+            out.append(sums[first_failed[j]])
+            continue
+        total, err = 0j, 0.0
+        for v, e in sums:
+            total += v
+            err += e
+        out.append((total, err))
+    return out
 
 
 # --------------------------------------------------------------- results
@@ -472,38 +597,77 @@ class VolumeResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _contour(spec: ConeManifoldSpec, path: tuple, regime: Regime, factors) -> VolumeResult:
-    """The volume of regime (HYPERBOLIC or SPHERICAL) over path: the real part
-    of i * INT, or of INT, with the error estimate and imaginary residual.
+class _Contour:
+    """A contour volume between its set-up and its quadrature.
 
-    R = 1 at both endpoints, so on a path of the right class the tracked log
-    returns to 0.  The tracker's closure check certifies that exactly: where
-    it does not close, or branch tracking fails, the call raises
-    PathBlockedError.
+    Made from its regime's path (HYPERBOLIC or SPHERICAL): the path's
+    _Integrand, whose tracker certifies the path's class.  R = 1 at both
+    endpoints, so on a path of the right class the tracked log returns to 0;
+    where it does not close, or branch tracking fails, PathBlockedError.
+    result() turns the path integral into the volume.
     """
+
+    def __init__(self, spec: ConeManifoldSpec, path: tuple, regime: Regime, factors,
+                 **diagnostics):
+        family, n = spec.family, spec.n
+        try:
+            integrand = _Integrand(family, n, spec.cot_half, path, factors)
+        except QuadratureError as exc:
+            raise PathBlockedError(f"branch tracking failed on the contour: {exc}") from exc
+        if abs(integrand.tracker.unwrapped[-1]) > 1e-5:
+            raise PathBlockedError(
+                f"the tracked log does not close on the contour of {family.value} "
+                f"n={n} at alpha={spec.alpha:.6f}"
+            )
+        self.spec, self.path, self.regime, self.integrand = spec, path, regime, integrand
+        self.diagnostics = diagnostics
+
+    def result(self, sums) -> VolumeResult:
+        """The volume from _integrate's outcome for the path, whose error
+        raises: the real part of i * INT, or of INT, with the error estimate,
+        the imaginary residual and the diagnostics.  A spherical volume is
+        not negative: the pair's longitude-phase order alone fixes its sign."""
+        if isinstance(sums, Exception):
+            raise sums
+        total, err = sums
+        value = (1j if self.regime is Regime.HYPERBOLIC else 1) * total
+        if abs(value.imag) > IMAG_RESIDUAL_TOL:
+            raise QuadratureError(
+                f"volume has imaginary residual {value.imag:.3e} (branch tracking "
+                f"inconsistent)"
+            )
+        out = VolumeResult(self.spec, self.regime, value.real, err, abs(value.imag))
+        if self.regime is Regime.SPHERICAL and out.volume < 0.0:
+            y_plus, y_minus = self.path[0].real, self.path[-1].real
+            raise QuadratureError(f"spherical volume {out.volume:.3e} < 0: the pair "
+                                  f"({y_plus:.8f}, {y_minus:.8f}) is not in phase order")
+        out.diagnostics.update(self.diagnostics)
+        return out
+
+    def volume(self) -> VolumeResult:
+        """result() of the path integrated alone."""
+        return self.result(*_integrate([self.integrand]))
+
+
+def _hyperbolic_contour(spec: ConeManifoldSpec, y0: complex, factors,
+                        anchor_shift: complex = 0.0) -> _Contour:
+    """The first candidate path from y0 (_candidate_paths), set up."""
     family, n = spec.family, spec.n
-    try:
-        integrand = _Integrand(family, n, spec.cot_half, path, factors)
-    except QuadratureError as exc:
-        raise PathBlockedError(f"branch tracking failed on the contour: {exc}") from exc
-    if abs(integrand.tracker.unwrapped[-1]) > 1e-5:
+    path = next(_candidate_paths(family, n, factors, y0, anchor_shift), None)
+    if path is None:
         raise PathBlockedError(
-            f"the tracked log does not close on the contour of {family.value} "
-            f"n={n} at alpha={spec.alpha:.6f}"
+            f"no contour of winding 0 clear of the singular set for "
+            f"{family.value} n={n} at alpha={spec.alpha:.6f}"
         )
-    total = 0j
-    err = 0.0
-    for k in range(len(path) - 1):
-        v, e = adaptive_quad(lambda ts: list(map(integrand, ts)), float(k), float(k + 1))
-        total += v
-        err += e
-    value = (1j if regime is Regime.HYPERBOLIC else 1) * total
-    if abs(value.imag) > IMAG_RESIDUAL_TOL:
-        raise QuadratureError(
-            f"volume has imaginary residual {value.imag:.3e} (branch tracking "
-            f"inconsistent)"
-        )
-    return VolumeResult(spec, regime, value.real, err, abs(value.imag))
+    return _Contour(spec, path, Regime.HYPERBOLIC, factors, y0=y0, anchor=path[1])
+
+
+def _spherical_contour(spec: ConeManifoldSpec, y_plus: float, y_minus: float,
+                       factors) -> _Contour:
+    """The spherical path from y_plus to y_minus, set up."""
+    path = spherical_path(spec.n, y_plus, y_minus)
+    return _Contour(spec, path, Regime.SPHERICAL, factors, y_plus=y_plus,
+                    y_minus=y_minus, deformations=sum(z.imag != 0.0 for z in path))
 
 
 def volume_hyperbolic(spec: ConeManifoldSpec, y0: complex,
@@ -514,17 +678,8 @@ def volume_hyperbolic(spec: ConeManifoldSpec, y0: complex,
     path-independence certificate); any shift keeping the path clear of the
     singular set leaves the value unchanged.  l_alpha is left to classify.
     """
-    family, n = spec.family, spec.n
-    factors = _r_factors(family, n, spec.cot_half)
-    path = next(_candidate_paths(family, n, factors, y0, anchor_shift), None)
-    if path is None:
-        raise PathBlockedError(
-            f"no contour of winding 0 clear of the singular set for "
-            f"{family.value} n={n} at alpha={spec.alpha:.6f}"
-        )
-    out = _contour(spec, path, Regime.HYPERBOLIC, factors)
-    out.diagnostics.update(y0=y0, anchor=path[1])
-    return out
+    factors = _r_factors(spec.family, spec.n, spec.cot_half)
+    return _hyperbolic_contour(spec, y0, factors, anchor_shift).volume()
 
 
 def volume_spherical(spec: ConeManifoldSpec, y_plus: float,
@@ -533,15 +688,8 @@ def volume_spherical(spec: ConeManifoldSpec, y_plus: float,
 
     The pair's longitude-phase order alone fixes the sign: a negative volume raises.
     """
-    path = spherical_path(spec.n, y_plus, y_minus)
-    out = _contour(spec, path, Regime.SPHERICAL,
-                   _r_factors(spec.family, spec.n, spec.cot_half))
-    if out.volume < 0.0:
-        raise QuadratureError(f"spherical volume {out.volume:.3e} < 0: the pair "
-                              f"({y_plus:.8f}, {y_minus:.8f}) is not in phase order")
-    out.diagnostics.update(y_plus=y_plus, y_minus=y_minus,
-                           deformations=sum(z.imag != 0.0 for z in path))
-    return out
+    factors = _r_factors(spec.family, spec.n, spec.cot_half)
+    return _spherical_contour(spec, y_plus, y_minus, factors).volume()
 
 
 def volume_schlafli(spec: ConeManifoldSpec) -> float:
@@ -581,7 +729,10 @@ def compute_volumes(family: KnotFamily, n: int, alphas, cross_check: bool = Fals
     or more are selected in one geometry._select_panel call, each result bit
     for bit classify's.  An angle alone in its regime, in a regime whose
     panel raised (so that each failing angle keeps its own error), at a_K or
-    beyond the band is classified alone (_volume_at).
+    beyond the band is classified alone (_volume_at).  The angles left to a
+    contour get R's factors from one stacked solve (_r_factors_many), then
+    their paths are set up and all their legs integrated together
+    (_integrate).
     """
     specs = [ConeManifoldSpec(family, n, alpha) for alpha in alphas]
     a_k = critical_angle(family, n)
@@ -603,14 +754,35 @@ def compute_volumes(family: KnotFamily, n: int, alphas, cross_check: bool = Fals
             outcomes.append(_volume_at(spec, result, cross_check))
         except (ConevolError, ValueError) as exc:
             outcomes.append(exc)
+    rows = [i for i, out in enumerate(outcomes) if isinstance(out, RegimeResult)]
+    contours = {}
+    for i, factors in zip(rows, _r_factors_many(family, n, [specs[i].cot_half for i in rows])):
+        result = outcomes[i]
+        try:
+            contours[i] = (_hyperbolic_contour(specs[i], result.roots[0], factors)
+                           if result.regime is Regime.HYPERBOLIC else
+                           _spherical_contour(specs[i], *result.roots, factors))
+        except (ConevolError, ValueError) as exc:
+            outcomes[i] = exc
+    sums = _integrate([contour.integrand for contour in contours.values()])
+    for (i, contour), outcome in zip(contours.items(), sums):
+        try:
+            out = contour.result(outcome)
+            out.l_alpha = outcomes[i].l_alpha
+            if cross_check:
+                out.schlafli_volume = volume_schlafli(contour.spec)
+            outcomes[i] = out
+        except (ConevolError, ValueError) as exc:
+            outcomes[i] = exc
     return outcomes
 
 
 def _volume_at(spec: ConeManifoldSpec, result: RegimeResult | None,
-               cross_check: bool) -> VolumeResult:
-    """The volume at spec from its classify result (None: classify it here):
-    0 at a_K, Schlaefli near a_K and pi, else the contour of its regime;
-    ValueError beyond the spherical band."""
+               cross_check: bool):
+    """The volume at spec from its classify result (None: classify it here)
+    where no contour is needed: 0 at a_K, Schlaefli near a_K and pi;
+    ValueError beyond the spherical band.  Else the classify result, whose
+    contour compute_volumes integrates."""
     if result is None:
         result = classify(spec)
     if result.regime is Regime.OUT_OF_RANGE:
@@ -635,14 +807,7 @@ def _volume_at(spec: ConeManifoldSpec, result: RegimeResult | None,
             schlafli_volume=vol if cross_check else None,
             diagnostics={"regularized": True},
         )
-    if result.regime is Regime.HYPERBOLIC:
-        out = volume_hyperbolic(spec, result.roots[0])
-    else:
-        out = volume_spherical(spec, result.roots[0], result.roots[1])
-    out.l_alpha = result.l_alpha
-    if cross_check:
-        out.schlafli_volume = volume_schlafli(spec)
-    return out
+    return result
 
 
 def compute_volume(spec: ConeManifoldSpec, cross_check: bool = False) -> VolumeResult:

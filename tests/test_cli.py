@@ -275,6 +275,36 @@ def test_golden_stdout_and_exit_code(case, capsys):
     assert out == case["stdout"]
 
 
+PARSER_RUNS = [
+    ["sweep", "--family", "c2n2", "--n", "1", "--alpha-start", "0.5",
+     "--alpha-stop", "3.5", "--count", "4"],
+    ["verify", "--suite", "pell-identity", "--n", "1"],
+    ["sweep", "--family", "c2n2", "--alpha-start", "0.5"],  # usage error: exit 1
+    ["sweep", "--family", "c2nm2n", "--n", "2", "--alpha-start", "2.0",
+     "--alpha-stop", "3.4", "--count", "3", "--format", "json", "--cross-check"],
+]
+
+
+def _outputs(runs, capsys):
+    seen = []
+    for argv in runs:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        seen.append((code, *capsys.readouterr()))
+    return seen
+
+
+def test_main_builds_its_parser_once_and_prints_what_fresh_parsers_print(monkeypatch,
+                                                                          capsys):
+    assert cli._parser() is cli._parser()
+    reused = _outputs(PARSER_RUNS, capsys)
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert _outputs(PARSER_RUNS, capsys) == reused
+    assert [code for code, _, _ in reused] == [0, 0, 1, 0]
+
+
 def test_sweep_rows_run_in_order_on_the_calling_thread(monkeypatch, capsys):
     # compute_volumes computes each row by vo._volume_at
     seen = []

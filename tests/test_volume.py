@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conevol import chebyshev, geometry
+from conevol import chebyshev, geometry, lanes
 from conevol import volume as vo
 from conevol.cli import main
 from conevol.errors import (ConevolError, NonConvergenceError, PathBlockedError,
@@ -559,10 +559,10 @@ def test_a_path_not_starting_at_the_conjugate_root_raises():
     y0 = classify(spec).roots[0]
     factors = vo._r_factors(spec.family, spec.n, spec.cot_half)
     path = next(vo._candidate_paths(spec.family, spec.n, factors, y0))
-    assert vo._contour(spec, path, Regime.HYPERBOLIC, factors).volume > 0.0
+    assert vo._Contour(spec, path, Regime.HYPERBOLIC, factors).volume().volume > 0.0
     for offset in (1e-3, 1e-3j):
         with pytest.raises(PathBlockedError, match="not anchored"):
-            vo._contour(spec, (path[0] + offset, *path[1:]), Regime.HYPERBOLIC, factors)
+            vo._Contour(spec, (path[0] + offset, *path[1:]), Regime.HYPERBOLIC, factors)
 
 
 def test_hyperbolic_tracker_veto_raises_instead_of_taking_another_path(monkeypatch):
@@ -975,6 +975,83 @@ def test_integrand_nodes_equal_the_written_out_expression(family, n):
         assert str(got.value) == str(want.value)
 
 
+def _scalar_bits(values):
+    return [(v.real.hex(), v.imag.hex()) for v in values]
+
+
+@pytest.mark.parametrize("family,n", NODE_MEMBERS, ids=lambda v: str(v))
+def test_the_lanes_equal_the_scalar_node_bit_for_bit(family, n):
+    # the anchored V, the staple and the spherical detour (whose real legs
+    # carry +/-0.0 imaginary parts) in one batch: each leg's first panel,
+    # the halves it splits into, and every leg end, where the leg and
+    # bracket indices clamp
+    integrands = [vo._Integrand(family, n, A, path, vo._r_factors(family, n, A))
+                  for A, path in _node_paths(family, n)]
+    jobs = []
+    for j, integrand in enumerate(integrands):
+        legs = len(integrand.legs)
+        ts = [t for k in range(legs) for lo, hi in ((k, k + 1), (k, k + 0.5), (k + 0.5, k + 1))
+              for t in vo._panel_nodes(float(lo), float(hi))]
+        jobs.append((j, ts + [float(k) for k in range(legs + 1)]))
+    with np.errstate(all="ignore"):  # as _Nodes runs them: the unused Smith branch divides by 0
+        re, im, ok = lanes.node_values(integrands, lanes.node_tables(integrands), jobs)
+    assert ok.all()
+    want = [integrands[j](t) for j, ts in jobs for t in ts]
+    assert list(zip(map(float.hex, re.tolist()), map(float.hex, im.tolist()))) == _scalar_bits(want)
+    assert any(z.imag == 0.0 for z in want)  # real legs: the sign of 0.0 is compared
+
+
+def test_a_failing_job_in_a_lanes_round_raises_the_scalar_error():
+    # the path that ends on the pole y = 2, its last node in a round of at
+    # least LANES_MIN good nodes: that job gets the scalar PoleError, the
+    # others the scalar node's bits
+    family, n = FIG8, 3
+    hyp = ConeManifoldSpec(family, n, 0.5 * critical_angle(family, n))
+    y0 = classify(hyp).roots[0]
+    A = hyp.cot_half
+    factors = [(a, e) for a, e in vo._r_factors(family, n, A) if a != 2.0]
+    failing = vo._Integrand(family, n, A, (y0, complex(1.5, 0.5), 2 + 0j), factors)
+    good = vo._Integrand(family, n, A, vo._via(y0, complex(vo.collision_root(family, n))),
+                         vo._r_factors(family, n, A))
+    panels = [vo._panel_nodes(k / 4, (k + 1) / 4) for k in range(8)]
+    jobs = [(1, panels[0] + panels[1]), (0, panels[4] + [2.0]), (1, panels[5] + panels[6])]
+    jobs += [(1, panel) for panel in panels[2:4] + panels[7:]]
+    assert sum(len(ts) for j, ts in jobs if j == 1) >= vo.LANES_MIN
+    got = vo._Nodes([failing, good]).evaluate(jobs)
+    with pytest.raises(PoleError) as want:
+        chebyshev.kernel(family, n, vo._Integrand.POLE_TOL)(2 + 0j, 2, 1)
+    assert isinstance(got[1], PoleError) and str(got[1]) == str(want.value)
+    for (j, ts), values in zip(jobs, got):
+        if j == 1:
+            assert _scalar_bits(values) == _scalar_bits(map(good, ts))
+
+
+@pytest.mark.parametrize("family,n", [(FIG8, 1), (KnotFamily.C2N3, -3), (FIG8, 8)],
+                         ids=lambda v: str(v))
+def test_lock_step_legs_equal_adaptive_quad_leg_by_leg(family, n):
+    # a sweep's contours integrated together: each total and error estimate
+    # is the sum of its legs' own adaptive_quad, bit for bit
+    a_k = critical_angle(family, n)
+    alphas = [0.2 + i * (a_k - 0.3) / 9 for i in range(10)]
+    alphas += [a_k + 0.1 + i * (math.pi - a_k - 0.2) / 5 for i in range(6)]
+    contours = []
+    for alpha in alphas:
+        spec = ConeManifoldSpec(family, n, alpha)
+        res = classify(spec)
+        factors = vo._r_factors(family, n, spec.cot_half)
+        contours.append(vo._hyperbolic_contour(spec, res.roots[0], factors)
+                        if res.regime is Regime.HYPERBOLIC else
+                        vo._spherical_contour(spec, *res.roots, factors))
+    integrands = [contour.integrand for contour in contours]
+    for integrand, (total, err) in zip(integrands, vo._integrate(integrands)):
+        want_total, want_err = 0j, 0.0
+        for k in range(len(integrand.legs)):
+            v, e = vo.adaptive_quad(lambda ts: list(map(integrand, ts)), float(k), float(k + 1))
+            want_total += v
+            want_err += e
+        assert _scalar_bits([total, err]) == _scalar_bits([want_total, want_err])
+
+
 @pytest.mark.parametrize("spec, evals, trackers, samples", [
     (ConeManifoldSpec(FIG8, 8, 0.6 * critical_angle(FIG8, 8)), 294, 1, 11),
     (ConeManifoldSpec(KnotFamily.C2NMINUS2N, 4,
@@ -984,20 +1061,21 @@ def test_integrand_nodes_equal_the_written_out_expression(family, n):
 def test_contour_work_counts_are_pinned(spec, evals, trackers, samples, monkeypatch):
     # integrand evaluations must not fall: a faster contour must come from
     # cheaper evaluations, not from fewer; the exact class filter leaves one
-    # branch tracker per hyperbolic volume
+    # branch tracker per hyperbolic volume.  Nodes are counted where a round
+    # asks for them, whether the scalar node or the lanes evaluate them
     counts = {"evals": 0, "trackers": 0, "samples": 0}
-    call, init = vo._Integrand.__call__, vo.BranchTracker.__init__
+    evaluate, init = vo._Nodes.evaluate, vo.BranchTracker.__init__
 
-    def counted_call(self, t):
-        counts["evals"] += 1
-        return call(self, t)
+    def counted_evaluate(self, jobs):
+        counts["evals"] += sum(len(ts) for _, ts in jobs)
+        return evaluate(self, jobs)
 
     def counted_init(self, path, factors):
         counts["trackers"] += 1
         init(self, path, factors)
         counts["samples"] += len(self.ts)
 
-    monkeypatch.setattr(vo._Integrand, "__call__", counted_call)
+    monkeypatch.setattr(vo._Nodes, "evaluate", counted_evaluate)
     monkeypatch.setattr(vo.BranchTracker, "__init__", counted_init)
     # the contour itself: at pi, compute_volume takes the Schlaefli window
     res = classify(spec)
