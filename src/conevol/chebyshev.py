@@ -22,22 +22,20 @@ s = (y +/- sqrt(y^2-4))/2, which needs a branch choice); it is exact for
 integer arguments and stable for the moderate |k| <= ~50 used here.
 
 One walk, eval_S_pair, runs the recurrence once per point from (S_0, S_1)
-to S_{n-1} and S_n, always carrying S'_{n-1} and S'_n along (a copy of the
-loops without them saved under 1% of a sweep); a Python complex y, the
-contour's and Newton polish's case, is seeded without type dispatch.  One
-factory, kernel(family, n, pole tolerance), fixes the R_EXPONENTS row and the
-guard once per member and returns the closure that assembles f_n, g_n, f'_n
-and (where Newton reads it) g'_n from that walk: dispatch (helper calls,
-tuples, hashing the family enum) costs more than the arithmetic.  The eval_*
-views and ConeEquation call it; the contour integrand's node
-(volume._Integrand) calls eval_S_pair itself and forms f, f' and g in the
-floating-point operations of its (y, 2, 1) mode, with identical results.
+to S_{n-1} and S_n, always carrying S'_{n-1} and S'_n along; a Python
+complex y is seeded without type dispatch.  One factory, kernel(family, n,
+pole tolerance), fixes the R_EXPONENTS row and the guard once per member and
+returns the closure that alone forms f_n, g_n, f'_n and (for Newton) g'_n
+from that walk.  It runs unchanged on a Python complex (the eval_* views,
+ConeEquation, the contour node volume._Integrand) and on lanes.Lanes (the
+contour's lanes); its pole argument says what a pole does: raise PoleError,
+or record a mask.
 The exact coefficients of S_k (s_poly) and their Horner evaluation live in
 exactpoly.
 
 The real zeros are exact cosines, owned here: s_zeros(m) gives those of S_m
 (the poles of f and g at m = n-1), s_diff_zeros(j) those of S_j - S_{j-1}
-(f = +1 at j = n-1, f = -1 at j = n).
+(f = +1 at j = n-1, f = -1 at j = n), and r_cosines R's factors at them.
 """
 
 from __future__ import annotations
@@ -88,6 +86,13 @@ def s_diff_zeros(j: int):
     return [2.0 * math.cos((2 * k + 1) * math.pi / (2 * j + 1)) for k in range(j)]
 
 
+def r_cosines(family: KnotFamily, n: int) -> tuple:
+    """R's factors (a, e) at exact cosines, by the member's R_EXPONENTS row:
+    (2, a), each zero of S_{n-1} with b, each zero of S_n - S_{n-1} with -c."""
+    a, b, c, _ = R_EXPONENTS[family]
+    return ((2.0, a), *((s, b) for s in s_zeros(n - 1)), *((s, -c) for s in s_diff_zeros(n)))
+
+
 def eval_S(k: int, y):
     """S_k(y), any integer k, any complex y."""
     return eval_S_pair(k, y)[1]
@@ -98,14 +103,20 @@ def eval_S_prime(k: int, y):
     return eval_S_pair(k, y)[3]
 
 
+def raise_at_pole(num, den, tol: float) -> None:
+    """kernel's default pole action: PoleError where |den| <= tol * max(1, |num|)."""
+    if (d := abs(den)) <= tol or d <= tol * abs(num):
+        raise PoleError(f"denominator {den!r} vanishes relative to numerator {num!r}")
+
+
 @lru_cache(maxsize=None, typed=True)
 def kernel(family: KnotFamily | None, n: int, pole_tol: float = POLE_TOL):
-    """fg(y, f=1, g=1) -> (f_n, g_n, f'_n, g'_n) for one member and guard.
+    """fg(y, f=1, g=1, pole=raise_at_pole) -> (f_n, g_n, f'_n, g'_n).
 
     f and g are each 0 (skip), 1 (value) or 2 (value and derivative); what is
     not asked is None.  The R_EXPONENTS row is looked up here once (hashing the
-    family enum runs Python code); f is guarded before g, and a pole raises
-    PoleError.  g' is the quotient rule on the unreduced -sign (S_n -
+    family enum runs Python code).  pole(num, den, pole_tol) sees f's quotient
+    before g's.  g' is the quotient rule on the unreduced -sign (S_n -
     S_{n-1})^c over (y-2)^(a+2) S_{n-1}^(b+2).  family None: f only.  The
     cache is typed, so 1.0 or True never reaches the closure cached for n = 1.
     """
@@ -114,14 +125,13 @@ def kernel(family: KnotFamily | None, n: int, pole_tol: float = POLE_TOL):
                      else (0, 0, 0, 0))
     p, q = a + 2, b + 2
 
-    def fg(y, f=1, g=1):
+    def fg(y, f=1, g=1, pole=raise_at_pole):
         s_nm1, s_n, d_nm1, d_n = eval_S_pair(n, y)
         ym2 = y - 2
         fv = gv = fp = gp = None
         if f:
             num, den = 2 * s_n - y * s_nm1, ym2 * s_nm1
-            if (d := abs(den)) <= pole_tol or d <= pole_tol * abs(num):  # tol*max(1,|num|)
-                raise PoleError(f"denominator {den!r} vanishes relative to numerator {num!r}")
+            pole(num, den, pole_tol)
             fv = num / den
             if f > 1:
                 num_p, den_p = 2 * d_n - s_nm1 - y * d_nm1, s_nm1 + ym2 * d_nm1
@@ -129,8 +139,7 @@ def kernel(family: KnotFamily | None, n: int, pole_tol: float = POLE_TOL):
         if g:
             ym2_p, s_nm1_q = ym2**p, s_nm1**q
             num, den = -sign * (s_n - s_nm1) ** c, ym2_p * s_nm1_q
-            if (d := abs(den)) <= pole_tol or d <= pole_tol * abs(num):
-                raise PoleError(f"denominator {den!r} vanishes relative to numerator {num!r}")
+            pole(num, den, pole_tol)
             gv = num / den
             if g > 1:
                 num_p = -sign * c * (s_n - s_nm1) ** (c - 1) * (d_n - d_nm1) if c else 0

@@ -163,6 +163,9 @@ def cmd_sweep(args) -> int:
     if args.count < 1:
         raise ValueError("count must be >= 1")
     start, stop = args.alpha_start, args.alpha_stop
+    for flag, bound in (("--alpha-start", start), ("--alpha-stop", stop)):
+        if not math.isfinite(bound):  # 0 * inf would make the first angle nan
+            raise ValueError(f"{flag} must be finite, got {bound}")
     if args.degrees:
         start, stop = math.radians(start), math.radians(stop)
     if start > stop:

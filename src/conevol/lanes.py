@@ -7,7 +7,8 @@ not reproduce what a loop over Python complex numbers gives.  Lanes keeps
 the real and imaginary parts as two float64 arrays and spells out each
 operation as CPython 3.10 to 3.13 does it in C (Objects/complexobject.c),
 so an expression written for a Python complex gives the same bits in every
-lane.  node_values runs the contour's node (volume._Integrand) on it.
+lane.  node_values runs the contour's node (volume._Integrand) on it, with
+the node's own kernel closure and a PoleMask as that closure's pole action.
 """
 
 from __future__ import annotations
@@ -15,9 +16,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from .chebyshev import eval_S_pair
-from .families import R_EXPONENTS
 
 
 class Lanes:
@@ -103,22 +101,32 @@ def _quot(a_re, a_im, b_re, b_im) -> Lanes:
     return Lanes(np.where(by_re, x_re, y_re), np.where(by_re, x_im, y_im))
 
 
+class PoleMask:
+    """chebyshev.kernel's pole action on lanes: ok is false where the scalar
+    guard raises PoleError or |den| + |num| is not finite."""
+
+    ok = True
+
+    def __call__(self, num, den, tol: float) -> None:
+        d, scale = abs(den), abs(num)
+        self.ok = self.ok & (d > tol) & (d > tol * scale) & np.isfinite(d + scale)
+
+
 def node_values(integrands, tables: dict, jobs):
     """The nodes of every job (path index, ts) as volume._Integrand's node forms
     them, on Lanes: (re, im, ok) arrays over the nodes of all jobs in order;
     tables are the paths' node_tables.
 
-    Line for line the scalar node's arithmetic, its branches as masks: a lane
-    is ok unless it trips a pole guard, finds |R| below 1e-100, takes an abs
-    that overflows (hypot, where CPython raises) or ends not finite.  The
-    phase and the log go through math.atan2 and math.log lane by lane (numpy's
-    own differ in the last bits), the tracker's bracket is searchsorted on
-    (path index, t) keys and round is np.rint (both round half to even).
+    The scalar node's arithmetic, its branches as masks: f, f' and g from its
+    kernel closure (the paths are of one member), with a PoleMask as the pole
+    action.  A lane is ok unless
+    it trips a pole guard, finds |R| below 1e-100, takes an abs that
+    overflows (hypot, where CPython raises) or ends not finite.  The phase
+    and the log go through math.atan2 and math.log lane by lane (numpy's own
+    differ in the last bits), the tracker's bracket is searchsorted on (path
+    index, t) keys and round is np.rint (both round half to even).
     """
-    first = integrands[jobs[0][0]]
-    n, tol, two_pi = first.n, first.POLE_TOL, 2.0 * math.pi
-    a, b, c, sign = R_EXPONENTS[first.family]
-    p, q, neg = a + 2, b + 2, -sign
+    two_pi = 2.0 * math.pi
     counts = [len(ts) for _, ts in jobs]
     t = np.array([t for _, ts in jobs for t in ts])
     j = np.repeat(np.array([j for j, _ in jobs]), counts)
@@ -127,20 +135,12 @@ def node_values(integrands, tables: dict, jobs):
     leg = tables["leg_start"][j] + k.astype(np.intp)
     dy = Lanes(tables["dy_re"][leg], tables["dy_im"][leg])
     y = Lanes(tables["z0_re"][leg], tables["z0_im"][leg]) + dy * (t - k)
-    s_nm1, s_n, d_nm1, d_n = eval_S_pair(n, y)
-    ym2 = y - 2
-    num, den = 2 * s_n - y * s_nm1, ym2 * s_nm1
-    d, scale_f = abs(den), abs(num)
-    ok = (d > tol) & (d > tol * scale_f) & np.isfinite(d + scale_f)
-    fv = num / den
-    fp = ((2 * d_n - s_nm1 - y * d_nm1) * den - num * (s_nm1 + ym2 * d_nm1)) / (den * den)
-    num, den = neg * (s_n - s_nm1) ** c, ym2 ** p * s_nm1 ** q
-    d, scale_g = abs(den), abs(num)
-    ok &= (d > tol) & (d > tol * scale_g) & np.isfinite(d + scale_g)
+    poles = PoleMask()
+    fv, gv, fp, _ = integrands[jobs[0][0]].fg(y, 2, 1, poles)
     f2 = fv * fv
-    val = (f2 + tables["a2"][j]) / (tables["scale"][j] * (num / den))
+    val = (f2 + tables["a2"][j]) / (tables["scale"][j] * gv)
     r = abs(val)
-    ok &= (r >= 1e-100) & np.isfinite(r)
+    ok = poles.ok & (r >= 1e-100) & np.isfinite(r)
     # bisect_right(ts, t) - 1, clamped to the path's brackets
     key = np.empty(len(t), complex)
     key.real, key.imag = j, t

@@ -27,7 +27,7 @@ given and turns the path's integral, times i for a hyperbolic volume, into
 the VolumeResult with the regime's diagnostics.
 The right class is the one in which log(R) returns to 0 at the far
 endpoint, where R = 1 again.  R is c * prod (y - a)^e over the roots of
-N^2 + A^2 D^2 and the exact cosines of families.R_EXPONENTS (_r_factors,
+N^2 + A^2 D^2 and the exact cosines of chebyshev.r_cosines (_r_factors,
 once per volume), and on a straight leg p -> q each factor turns by exactly
 e * phase((y - a)/(p - a)).  So R's winding along a path is an exact sum:
 the hyperbolic candidates (the anchored V, then Vs through other real
@@ -49,24 +49,13 @@ are integrated together (_integrate): every leg of every path keeps its own
 adaptive heap, split order and left-to-right panel sums (_quad_steps, the
 steps of adaptive_quad), and the legs go in lock-step rounds, each round
 evaluating every node that the legs ask for in one batch (_Nodes).  The node
-is one closure per path (_Integrand): the member's R_EXPONENTS row, each
-leg's start p and step q - p and A^2 are fixed with the path, and a node at
-t = k + u on leg k forms y = p + (q - p)*u with dy/du = q - p.  It calls
-eval_S_pair once and forms f, f', g, both pole guards and R in its own frame,
-in the floating-point operations of chebyshev.kernel's (y, 2, 1) mode and
-with its PoleError; it takes |R| once, for the vanishing check and the log,
-and reads the tracked log with the tracker's bracket lookup inlined, in the
-floating-point operations of BranchTracker.log_at.  One kernel evaluation of
-R, at the start vertex, checks that the branch is anchored there.  A node's
-dispatch costs more than its arithmetic, so a round of LANES_MIN nodes or
-more runs the same arithmetic on all its nodes at once, on float64 lanes
-that follow CPython's complex arithmetic bit for bit (lanes.node_values);
-a node that trips a guard or is not finite sends its leg's request back
-through the scalar node, which raises that node's error or returns its
-values.  A smaller round runs the scalar node, and so does a contour
-integrated alone (volume_hyperbolic, volume_spherical) whenever its legs ask
-for fewer nodes.  Every value, error estimate and raised error is the one
-that integrating each leg alone through the scalar node gives.
+is one closure per path (_Integrand): at t = k + u on leg k from p to q it
+takes y = p + (q - p)*u, f, f' and g from chebyshev.kernel's closure, R, and
+log R's branch from BranchTracker.log_at.  A round of LANES_MIN nodes or
+more runs the same on float64 lanes that follow CPython's complex arithmetic
+bit for bit (lanes.node_values); a leg with a node that trips a guard or is
+not finite goes back through the scalar node.  Every value, error estimate
+and raised error is the one that integrating each leg alone gives.
 Within 1e-3 of the transition angle the endpoints nearly coincide and the
 contour loses relative accuracy, so the Schlaefli integral is used there
 instead.  It also serves within 1e-5 below the folded angle pi: there the
@@ -86,15 +75,10 @@ selects them in one geometry._select_panel call of that regime: one stacked
 companion solve and one stacked walk of the longitude words serve them all,
 and each length is classify's, bit for bit.
 
-compute_volumes is the entry for many angles of one member (a CLI sweep);
-compute_volume is its one-angle case.  The angles of each solved regime that
-holds two or more are selected the same way, in one _select_panel call, and
-each angle is then classified in order by _volume_at; a regime whose panel
-raises has its angles classified one by one, so each failing angle keeps its
-own error.  The angles that need a contour get the zeros of N^2 + A^2 D^2
-from one stacked solve (_r_factors_many), their paths are set up, and all
-their legs are integrated together.  What depends on the member only is
-computed once per member in functools caches: N_f^2, D_f^2 and R's
+compute_volumes is the entry for many angles of one member (a CLI sweep),
+each regime's angles selected in one _select_panel call and all contours
+integrated together; compute_volume is its one-angle case.  What depends on
+the member only is computed once in functools caches: N_f^2, D_f^2 and R's
 exact-cosine factors (_r_parts) and the real singular set (_singular_points).
 """
 
@@ -112,9 +96,9 @@ import numpy as np
 
 from . import exactpoly as xp
 # eval_f_prime is not called here, but perfbench's tracer test reads this name
-from .chebyshev import eval_f_prime, eval_S_pair, kernel, s_diff_zeros, s_zeros  # noqa: F401
-from .errors import ConevolError, PathBlockedError, PoleError, QuadratureError
-from .families import R_EXPONENTS, ConeManifoldSpec, KnotFamily
+from .chebyshev import eval_f_prime, kernel, r_cosines, s_diff_zeros, s_zeros  # noqa: F401
+from .errors import ConevolError, PathBlockedError, QuadratureError
+from .families import ConeManifoldSpec, KnotFamily
 from .geometry import (Regime, RegimeResult, _fold, _select_panel, classify,
                        collision_root, critical_angle, regime_of)
 from .lanes import node_tables, node_values
@@ -204,11 +188,8 @@ def _r_factors_many(family: KnotFamily, n: int, As) -> list:
 @lru_cache(maxsize=None, typed=True)
 def _r_parts(family: KnotFamily, n: int) -> tuple:
     """(N_f^2, D_f^2, the exact-cosine factors of R), once per member."""
-    a, b, c, _ = R_EXPONENTS[family]
     num, den = xp.f_parts(n)
-    return (tuple(xp.p_mul(num, num)), tuple(xp.p_mul(den, den)),
-            ((2.0, a), *((s, b) for s in s_zeros(n - 1)),
-             *((s, -c) for s in s_diff_zeros(n))))
+    return tuple(xp.p_mul(num, num)), tuple(xp.p_mul(den, den)), r_cosines(family, n)
 
 
 def _leg_phases(p: complex, y: complex, factors) -> list:
@@ -356,16 +337,21 @@ class BranchTracker:
                 if len(ts) > self.MAX_SAMPLES:
                     raise QuadratureError("branch tracking exceeded the sample budget")
         self.ts, self.unwrapped = ts, unwrapped
+        # a closure over locals, not a method: attribute lookups cost per node
+        top, two_pi = len(ts) - 2, 2.0 * math.pi
+        bisect_right, phase, log = bisect.bisect_right, cmath.phase, math.log
 
-    def log_at(self, t: float, value: complex) -> complex:
-        i = bisect.bisect_right(self.ts, t) - 1
-        i = max(0, min(i, len(self.ts) - 2))
-        t0, t1 = self.ts[i], self.ts[i + 1]
-        w = (t - t0) / (t1 - t0) if t1 > t0 else 0.0
-        est = self.unwrapped[i] * (1 - w) + self.unwrapped[i + 1] * w
-        principal = cmath.phase(value)
-        k = round((est - principal) / (2.0 * math.pi))
-        return math.log(abs(value)) + 1j * (principal + 2.0 * math.pi * k)
+        def log_at(t: float, value: complex) -> complex:
+            i = bisect_right(ts, t) - 1
+            i = top if i > top else 0 if i < 0 else i
+            t0, t1 = ts[i], ts[i + 1]
+            w = (t - t0) / (t1 - t0) if t1 > t0 else 0.0
+            est = unwrapped[i] * (1 - w) + unwrapped[i + 1] * w
+            principal = phase(value)
+            k = round((est - principal) / two_pi)
+            return log(abs(value)) + 1j * (principal + two_pi * k)
+
+        self.log_at = log_at
 
 
 class _Integrand:
@@ -376,49 +362,29 @@ class _Integrand:
     POLE_TOL = 1e-60  # clearance is enforced geometrically on the path
 
     def __init__(self, family: KnotFamily, n: int, A: float, path: tuple, factors):
-        tol = self.POLE_TOL
         a2, scale = A * A, 1.0 + A * A  # scale: the 1 + A^2 of R's denominator
         legs = [(p, q - p) for p, q in zip(path, path[1:])]
+        fg = kernel(family, n, self.POLE_TOL)
         # what lanes.node_values reads of the path
-        self.family, self.n, self.a2, self.scale, self.legs = family, n, a2, scale, legs
-        ends, last, two_pi = len(legs), len(legs) - 1, 2.0 * math.pi
-        fv, gv, _, _ = kernel(family, n, tol)(path[0], 1, 1)
+        self.fg, self.a2, self.scale, self.legs = fg, a2, scale, legs
+        ends, last = len(legs), len(legs) - 1
+        fv, gv, _, _ = fg(path[0], 1, 1)
         if abs(start := cmath.phase((fv * fv + a2) / (scale * gv))) > 1e-5:
             raise QuadratureError(
                 f"log argument not anchored at the start endpoint (arg = {start:.3e})")
-        tracker = self.tracker = BranchTracker(path, factors)
-        ts, unwrapped, top = tracker.ts, tracker.unwrapped, len(tracker.ts) - 2
-        a, b, c, sign = R_EXPONENTS[family]
-        p, q, neg = a + 2, b + 2, -sign  # g = -sign (S_n - S_{n-1})^c / ((y-2)^p S_{n-1}^q)
-        walk, bisect_right, phase, log = eval_S_pair, bisect.bisect_right, cmath.phase, math.log
+        self.tracker = BranchTracker(path, factors)
+        log_at = self.tracker.log_at
 
         def node(t):
             k = int(t) if t < ends else last
             z0, dy = legs[k]
             y = z0 + dy * (t - k)
-            # f, f' and g as kernel(family, n, tol)(y, 2, 1) forms them
-            s_nm1, s_n, d_nm1, d_n = walk(n, y)
-            ym2 = y - 2
-            num, den = 2 * s_n - y * s_nm1, ym2 * s_nm1
-            if (d := abs(den)) <= tol or d <= tol * abs(num):
-                raise PoleError(f"denominator {den!r} vanishes relative to numerator {num!r}")
-            fv = num / den
-            fp = ((2 * d_n - s_nm1 - y * d_nm1) * den - num * (s_nm1 + ym2 * d_nm1)) / (den * den)
-            num, den = neg * (s_n - s_nm1) ** c, ym2 ** p * s_nm1 ** q
-            if (d := abs(den)) <= tol or d <= tol * abs(num):
-                raise PoleError(f"denominator {den!r} vanishes relative to numerator {num!r}")
+            fv, gv, fp, _ = fg(y, 2, 1)
             f2 = fv * fv
-            val = (f2 + a2) / (scale * (num / den))
-            if (r := abs(val)) < 1e-100:
+            val = (f2 + a2) / (scale * gv)
+            if abs(val) < 1e-100:
                 raise QuadratureError(f"log argument vanishes on the path at y = {y:.8f}")
-            i = bisect_right(ts, t) - 1
-            i = top if i > top else 0 if i < 0 else i
-            t0, t1 = ts[i], ts[i + 1]
-            w = (t - t0) / (t1 - t0) if t1 > t0 else 0.0
-            est = unwrapped[i] * (1 - w) + unwrapped[i + 1] * w
-            principal = phase(val)
-            k = round((est - principal) / two_pi)
-            return (log(r) + 1j * (principal + two_pi * k)) * fp / (f2 - 1.0) * dy
+            return log_at(t, val) * fp / (f2 - 1.0) * dy
 
         self._node = node
 

@@ -355,8 +355,8 @@ def test_table_g_equals_the_per_family_formulas():
 def test_g_and_r_factor_builders_name_no_family():
     # each reads the one exponent table, families.R_EXPONENTS
     members = {family.name for family in KnotFamily}
-    for fn in (ch.kernel.__wrapped__, riley._cone_parts.__wrapped__, volume._r_factors,
-               volume._r_parts.__wrapped__, volume._Integrand):
+    for fn in (ch.kernel.__wrapped__, ch.r_cosines, riley._cone_parts.__wrapped__,
+               volume._r_factors, volume._r_parts.__wrapped__, volume._Integrand):
         tree = ast.parse(inspect.getsource(fn))
         named = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         named |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}

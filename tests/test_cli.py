@@ -184,6 +184,23 @@ def test_sweep_validation(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("start, stop, flag, value", [
+    ("1", "inf", "--alpha-stop", "inf"),
+    ("-inf", "2", "--alpha-start", "-inf"),
+    ("nan", "2", "--alpha-start", "nan"),
+])
+def test_sweep_rejects_a_bound_that_is_not_finite(start, stop, flag, value, capsys):
+    # an infinite stop once reached the grid, where 0 * inf made the first
+    # angle nan and the error named no flag
+    for degrees in ([], ["--degrees"]):
+        code, out, err = run_cli(
+            "sweep", "--family", "c2n2", "--n", "1", f"--alpha-start={start}",
+            f"--alpha-stop={stop}", "--count", "2", *degrees, capsys=capsys,
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: {flag} must be finite, got {value}\n"
+
+
 def test_roots_listing(capsys):
     code, out, _ = run_cli(
         "roots", "--family", "c2n2", "--n", "1", "--alpha", repr(math.pi),

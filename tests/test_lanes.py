@@ -5,7 +5,12 @@ import operator
 import numpy as np
 import pytest
 
-from conevol.lanes import Lanes
+from conevol import chebyshev
+from conevol import volume as vo
+from conevol.errors import PoleError
+from conevol.lanes import Lanes, PoleMask
+
+from test_volume import NODE_MEMBERS, _node_paths
 
 rng = np.random.default_rng(29)
 # signed zeros, both Smith branches (|re| above and below |im|), ties, and
@@ -63,3 +68,34 @@ def test_integer_powers_follow_c_powi(e):
 
 def test_abs_is_hypot():
     assert abs(lanes(VALUES)).tolist() == [abs(x) for x in VALUES]
+
+
+@pytest.mark.parametrize("family,n", NODE_MEMBERS, ids=lambda v: str(v))
+def test_the_kernel_on_lanes_equals_the_scalar_kernel(family, n):
+    # chebyshev.kernel's closure in the contour's mode (2, 1), at the nodes
+    # of the first panel of each leg of the anchored V, the staple and the
+    # spherical detour, at every vertex, and at the poles: y = 2, where f's
+    # guard fires, and at n = 2 the double 1e-25, a zero of S_1 = y that only
+    # g's guard sees
+    fg = chebyshev.kernel(family, n, vo._Integrand.POLE_TOL)
+    ys, poles = [], [2 + 0j] + [complex(1e-25)] * (n == 2)
+    for _, path in _node_paths(family, n):
+        ys += [p + (q - p) * t for p, q in zip(path, path[1:]) for t in vo._panel_nodes(0.0, 1.0)]
+        ys += path
+    ys += poles
+    mask = PoleMask()
+    with np.errstate(all="ignore"):
+        got = fg(lanes(ys), 2, 1, mask)
+    assert got[3] is None
+    raised = []
+    for m, y in enumerate(ys):
+        try:
+            want = fg(y, 2, 1)
+        except PoleError:
+            raised.append(m)
+            continue
+        assert want[3] is None
+        assert [(v.re[m].hex(), v.im[m].hex()) for v in got[:3]] == [
+            (w.real.hex(), w.imag.hex()) for w in want[:3]], y
+    assert raised == list(range(len(ys) - len(poles), len(ys)))
+    assert np.flatnonzero(~mask.ok).tolist() == raised

@@ -456,6 +456,20 @@ def test_r_branch_has_one_source_the_factor_list():
         assert "phase" in called or "_leg_phases" in called, fn
 
 
+def test_the_contour_forms_f_and_g_only_through_the_kernel():
+    # chebyshev.kernel's closure is the one place that forms f, f' and g:
+    # the contour's modules walk no S_k and read no exponent row themselves;
+    # the lanes call the closure of the paths' scalar node
+    for module, closure in ((vo, "kernel"), (lanes, "fg")):
+        tree = ast.parse(inspect.getsource(module))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                  for alias in node.names}
+        assert not names & {"eval_S_pair", "R_EXPONENTS"}, module.__name__
+        assert closure in names, module.__name__
+
+
 # -------------------------------------------------------------- spherical
 
 def test_fig8_orbifold_volume_at_pi():
@@ -881,6 +895,8 @@ C43 = ConeManifoldSpec(KnotFamily.C2N3, 2, math.pi)  # spherical
 
 
 def test_hot_loop_runs_on_python_scalars(monkeypatch):
+    # the scalar node hands the kernel Python complex numbers; a round of
+    # LANES_MIN nodes or more hands it Lanes, and nothing else
     t_types, y_types = set(), set()
     factory = vo.kernel
 
@@ -907,6 +923,20 @@ def test_hot_loop_runs_on_python_scalars(monkeypatch):
         assert vo.compute_volume(spec).regime is regime
     assert t_types == {float}
     assert y_types == {complex}
+    rounds = []
+    evaluate = vo._Nodes.evaluate
+
+    def counted_evaluate(self, jobs):
+        rounds.append(sum(len(ts) for _, ts in jobs))
+        return evaluate(self, jobs)
+
+    monkeypatch.setattr(vo._Nodes, "evaluate", counted_evaluate)
+    a_k = critical_angle(FIG8, 1)
+    alphas = [a_k * (i + 0.5) / 8 for i in range(8)] + [2.5, 2.8, 3.0]
+    assert all(isinstance(r, vo.VolumeResult) for r in vo.compute_volumes(FIG8, 1, alphas))
+    assert max(rounds) >= vo.LANES_MIN > min(rounds)
+    assert t_types == {float}
+    assert y_types == {complex, lanes.Lanes}
 
 
 # every member the node pin covers: the three families at n = +/-1 ... +/-4 and 8
