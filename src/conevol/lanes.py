@@ -9,6 +9,10 @@ operation as CPython 3.10 to 3.13 does it in C (Objects/complexobject.c),
 so an expression written for a Python complex gives the same bits in every
 lane.  node_values runs the contour's node (volume._Integrand) on it, with
 the node's own kernel closure and a PoleMask as that closure's pole action.
+panel_sums is the lanes' part of a quadrature round (volume._round): it
+evaluates the 21 nodes of every panel of the round and forms each panel's
+Gauss 15/7 pair as volume._gauss_pair does, so the legs are sent one
+(value, error) per panel and no node becomes a Python complex.
 """
 
 from __future__ import annotations
@@ -112,10 +116,47 @@ class PoleMask:
         self.ok = self.ok & (d > tol) & (d > tol * scale) & np.isfinite(d + scale)
 
 
-def node_values(integrands, tables: dict, jobs):
-    """The nodes of every job (path index, ts) as volume._Integrand's node forms
-    them, on Lanes: (re, im, ok) arrays over the nodes of all jobs in order;
-    tables are the paths' node_tables.
+def panel_sums(integrands, tables: dict, panels, rule) -> list:
+    """Each panel (path index, lo, hi)'s (value, error) as volume._gauss_pair
+    forms it from the panel's node values, or None where a node is not ok
+    (node_values) or the pair is not finite.  tables holds the paths'
+    node_tables, made at the first call; rule is (the panel's nodes on
+    [-1, 1], the 15-point weights, the 7-point weights).
+
+    The rule's sums are _gauss_pair's: each weight times a value as a real
+    promoted to (w, 0.0), summed left to right from 0.0 (an accumulate, not a
+    pairwise sum), times half the panel, and the error is hypot of the
+    difference.  The 7-point rule reads the 15-point rule's midpoint."""
+    if not tables:
+        tables.update(node_tables(integrands))
+    nodes, w15, w7 = rule
+    j, lo, hi = map(np.array, zip(*panels))
+    half = 0.5 * (hi - lo)
+    t = (0.5 * (lo + hi))[:, None] + half[:, None] * np.array(nodes)
+    # the unused Smith branch may divide by 0, and a lane that is not ok may
+    # overflow: neither reaches a pair that is returned
+    with np.errstate(all="ignore"):
+        re, im, ok = node_values(integrands, tables, np.repeat(j, len(nodes)), t.ravel())
+        v = Lanes(re.reshape(t.shape), im.reshape(t.shape))
+        i15 = half * _rule_sum(v, w15, np.s_[:15])
+        i7 = half * _rule_sum(v, w7, [15, 16, 17, 7, 18, 19, 20])
+        err = abs(i15 - i7)
+    good = ok.reshape(t.shape).all(1) & np.isfinite(i15.re) & np.isfinite(i15.im) & np.isfinite(err)
+    return [(complex(x, y), e) if g else None
+            for x, y, e, g in zip(i15.re.tolist(), i15.im.tolist(), err.tolist(), good.tolist())]
+
+
+def _rule_sum(v: Lanes, weights, columns) -> Lanes:
+    """0 + w0*v0 + w1*v1 + ... over the given columns of each row, in order."""
+    terms = Lanes(v.re[:, columns], v.im[:, columns]) * np.array(weights)
+    zero = np.zeros((len(terms.re), 1))
+    return Lanes(*(np.add.accumulate(np.hstack((zero, x)), axis=1)[:, -1]
+                   for x in (terms.re, terms.im)))
+
+
+def node_values(integrands, tables: dict, j, t):
+    """volume._Integrand's node at each t (a float64 array) on path j (an index
+    array), on Lanes: (re, im, ok) arrays; tables are the paths' node_tables.
 
     The scalar node's arithmetic, its branches as masks: f, f' and g from its
     kernel closure (the paths are of one member), with a PoleMask as the pole
@@ -127,21 +168,36 @@ def node_values(integrands, tables: dict, jobs):
     index, t) keys and round is np.rint (both round half to even).
     """
     two_pi = 2.0 * math.pi
-    counts = [len(ts) for _, ts in jobs]
-    t = np.array([t for _, ts in jobs for t in ts])
-    j = np.repeat(np.array([j for j, _ in jobs]), counts)
+    dy, y = _leg_points(tables, j, t)
+    poles = PoleMask()
+    fv, gv, fp, _ = integrands[0].fg(y, 2, 1, poles)
+    f2 = fv * fv
+    val = (f2 + tables["a2"][j]) / (tables["scale"][j] * gv)
+    del y, fv, gv  # a large round's memory peaks in the steps below
+    r = abs(val)
+    ok = poles.ok & (r >= 1e-100) & np.isfinite(r)
+    est = _tracked_arg(tables, j, t)
+    principal = np.fromiter(map(math.atan2, memoryview(val.im), memoryview(val.re)), float, len(t))
+    k = np.rint((est - principal) / two_pi)
+    log_r = np.fromiter(map(math.log, memoryview(np.where(ok, r, 1.0))), float, len(t))
+    out = (log_r + 1j * Lanes(principal + two_pi * k, 0.0)) * fp / (f2 - 1.0) * dy
+    ok &= np.isfinite(out.re) & np.isfinite(out.im)
+    return out.re, out.im, ok
+
+
+def _leg_points(tables: dict, j, t):
+    """(dy, y) of each node: its leg's q - p, and p + (q - p)*(t - k) on leg k,
+    the last leg at the path's end."""
     ends = tables["ends"][j]
     k = np.where(t < ends, np.trunc(t), ends - 1.0)
     leg = tables["leg_start"][j] + k.astype(np.intp)
     dy = Lanes(tables["dy_re"][leg], tables["dy_im"][leg])
-    y = Lanes(tables["z0_re"][leg], tables["z0_im"][leg]) + dy * (t - k)
-    poles = PoleMask()
-    fv, gv, fp, _ = integrands[jobs[0][0]].fg(y, 2, 1, poles)
-    f2 = fv * fv
-    val = (f2 + tables["a2"][j]) / (tables["scale"][j] * gv)
-    r = abs(val)
-    ok = poles.ok & (r >= 1e-100) & np.isfinite(r)
-    # bisect_right(ts, t) - 1, clamped to the path's brackets
+    return dy, Lanes(tables["z0_re"][leg], tables["z0_im"][leg]) + dy * (t - k)
+
+
+def _tracked_arg(tables: dict, j, t):
+    """BranchTracker.log_at's interpolated arg R at each node: its bracket is
+    bisect_right(ts, t) - 1 in its own path, clamped to the path's brackets."""
     key = np.empty(len(t), complex)
     key.real, key.imag = j, t
     start = tables["sample_start"][j]
@@ -149,13 +205,7 @@ def node_values(integrands, tables: dict, jobs):
                            tables["top"][j])
     t0, t1 = tables["ts"][i], tables["ts"][i + 1]
     w = np.where(t1 > t0, (t - t0) / (t1 - t0), 0.0)
-    est = tables["unwrapped"][i] * (1 - w) + tables["unwrapped"][i + 1] * w
-    principal = np.array(list(map(math.atan2, val.im.tolist(), val.re.tolist())))
-    k = np.rint((est - principal) / two_pi)
-    log_r = np.array(list(map(math.log, np.where(ok, r, 1.0).tolist())))
-    out = (log_r + 1j * Lanes(principal + two_pi * k, 0.0)) * fp / (f2 - 1.0) * dy
-    ok &= np.isfinite(out.re) & np.isfinite(out.im)
-    return out.re, out.im, ok
+    return tables["unwrapped"][i] * (1 - w) + tables["unwrapped"][i + 1] * w
 
 
 def node_tables(integrands) -> dict:

@@ -22,9 +22,8 @@ to y- with a small V detour into the upper half-plane over each singular
 point in between.  A path is a tuple of complex vertices joined by straight
 legs.
 
-Both regimes go through one driver (_Contour): it sets up the one path it is
-given and turns the path's integral, times i for a hyperbolic volume, into
-the VolumeResult with the regime's diagnostics.
+Both regimes go through one driver (_Contour), which turns the path's
+integral (times i for a hyperbolic volume) into the VolumeResult.
 The right class is the one in which log(R) returns to 0 at the far
 endpoint, where R = 1 again.  R is c * prod (y - a)^e over the roots of
 N^2 + A^2 D^2 and the exact cosines of chebyshev.r_cosines (_r_factors,
@@ -44,17 +43,14 @@ not an embedded one: it shares only the midpoint node with the 15-point
 rule, and its difference from the 15-point value is the error estimate.
 The integrand is a panel function: it gets a panel's 21 nodes at once (the
 15 of the 15-point rule, then the 7-point rule's other 6), so the Schlaefli
-oracle can solve them together.  The contours of one compute_volumes call
-are integrated together (_integrate): every leg of every path keeps its own
-adaptive heap, split order and left-to-right panel sums (_quad_steps, the
-steps of adaptive_quad), and the legs go in lock-step rounds, each round
-evaluating every node that the legs ask for in one batch (_Nodes).  The node
-is one closure per path (_Integrand): at t = k + u on leg k from p to q it
-takes y = p + (q - p)*u, f, f' and g from chebyshev.kernel's closure, R, and
-log R's branch from BranchTracker.log_at.  A round of LANES_MIN nodes or
-more runs the same on float64 lanes that follow CPython's complex arithmetic
-bit for bit (lanes.node_values); a leg with a node that trips a guard or is
-not finite goes back through the scalar node.  Every value, error estimate
+oracle can solve them together.  The contour's node is one closure per path
+(_Integrand): at t = k + u on leg k from p to q it takes y = p + (q - p)*u,
+f, f' and g from chebyshev.kernel's closure, R, and log R's branch from
+BranchTracker.log_at.  The contours of one compute_volumes call are
+integrated together (_integrate): each leg keeps its own heap, split order
+and sums (_quad_steps), and the legs go in lock-step rounds that evaluate
+the panels each leg asks for and those it is certain to split (_round), on
+lanes from LANES_MIN nodes (lanes.panel_sums).  Every value, error estimate
 and raised error is the one that integrating each leg alone gives.
 Within 1e-3 of the transition angle the endpoints nearly coincide and the
 contour loses relative accuracy, so the Schlaefli integral is used there
@@ -70,16 +66,14 @@ folded about pi by the A^2 symmetry).  The substitution beta = a_K -/+ t^2
 absorbs the square-root behaviour of l at the transition.  Both lengths come
 from classify's selection, as does the l_alpha of every volume result:
 2*log|ell| at the selected root, or the closed form 2|atan F(r1) - atan F(r0)|
-at the pair.  A panel's 21 angles lie on one side of a_K, so the oracle
-selects them in one geometry._select_panel call of that regime: one stacked
-companion solve and one stacked walk of the longitude words serve them all,
-and each length is classify's, bit for bit.
+at the pair.  A panel's 21 angles lie on one side of a_K and are selected
+in one geometry._select_panel call (one stacked companion solve and one
+stacked longitude walk), each length bit for bit classify's.
 
-compute_volumes is the entry for many angles of one member (a CLI sweep),
-each regime's angles selected in one _select_panel call and all contours
-integrated together; compute_volume is its one-angle case.  What depends on
-the member only is computed once in functools caches: N_f^2, D_f^2 and R's
-exact-cosine factors (_r_parts) and the real singular set (_singular_points).
+compute_volumes is the entry for many angles of one member (a CLI sweep);
+compute_volume is its one-angle case.  What depends on the member only is
+computed once in functools caches: N_f^2, D_f^2 and R's exact-cosine
+factors (_r_parts) and the real singular set (_singular_points).
 """
 
 from __future__ import annotations
@@ -90,6 +84,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
+from itertools import accumulate, islice
 from operator import add, mul, sub
 
 import numpy as np
@@ -101,7 +96,7 @@ from .errors import ConevolError, PathBlockedError, QuadratureError
 from .families import ConeManifoldSpec, KnotFamily
 from .geometry import (Regime, RegimeResult, _fold, _select_panel, classify,
                        collision_root, critical_angle, regime_of)
-from .lanes import node_tables, node_values
+from .lanes import panel_sums
 
 R_EXCL = 1e-4
 QUAD_ABS_TOL = 1e-9
@@ -217,13 +212,10 @@ def _via(y0: complex, *waypoints: complex) -> tuple:
 
 def _candidate_paths(family: KnotFamily, n: int, factors, y0: complex,
                      shift: complex = 0.0):
-    """Deterministic contour candidates, collision-anchored V first.
-
-    The correct class has log(R) returning to zero at the far endpoint.  A
-    candidate is made of straight legs, so its winding of R (factors, from
-    _r_factors) is exact and is decided before any integration: only paths
-    of winding 0 (_closes) and clear of the real singular set are yielded.
-    The caller integrates the first.  Straight two-leg Vs handle simple real
+    """Deterministic contour candidates, collision-anchored V first: only
+    paths of winding 0 (_closes, exact on straight legs, decided before any
+    integration) and clear of the real singular set are yielded, and the
+    caller integrates the first.  Straight two-leg Vs handle simple real
     zeros of the log argument (side selection by anchor interval); staple
     paths thread the pinch corridors next to higher-order zeros, whose
     conjugate companion pair squeezes onto the axis as the angle shrinks.
@@ -398,7 +390,9 @@ class _Integrand:
 # once, so a panel has 21 nodes, the 15 of GL15 and then GL7's other 6
 _PANEL = (*_GL15[0], *(x for x in _GL7[0] if x))
 
-# nodes in a round from which the lanes beat the scalar node (ROADMAP aim 1)
+# nodes in a round from which the lanes, panel sums included, beat the scalar
+# node: us a node at 84 nodes 3.7-5.0 against 3.4-4.8, at 105 2.9-4.0 against
+# 3.5-4.8, at 168 2.2-3.0 against 3.4-4.8 (ROADMAP aim 1)
 LANES_MIN = 100
 
 
@@ -421,11 +415,12 @@ def _gauss_pair(values, a: float, b: float):
 
 def _quad_steps(a: float, b: float, abs_tol: float):
     """adaptive_quad on [a, b] as a generator: it yields the panels (lo, hi)
-    of each round, first one, then the two halves of the worst panel, is
-    sent their 21 node values each, one panel after the other, and returns
+    of each step, first [a, b], then the two halves of the worst panel, with
+    the heap of the others, is sent their _gauss_pair each, and returns
     (integral, error estimate)."""
-    val, err = _gauss_pair((yield ((a, b),)), a, b)
-    heap = [(-err, 0, a, b, val, err)]
+    heap, panels = [], ((a, b),)
+    (val, err), = _finite(panels, (yield panels, heap))
+    heap.append((-err, 0, a, b, val, err))
     total_val, total_err = val, err
     count = 0
     serial = 1
@@ -437,9 +432,8 @@ def _quad_steps(a: float, b: float, abs_tol: float):
             )
         _, _, lo, hi, v_old, e_old = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
-        values = yield ((lo, mid), (mid, hi))
-        v1, e1 = _gauss_pair(values[:21], lo, mid)
-        v2, e2 = _gauss_pair(values[21:], mid, hi)
+        panels = ((lo, mid), (mid, hi))
+        (v1, e1), (v2, e2) = _finite(panels, (yield panels, heap))
         total_val += v1 + v2 - v_old
         total_err += e1 + e2 - e_old
         heapq.heappush(heap, (-e1, serial, lo, mid, v1, e1))
@@ -449,102 +443,108 @@ def _quad_steps(a: float, b: float, abs_tol: float):
     return total_val, total_err
 
 
+def _finite(panels, pairs):
+    """The panels' (value, error) pairs; QuadratureError at one not finite."""
+    for (lo, hi), (v, e) in zip(panels, pairs):
+        if not (cmath.isfinite(v) and math.isfinite(e)):
+            raise QuadratureError(f"panel [{lo!r}, {hi!r}] is not finite: "
+                                  f"value {v!r}, error {e!r}")
+    return pairs
+
+
 def adaptive_quad(f, a: float, b: float, abs_tol: float = QUAD_ABS_TOL):
     """Adaptive Gauss 15/7 on [a, b]; returns (integral, error estimate).
 
     f is a panel function: it takes the list of a panel's 21 nodes (_PANEL)
     and returns their values in that order.  Raises QuadratureError after
-    QUAD_MAX_SUBDIV subdivisions.
+    QUAD_MAX_SUBDIV subdivisions or at a panel whose value or error estimate
+    is not finite.
     """
     steps = _quad_steps(a, b, abs_tol)
-    panels = next(steps)
+    panels, _ = next(steps)
     while True:
         try:
-            panels = steps.send([v for lo, hi in panels for v in f(_panel_nodes(lo, hi))])
+            panels, _ = steps.send([_gauss_pair(f(_panel_nodes(lo, hi)), lo, hi)
+                                    for lo, hi in panels])
         except StopIteration as done:
             return done.value
 
 
-class _Nodes:
-    """The node values of _integrate's rounds, all paths of one member.
+def _look_ahead(heap) -> list:
+    """The halves of each heap panel that _quad_steps is certain to split: in
+    pop order while the errors from that panel on sum to more than
+    QUAD_ABS_TOL (all stay in the heap until it is popped, so the leg goes
+    on), within the splits left (the heap holds one panel per split made)."""
+    order = sorted(heap)
+    tails = list(accumulate(e for *_, e in reversed(order)))[::-1]
+    budget = max(QUAD_MAX_SUBDIV - 1 - len(heap), 0)
+    return [half for (*_, lo, hi, _, _), tail in zip(order[:budget], tails)
+            if tail > QUAD_ABS_TOL for half in ((lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi))]
 
-    A job is (path index, ts), the nodes one leg asks for in a round.  A
-    round of fewer than LANES_MIN nodes runs each job through the scalar node
-    (_Integrand.__call__); a larger one runs all of them at once on complex
-    lanes (lanes.node_values) and sends each job with a lane that is not ok
-    back through the scalar node, which raises that node's error or returns
-    its values.
-    """
 
-    def __init__(self, integrands):
-        self.integrands, self.tables = integrands, None
+def _round(integrands, panels, tables: dict) -> list:
+    """Each panel (path index, lo, hi)'s _gauss_pair, or the error that its
+    scalar node raises.  A round of LANES_MIN nodes or more runs on lanes
+    (lanes.panel_sums, which fills tables at its first round), and a panel
+    that is not ok there goes through the scalar node."""
+    pairs = [None] * len(panels)
+    if len(panels) * len(_PANEL) >= LANES_MIN:
+        pairs = panel_sums(integrands, tables, panels, (_PANEL, _GL15[1], _GL7[1]))
+    return [_scalar_pair(integrands[j], lo, hi) if pair is None else pair
+            for pair, (j, lo, hi) in zip(pairs, panels)]
 
-    def evaluate(self, jobs) -> list:
-        """Each job's node values, or the error its scalar evaluation raised."""
-        if sum(len(ts) for _, ts in jobs) < LANES_MIN:
-            return [self._scalar(j, ts) for j, ts in jobs]
-        if self.tables is None:
-            self.tables = node_tables(self.integrands)
-        with np.errstate(all="ignore"):
-            re, im, ok = node_values(self.integrands, self.tables, jobs)
-        values = list(map(complex, re.tolist(), im.tolist()))
-        bounds = np.cumsum([0] + [len(ts) for _, ts in jobs])
-        failed = set((np.searchsorted(bounds, np.flatnonzero(~ok), "right") - 1).tolist())
-        bounds = bounds.tolist()
-        return [self._scalar(j, ts) if m in failed else values[bounds[m]:bounds[m + 1]]
-                for m, (j, ts) in enumerate(jobs)]
 
-    def _scalar(self, j: int, ts):
-        try:
-            return list(map(self.integrands[j], ts))
-        except Exception as exc:  # the leg's error, whatever its type
-            return exc
+def _scalar_pair(integrand, lo: float, hi: float):
+    try:
+        return _gauss_pair(list(map(integrand, _panel_nodes(lo, hi))), lo, hi)
+    except Exception as exc:  # the leg's error, whatever its type
+        return exc
 
 
 def _integrate(integrands) -> list:
     """Each integrand's integral over its path and error estimate, summed leg
-    by leg, or the error of its first failing leg, as _Integrand's legs give
-    them one at a time through adaptive_quad.
+    by leg, or the error of its first failing leg, as adaptive_quad gives
+    them leg by leg.
 
-    Every leg runs its own _quad_steps, with its own heap, split order and
-    sums; the legs of all paths go in lock-step rounds, one _Nodes.evaluate
-    per round for every panel they ask for.  A leg stops at its first error,
-    and the legs after a failed one on its path are dropped.
+    Each leg runs its own _quad_steps (heap, split order, sums).  In each
+    lock-step round (_round) a leg asks for the pair its heap pops next and
+    the halves of each panel it is certain to split (_look_ahead), keeps them
+    by (lo, hi) and is sent them in its own order; a looked-ahead panel that
+    failed is not kept, so only an asked one raises.  A leg stops at its
+    first error; the legs after it on its path are dropped.
     """
-    nodes = _Nodes(integrands)
-    legs = [[None] * len(f.legs) for f in integrands]
-    live = []
+    tables, legs, live = {}, [[None] * len(f.legs) for f in integrands], []
     for j, f in enumerate(integrands):
         for k in range(len(f.legs)):
             steps = _quad_steps(float(k), float(k + 1), QUAD_ABS_TOL)
-            live.append((j, k, steps, next(steps)))
+            live.append((j, k, steps, {}, *next(steps)))
     first_failed = [len(f.legs) for f in integrands]
-    while live:
-        live = [leg for leg in live if leg[1] < first_failed[leg[0]]]
-        jobs = [(j, [t for lo, hi in panels for t in _panel_nodes(lo, hi)])
-                for j, _, _, panels in live]
-        asked, live = live, []
-        for (j, k, steps, _), values in zip(asked, nodes.evaluate(jobs)):
+    while live := [leg for leg in live if leg[1] < first_failed[leg[0]]]:
+        wanted = [[p for p in (*asked, *_look_ahead(heap)) if p not in kept]
+                  for _, _, _, kept, asked, heap in live]
+        pairs = iter(_round(integrands, [(leg[0], *p) for leg, ps in zip(live, wanted)
+                                         for p in ps], tables))
+        asked_legs, live = live, []
+        for (j, k, steps, kept, asked, heap), ps in zip(asked_legs, wanted):
+            for p, pair in zip(ps, islice(pairs, len(ps))):
+                if p in asked or not isinstance(pair, Exception):
+                    kept[p] = pair
             try:
-                if isinstance(values, Exception):
-                    raise values
-                live.append((j, k, steps, steps.send(values)))
+                while all(p in kept for p in asked):
+                    sent = [kept.pop(p) for p in asked]
+                    for pair in sent:
+                        if isinstance(pair, Exception):
+                            raise pair
+                    asked, heap = steps.send(sent)
+                live.append((j, k, steps, kept, asked, heap))
             except StopIteration as done:
                 legs[j][k] = done.value
             except Exception as exc:
                 legs[j][k] = exc
                 first_failed[j] = min(first_failed[j], k)
-    out = []
-    for j, sums in enumerate(legs):
-        if first_failed[j] < len(sums):
-            out.append(sums[first_failed[j]])
-            continue
-        total, err = 0j, 0.0
-        for v, e in sums:
-            total += v
-            err += e
-        out.append((total, err))
-    return out
+    return [sums[first] if first < len(sums) else
+            (reduce(add, (v for v, _ in sums), 0j), reduce(add, (e for _, e in sums), 0.0))
+            for sums, first in zip(legs, first_failed)]
 
 
 # --------------------------------------------------------------- results
@@ -564,14 +564,9 @@ class VolumeResult:
 
 
 class _Contour:
-    """A contour volume between its set-up and its quadrature.
-
-    Made from its regime's path (HYPERBOLIC or SPHERICAL): the path's
-    _Integrand, whose tracker certifies the path's class.  R = 1 at both
-    endpoints, so on a path of the right class the tracked log returns to 0;
-    where it does not close, or branch tracking fails, PathBlockedError.
-    result() turns the path integral into the volume.
-    """
+    """A contour volume between its set-up and its quadrature: its regime's
+    path and the path's _Integrand, whose tracked log must return to 0 (R = 1
+    at both ends), else PathBlockedError.  result() makes the volume."""
 
     def __init__(self, spec: ConeManifoldSpec, path: tuple, regime: Regime, factors,
                  **diagnostics):
@@ -581,10 +576,8 @@ class _Contour:
         except QuadratureError as exc:
             raise PathBlockedError(f"branch tracking failed on the contour: {exc}") from exc
         if abs(integrand.tracker.unwrapped[-1]) > 1e-5:
-            raise PathBlockedError(
-                f"the tracked log does not close on the contour of {family.value} "
-                f"n={n} at alpha={spec.alpha:.6f}"
-            )
+            raise PathBlockedError(f"the tracked log does not close on the contour of "
+                                   f"{family.value} n={n} at alpha={spec.alpha:.6f}")
         self.spec, self.path, self.regime, self.integrand = spec, path, regime, integrand
         self.diagnostics = diagnostics
 
@@ -598,10 +591,8 @@ class _Contour:
         total, err = sums
         value = (1j if self.regime is Regime.HYPERBOLIC else 1) * total
         if abs(value.imag) > IMAG_RESIDUAL_TOL:
-            raise QuadratureError(
-                f"volume has imaginary residual {value.imag:.3e} (branch tracking "
-                f"inconsistent)"
-            )
+            raise QuadratureError(f"volume has imaginary residual {value.imag:.3e} "
+                                  f"(branch tracking inconsistent)")
         out = VolumeResult(self.spec, self.regime, value.real, err, abs(value.imag))
         if self.regime is Regime.SPHERICAL and out.volume < 0.0:
             y_plus, y_minus = self.path[0].real, self.path[-1].real
@@ -621,10 +612,8 @@ def _hyperbolic_contour(spec: ConeManifoldSpec, y0: complex, factors,
     family, n = spec.family, spec.n
     path = next(_candidate_paths(family, n, factors, y0, anchor_shift), None)
     if path is None:
-        raise PathBlockedError(
-            f"no contour of winding 0 clear of the singular set for "
-            f"{family.value} n={n} at alpha={spec.alpha:.6f}"
-        )
+        raise PathBlockedError(f"no contour of winding 0 clear of the singular set for "
+                               f"{family.value} n={n} at alpha={spec.alpha:.6f}")
     return _Contour(spec, path, Regime.HYPERBOLIC, factors, y0=y0, anchor=path[1])
 
 
@@ -650,10 +639,8 @@ def volume_hyperbolic(spec: ConeManifoldSpec, y0: complex,
 
 def volume_spherical(spec: ConeManifoldSpec, y_plus: float,
                      y_minus: float) -> VolumeResult:
-    """Contour volume from the selected real pair; l_alpha is left to classify.
-
-    The pair's longitude-phase order alone fixes the sign: a negative volume raises.
-    """
+    """Contour volume from the selected real pair, whose longitude-phase order
+    alone fixes the sign (a negative volume raises); l_alpha is left to classify."""
     factors = _r_factors(spec.family, spec.n, spec.cot_half)
     return _spherical_contour(spec, y_plus, y_minus, factors).volume()
 
@@ -661,11 +648,10 @@ def volume_spherical(spec: ConeManifoldSpec, y_plus: float,
 def volume_schlafli(spec: ConeManifoldSpec) -> float:
     """Volume by integrating the singular geodesic length from the transition.
 
-    Independent of the contour machinery: only classify's l_alpha enters, at
-    each node, from one _select_panel call per Gauss panel in the regime of
-    spec.  The substitution beta = a_K -/+ t^2 removes the square-root
-    vanishing of the length at the transition.  Raises ValueError beyond the
-    spherical band, from 2*pi - a_K on.
+    Independent of the contour machinery: only classify's l_alpha enters,
+    from one _select_panel call per Gauss panel in the regime of spec, with
+    beta = a_K -/+ t^2.  Raises ValueError beyond the spherical band, from
+    2*pi - a_K on.
     """
     family, n = spec.family, spec.n
     a_k = critical_angle(family, n)
@@ -691,14 +677,12 @@ def compute_volumes(family: KnotFamily, n: int, alphas, cross_check: bool = Fals
     or the ConevolError or ValueError that compute_volume raises there.
 
     Every spec is made and the member resolved first, so a bad angle or a
-    member without a_K raises.  The angles of a solved regime that holds two
-    or more are selected in one geometry._select_panel call, each result bit
-    for bit classify's.  An angle alone in its regime, in a regime whose
-    panel raised (so that each failing angle keeps its own error), at a_K or
-    beyond the band is classified alone (_volume_at).  The angles left to a
-    contour get R's factors from one stacked solve (_r_factors_many), then
-    their paths are set up and all their legs integrated together
-    (_integrate).
+    member without a_K raises.  Each solved regime with two or more angles
+    is selected in one geometry._select_panel call, bit for bit classify's;
+    an angle alone in its regime or in one whose panel raised (each failing
+    angle keeps its own error), at a_K or beyond the band is classified
+    alone (_volume_at).  The contours get R's factors from one stacked solve
+    (_r_factors_many) and are integrated together (_integrate).
     """
     specs = [ConeManifoldSpec(family, n, alpha) for alpha in alphas]
     a_k = critical_angle(family, n)
@@ -757,22 +741,14 @@ def _volume_at(spec: ConeManifoldSpec, result: RegimeResult | None,
             f"(alpha_K = {result.critical_angle:.6f})"
         )
     if result.regime is Regime.EUCLIDEAN:
-        return VolumeResult(
-            spec, Regime.EUCLIDEAN, 0.0, 0.0, diagnostics={"transition": True}
-        )
+        return VolumeResult(spec, Regime.EUCLIDEAN, 0.0, 0.0, diagnostics={"transition": True})
     a_k = result.critical_angle
     folded = _fold(spec.alpha)
     if abs(folded - a_k) < TRANSITION_WINDOW or math.pi - folded < PI_WINDOW:
         vol = volume_schlafli(spec)
-        return VolumeResult(
-            spec,
-            result.regime,
-            vol,
-            1e-7,
-            l_alpha=result.l_alpha,
-            schlafli_volume=vol if cross_check else None,
-            diagnostics={"regularized": True},
-        )
+        return VolumeResult(spec, result.regime, vol, 1e-7, l_alpha=result.l_alpha,
+                            schlafli_volume=vol if cross_check else None,
+                            diagnostics={"regularized": True})
     return result
 
 

@@ -63,6 +63,13 @@ def test_adaptive_quad_complex_and_log_singularity():
     assert val == pytest.approx(exact, abs=1e-8)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=repr)
+def test_adaptive_quad_raises_at_a_non_finite_node(bad):
+    # a NaN error compares false with the tolerance: this returned (nan, nan)
+    with pytest.raises(QuadratureError, match="is not finite"):
+        vo.adaptive_quad(lambda ts: [bad if 0.3 < t < 0.31 else 1.0 for t in ts], 0.0, 1.0)
+
+
 def test_adaptive_quad_subdivision_cap(monkeypatch):
     monkeypatch.setattr(vo, "QUAD_MAX_SUBDIV", 5)
     with pytest.raises(QuadratureError):
@@ -924,13 +931,13 @@ def test_hot_loop_runs_on_python_scalars(monkeypatch):
     assert t_types == {float}
     assert y_types == {complex}
     rounds = []
-    evaluate = vo._Nodes.evaluate
+    round_ = vo._round
 
-    def counted_evaluate(self, jobs):
-        rounds.append(sum(len(ts) for _, ts in jobs))
-        return evaluate(self, jobs)
+    def counted_round(integrands, panels, tables):
+        rounds.append(len(vo._PANEL) * len(panels))
+        return round_(integrands, panels, tables)
 
-    monkeypatch.setattr(vo._Nodes, "evaluate", counted_evaluate)
+    monkeypatch.setattr(vo, "_round", counted_round)
     a_k = critical_angle(FIG8, 1)
     alphas = [a_k * (i + 0.5) / 8 for i in range(8)] + [2.5, 2.8, 3.0]
     assert all(isinstance(r, vo.VolumeResult) for r in vo.compute_volumes(FIG8, 1, alphas))
@@ -1023,47 +1030,83 @@ def test_the_lanes_equal_the_scalar_node_bit_for_bit(family, n):
         ts = [t for k in range(legs) for lo, hi in ((k, k + 1), (k, k + 0.5), (k + 0.5, k + 1))
               for t in vo._panel_nodes(float(lo), float(hi))]
         jobs.append((j, ts + [float(k) for k in range(legs + 1)]))
-    with np.errstate(all="ignore"):  # as _Nodes runs them: the unused Smith branch divides by 0
-        re, im, ok = lanes.node_values(integrands, lanes.node_tables(integrands), jobs)
+    j = np.repeat([j for j, _ in jobs], [len(ts) for _, ts in jobs])
+    t = np.array([t for _, ts in jobs for t in ts])
+    with np.errstate(all="ignore"):  # as _round runs them: the unused Smith branch divides by 0
+        re, im, ok = lanes.node_values(integrands, lanes.node_tables(integrands), j, t)
     assert ok.all()
     want = [integrands[j](t) for j, ts in jobs for t in ts]
     assert list(zip(map(float.hex, re.tolist()), map(float.hex, im.tolist()))) == _scalar_bits(want)
     assert any(z.imag == 0.0 for z in want)  # real legs: the sign of 0.0 is compared
 
 
-def test_a_failing_job_in_a_lanes_round_raises_the_scalar_error():
-    # the path that ends on the pole y = 2, its last node in a round of at
-    # least LANES_MIN good nodes: that job gets the scalar PoleError, the
-    # others the scalar node's bits
+def test_a_failing_panel_in_a_lanes_round_raises_the_scalar_error(monkeypatch):
+    # a leg through the pole y = 2, which the midpoint node t = 1.5 of the
+    # panel [1, 2] lands on, in a round of at least LANES_MIN good nodes: that
+    # panel alone goes back through the scalar node and gets its PoleError,
+    # the others the scalar _gauss_pair's bits from the lanes
     family, n = FIG8, 3
     hyp = ConeManifoldSpec(family, n, 0.5 * critical_angle(family, n))
     y0 = classify(hyp).roots[0]
     A = hyp.cot_half
     factors = [(a, e) for a, e in vo._r_factors(family, n, A) if a != 2.0]
-    failing = vo._Integrand(family, n, A, (y0, complex(1.5, 0.5), 2 + 0j), factors)
+    failing = vo._Integrand(family, n, A, (y0, complex(1.5, 0.5), complex(2.5, -0.5)), factors)
+    z0, dy = failing.legs[1]
+    assert z0 + dy * 0.5 == 2.0
     good = vo._Integrand(family, n, A, vo._via(y0, complex(vo.collision_root(family, n))),
                          vo._r_factors(family, n, A))
-    panels = [vo._panel_nodes(k / 4, (k + 1) / 4) for k in range(8)]
-    jobs = [(1, panels[0] + panels[1]), (0, panels[4] + [2.0]), (1, panels[5] + panels[6])]
-    jobs += [(1, panel) for panel in panels[2:4] + panels[7:]]
-    assert sum(len(ts) for j, ts in jobs if j == 1) >= vo.LANES_MIN
-    got = vo._Nodes([failing, good]).evaluate(jobs)
+    panels = [(1, k / 4, (k + 1) / 4) for k in range(8)]
+    panels.insert(3, (0, 1.0, 2.0))
+    assert len(vo._PANEL) * (len(panels) - 1) >= vo.LANES_MIN
+    scalar, pair = [], vo._scalar_pair
+
+    def counted_pair(integrand, lo, hi):
+        scalar.append((lo, hi))
+        return pair(integrand, lo, hi)
+
+    monkeypatch.setattr(vo, "_scalar_pair", counted_pair)
+    got = vo._round([failing, good], panels, {})
+    assert scalar == [(1.0, 2.0)]
     with pytest.raises(PoleError) as want:
         chebyshev.kernel(family, n, vo._Integrand.POLE_TOL)(2 + 0j, 2, 1)
-    assert isinstance(got[1], PoleError) and str(got[1]) == str(want.value)
-    for (j, ts), values in zip(jobs, got):
+    assert isinstance(got[3], PoleError) and str(got[3]) == str(want.value)
+    for (j, lo, hi), sums in zip(panels, got):
         if j == 1:
-            assert _scalar_bits(values) == _scalar_bits(map(good, ts))
+            want_sums = vo._gauss_pair(list(map(good, vo._panel_nodes(lo, hi))), lo, hi)
+            assert _scalar_bits(sums) == _scalar_bits(want_sums)
 
 
-@pytest.mark.parametrize("family,n", [(FIG8, 1), (KnotFamily.C2N3, -3), (FIG8, 8)],
-                         ids=lambda v: str(v))
-def test_lock_step_legs_equal_adaptive_quad_leg_by_leg(family, n):
-    # a sweep's contours integrated together: each total and error estimate
-    # is the sum of its legs' own adaptive_quad, bit for bit
-    a_k = critical_angle(family, n)
-    alphas = [0.2 + i * (a_k - 0.3) / 9 for i in range(10)]
-    alphas += [a_k + 0.1 + i * (math.pi - a_k - 0.2) / 5 for i in range(6)]
+def test_the_lanes_gauss_pair_equals_the_scalar_pair_bit_for_bit(monkeypatch):
+    # random complex node values, whole panels of them real with +0.0 or -0.0
+    # imaginary parts and signed zeros scattered, summed on lanes: each
+    # panel's (value, error) is _gauss_pair's, and the lanes are handed
+    # _panel_nodes' nodes
+    rng = np.random.default_rng(35)
+    size = 48
+    re = rng.normal(0.0, 3.0, (size, 21)) * 10.0 ** rng.integers(-4, 5, (size, 21))
+    im = rng.normal(0.0, 3.0, (size, 21)) * 10.0 ** rng.integers(-4, 5, (size, 21))
+    im[:12], im[12:24] = 0.0, -0.0
+    re[::5, ::3], im[24::3, 1::4], re[30:36] = -0.0, 0.0, 0.0
+    # panels of zeros: the sum's leading 0.0 fixes the sign of their value
+    re[36:42], im[36:39], im[39:42] = -0.0, 0.0, -0.0
+    ends = np.sort(rng.uniform(0.0, 3.0, (size, 2)), axis=1)
+    panels = [(0, lo, hi) for lo, hi in ends.tolist()]
+
+    def given_values(integrands, tables, j, t):
+        assert t.tolist() == [x for _, lo, hi in panels for x in vo._panel_nodes(lo, hi)]
+        return re.ravel(), im.ravel(), np.ones(re.size, bool)
+
+    monkeypatch.setattr(lanes, "node_values", given_values)
+    # tables already made: node_values is replaced, so no path is read
+    got = lanes.panel_sums(None, {"given": None}, panels, (vo._PANEL, vo._GL15[1], vo._GL7[1]))
+    for (_, lo, hi), row_re, row_im, sums in zip(panels, re.tolist(), im.tolist(), got):
+        want = vo._gauss_pair(list(map(complex, row_re, row_im)), lo, hi)
+        assert _scalar_bits(sums) == _scalar_bits(want)
+    # the real panels: a sum from 0.0 turns each -0.0 into +0.0
+    assert [math.copysign(1.0, v.imag) for v, _ in got[:24]] == [1.0] * 24
+
+
+def _contours(family, n, alphas):
     contours = []
     for alpha in alphas:
         spec = ConeManifoldSpec(family, n, alpha)
@@ -1072,14 +1115,172 @@ def test_lock_step_legs_equal_adaptive_quad_leg_by_leg(family, n):
         contours.append(vo._hyperbolic_contour(spec, res.roots[0], factors)
                         if res.regime is Regime.HYPERBOLIC else
                         vo._spherical_contour(spec, *res.roots, factors))
-    integrands = [contour.integrand for contour in contours]
-    for integrand, (total, err) in zip(integrands, vo._integrate(integrands)):
-        want_total, want_err = 0j, 0.0
-        for k in range(len(integrand.legs)):
-            v, e = vo.adaptive_quad(lambda ts: list(map(integrand, ts)), float(k), float(k + 1))
-            want_total += v
-            want_err += e
-        assert _scalar_bits([total, err]) == _scalar_bits([want_total, want_err])
+    return contours
+
+
+def _alone(integrand):
+    """The integrand's legs through adaptive_quad one at a time, summed, or
+    the error of its first failing leg; and the node lists they evaluated."""
+    total, err, asked = 0j, 0.0, []
+    for k in range(len(integrand.legs)):
+        def f(ts):
+            asked.append(ts)
+            return list(map(integrand, ts))
+        try:
+            v, e = vo.adaptive_quad(f, float(k), float(k + 1))
+        except Exception as exc:
+            return exc, asked
+        total += v
+        err += e
+    return (total, err), asked
+
+
+@pytest.mark.parametrize("family,n,fractions", [
+    (FIG8, 1, None), (KnotFamily.C2N3, -3, None), (FIG8, 8, None),
+    # far below a_K, where a leg splits 30 times and more
+    (KnotFamily.C2NMINUS2N, 4, (0.05, 0.1, 0.15, 0.2, 0.25, 0.3)),
+], ids=["KnotFamily.C2N2-1", "KnotFamily.C2N3--3", "KnotFamily.C2N2-8",
+        "KnotFamily.C2NMINUS2N-4-low"])
+def test_lock_step_legs_equal_adaptive_quad_leg_by_leg(family, n, fractions):
+    # a sweep's contours integrated together: each total and error estimate
+    # is the sum of its legs' own adaptive_quad, bit for bit
+    a_k = critical_angle(family, n)
+    if fractions is None:
+        alphas = [0.2 + i * (a_k - 0.3) / 9 for i in range(10)]
+        alphas += [a_k + 0.1 + i * (math.pi - a_k - 0.2) / 5 for i in range(6)]
+    else:
+        alphas = [f * a_k for f in fractions]
+    integrands = [contour.integrand for contour in _contours(family, n, alphas)]
+    splits = 0
+    for integrand, sums in zip(integrands, vo._integrate(integrands)):
+        want, asked = _alone(integrand)
+        assert _scalar_bits(sums) == _scalar_bits(want)
+        splits = max(splits, (len(asked) - len(integrand.legs)) // 2)
+    assert fractions is None or splits >= 30
+
+
+def _low_c8():
+    """A C(8,-8) contour at 0.1 a_K, whose legs split 30 times and more."""
+    alpha = 0.1 * critical_angle(KnotFamily.C2NMINUS2N, 4)
+    return _contours(KnotFamily.C2NMINUS2N, 4, [alpha])[0].integrand
+
+
+def _fail_where(monkeypatch, fails, lanes_min):
+    """Every node t with fails(t) raises QuadratureError in the scalar node
+    and is not ok on the lanes; rounds of lanes_min nodes or more run on
+    lanes."""
+    call, node_values = vo._Integrand.__call__, lanes.node_values
+
+    def failing_call(self, t):
+        if fails(t):
+            raise QuadratureError(f"failure at t={t!r}")
+        return call(self, t)
+
+    def failing_lanes(integrands, tables, j, t):
+        re, im, ok = node_values(integrands, tables, j, t)
+        return re, im, ok & ~np.array([fails(x) for x in t.tolist()], bool)
+
+    monkeypatch.setattr(vo._Integrand, "__call__", failing_call)
+    monkeypatch.setattr(lanes, "node_values", failing_lanes)
+    monkeypatch.setattr(vo, "LANES_MIN", lanes_min)
+
+
+def _recorded(monkeypatch, name, record):
+    """Wrap volume's function name so that record gets each call's arguments
+    and its result."""
+    fn = getattr(vo, name)
+
+    def wrapper(*args):
+        out = fn(*args)
+        record(*args, out)
+        return out
+
+    monkeypatch.setattr(vo, name, wrapper)
+
+
+@pytest.mark.parametrize("lanes_min", [10 ** 9, 0], ids=["scalar", "lanes"])
+def test_a_failed_look_ahead_panel_that_is_never_asked_for_is_dropped(lanes_min,
+                                                                      monkeypatch):
+    # a look-ahead over the whole heap, not only over the panels certain to
+    # split, evaluates panels that the leg never asks for, and every node
+    # that the leg alone does not evaluate fails: the failed panels are not
+    # kept, and the leg's value is its own, bit for bit
+    integrand = _low_c8()
+    want, asked = _alone(integrand)
+    evaluated = {t for ts in asked for t in ts}
+    failed = []
+
+    def whole_heap(heap):
+        return [half for *_, lo, hi, _, _ in heap
+                for half in ((lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi))]
+
+    monkeypatch.setattr(vo, "_look_ahead", whole_heap)
+    _recorded(monkeypatch, "_round", lambda integrands, panels, tables, pairs: failed.extend(
+        p for p in pairs if isinstance(p, Exception)))
+    _fail_where(monkeypatch, lambda t: t not in evaluated, lanes_min)
+    got, = vo._integrate([integrand])
+    assert failed
+    assert _scalar_bits(got) == _scalar_bits(want)
+
+
+@pytest.mark.parametrize("lanes_min", [10 ** 9, 0], ids=["scalar", "lanes"])
+def test_a_failed_look_ahead_panel_raises_when_it_is_asked_for(lanes_min, monkeypatch):
+    # a panel first evaluated by look-ahead fails there, is evaluated again
+    # in a later round, when its leg asks for it, and raises then the error
+    # that its leg raises alone
+    integrand = _low_c8()
+    ahead = []
+    _recorded(monkeypatch, "_look_ahead", lambda heap, halves: ahead.append(halves))
+    vo._integrate([integrand])
+    lo, hi = next(halves for halves in ahead if halves)[-1]
+    rounds = []
+    _recorded(monkeypatch, "_round", lambda integrands, panels, tables, pairs: rounds.append(
+        [pair for (_, a, b), pair in zip(panels, pairs) if (a, b) == (lo, hi)]))
+    _fail_where(monkeypatch, set(vo._panel_nodes(lo, hi)).__contains__, lanes_min)
+    got, = vo._integrate([integrand])
+    want, _ = _alone(integrand)
+    assert type(got) is type(want) is QuadratureError and str(got) == str(want)
+    tried = [pair for pairs in rounds for pair in pairs]
+    assert len(tried) >= 2 and all(isinstance(pair, QuadratureError) for pair in tried)
+
+
+@pytest.mark.parametrize("cap", [3, 6])
+def test_a_leg_out_of_subdivisions_raises_the_message_it_raises_alone(cap, monkeypatch):
+    # the leg's own message and error estimate; no leg looks ahead at more
+    # panels than it has subdivisions left (the heap holds one panel per
+    # split made), and at 6 that bound cuts the look-ahead short
+    monkeypatch.setattr(vo, "QUAD_MAX_SUBDIV", cap)
+    integrand = _low_c8()
+    calls = []
+    _recorded(monkeypatch, "_look_ahead", lambda heap, halves: calls.append((len(heap), halves)))
+    got, = vo._integrate([integrand])
+    want, _ = _alone(integrand)
+    assert f"after {cap} subdivisions" in str(want)
+    assert type(got) is QuadratureError and str(got) == str(want)
+    assert all(len(halves) <= 2 * max(cap - 1 - made, 0) for made, halves in calls)
+    assert cap == 3 or any(halves and len(halves) == 2 * (cap - 1 - made) for made, halves in calls)
+
+
+@pytest.mark.parametrize("lanes_min", [10 ** 9, 0], ids=["scalar", "lanes"])
+def test_a_non_finite_node_raises_quadrature_error(lanes_min, monkeypatch):
+    # a NaN node on a contour's first leg: the volume raises, whether its
+    # round runs on the scalar node or on the lanes, where the NaN lane is not
+    # ok and its panel goes back through the scalar node
+    call, node_values = vo._Integrand.__call__, lanes.node_values
+
+    def nan_call(self, t):
+        return complex(math.nan, 0.0) if 0.3 < t < 0.31 else call(self, t)
+
+    def nan_lanes(integrands, tables, j, t):
+        re, im, ok = node_values(integrands, tables, j, t)
+        re = np.where((0.3 < t) & (t < 0.31), math.nan, re)
+        return re, im, ok & np.isfinite(re)
+
+    monkeypatch.setattr(vo._Integrand, "__call__", nan_call)
+    monkeypatch.setattr(lanes, "node_values", nan_lanes)
+    monkeypatch.setattr(vo, "LANES_MIN", lanes_min)
+    with pytest.raises(QuadratureError, match=r"panel \[0.0, 1.0\] is not finite: value \(?nan"):
+        vo.compute_volume(spec8(0.5 * critical_angle(FIG8, 1)))
 
 
 @pytest.mark.parametrize("spec, evals, trackers, samples", [
@@ -1094,18 +1295,18 @@ def test_contour_work_counts_are_pinned(spec, evals, trackers, samples, monkeypa
     # branch tracker per hyperbolic volume.  Nodes are counted where a round
     # asks for them, whether the scalar node or the lanes evaluate them
     counts = {"evals": 0, "trackers": 0, "samples": 0}
-    evaluate, init = vo._Nodes.evaluate, vo.BranchTracker.__init__
+    round_, init = vo._round, vo.BranchTracker.__init__
 
-    def counted_evaluate(self, jobs):
-        counts["evals"] += sum(len(ts) for _, ts in jobs)
-        return evaluate(self, jobs)
+    def counted_round(integrands, panels, tables):
+        counts["evals"] += len(vo._PANEL) * len(panels)
+        return round_(integrands, panels, tables)
 
     def counted_init(self, path, factors):
         counts["trackers"] += 1
         init(self, path, factors)
         counts["samples"] += len(self.ts)
 
-    monkeypatch.setattr(vo._Nodes, "evaluate", counted_evaluate)
+    monkeypatch.setattr(vo, "_round", counted_round)
     monkeypatch.setattr(vo.BranchTracker, "__init__", counted_init)
     # the contour itself: at pi, compute_volume takes the Schlaefli window
     res = classify(spec)
