@@ -12,7 +12,9 @@ the node's own kernel closure and a PoleMask as that closure's pole action.
 panel_sums is the lanes' part of a quadrature round (volume._round): it
 evaluates the 21 nodes of every panel of the round and forms each panel's
 Gauss 15/7 pair as volume._gauss_pair does, so the legs are sent one
-(value, error) per panel and no node becomes a Python complex.
+(value, error) per panel and no node becomes a Python complex.  The panel
+layout (its nodes and the columns that the 7-point rule reads) comes from
+volume, with the weights.
 """
 
 from __future__ import annotations
@@ -121,15 +123,16 @@ def panel_sums(integrands, tables: dict, panels, rule) -> list:
     forms it from the panel's node values, or None where a node is not ok
     (node_values) or the pair is not finite.  tables holds the paths'
     node_tables, made at the first call; rule is (the panel's nodes on
-    [-1, 1], the 15-point weights, the 7-point weights).
+    [-1, 1], the 15-point weights, the 7-point weights, the 7-point rule's
+    columns of the panel).
 
     The rule's sums are _gauss_pair's: each weight times a value as a real
     promoted to (w, 0.0), summed left to right from 0.0 (an accumulate, not a
     pairwise sum), times half the panel, and the error is hypot of the
-    difference.  The 7-point rule reads the 15-point rule's midpoint."""
+    difference.  The 15-point rule reads the panel's first 15 columns."""
     if not tables:
         tables.update(node_tables(integrands))
-    nodes, w15, w7 = rule
+    nodes, w15, w7, columns7 = rule
     j, lo, hi = map(np.array, zip(*panels))
     half = 0.5 * (hi - lo)
     t = (0.5 * (lo + hi))[:, None] + half[:, None] * np.array(nodes)
@@ -139,7 +142,7 @@ def panel_sums(integrands, tables: dict, panels, rule) -> list:
         re, im, ok = node_values(integrands, tables, np.repeat(j, len(nodes)), t.ravel())
         v = Lanes(re.reshape(t.shape), im.reshape(t.shape))
         i15 = half * _rule_sum(v, w15, np.s_[:15])
-        i7 = half * _rule_sum(v, w7, [15, 16, 17, 7, 18, 19, 20])
+        i7 = half * _rule_sum(v, w7, columns7)
         err = abs(i15 - i7)
     good = ok.reshape(t.shape).all(1) & np.isfinite(i15.re) & np.isfinite(i15.im) & np.isfinite(err)
     return [(complex(x, y), e) if g else None

@@ -41,17 +41,17 @@ Quadrature is adaptive Gauss 15/7 per leg, absolute tolerance 1e-9, at
 most 2000 subdivisions.  The 7-point Gauss-Legendre rule is a separate rule,
 not an embedded one: it shares only the midpoint node with the 15-point
 rule, and its difference from the 15-point value is the error estimate.
-The integrand is a panel function: it gets a panel's 21 nodes at once (the
-15 of the 15-point rule, then the 7-point rule's other 6), so the Schlaefli
-oracle can solve them together.  The contour's node is one closure per path
-(_Integrand): at t = k + u on leg k from p to q it takes y = p + (q - p)*u,
-f, f' and g from chebyshev.kernel's closure, R, and log R's branch from
-BranchTracker.log_at.  The contours of one compute_volumes call are
-integrated together (_integrate): each leg keeps its own heap, split order
-and sums (_quad_steps), and the legs go in lock-step rounds that evaluate
-the panels each leg asks for and those it is certain to split (_round), on
-lanes from LANES_MIN nodes (lanes.panel_sums).  Every value, error estimate
-and raised error is the one that integrating each leg alone gives.
+A panel's 21 nodes (_PANEL: the 15-point rule's, then the 7-point rule's
+other 6) are evaluated at once, so the Schlaefli oracle solves them
+together.  The contour's node is one closure per path (_Integrand): at
+t = k + u on leg k from p to q it takes y = p + (q - p)*u, f, f' and g from
+chebyshev.kernel's closure, R, and log R's branch from BranchTracker.log_at.
+One leg algorithm (_quad_steps: heap, split order, sums) asks for the panels
+it needs and those it is certain to split, and one lock-step loop (_drive)
+evaluates the panels of its legs in rounds: adaptive_quad is its one-leg
+case, and _integrate runs every leg of one compute_volumes call's contours,
+a round on lanes from LANES_MIN nodes (_round, lanes.panel_sums).  Every
+value, error estimate and raised error is the sequential rule's, leg by leg.
 Within 1e-3 of the transition angle the endpoints nearly coincide and the
 contour loses relative accuracy, so the Schlaefli integral is used there
 instead.  It also serves within 1e-5 below the folded angle pi: there the
@@ -83,7 +83,7 @@ import cmath
 import heapq
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from itertools import accumulate, islice
 from operator import add, mul, sub
 
@@ -389,6 +389,8 @@ class _Integrand:
 # GL15 node 7 and GL7 node 3 are both exactly 0.0: the midpoint is evaluated
 # once, so a panel has 21 nodes, the 15 of GL15 and then GL7's other 6
 _PANEL = (*_GL15[0], *(x for x in _GL7[0] if x))
+# the 7-point rule's columns of _PANEL, in its node order
+_GL7_COLUMNS = tuple(_PANEL.index(x) for x in _GL7[0])
 
 # nodes in a round from which the lanes, panel sums included, beat the scalar
 # node: us a node at 84 nodes 3.7-5.0 against 3.4-4.8, at 105 2.9-4.0 against
@@ -404,36 +406,41 @@ def _panel_nodes(a: float, b: float) -> list:
 def _gauss_pair(values, a: float, b: float):
     """(15-point value, |15-point - 7-point|) of a panel from its node values."""
     half = 0.5 * (b - a)
-    v15 = values[:15]
     # 0 + w0*v0 + w1*v1 + ... left to right on every Python version: sum() of
     # Python floats compensates its rounding from 3.12 on, changing the bits
-    i15 = half * reduce(add, map(mul, _GL15[1], v15), 0)
-    v7 = [*values[15:18], v15[7], *values[18:]]
-    i7 = half * reduce(add, map(mul, _GL7[1], v7), 0)
+    i15 = half * reduce(add, map(mul, _GL15[1], values), 0)
+    i7 = half * reduce(add, map(mul, _GL7[1], map(values.__getitem__, _GL7_COLUMNS)), 0)
     return i15, abs(i15 - i7)
 
 
+def _pair(f, lo: float, hi: float):
+    """The panel's _gauss_pair from panel function f, or the error f raises."""
+    try:
+        return _gauss_pair(list(f(_panel_nodes(lo, hi))), lo, hi)
+    except Exception as exc:
+        return exc
+
+
 def _quad_steps(a: float, b: float, abs_tol: float):
-    """adaptive_quad on [a, b] as a generator: it yields the panels (lo, hi)
-    of each step, first [a, b], then the two halves of the worst panel, with
-    the heap of the others, is sent their _gauss_pair each, and returns
-    (integral, error estimate)."""
-    heap, panels = [], ((a, b),)
-    (val, err), = _finite(panels, (yield panels, heap))
+    """Adaptive Gauss 15/7 on [a, b] as a generator returning (integral,
+    error estimate): the heap splits its panel of largest error until the
+    errors sum to at most abs_tol (QuadratureError after QUAD_MAX_SUBDIV
+    splits).  Lacking a panel, it yields those it needs and those it is
+    certain to split (_look_ahead), none it holds, and is sent each one's
+    _gauss_pair or the error its evaluation raised.  It holds them by
+    (lo, hi) and raises a held error or a pair not finite only as it takes
+    that panel."""
+    heap, held = [], {}
+    (val, err), = yield from _take(((a, b),), heap, held, abs_tol)
     heap.append((-err, 0, a, b, val, err))
-    total_val, total_err = val, err
-    count = 0
-    serial = 1
-    while total_err > abs_tol and heap:
+    total_val, total_err, count, serial = val, err, 0, 1
+    while total_err > abs_tol:
         if count >= QUAD_MAX_SUBDIV:
-            raise QuadratureError(
-                f"tolerance {abs_tol:.1e} not reached after {QUAD_MAX_SUBDIV} "
-                f"subdivisions (error {total_err:.1e})"
-            )
+            raise QuadratureError(f"tolerance {abs_tol:.1e} not reached after {QUAD_MAX_SUBDIV} "
+                                  f"subdivisions (error {total_err:.1e})")
         _, _, lo, hi, v_old, e_old = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
-        panels = ((lo, mid), (mid, hi))
-        (v1, e1), (v2, e2) = _finite(panels, (yield panels, heap))
+        (v1, e1), (v2, e2) = yield from _take(((lo, mid), (mid, hi)), heap, held, abs_tol)
         total_val += v1 + v2 - v_old
         total_err += e1 + e2 - e_old
         heapq.heappush(heap, (-e1, serial, lo, mid, v1, e1))
@@ -443,8 +450,16 @@ def _quad_steps(a: float, b: float, abs_tol: float):
     return total_val, total_err
 
 
-def _finite(panels, pairs):
-    """The panels' (value, error) pairs; QuadratureError at one not finite."""
+def _take(panels, heap, held: dict, abs_tol: float):
+    """The panels' pairs out of held, after one yield if it lacks one: the
+    first held error raises, then QuadratureError at a pair not finite."""
+    if not all(p in held for p in panels):
+        wanted = [p for p in (*panels, *_look_ahead(heap, abs_tol)) if p not in held]
+        held.update(zip(wanted, (yield wanted)))
+    pairs = [held.pop(p) for p in panels]
+    for pair in pairs:
+        if isinstance(pair, Exception):
+            raise pair
     for (lo, hi), (v, e) in zip(panels, pairs):
         if not (cmath.isfinite(v) and math.isfinite(e)):
             raise QuadratureError(f"panel [{lo!r}, {hi!r}] is not finite: "
@@ -452,34 +467,49 @@ def _finite(panels, pairs):
     return pairs
 
 
-def adaptive_quad(f, a: float, b: float, abs_tol: float = QUAD_ABS_TOL):
-    """Adaptive Gauss 15/7 on [a, b]; returns (integral, error estimate).
-
-    f is a panel function: it takes the list of a panel's 21 nodes (_PANEL)
-    and returns their values in that order.  Raises QuadratureError after
-    QUAD_MAX_SUBDIV subdivisions or at a panel whose value or error estimate
-    is not finite.
-    """
-    steps = _quad_steps(a, b, abs_tol)
-    panels, _ = next(steps)
-    while True:
-        try:
-            panels, _ = steps.send([_gauss_pair(f(_panel_nodes(lo, hi)), lo, hi)
-                                    for lo, hi in panels])
-        except StopIteration as done:
-            return done.value
-
-
-def _look_ahead(heap) -> list:
+def _look_ahead(heap, abs_tol: float) -> list:
     """The halves of each heap panel that _quad_steps is certain to split: in
-    pop order while the errors from that panel on sum to more than
-    QUAD_ABS_TOL (all stay in the heap until it is popped, so the leg goes
-    on), within the splits left (the heap holds one panel per split made)."""
+    pop order while the errors from that panel on sum to more than abs_tol
+    (all stay in the heap until it is popped, so the leg goes on), within
+    the splits left (the heap holds one panel per split made)."""
     order = sorted(heap)
     tails = list(accumulate(e for *_, e in reversed(order)))[::-1]
     budget = max(QUAD_MAX_SUBDIV - 1 - len(heap), 0)
     return [half for (*_, lo, hi, _, _), tail in zip(order[:budget], tails)
-            if tail > QUAD_ABS_TOL for half in ((lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi))]
+            if tail > abs_tol for half in ((lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi))]
+
+
+def _drive(legs, evaluate) -> list:
+    """Each leg's (integral, error estimate) or error; legs are (key,
+    _quad_steps) pairs.  Each round, evaluate gets the (key, lo, hi) of the
+    panels the live legs yield and returns the outcomes they are sent."""
+    outcomes = [None] * len(legs)
+    live = [(i, key, steps, next(steps)) for i, (key, steps) in enumerate(legs)]
+    while live:
+        sent = iter(evaluate([(key, *p) for _, key, _, wanted in live for p in wanted]))
+        asked, live = live, []
+        for i, key, steps, wanted in asked:
+            try:
+                live.append((i, key, steps, steps.send(list(islice(sent, len(wanted))))))
+            except StopIteration as done:
+                outcomes[i] = done.value
+            except Exception as exc:  # the leg's error, whatever its type
+                outcomes[i] = exc
+    return outcomes
+
+
+def adaptive_quad(f, a: float, b: float, abs_tol: float = QUAD_ABS_TOL):
+    """Adaptive Gauss 15/7 on [a, b]; returns (integral, error estimate).
+
+    f is a panel function: it takes the list of a panel's 21 nodes (_PANEL)
+    and returns their values in that order.  _drive's one-leg case.  Raises
+    QuadratureError after QUAD_MAX_SUBDIV subdivisions or at a panel whose
+    value or error estimate is not finite, and f's error at a panel it takes.
+    """
+    out, = _drive([(f, _quad_steps(a, b, abs_tol))], lambda panels: [_pair(*p) for p in panels])
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
 def _round(integrands, panels, tables: dict) -> list:
@@ -489,62 +519,28 @@ def _round(integrands, panels, tables: dict) -> list:
     that is not ok there goes through the scalar node."""
     pairs = [None] * len(panels)
     if len(panels) * len(_PANEL) >= LANES_MIN:
-        pairs = panel_sums(integrands, tables, panels, (_PANEL, _GL15[1], _GL7[1]))
-    return [_scalar_pair(integrands[j], lo, hi) if pair is None else pair
+        pairs = panel_sums(integrands, tables, panels, (_PANEL, _GL15[1], _GL7[1], _GL7_COLUMNS))
+    return [_pair(partial(map, integrands[j]), lo, hi) if pair is None else pair
             for pair, (j, lo, hi) in zip(pairs, panels)]
-
-
-def _scalar_pair(integrand, lo: float, hi: float):
-    try:
-        return _gauss_pair(list(map(integrand, _panel_nodes(lo, hi))), lo, hi)
-    except Exception as exc:  # the leg's error, whatever its type
-        return exc
 
 
 def _integrate(integrands) -> list:
     """Each integrand's integral over its path and error estimate, summed leg
-    by leg, or the error of its first failing leg, as adaptive_quad gives
-    them leg by leg.
-
-    Each leg runs its own _quad_steps (heap, split order, sums).  In each
-    lock-step round (_round) a leg asks for the pair its heap pops next and
-    the halves of each panel it is certain to split (_look_ahead), keeps them
-    by (lo, hi) and is sent them in its own order; a looked-ahead panel that
-    failed is not kept, so only an asked one raises.  A leg stops at its
-    first error; the legs after it on its path are dropped.
-    """
-    tables, legs, live = {}, [[None] * len(f.legs) for f in integrands], []
-    for j, f in enumerate(integrands):
-        for k in range(len(f.legs)):
-            steps = _quad_steps(float(k), float(k + 1), QUAD_ABS_TOL)
-            live.append((j, k, steps, {}, *next(steps)))
-    first_failed = [len(f.legs) for f in integrands]
-    while live := [leg for leg in live if leg[1] < first_failed[leg[0]]]:
-        wanted = [[p for p in (*asked, *_look_ahead(heap)) if p not in kept]
-                  for _, _, _, kept, asked, heap in live]
-        pairs = iter(_round(integrands, [(leg[0], *p) for leg, ps in zip(live, wanted)
-                                         for p in ps], tables))
-        asked_legs, live = live, []
-        for (j, k, steps, kept, asked, heap), ps in zip(asked_legs, wanted):
-            for p, pair in zip(ps, islice(pairs, len(ps))):
-                if p in asked or not isinstance(pair, Exception):
-                    kept[p] = pair
-            try:
-                while all(p in kept for p in asked):
-                    sent = [kept.pop(p) for p in asked]
-                    for pair in sent:
-                        if isinstance(pair, Exception):
-                            raise pair
-                    asked, heap = steps.send(sent)
-                live.append((j, k, steps, kept, asked, heap))
-            except StopIteration as done:
-                legs[j][k] = done.value
-            except Exception as exc:
-                legs[j][k] = exc
-                first_failed[j] = min(first_failed[j], k)
-    return [sums[first] if first < len(sums) else
-            (reduce(add, (v for v, _ in sums), 0j), reduce(add, (e for _, e in sums), 0.0))
-            for sums, first in zip(legs, first_failed)]
+    by leg, or the error of its first failing leg: _drive over every leg of
+    every path, each round through _round."""
+    tables = {}
+    outcomes = iter(_drive([(j, _quad_steps(float(k), float(k + 1), QUAD_ABS_TOL))
+                            for j, f in enumerate(integrands) for k in range(len(f.legs))],
+                           lambda panels: _round(integrands, panels, tables)))
+    sums = []
+    for f in integrands:
+        legs = list(islice(outcomes, len(f.legs)))
+        if failed := [leg for leg in legs if isinstance(leg, Exception)]:
+            sums.append(failed[0])
+        else:
+            vals, errs = zip(*legs)
+            sums.append((reduce(add, vals, 0j), reduce(add, errs, 0.0)))
+    return sums
 
 
 # --------------------------------------------------------------- results

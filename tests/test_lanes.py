@@ -1,6 +1,8 @@
 """Lanes: CPython's complex arithmetic on float64 arrays, bit for bit."""
 
 import operator
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,3 +101,23 @@ def test_the_kernel_on_lanes_equals_the_scalar_kernel(family, n):
             (w.real.hex(), w.imag.hex()) for w in want[:3]], y
     assert raised == list(range(len(ys) - len(poles), len(ys)))
     assert np.flatnonzero(~mask.ok).tolist() == raised
+
+
+def test_the_python_range_is_the_one_ci_runs():
+    # the lanes copy CPython 3.10 to 3.13's mixed real/complex arithmetic, so
+    # pyproject.toml's range must not outrun CI: every matrix version lies in
+    # it, and it admits no minor version above the matrix's highest.  Both
+    # files are read as text, since CI's 3.10 leg has no tomllib
+    root = Path(__file__).resolve().parents[1]
+    spec, = re.findall(r'^requires-python = "(.*)"$', (root / "pyproject.toml").read_text(), re.M)
+    bounds = [re.fullmatch(r"\s*(>=|<)(\d+)\.(\d+)\s*", c) for c in spec.split(",")]
+    assert all(bounds), spec
+    lower = [(int(m[2]), int(m[3])) for m in bounds if m[1] == ">="]
+    upper = [(int(m[2]), int(m[3])) for m in bounds if m[1] == "<"]
+    ci = (root / ".github" / "workflows" / "tier1.yml").read_text()
+    matrix = {(int(a), int(b)) for entry in re.findall(r'python-version: (\[.*?\]|"[^"]*")', ci)
+              for a, b in re.findall(r'"(\d+)\.(\d+)"', entry)}
+    assert lower and upper and matrix
+    assert all(max(lower) <= v < min(upper) for v in matrix)
+    highest = max(matrix)
+    assert min(upper) <= (highest[0], highest[1] + 1)
