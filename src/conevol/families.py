@@ -68,7 +68,7 @@ _DEGENERATE = {
 
 def is_torus_member(family: KnotFamily, n: int) -> bool:
     """True if C(family, n) is a torus knot (trefoil) with no hyperbolic structure."""
-    return (validate_family(family), n) in _DEGENERATE
+    return (validate_family(family), validate_twist(n)) in _DEGENERATE
 
 
 def validate_family(family: KnotFamily) -> KnotFamily:

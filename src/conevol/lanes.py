@@ -8,7 +8,8 @@ the real and imaginary parts as two float64 arrays and spells out each
 operation as CPython 3.10 to 3.13 does it in C (Objects/complexobject.c),
 so an expression written for a Python complex gives the same bits in every
 lane.  node_values runs the contour's node (volume._Integrand) on it, with
-the node's own kernel closure and a PoleMask as that closure's pole action.
+the node's own kernel closure and a PoleMask as that closure's pole action,
+and log R's branch from the tracker sample at or left of each node.
 panel_sums is the lanes' part of a quadrature round (volume._round): it
 evaluates the 21 nodes of every panel of the round and forms each panel's
 Gauss 15/7 pair as volume._gauss_pair does, so the legs are sent one
@@ -167,8 +168,8 @@ def node_values(integrands, tables: dict, j, t):
     it trips a pole guard, finds |R| below 1e-100, takes an abs that
     overflows (hypot, where CPython raises) or ends not finite.  The phase
     and the log go through math.atan2 and math.log lane by lane (numpy's own
-    differ in the last bits), the tracker's bracket is searchsorted on (path
-    index, t) keys and round is np.rint (both round half to even).
+    differ in the last bits), the tracker's left sample is searchsorted on
+    (path index, t) keys and round is np.rint (both round half to even).
     """
     two_pi = 2.0 * math.pi
     dy, y = _leg_points(tables, j, t)
@@ -199,27 +200,21 @@ def _leg_points(tables: dict, j, t):
 
 
 def _tracked_arg(tables: dict, j, t):
-    """BranchTracker.log_at's interpolated arg R at each node: its bracket is
-    bisect_right(ts, t) - 1 in its own path, clamped to the path's brackets."""
+    """BranchTracker.log_at's arg R at each node: the unwrapped arg at its
+    left sample, the last one at or before t in its own path."""
     key = np.empty(len(t), complex)
     key.real, key.imag = j, t
-    start = tables["sample_start"][j]
-    i = start + np.minimum(np.maximum(np.searchsorted(tables["keys"], key, "right") - 1 - start, 0),
-                           tables["top"][j])
-    t0, t1 = tables["ts"][i], tables["ts"][i + 1]
-    w = np.where(t1 > t0, (t - t0) / (t1 - t0), 0.0)
-    return tables["unwrapped"][i] * (1 - w) + tables["unwrapped"][i + 1] * w
+    return tables["unwrapped"][np.searchsorted(tables["keys"], key, "right") - 1]
 
 
 def node_tables(integrands) -> dict:
     """The per-path constants of the lanes as float64 and index tables: each
     path's legs and tracker samples, numbered across the paths, and its A^2,
-    1 + A^2, leg count and last bracket.  The tracker keys are complex
-    (path index, t): numpy orders complex numbers by real, then imaginary
-    part, so one searchsorted finds each node's bracket in its own path."""
+    1 + A^2 and leg count.  The tracker keys are complex (path index, t):
+    numpy orders complex numbers by real, then imaginary part, so one
+    searchsorted finds each node's left sample, and the samples of a path
+    run from 0.0, so that sample is in the node's own path."""
     legs = [leg for f in integrands for leg in f.legs]
-    ts = [t for f in integrands for t in f.tracker.ts]
-    counts = [len(f.tracker.ts) for f in integrands]
     return {
         "z0_re": np.array([z0.real for z0, _ in legs]),
         "z0_im": np.array([z0.imag for z0, _ in legs]),
@@ -230,8 +225,5 @@ def node_tables(integrands) -> dict:
         "a2": np.array([f.a2 for f in integrands]),
         "scale": np.array([f.scale for f in integrands]),
         "keys": np.array([complex(j, t) for j, f in enumerate(integrands) for t in f.tracker.ts]),
-        "ts": np.array(ts),
         "unwrapped": np.array([u for f in integrands for u in f.tracker.unwrapped]),
-        "sample_start": np.cumsum([0] + counts)[:-1],
-        "top": np.array(counts) - 2,
     }

@@ -33,7 +33,7 @@ import numpy as np
 
 from .chebyshev import eval_S, eval_S_pair, eval_f
 from .errors import BranchError, DegenerateLongitudeError
-from .families import KnotFamily, validate_family
+from .families import KnotFamily, validate_family, validate_twist
 
 _IMAG_WINDOW = 2.0 * math.pi  # lifted holonomy angle lives in [-2*pi, 2*pi)
 
@@ -82,13 +82,14 @@ def _generator_stacks(family: KnotFamily, ms, ts):
 
 def word_omega_odd(n: int, p: int, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """(AB)^n [ (A^-1 B^-1)^n (AB)^n ]^p."""
-    ab_n = mat_pow(A @ B, n)
+    ab_n = mat_pow(A @ B, validate_twist(n))
     inner = mat_pow(mat_inv(A) @ mat_inv(B), n) @ ab_n
     return ab_n @ mat_pow(inner, p)
 
 
 def word_omega_even(n: int, p: int, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """[ (A^-1 B)^n (A B^-1)^n ]^p."""
+    validate_twist(n)
     inner = mat_pow(mat_inv(A) @ B, n) @ mat_pow(A @ mat_inv(B), n)
     return mat_pow(inner, p)
 
@@ -102,7 +103,7 @@ def word_value(family: KnotFamily, n: int, A: np.ndarray, B: np.ndarray):
 
 def _word_reversed(family: KnotFamily, n: int, A: np.ndarray, B: np.ndarray):
     """The word with its letters written in reversed order."""
-    p = family.word_exponent(n)
+    p = family.word_exponent(validate_twist(n))
     if family.is_odd_presentation:
         # w = P Q^p, P = (ab)^n, Q = (a^-1 b^-1)^n (ab)^n
         # w* = (Q*)^p P*, Q* = (ba)^n (b^-1 a^-1)^n, P* = (ba)^n
@@ -149,7 +150,7 @@ def w12_closed_form(family: KnotFamily, n: int, m: complex, y: complex) -> compl
     odd:   (m^-1 - m (S_n - S_{n-1}) / (S_{n-1} - S_{n-2})) * S_p(u) * S_{n-1}(y)
     even:  (m (S_n - S_{n-1}) - m^-1 (S_{n-1} - S_{n-2})) * S_{n-1}(y) * S_{p-1}(u)
     """
-    p = family.word_exponent(n)
+    p = family.word_exponent(validate_twist(n))
     s_nm2, s_nm1, _, _ = eval_S_pair(n - 1, y)  # two walks of y in all
     s_n = eval_S_pair(n, y)[1]
     x = m + 1.0 / m

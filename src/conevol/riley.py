@@ -72,7 +72,7 @@ NEWTON_MAX_STEPS = 100
 
 def trace_u(n: int, x, y):
     """Trace of the inner word block ((ab)^-n conjugate pattern): 2 + (y-2)(y+2-x^2)S_{n-1}^2(y)."""
-    s = eval_S(n - 1, y)
+    s = eval_S(validate_twist(n) - 1, y)
     return 2 + (y - 2) * (y + 2 - x * x) * s * s
 
 

@@ -11,11 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import conevol
 from conevol import exactpoly as xp
 from conevol import geometry as ge
 from conevol import representation as rp
 from conevol import riley as ry
-from conevol.chebyshev import eval_f, eval_g, kernel
+from conevol import volume as vo
+from conevol.chebyshev import eval_f, eval_f_prime, eval_g, eval_g_prime, kernel
 from conevol.errors import (
     ConevolError,
     NonConvergenceError,
@@ -264,6 +266,63 @@ def test_entry_points_reject_a_family_that_is_not_a_knot_family(entry, family):
     # took a (family, n) tuple
     with pytest.raises(ValueError, match="must be a KnotFamily"):
         _FAMILY_ENTRIES[entry](family)
+
+
+_C2N2 = KnotFamily.C2N2
+_I2 = np.eye(2, dtype=complex)
+_TWIST_ENTRIES = {
+    "ConeEquation": lambda n: ry.ConeEquation(_C2N2, n, 1.0, (), ()),
+    "ConeManifoldSpec": lambda n: ConeManifoldSpec(_C2N2, n, 1.0),
+    "build_cone_equation": lambda n: build_cone_equation(_C2N2, n, 1.0),
+    "build_phi": lambda n: ry.build_phi(_C2N2, n),
+    "check_lemma_cd": lambda n: ry.check_lemma_cd(_C2N2, n, 1.0, 0.5 + 0.8j),
+    "collision_root": lambda n: ge.collision_root(_C2N2, n),
+    "complex_length": lambda n: rp.complex_length(_C2N2, n, 1.0, 0.5 + 0.8j, 1.5),
+    "compute_volumes": lambda n: vo.compute_volumes(_C2N2, n, [1.0]),
+    "critical_angle": lambda n: ge.critical_angle(_C2N2, n),
+    "eval_f": lambda n: eval_f(n, 1.3 + 0.4j),
+    "eval_f_prime": lambda n: eval_f_prime(n, 1.3 + 0.4j),
+    "eval_g": lambda n: eval_g(_C2N2, n, 1.3 + 0.4j),
+    "eval_g_prime": lambda n: eval_g_prime(_C2N2, n, 1.3 + 0.4j),
+    "f_identity_gap": lambda n: rp.f_identity_gap(_C2N2, n, 1.2 + 0.3j, 0.5 + 0.8j, 1.5 + 0.2j),
+    "holonomy_data": lambda n: rp.holonomy_data(_C2N2, n, 1.0, 0.5 + 0.8j),
+    "is_torus_member": lambda n: is_torus_member(_C2N2, n),
+    "longitude_eigenvalue": lambda n: longitude_eigenvalue(_C2N2, n, 0.5 + 0.8j, 1.5),
+    "longitude_matrix": lambda n: rp.longitude_matrix(_C2N2, n, 0.5 + 0.8j, 1.5),
+    "real_singular_points": lambda n: vo.real_singular_points(n),
+    "relation_residual": lambda n: relation_residual(_C2N2, n, 0.5 + 0.8j, 1.5),
+    "spherical_length": lambda n: ge.spherical_length(_C2N2, n, 2.5),
+    "trace_u": lambda n: ry.trace_u(n, 1.0, 0.5 + 0.8j),
+    "word_omega_even": lambda n: rp.word_omega_even(n, 1, _I2, _I2),
+    "word_omega_odd": lambda n: rp.word_omega_odd(n, 1, _I2, _I2),
+    "w12_closed_form": lambda n: rp.w12_closed_form(_C2N2, n, 0.5 + 0.8j, 1.5),
+    "_word_reversed": lambda n: rp._word_reversed(_C2N2, n, _I2, _I2),
+}
+
+
+@pytest.mark.parametrize("entry,n", [
+    (entry, n) for entry in _TWIST_ENTRIES for n in (0, 1.0, True, np.int64(1))
+], ids=lambda v: repr(v))
+def test_entry_points_reject_a_twist_that_is_not_a_nonzero_int(entry, n):
+    # real_singular_points(0) returned [2.0], (True) n = 1's points and (1.0)
+    # a raw TypeError; relation_residual at n = 0 returned 1.83, the words
+    # and longitude_matrix the identity, trace_u 2.0, and longitude_eigenvalue
+    # and holonomy_data raised numpy's matmul mismatch
+    with pytest.raises(ValueError, match="twist parameter n must be an integer|n must be nonzero"):
+        _TWIST_ENTRIES[entry](n)
+
+
+def _parameters(obj) -> set:
+    try:
+        return set(inspect.signature(obj).parameters)
+    except ValueError:  # the error classes: a builtin __init__ has none
+        return set()
+
+
+def test_every_export_with_a_twist_is_in_the_twist_table():
+    named = {name for name, obj in vars(conevol).items()
+             if callable(obj) and not name.startswith("_") and "n" in _parameters(obj)}
+    assert named and named <= set(_TWIST_ENTRIES), named - set(_TWIST_ENTRIES)
 
 
 def test_spherical_length_at_a_hyperbolic_angle_raises_value_error():
