@@ -88,9 +88,11 @@ def s_diff_zeros(j: int):
 
 def r_cosines(family: KnotFamily, n: int) -> tuple:
     """R's factors (a, e) at exact cosines, by the member's R_EXPONENTS row:
-    (2, a), each zero of S_{n-1} with b, each zero of S_n - S_{n-1} with -c."""
+    (2, a), each zero of S_{n-1} with b, each zero of S_n - S_{n-1} with -c;
+    a factor whose exponent is 0 is left out."""
     a, b, c, _ = R_EXPONENTS[family]
-    return ((2.0, a), *((s, b) for s in s_zeros(n - 1)), *((s, -c) for s in s_diff_zeros(n)))
+    factors = ((2.0, a), *((s, b) for s in s_zeros(n - 1)), *((s, -c) for s in s_diff_zeros(n)))
+    return tuple((s, e) for s, e in factors if e)
 
 
 def eval_S(k: int, y):

@@ -102,8 +102,9 @@ def suite_lemma_cd(n_values=DEFAULT_N) -> SuiteResult:
 def suite_representation(n_values=DEFAULT_N) -> SuiteResult:
     """Selected geometric roots satisfy the defining matrix relation.
 
-    The grid knows each angle's regime, so the roots come from the selectors
-    alone: no singular length is computed.
+    The grid knows each angle's regime, so the roots come from the selectors:
+    the hyperbolic root with no singular length computed, the spherical pair
+    through classify, which also forms the pair's closed-form length.
     """
     worst = 0.0
     checked = 0

@@ -47,12 +47,13 @@ together.  The contour's node is one closure per path (_Integrand): at
 t = k + u on leg k from p to q it takes y = p + (q - p)*u, f, f' and g from
 chebyshev.kernel's closure, R, and log R's branch from the tracked arg at
 its left sample (BranchTracker.log_at).
-One leg algorithm (_quad_steps: heap, split order, sums) asks for the panels
-it needs and those it is certain to split, and one lock-step loop (_drive)
-evaluates the panels of its legs in rounds: adaptive_quad is its one-leg
-case, and _integrate runs every leg of one compute_volumes call's contours,
-a round on lanes from LANES_MIN nodes (_round, lanes.panel_sums).  Every
-value, error estimate and raised error is the sequential rule's, leg by leg.
+One leg algorithm (_quad_steps: one loop, its panels in one list in pop
+order, its sums) asks for the panels it needs and those it is certain to
+split, and one lock-step loop (_drive) evaluates the panels of its legs in
+rounds: adaptive_quad is its one-leg case, and _integrate runs every leg of
+one compute_volumes call's contours (one member's), a round on lanes from
+LANES_MIN nodes (_round, lanes.panel_sums).  Every value, error
+estimate and raised error is the sequential rule's, leg by leg.
 Within 1e-3 of the transition angle the endpoints nearly coincide and the
 contour loses relative accuracy, so the Schlaefli integral is used there
 instead.  It also serves within 1e-5 below the folded angle pi: there the
@@ -81,12 +82,11 @@ from __future__ import annotations
 
 import bisect
 import cmath
-import heapq
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial, reduce
 from itertools import accumulate, islice
-from operator import add, mul, sub
+from operator import add, itemgetter, mul, sub
 
 import numpy as np
 
@@ -422,59 +422,52 @@ def _pair(f, lo: float, hi: float):
 
 def _quad_steps(a: float, b: float, abs_tol: float):
     """Adaptive Gauss 15/7 on [a, b] as a generator returning (integral,
-    error estimate): the heap splits its panel of largest error until the
-    errors sum to at most abs_tol (QuadratureError after QUAD_MAX_SUBDIV
-    splits).  Lacking a panel, it yields those it needs and those it is
-    certain to split (_look_ahead), none it holds, and is sent each one's
-    _gauss_pair or the error its evaluation raised.  It holds them by
-    (lo, hi) and raises a held error or a pair not finite only as it takes
-    that panel."""
-    heap, held = [], {}
-    (val, err), = yield from _take(((a, b),), heap, held, abs_tol)
-    heap.append((-err, 0, a, b, val, err))
-    total_val, total_err, count, serial = val, err, 0, 1
-    while total_err > abs_tol:
-        if count >= QUAD_MAX_SUBDIV:
+    error estimate): it splits order.pop(), the panel of largest error and
+    oldest of equals (order holds (error, lo, hi, value) by error, a new one
+    before its equals), until the errors sum to at most abs_tol
+    (QuadratureError after QUAD_MAX_SUBDIV splits).  Lacking a panel, it
+    yields those it needs and those it is certain to split (_look_ahead),
+    none it holds, and is sent each one's _gauss_pair or the error its
+    evaluation raised.  It holds them by (lo, hi) and raises a held error or
+    a pair not finite only as it takes that panel."""
+    order, held, panels = [], {}, ((a, b),)
+    while True:
+        if not all(p in held for p in panels):
+            wanted = [p for p in (*panels, *_look_ahead(order, abs_tol)) if p not in held]
+            held.update(zip(wanted, (yield wanted)))
+        pairs = [held.pop(p) for p in panels]
+        for pair in pairs:
+            if isinstance(pair, Exception):
+                raise pair
+        for (lo, hi), (v, e) in zip(panels, pairs):
+            if not (cmath.isfinite(v) and math.isfinite(e)):
+                raise QuadratureError(f"panel [{lo!r}, {hi!r}] is not finite: "
+                                      f"value {v!r}, error {e!r}")
+            bisect.insort_left(order, (e, lo, hi, v), key=itemgetter(0))
+        if len(pairs) == 1:
+            (total_val, total_err), = pairs
+        else:
+            (v1, e1), (v2, e2) = pairs
+            total_val += v1 + v2 - v_old
+            total_err += e1 + e2 - e_old
+        if not total_err > abs_tol:
+            return total_val, total_err
+        if len(order) > QUAD_MAX_SUBDIV:  # a panel more than the splits made
             raise QuadratureError(f"tolerance {abs_tol:.1e} not reached after {QUAD_MAX_SUBDIV} "
                                   f"subdivisions (error {total_err:.1e})")
-        _, _, lo, hi, v_old, e_old = heapq.heappop(heap)
+        e_old, lo, hi, v_old = order.pop()
         mid = 0.5 * (lo + hi)
-        (v1, e1), (v2, e2) = yield from _take(((lo, mid), (mid, hi)), heap, held, abs_tol)
-        total_val += v1 + v2 - v_old
-        total_err += e1 + e2 - e_old
-        heapq.heappush(heap, (-e1, serial, lo, mid, v1, e1))
-        heapq.heappush(heap, (-e2, serial + 1, mid, hi, v2, e2))
-        serial += 2
-        count += 1
-    return total_val, total_err
+        panels = ((lo, mid), (mid, hi))
 
 
-def _take(panels, heap, held: dict, abs_tol: float):
-    """The panels' pairs out of held, after one yield if it lacks one: the
-    first held error raises, then QuadratureError at a pair not finite."""
-    if not all(p in held for p in panels):
-        wanted = [p for p in (*panels, *_look_ahead(heap, abs_tol)) if p not in held]
-        held.update(zip(wanted, (yield wanted)))
-    pairs = [held.pop(p) for p in panels]
-    for pair in pairs:
-        if isinstance(pair, Exception):
-            raise pair
-    for (lo, hi), (v, e) in zip(panels, pairs):
-        if not (cmath.isfinite(v) and math.isfinite(e)):
-            raise QuadratureError(f"panel [{lo!r}, {hi!r}] is not finite: "
-                                  f"value {v!r}, error {e!r}")
-    return pairs
-
-
-def _look_ahead(heap, abs_tol: float) -> list:
-    """The halves of each heap panel that _quad_steps is certain to split: in
-    pop order while the errors from that panel on sum to more than abs_tol
-    (all stay in the heap until it is popped, so the leg goes on), within
-    the splits left (the heap holds one panel per split made)."""
-    order = sorted(heap)
-    tails = list(accumulate(e for *_, e in reversed(order)))[::-1]
-    budget = max(QUAD_MAX_SUBDIV - 1 - len(heap), 0)
-    return [half for (*_, lo, hi, _, _), tail in zip(order[:budget], tails)
+def _look_ahead(order, abs_tol: float) -> list:
+    """The halves of each panel in order that _quad_steps is certain to
+    split: in pop order while the errors from that panel on sum to more than
+    abs_tol (all stay in order until it is popped, so the leg goes on),
+    within the splits left (order holds one panel per split made)."""
+    tails = list(accumulate(e for e, *_ in order))
+    budget = max(QUAD_MAX_SUBDIV - 1 - len(order), 0)
+    return [half for (_, lo, hi, _), tail in islice(zip(reversed(order), reversed(tails)), budget)
             if tail > abs_tol for half in ((lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi))]
 
 
@@ -526,7 +519,10 @@ def _round(integrands, panels, tables: dict) -> list:
 def _integrate(integrands) -> list:
     """Each integrand's integral over its path and error estimate, summed leg
     by leg, or the error of its first failing leg: _drive over every leg of
-    every path, each round through _round."""
+    every path, each round through _round.  ValueError for paths of two
+    members: the lanes take the first path's kernel closure."""
+    if any(f.fg is not integrands[0].fg for f in integrands):
+        raise ValueError("the paths integrated together must be of one member")
     tables = {}
     outcomes = iter(_drive([(j, _quad_steps(float(k), float(k + 1), QUAD_ABS_TOL))
                             for j, f in enumerate(integrands) for k in range(len(f.legs))],
@@ -672,9 +668,9 @@ def compute_volumes(family: KnotFamily, n: int, alphas, cross_check: bool = Fals
     or the ConevolError or ValueError that compute_volume raises there.
 
     Every spec is made and the member resolved first, so a bad angle or a
-    member without a_K raises.  Each solved regime with two or more angles
-    is selected in one geometry._select_panel call, bit for bit classify's;
-    an angle alone in its regime or in one whose panel raised (each failing
+    member without a_K raises.  Each solved regime's angles are selected in
+    one geometry._select_panel call, bit for bit classify's (a lone angle is
+    a panel of one); an angle in a regime whose panel raised (each failing
     angle keeps its own error), at a_K or beyond the band is classified
     alone (_volume_at).  The contours get R's factors from one stacked solve
     (_r_factors_many) and are integrated together (_integrate).
@@ -685,8 +681,6 @@ def compute_volumes(family: KnotFamily, n: int, alphas, cross_check: bool = Fals
     classified = [None] * len(specs)
     for regime in (Regime.HYPERBOLIC, Regime.SPHERICAL):
         rows = [i for i, r in enumerate(regimes) if r is regime]
-        if len(rows) < 2:
-            continue
         try:
             panel = _select_panel(family, n, [_fold(specs[i].alpha) for i in rows], regime)
         except (ConevolError, ValueError):

@@ -46,3 +46,16 @@ def test_code_lines_prints_each_file_and_the_total(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in out] == ["9", "1", "10"]
     assert out[-1].endswith("total")
+
+
+def test_code_lines_ranks_top_level_functions_and_classes(tmp_path, capsys):
+    # Box: class, def over two lines, s = over two lines, return; f: def,
+    # return; a decorator line counts with its function
+    assert code_lines.function_lines(SNIPPET) == [(6, "Box"), (2, "f")]
+    (tmp_path / "a.py").write_text(SNIPPET)
+    (tmp_path / "b.py").write_text("import functools\n\n\n@functools.cache\ndef g(\n        x):\n"
+                                   "    return x\n")
+    assert code_lines.main(["--functions", str(tmp_path)]) == 0
+    out = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert out == [["6", f"{tmp_path / 'a.py'}:Box"], ["4", f"{tmp_path / 'b.py'}:g"],
+                   ["2", f"{tmp_path / 'a.py'}:f"]]

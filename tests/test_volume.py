@@ -442,6 +442,20 @@ def test_log_argument_is_a_constant_times_its_factor_product(family):
             assert spread <= 1e-9, (n, alpha, spread)
 
 
+@pytest.mark.parametrize("family", list(KnotFamily), ids=lambda f: f.value)
+def test_r_factor_table_holds_only_factors_of_r(family):
+    # a factor (a, 0) adds nothing to R's continuation, yet it cost a phase
+    # in _closes and in every tracker sample: (2, 0) for C(2n,2) and
+    # C(2n,-2n), and the zeros of S_n - S_{n-1} for C(2n,-2n)
+    for n in [k for m in range(1, 13) for k in (m, -m)]:
+        assert all(e != 0 for _, e in vo._r_factors(family, n, 0.7)), n
+    counts = {(FIG8, 1): 3, (KnotFamily.C2N3, 2): 8, (KnotFamily.C2NMINUS2N, 4): 11,
+              (FIG8, 8): 31}
+    for (f, n), count in counts.items():
+        if f is family:
+            assert len(vo._r_factors(f, n, 0.7)) == count, knot_id(f, n)
+
+
 def _scan(family, n, A, y0, shift, monkeypatch):
     """Every candidate of the generator with the exact class filter off."""
     with monkeypatch.context() as m:
@@ -1177,6 +1191,7 @@ def test_hot_loop_runs_on_python_scalars(monkeypatch):
     t_types, y_types = set(), set()
     factory = vo.kernel
 
+    @functools.lru_cache(maxsize=None)  # one closure per member, as kernel's
     def typed_kernel(*key):
         fg = factory(*key)
 
@@ -1430,6 +1445,21 @@ def test_lock_step_legs_equal_adaptive_quad_leg_by_leg(family, n, fractions):
     assert fractions is None or splits >= 30
 
 
+def test_paths_of_two_members_are_not_integrated_together():
+    # the lanes evaluate every path of a round with the first path's kernel
+    # closure: C(4,3) integrated with C(2,2) at alpha = 1 read
+    # -0.46845508082728227i instead of its own -3.7848896694374625i.  Paths
+    # of one member at several angles share the member's closure
+    c22, c43 = (_contours(family, n, [1.0])[0].integrand
+                for family, n in ((FIG8, 1), (KnotFamily.C2N3, 2)))
+    with pytest.raises(ValueError, match="one member"):
+        vo._integrate([c22, c43])
+    (value, _), = vo._integrate([c43])
+    assert value.imag == pytest.approx(-3.7848896694374625, abs=1e-9)
+    together = [contour.integrand for contour in _contours(FIG8, 1, [0.5, 1.0, 1.5])]
+    assert all(not isinstance(out, Exception) for out in vo._integrate(together))
+
+
 def _low_c8():
     """A C(8,-8) contour at 0.1 a_K, whose legs split 30 times and more."""
     alpha = 0.1 * critical_angle(KnotFamily.C2NMINUS2N, 4)
@@ -1472,21 +1502,21 @@ def _recorded(monkeypatch, name, record):
 @pytest.mark.parametrize("lanes_min", [10 ** 9, 0], ids=["scalar", "lanes"])
 def test_a_failed_look_ahead_panel_that_is_never_asked_for_is_dropped(lanes_min,
                                                                       monkeypatch):
-    # a look-ahead over the whole heap, not only over the panels certain to
-    # split, evaluates panels that the leg never asks for, and every node
-    # that the leg alone does not evaluate fails: the failed panels are held
-    # but never taken, so none raises, and the leg's value is its own, bit
-    # for bit
+    # a look-ahead over every panel in the leg's order, not only over the
+    # panels certain to split, evaluates panels that the leg never asks for,
+    # and every node that the leg alone does not evaluate fails: the failed
+    # panels are held but never taken, so none raises, and the leg's value
+    # is its own, bit for bit
     integrand = _low_c8()
     want, asked = _alone(integrand)
     evaluated = {t for ts in asked for t in ts}
     failed = []
 
-    def whole_heap(heap, abs_tol):
-        return [half for *_, lo, hi, _, _ in heap
+    def every_panel(order, abs_tol):
+        return [half for _, lo, hi, _ in order
                 for half in ((lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi))]
 
-    monkeypatch.setattr(vo, "_look_ahead", whole_heap)
+    monkeypatch.setattr(vo, "_look_ahead", every_panel)
     _recorded(monkeypatch, "_round", lambda integrands, panels, tables, pairs: failed.extend(
         p for p in pairs if isinstance(p, Exception)))
     _fail_where(monkeypatch, lambda t: t not in evaluated, lanes_min)
@@ -1502,7 +1532,7 @@ def test_a_failed_look_ahead_panel_raises_when_it_is_asked_for(lanes_min, monkey
     # raises alone, and no round evaluates the panel again
     integrand = _low_c8()
     ahead = []
-    _recorded(monkeypatch, "_look_ahead", lambda heap, abs_tol, halves: ahead.append(halves))
+    _recorded(monkeypatch, "_look_ahead", lambda order, abs_tol, halves: ahead.append(halves))
     vo._integrate([integrand])
     lo, hi = next(halves for halves in ahead if halves)[-1]
     rounds = []
@@ -1519,13 +1549,13 @@ def test_a_failed_look_ahead_panel_raises_when_it_is_asked_for(lanes_min, monkey
 @pytest.mark.parametrize("cap", [3, 6])
 def test_a_leg_out_of_subdivisions_raises_the_message_it_raises_alone(cap, monkeypatch):
     # the leg's own message and error estimate; no leg looks ahead at more
-    # panels than it has subdivisions left (the heap holds one panel per
+    # panels than it has subdivisions left (its order holds one panel per
     # split made), and at 6 that bound cuts the look-ahead short
     monkeypatch.setattr(vo, "QUAD_MAX_SUBDIV", cap)
     integrand = _low_c8()
     calls = []
     _recorded(monkeypatch, "_look_ahead",
-              lambda heap, abs_tol, halves: calls.append((len(heap), halves)))
+              lambda order, abs_tol, halves: calls.append((len(order), halves)))
     got, = vo._integrate([integrand])
     want, _ = _alone(integrand)
     assert f"after {cap} subdivisions" in str(want)
